@@ -26,9 +26,10 @@ plain integers.  Connected counts follow by the logarithm of the
 exponential generating function.
 
 The output is written to src/regasym/data/ and cross-checked against the
-package's independent count routes (backtracking enumeration, the complex
-moment formula, and degree-complement identities) before anything is
-saved.  Rerunning the script is only needed to extend the tables.
+package's independent count routes (backtracking enumeration, the moment
+formula ``count_hadamard`` by direct sparse powering, and
+degree-complement identities) before anything is saved.  Rerunning the
+script is only needed to extend the tables.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ and a high-precision numerical residual harness.
 from .series import (
     BadConstantTerm,
     BadParity,
-    GaussianRational,
     InsufficientOrder,
     NonUnitDivisor,
     Rational,
@@ -33,11 +32,11 @@ from .laplace import (
     stirling_series,
 )
 from .counts import (
+    CountConflict,
     CountTable,
     LimitExceeded,
     MissingCount,
     NonIntegerResult,
-    NonRealResult,
     OffsetMismatch,
     ParseError,
     count_brute,
@@ -45,6 +44,8 @@ from .counts import (
     count_two_regular,
     egf_reciprocal_coeffs,
     load_bfile,
+    load_counts,
+    resolve,
 )
 from .regular import (
     DegreeOverflow,

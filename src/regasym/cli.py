@@ -11,9 +11,12 @@ stirling  coefficients of the factorial correction series
 
 Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
 alarm, never a user error), 4 interpolation degree overflow, 5 count
-cross-check mismatch, 6 residual grid mismatch.
+mismatch (the formula against brute force, or a cached count against a
+shipped or structural one), 6 residual grid mismatch.
 
-The count cache directory comes from --cache-dir, falling back to the
+Counts come from :func:`counts.load_counts` (the count cache merged with
+the shipped table under --data-dir) and :func:`counts.resolve`.  The
+count cache directory comes from --cache-dir, falling back to the
 REGASYM_CACHE_DIR environment variable; the flag wins.  Identical flags
 always produce byte-identical output.
 """
@@ -29,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import connected, counts, laplace, regular, validation
-from .series import SeriesError, ValuationViolation, double_factorial, rational_str
+from .series import SeriesError, ValuationViolation, rational_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,10 +43,6 @@ EXIT_GOLDEN_MISMATCH = 6
 
 ENV_CACHE_DIR = "REGASYM_CACHE_DIR"
 CACHE_FILENAME = "counts_cache.txt"
-
-
-class CountMismatch(Exception):
-    """Formula and brute-force counts disagreed (printed with both values)."""
 
 
 @dataclass
@@ -94,11 +93,8 @@ def _cache_path(cfg: RunConfig) -> Path | None:
     return cfg.cache_dir / CACHE_FILENAME
 
 
-def _load_cached_counts(cfg: RunConfig) -> counts.CountTable:
-    path = _cache_path(cfg)
-    if path is not None and path.exists():
-        return counts.CountTable.load_cache(path)
-    return counts.CountTable()
+def _load_counts(cfg: RunConfig, k: int) -> counts.CountTable:
+    return counts.load_counts(k, cfg.data_dir, _cache_path(cfg))
 
 
 def _save_cached_counts(cfg: RunConfig, table: counts.CountTable):
@@ -107,15 +103,6 @@ def _save_cached_counts(cfg: RunConfig, table: counts.CountTable):
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     table.save_cache(path)
-
-
-def _sg_counts_table(cfg: RunConfig, k: int) -> counts.CountTable:
-    """Ingested reference counts if available, else an empty table (the
-    callers fall back to the exact formula for small n)."""
-    path = cfg.data_dir / f"sg_k{k}.txt"
-    if path.exists():
-        return counts.load_bfile(path, k, offset=0)
-    return counts.CountTable()
 
 
 def cmd_expand(cfg: RunConfig, out) -> int:
@@ -129,10 +116,9 @@ def cmd_expand(cfg: RunConfig, out) -> int:
     else:
         if k < 3:
             raise ValueError("connected expansion requires k >= 3")
-        table = _load_cached_counts(cfg)
-        table.merge(_sg_counts_table(cfg, k))
+        table = _load_counts(cfg, k)
         for m in range(2 * r + 1):
-            counts.get_or_compute(table, k, m)
+            counts.resolve(table, k, m)
         series = connected.csg_tilde(k, r, table)
         coeffs = series.coefficients
         gap_order = (k + 1) * (k - 2) // 2
@@ -164,36 +150,24 @@ def cmd_formal_k(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _count_formula(table: counts.CountTable, k: int, n: int) -> int:
-    if table.known(k, n):
-        return table.get(k, n)
-    if k == 1:
-        return double_factorial(n - 1) if n % 2 == 0 else 0
-    if k == 2:
-        return counts.count_two_regular(n)
-    return counts.count_hadamard(k, n)
-
-
 def cmd_count(cfg: RunConfig, out) -> int:
     k, n = cfg.k, cfg.n
-    table = _load_cached_counts(cfg)
+    table = _load_counts(cfg, k)
     if cfg.method == "brute":
         value = counts.count_brute(k, n, cfg.brute_limit)
         provenance = counts.PROV_BRUTE
-    elif cfg.method == "formula":
-        value = _count_formula(table, k, n)
-        provenance = table.provenance.get((k, n), counts.PROV_FORMULA)
-    else:  # auto: formula, cross-checked by brute force when feasible
-        value = _count_formula(table, k, n)
-        provenance = table.provenance.get((k, n), counts.PROV_FORMULA)
-        if n <= cfg.brute_limit:
+    else:
+        value, provenance = counts.resolve(table, k, n)
+        # auto checks a computed or cached count by brute force when feasible;
+        # the shipped tables were checked so when they were generated
+        if (
+            cfg.method == "auto"
+            and provenance != counts.PROV_INGESTED
+            and n <= cfg.brute_limit
+        ):
             brute = counts.count_brute(k, n, cfg.brute_limit)
             if brute != value:
-                raise CountMismatch(
-                    f"formula gives {value}, brute force gives {brute} for k={k}, n={n}"
-                )
-    if provenance != counts.PROV_BRUTE:
-        table.put(k, n, value, provenance)
+                raise counts.CountConflict(k, n, value, brute, provenance, counts.PROV_BRUTE)
         _save_cached_counts(cfg, table)
     out.write(f"{value} {provenance}\n")
     return EXIT_OK
@@ -212,24 +186,16 @@ def cmd_validate(cfg: RunConfig, out) -> int:
     for k in ks:
         rs[k] = validation.published_r(which, k, r)
         if which == "sg":
+            tables[k] = _load_counts(cfg, k)
             if k == 2:
-                table = counts.CountTable()
                 for n in ns:
-                    table.put(2, n, counts.count_two_regular(n), counts.PROV_FORMULA)
-                tables[k] = table
-            else:
-                tables[k] = _sg_counts_table(cfg, k)
+                    counts.resolve(tables[k], 2, n)
             coeffs[k] = regular.sg_expansion(k, rs[k] - 1).coeffs
         else:
-            path = cfg.data_dir / f"csg_k{k}.txt"
-            tables[k] = (
-                counts.load_bfile(path, k, offset=0, connected=True)
-                if path.exists()
-                else counts.CountTable(enforce_structural=False)
-            )
-            sg_table = _sg_counts_table(cfg, k)
+            tables[k] = counts.reference_table("csg", k, cfg.data_dir)
+            sg_table = _load_counts(cfg, k)
             for m in range(2 * (rs[k] - 1) + 1):
-                counts.get_or_compute(sg_table, k, m)
+                counts.resolve(sg_table, k, m)
             coeffs[k] = tuple(connected.csg_tilde(k, rs[k] - 1, sg_table).coefficients)
 
     rows = []
@@ -305,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--method", choices=("formula", "brute", "auto"), default="auto",
-        help="auto cross-checks the formula against brute force for small n (default auto)",
+        help="auto cross-checks a computed or cached count against brute force "
+        "for small n (default auto)",
     )
     p.add_argument(
         "--brute-limit", type=int, default=counts.DEFAULT_BRUTE_LIMIT,
@@ -375,15 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     except regular.DegreeOverflow as exc:
         sys.stderr.write(f"degree overflow: {exc}\n")
         return EXIT_DEGREE
-    except CountMismatch as exc:
+    except counts.CountConflict as exc:
         sys.stderr.write(f"count mismatch: {exc}\n")
         return EXIT_COUNT_MISMATCH
-    except (
-        ValuationViolation,
-        connected.GapMismatch,
-        counts.NonIntegerResult,
-        counts.NonRealResult,
-    ) as exc:
+    except (ValuationViolation, connected.GapMismatch, counts.NonIntegerResult) as exc:
         sys.stderr.write(f"internal assertion failed: {exc}\n")
         return EXIT_INTERNAL
     except (ValueError, SeriesError, counts.CountError, OSError) as exc:

@@ -1,23 +1,35 @@
 """Exact counts of labeled k-regular graphs by independent routes.
 
-Three routes produce (and cross-check) the integers:
+The routes that produce (and cross-check) the integers:
 
 * ``count_hadamard``: the exact moment formula.  The bracket
-  [y^k] exp(-i sum_j x_j y^j) / sqrt(1 - y^2) is expanded as a sparse
-  polynomial over Gaussian rationals, raised to the n-th power, and
-  reduced by the moment rule with weight 1/j on variable j; the result
-  times (-1)^{nk/2} must be a plain nonnegative integer.
+  P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2) is expanded as a sparse
+  polynomial over Fraction, raised to the n-th power, and reduced by the
+  moment rule with weight (-1)^{j+1}/j on variable j; the result must be
+  a nonnegative integer.
+* closed forms for small k: perfect matchings (k = 1) and cycle sets
+  (``count_two_regular``, k = 2).
 * ``count_brute``: backtracking over the upper-triangular adjacency
   matrix with degree-feasibility pruning.
-* ingested reference tables in plain b-file format ("n value" lines).
+* shipped reference tables in plain b-file format ("n value" lines).
+
+:func:`resolve` is the one place that decides where a count comes from:
+the structural rules, then the table, then the closed forms, then the
+moment formula.  It returns the route as a provenance word:
+``structural``, the table's own word for a stored count (``ingested``
+for a shipped b-file entry, ``formula`` for a cached computed one), or
+``formula`` for a count it computed.  :func:`load_counts` builds the
+table it reads: the count cache merged with the shipped table for k.
 
 Counts are held in a :class:`CountTable` keyed (k, n) with provenance and
-an optional plain-text cache ("k n count provenance" per line).  The
+an optional plain-text cache ("k n count provenance" per line) that
+holds only computed counts, never shipped ones.  Two routes that give
+different counts for one (k, n) raise :class:`CountConflict`.  The
 count_* functions are pure; a CountTable is the one mutable object here,
-intended for a single writer with concurrent readers between writes.  Table
-lookups answer the structural cases without storage: the empty graph
-gives 1, there is no k-regular graph on 1..k vertices, and none at all
-when n*k is odd.
+intended for a single writer with concurrent readers between writes.
+Table lookups answer the structural cases without storage: the empty
+graph gives 1, there is no k-regular graph on 1..k vertices, and none
+at all when n*k is odd.
 """
 
 from __future__ import annotations
@@ -28,8 +40,9 @@ from itertools import combinations
 from pathlib import Path
 
 from .multipoly import MPoly, gaussian_hadamard, mono_mul
-from .series import GaussianRational, Series
+from .series import Series, double_factorial
 
+PROV_STRUCTURAL = "structural"
 PROV_FORMULA = "formula"
 PROV_BRUTE = "brute"
 PROV_INGESTED = "ingested"
@@ -47,10 +60,6 @@ class NonIntegerResult(CountError):
     """The moment formula produced a non-integral value: implementation bug."""
 
 
-class NonRealResult(CountError):
-    """The moment formula produced an imaginary part: implementation bug."""
-
-
 class LimitExceeded(CountError):
     """Brute-force enumeration was asked to exceed its configured limit."""
 
@@ -64,6 +73,21 @@ class MissingCount(CountError, KeyError):
 
     def __str__(self):
         return f"no count available for k={self.k}, n={self.n}"
+
+
+class CountConflict(CountError, ValueError):
+    """Two routes gave different counts for the same (k, n)."""
+
+    def __init__(self, k: int, n: int, old: int, new: int, old_source: str, new_source: str):
+        super().__init__(k, n, old, new)
+        self.k, self.n, self.old, self.new = k, n, old, new
+        self.old_source, self.new_source = old_source, new_source
+
+    def __str__(self):
+        return (
+            f"conflicting counts for (k={self.k}, n={self.n}): "
+            f"{self.old} ({self.old_source}) vs {self.new} ({self.new_source})"
+        )
 
 
 class ParseError(CountError):
@@ -129,15 +153,11 @@ class CountTable:
         s = self._structural(k, n)
         if s is not None:
             if count != s:
-                raise ValueError(
-                    f"count {count} for (k={k}, n={n}) contradicts the structural value {s}"
-                )
+                raise CountConflict(k, n, s, count, PROV_STRUCTURAL, provenance)
             return
         old = self.entries.get((k, n))
         if old is not None and old != count:
-            raise ValueError(
-                f"conflicting counts for (k={k}, n={n}): {old} vs {count}"
-            )
+            raise CountConflict(k, n, old, count, self.provenance[(k, n)], provenance)
         self.entries[(k, n)] = count
         self.provenance.setdefault((k, n), provenance)
 
@@ -146,9 +166,12 @@ class CountTable:
             self.put(k, n, count, other.provenance[(k, n)])
 
     def save_cache(self, path: str | Path):
+        """Write the computed entries; ingested ones stay in their b-files."""
         lines = []
         for (k, n) in sorted(self.entries):
-            lines.append(f"{k} {n} {self.entries[(k, n)]} {self.provenance[(k, n)]}")
+            provenance = self.provenance[(k, n)]
+            if provenance != PROV_INGESTED:
+                lines.append(f"{k} {n} {self.entries[(k, n)]} {provenance}")
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
     @staticmethod
@@ -169,23 +192,21 @@ class CountTable:
         return table
 
 
-def _structural_count(k: int, n: int) -> int | None:
-    return CountTable.structural(k, n)
-
-
 def inner_bracket(k: int) -> MPoly:
-    """[y^k] exp(-i sum_{j<=k} x_j y^j) / sqrt(1 - y^2), exact over Q(i).
+    """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact over Fraction.
 
     Variables 1..k; each monomial has weighted degree sum(j * e_j) of the
     same parity as k and at most k.
     """
-    sqrt_coeffs = [Fraction(math.comb(2 * m, m), 4**m) for m in range(k // 2 + 1)]
+    sqrt_coeffs = [
+        Fraction((-1) ** m * math.comb(2 * m, m), 4**m) for m in range(k // 2 + 1)
+    ]
     terms: dict = {}
 
-    def walk(j: int, budget: int, mono: dict[int, int], coeff: Fraction, degree: int):
+    def walk(j: int, budget: int, mono: dict[int, int], coeff: Fraction):
         if j > k:
             if budget % 2 == 0:
-                c = coeff * sqrt_coeffs[budget // 2] * GaussianRational.i_power(-degree)
+                c = coeff * sqrt_coeffs[budget // 2]
                 key = tuple(sorted(mono.items()))
                 acc = terms.get(key)
                 acc = c if acc is None else acc + c
@@ -200,11 +221,11 @@ def inner_bracket(k: int) -> MPoly:
             if e:
                 fact *= e
                 mono[j] = e
-            walk(j + 1, budget - e * j, mono, coeff / fact, degree + e)
+            walk(j + 1, budget - e * j, mono, coeff / fact)
             e += 1
         mono.pop(j, None)
 
-    walk(1, k, {}, Fraction(1), 0)
+    walk(1, k, {}, Fraction(1))
     return MPoly(terms)
 
 
@@ -235,7 +256,7 @@ def count_hadamard(k: int, n: int) -> int:
         raise ValueError("n*k must be even (no regular graph exists otherwise)")
     bracket = inner_bracket(k)
     bound = n * k
-    power = MPoly.const(GaussianRational(1))
+    power = MPoly.const(1)
     base = bracket
     e = n
     while e:
@@ -244,18 +265,11 @@ def count_hadamard(k: int, n: int) -> int:
         e >>= 1
         if e:
             base = _mul_pruned(base, base, bound)
-    alphas = {j: Fraction(1, j) for j in range(1, k + 1)}
+    alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
     value = gaussian_hadamard(power, alphas)
-    if isinstance(value, Fraction):
-        value = GaussianRational(value)
-    sign = -1 if (n * k // 2) % 2 else 1
-    value = value * sign
-    if value.im != 0:
-        raise NonRealResult(f"imaginary part {value.im} for (k={k}, n={n})")
-    real = value.re
-    if real.denominator != 1 or real < 0:
-        raise NonIntegerResult(f"value {real} for (k={k}, n={n})")
-    return int(real)
+    if value.denominator != 1 or value < 0:
+        raise NonIntegerResult(f"value {value} for (k={k}, n={n})")
+    return int(value)
 
 
 def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -349,23 +363,55 @@ def load_bfile(
     return table
 
 
-def reference_table(which: str, k: int) -> CountTable:
-    """Packaged reference counts ('sg' or 'csg') for one k."""
+def reference_table(which: str, k: int, data_dir: str | Path = DATA_DIR) -> CountTable:
+    """Shipped reference counts ('sg' or 'csg') for one k under data_dir.
+
+    The table is empty when data_dir has no file for this k.
+    """
     if which not in ("sg", "csg"):
         raise ValueError("which must be 'sg' or 'csg'")
-    path = DATA_DIR / f"{which}_k{k}.txt"
+    connected = which == "csg"
+    path = Path(data_dir) / f"{which}_k{k}.txt"
     if not path.exists():
-        raise MissingCount(k, -1)
-    return load_bfile(path, k, offset=0, connected=(which == "csg"))
+        return CountTable(enforce_structural=not connected)
+    return load_bfile(path, k, offset=0, connected=connected)
 
 
-def get_or_compute(table: CountTable, k: int, n: int) -> int:
-    """Table lookup falling back to the moment formula (cached as 'formula')."""
-    if table.known(k, n):
-        return table.get(k, n)
-    value = count_hadamard(k, n)
+def load_counts(
+    k: int, data_dir: str | Path = DATA_DIR, cache: str | Path | None = None
+) -> CountTable:
+    """The count cache (if given and present) merged with the shipped table for k.
+
+    A cached count that contradicts a shipped one raises CountConflict.
+    """
+    if cache is not None and Path(cache).exists():
+        table = CountTable.load_cache(cache)
+    else:
+        table = CountTable()
+    table.merge(reference_table("sg", k, data_dir))
+    return table
+
+
+def resolve(table: CountTable, k: int, n: int) -> tuple[int, str]:
+    """The count of k-regular graphs on n vertices and the route that gave it.
+
+    Tries the structural rules, the table, the closed forms for k = 1
+    and k = 2, and then the moment formula; a computed count is put into
+    the table as 'formula'.
+    """
+    s = CountTable.structural(k, n)
+    if s is not None:
+        return s, PROV_STRUCTURAL
+    if (k, n) in table.entries:
+        return table.entries[(k, n)], table.provenance[(k, n)]
+    if k == 1:
+        value = double_factorial(n - 1)
+    elif k == 2:
+        value = count_two_regular(n)
+    else:
+        value = count_hadamard(k, n)
     table.put(k, n, value, PROV_FORMULA)
-    return value
+    return value, PROV_FORMULA
 
 
 def egf_reciprocal_coeffs(k: int, jmax: int, counts: CountTable) -> list[Fraction]:

@@ -6,10 +6,10 @@ integers; by convention the expansion pipeline uses index 0 for the formal
 square-root placeholder and 1.. for the auxiliary t variables.
 
 :class:`MPoly` is a sparse polynomial over these monomials whose
-coefficients are Fractions (or any exact ring element supporting + and *,
-such as GaussianRational).  :class:`PolySeries` is a truncated power
-series in one distinguished variable s whose coefficients are MPoly
-values; the same min-order truncation rules as the scalar series apply.
+coefficients are Fractions (or any exact ring element supporting + and
+*).  :class:`PolySeries` is a truncated power series in one distinguished
+variable s whose coefficients are MPoly values; the same min-order
+truncation rules as the scalar series apply.
 
 The moment-rule evaluator :func:`gaussian_hadamard` reduces a polynomial
 against per-variable quadratic weights: a monomial with all exponents even

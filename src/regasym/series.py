@@ -70,100 +70,6 @@ def double_factorial(m: int) -> int:
     return out
 
 
-class GaussianRational:
-    """Exact element of Q(i): re + im*i with rational components.
-
-    Conjugation is an involution; all ring arithmetic is exact.  Only the
-    exact-count formula needs i, so this type never enters the expansion
-    pipelines.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Scalar = 0, im: Scalar = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *args):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def i_power(e: int) -> "GaussianRational":
-        """i**e for any integer e."""
-        return _I_POWERS[e % 4]
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-_I_POWERS = (
-    GaussianRational(1, 0),
-    GaussianRational(0, 1),
-    GaussianRational(-1, 0),
-    GaussianRational(0, -1),
-)
-
-
 class Series:
     """Truncated univariate power series with Fraction coefficients.
 

@@ -146,11 +146,18 @@ def residual_table(
     coeffs_by_k: Mapping[int, Sequence[Fraction]],
     precision: int = DEFAULT_PRECISION,
 ) -> list[tuple[int, list[ResidualCell | None]]]:
-    """One row of cells per k; unavailable cells are None (and logged)."""
+    """One row of cells per k; unavailable cells are None (and logged).
+
+    A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
+    is None as well.
+    """
     rows: list[tuple[int, list[ResidualCell | None]]] = []
     for k in ks:
         cells: list[ResidualCell | None] = []
         for n in ns:
+            if CountTable.structural(k, n) == 0:
+                cells.append(None)
+                continue
             try:
                 cells.append(residual_cell(k, n, r, counts_by_k[k], coeffs_by_k[k], precision))
             except (MissingCount, KeyError) as exc:

@@ -190,8 +190,8 @@ def test_criterion_8_residual_tables():
         "published plain-count grid not reproduced at these cells: "
         f"{sg_mismatches}. Analysis for (5, 10): the exact residual is "
         "2.12584... from the count 66462606, which three independent exact "
-        "routes confirm (the complex moment formula at k=5, the k=4 moment "
-        "formula via degree complement on 10 vertices, and the generating "
+        "routes confirm (the moment formula at k=5, the k=4 moment formula "
+        "via degree complement on 10 vertices, and the generating "
         "recurrence behind the shipped tables); no integer count reproduces "
         "the published 2.16 (it would need the non-integer 66466608.24). "
         "Every other cell of both grids matches within 0.01."

@@ -73,10 +73,48 @@ def test_formal_k_r0(capsys):
     assert json.loads(out)["poly"] == ["2"]
 
 
-def test_count_examples(capsys):
-    assert run(["count", "--k", "3", "--n", "4"], capsys)[1] == "1 formula\n"
-    assert run(["count", "--k", "1", "--n", "6"], capsys)[1] == "15 formula\n"
-    assert run(["count", "--k", "3", "--n", "6"], capsys)[1] == "70 formula\n"
+def test_count_examples(tmp_path, capsys):
+    # an empty data dir keeps these on the formula route
+    data = ["--data-dir", str(tmp_path)]
+    assert run([*data, "count", "--k", "3", "--n", "4"], capsys)[1] == "1 formula\n"
+    assert run([*data, "count", "--k", "1", "--n", "6"], capsys)[1] == "15 formula\n"
+    assert run([*data, "count", "--k", "3", "--n", "6"], capsys)[1] == "70 formula\n"
+
+
+def test_count_reads_shipped_table(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
+
+    def boom(k, n):
+        raise AssertionError("the moment formula must not run")
+
+    monkeypatch.setattr(cli.counts, "count_hadamard", boom)
+    assert run(["count", "--k", "4", "--n", "10"], capsys) == (0, "66462606 ingested\n", "")
+    assert run(["count", "--k", "3", "--n", "6"], capsys)[1] == "70 ingested\n"
+    assert run(["count", "--k", "3", "--n", "5"], capsys)[1] == "0 structural\n"
+
+
+def test_conflicting_cache_is_count_mismatch(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / cli.CACHE_FILENAME).write_text("4 10 123 formula\n")
+    code, out, err = run(["--cache-dir", str(cache), "count", "--k", "4", "--n", "10"], capsys)
+    assert code == cli.EXIT_COUNT_MISMATCH and out == ""
+    assert "123" in err and "66462606" in err
+    code, out, err = run(
+        ["--cache-dir", str(cache), "expand", "csg", "--k", "4", "--order", "5"], capsys
+    )
+    assert code == cli.EXIT_COUNT_MISMATCH and out == ""
+    assert "123" in err and "66462606" in err
+
+
+def test_auto_brute_check_catches_wrong_cached_count(tmp_path, capsys):
+    (tmp_path / cli.CACHE_FILENAME).write_text("3 6 71 formula\n")
+    code, out, err = run(
+        ["--cache-dir", str(tmp_path), "--data-dir", str(tmp_path), "count", "--k", "3", "--n", "6"],
+        capsys,
+    )
+    assert code == cli.EXIT_COUNT_MISMATCH and out == ""
+    assert "71 (formula) vs 70 (brute)" in err
 
 
 def test_count_brute_method(capsys):
@@ -87,7 +125,8 @@ def test_count_brute_method(capsys):
 
 def test_count_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"
-    argv = ["--cache-dir", str(cache), "count", "--k", "3", "--n", "6"]
+    data = tmp_path / "data"  # empty: the count is computed, then cached
+    argv = ["--cache-dir", str(cache), "--data-dir", str(data), "count", "--k", "3", "--n", "6"]
     assert run(argv, capsys)[1] == "70 formula\n"
     assert (cache / cli.CACHE_FILENAME).read_text().strip() == "3 6 70 formula"
     # second run reads the cache
@@ -115,6 +154,16 @@ def test_validate_sg_row(capsys):
     assert lines[0] == "n,10,20,30,40,50,60,70,80,90,100"
     assert lines[1] == "3,5.04,4.05,3.79,3.66,3.60,3.55,3.52,3.50,3.48,3.46"
     assert lines[2].startswith("4,17.93,15.37")
+
+
+def test_validate_no_graph_cells_are_na(capsys):
+    # 3-regular graphs on 11 vertices do not exist (n*k odd)
+    code, out, _ = run(["validate", "--which", "sg", "--k", "3", "--n", "10:12:1", "--r", "3"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["n,10,11,12", "3,5.04,NA,4.66"]
+    code, out, _ = run(["validate", "--which", "csg", "--k", "4", "--n", "3:5", "--r", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("4,NA,NA,")
 
 
 def test_validate_known_published_anomaly(capsys):

@@ -3,21 +3,27 @@ from fractions import Fraction
 
 import pytest
 
+from regasym import counts
 from regasym.counts import (
+    CountConflict,
     CountTable,
     LimitExceeded,
     MissingCount,
     OffsetMismatch,
     ParseError,
+    PROV_BRUTE,
     PROV_FORMULA,
     PROV_INGESTED,
+    PROV_STRUCTURAL,
     count_brute,
     count_hadamard,
     count_two_regular,
     egf_reciprocal_coeffs,
     inner_bracket,
     load_bfile,
+    load_counts,
     reference_table,
+    resolve,
 )
 from regasym.series import Series
 
@@ -72,15 +78,17 @@ def test_hadamard_empty_graph():
     assert count_hadamard(4, 0) == 1
 
 
-def test_inner_bracket_imaginary_structure():
-    # the k=2 bracket is -i x2 - x1^2/2 + 1/2
-    from regasym.multipoly import MPoly, monomial
-    from regasym.series import GaussianRational
+def test_inner_bracket_real_structure():
+    # the k=2 bracket is x2 + x1^2/2 - 1/2, all rational
+    from regasym.multipoly import monomial
 
     p = inner_bracket(2)
-    assert p.terms[monomial({2: 1})] == GaussianRational(0, -1)
-    assert p.terms[monomial({1: 2})] == GaussianRational(Fraction(-1, 2))
-    assert p.terms[()] == GaussianRational(Fraction(1, 2))
+    assert p.terms == {
+        monomial({2: 1}): Fraction(1),
+        monomial({1: 2}): Fraction(1, 2),
+        (): Fraction(-1, 2),
+    }
+    assert all(type(c) is Fraction for c in p.terms.values())
 
 
 def test_hadamard_matches_brute_small_grid():
@@ -125,24 +133,28 @@ def test_table_put_conflicts():
     t = CountTable()
     t.put(3, 6, 70, PROV_FORMULA)
     t.put(3, 6, 70, PROV_INGESTED)  # same value is fine
-    with pytest.raises(ValueError):
+    with pytest.raises(CountConflict) as err:
         t.put(3, 6, 71, PROV_FORMULA)
+    assert (err.value.old, err.value.new) == (70, 71)
+    assert isinstance(err.value, ValueError)
     # n = 2 <= k = 3 must be zero
-    with pytest.raises(ValueError):
+    with pytest.raises(CountConflict) as err:
         t.put(3, 2, 5, PROV_FORMULA)
+    assert (err.value.old, err.value.old_source) == (0, PROV_STRUCTURAL)
 
 
 def test_table_cache_round_trip(tmp_path):
     t = CountTable()
     t.put(3, 6, 70, PROV_FORMULA)
-    t.put(2, 5, 12, PROV_INGESTED)
+    t.put(2, 5, 12, PROV_BRUTE)
+    t.put(3, 8, 19355, PROV_INGESTED)  # shipped counts are not cached
     path = tmp_path / "cache.txt"
     t.save_cache(path)
     lines = path.read_text().splitlines()
-    assert "3 6 70 formula" in lines and "2 5 12 ingested" in lines
+    assert sorted(lines) == ["2 5 12 brute", "3 6 70 formula"]
     back = CountTable.load_cache(path)
-    assert back.entries == t.entries
-    assert back.provenance == t.provenance
+    assert back.entries == {(3, 6): 70, (2, 5): 12}
+    assert back.provenance == {(3, 6): PROV_FORMULA, (2, 5): PROV_BRUTE}
 
 
 # -- b-files -----------------------------------------------------------------------
@@ -188,6 +200,11 @@ def test_reference_tables_cross_checked():
     assert csg3.get(3, 6) == 70
 
 
+def test_reference_table_absent_is_empty(tmp_path):
+    assert reference_table("sg", 3, tmp_path).entries == {}
+    assert not reference_table("csg", 3, tmp_path).enforce_structural
+
+
 def test_reference_table_extends_to_100():
     for which, k in (("sg", 3), ("sg", 4), ("sg", 5), ("csg", 3), ("csg", 4)):
         t = reference_table(which, k)
@@ -201,6 +218,34 @@ def test_ingested_values_equal_formula_values(small_counts):
         for (kk, n), value in small_counts.entries.items():
             if kk == k and ref.known(k, n):
                 assert ref.get(k, n) == value, (k, n)
+
+
+# -- resolver ------------------------------------------------------------------------
+
+
+def test_resolve_routes(monkeypatch):
+    table = load_counts(4)
+    assert resolve(table, 4, 3) == (0, PROV_STRUCTURAL)
+    assert resolve(table, 4, 10) == (66462606, PROV_INGESTED)
+    assert resolve(CountTable(), 1, 6) == (15, PROV_FORMULA)
+    assert resolve(CountTable(), 2, 6) == (70, PROV_FORMULA)
+    fresh = CountTable()
+    assert resolve(fresh, 3, 6) == (70, PROV_FORMULA)
+    assert fresh.provenance[(3, 6)] == PROV_FORMULA  # computed counts are recorded
+
+    def boom(k, n):
+        raise AssertionError("the moment formula must not run")
+
+    monkeypatch.setattr(counts, "count_hadamard", boom)
+    assert resolve(fresh, 3, 6) == (70, PROV_FORMULA)  # now from the table
+
+
+def test_load_counts_merges_cache_and_shipped(tmp_path):
+    cache = tmp_path / "cache.txt"
+    assert load_counts(3, tmp_path, cache).entries == {}  # neither present
+    cache.write_text("6 7 1 formula\n")  # K7
+    table = load_counts(3, counts.DATA_DIR, cache)
+    assert table.get(6, 7) == 1 and table.get(3, 100) == reference_table("sg", 3).get(3, 100)
 
 
 # -- reciprocal EGF ---------------------------------------------------------------

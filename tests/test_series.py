@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from regasym.series import (
     BadConstantTerm,
     BadParity,
-    GaussianRational,
     InsufficientOrder,
     NonUnitDivisor,
     Series,
@@ -306,12 +305,3 @@ def test_no_floating_point_in_exact_modules():
         assert "float(" not in source, mod.__name__
         assert "import math" not in source or "math.sqrt" not in source, mod.__name__
 
-
-def test_gaussian_rational_ring():
-    i = GaussianRational(0, 1)
-    assert i * i == GaussianRational(-1)
-    assert GaussianRational.i_power(3) == -i
-    z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
-    assert z.conjugate().conjugate() == z
-    assert (z * z.conjugate()).is_real()
-    assert z + 1 == GaussianRational(Fraction(3, 2), Fraction(-3, 4))
