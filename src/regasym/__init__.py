@@ -21,10 +21,9 @@ from .series import (
     parse_rational,
     rational_str,
 )
-from .multipoly import MPoly, MissingWeight, Monomial, PolySeries, gaussian_hadamard, monomial
+from .multipoly import MPoly, MissingWeight, Monomial, gaussian_hadamard, monomial
 from .laplace import (
     DegeneratePhase,
-    LaplaceExpansion,
     PhaseAmplitude,
     expand_direct,
     expand_hadamard,
@@ -51,6 +50,7 @@ from .regular import (
     DegreeOverflow,
     Expansion,
     FormalKPolynomial,
+    RouteMismatch,
     formal_k_interpolate,
     sg_expansion,
     sg_series,

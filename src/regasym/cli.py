@@ -345,7 +345,12 @@ def main(argv: list[str] | None = None) -> int:
     except counts.CountConflict as exc:
         sys.stderr.write(f"count mismatch: {exc}\n")
         return EXIT_COUNT_MISMATCH
-    except (ValuationViolation, connected.GapMismatch, counts.NonIntegerResult) as exc:
+    except (
+        ValuationViolation,
+        regular.RouteMismatch,
+        connected.GapMismatch,
+        counts.NonIntegerResult,
+    ) as exc:
         sys.stderr.write(f"internal assertion failed: {exc}\n")
         return EXIT_INTERNAL
     except (ValueError, SeriesError, counts.CountError, OSError) as exc:

@@ -35,6 +35,7 @@ at all when n*k is odd.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -166,13 +167,25 @@ class CountTable:
             self.put(k, n, count, other.provenance[(k, n)])
 
     def save_cache(self, path: str | Path):
-        """Write the computed entries; ingested ones stay in their b-files."""
+        """Write the computed entries; ingested ones stay in their b-files.
+
+        The file is replaced atomically (a temporary file in the same
+        directory, then ``os.replace``), so a crash or a concurrent run
+        never leaves a truncated cache behind.
+        """
         lines = []
         for (k, n) in sorted(self.entries):
             provenance = self.provenance[(k, n)]
             if provenance != PROV_INGESTED:
                 lines.append(f"{k} {n} {self.entries[(k, n)]} {provenance}")
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def load_cache(path: str | Path) -> "CountTable":

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MPoly, gaussian_hadamard
 from .series import InsufficientOrder, Series, SeriesError, double_factorial, newton_solve_tree
 
 
@@ -56,42 +55,26 @@ class PhaseAmplitude:
             )
 
 
-@dataclass(frozen=True)
-class LaplaceExpansion:
-    """Coefficients [z^0..z^r] of the expansion series."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
 def psi_from_phase(pa: PhaseAmplitude) -> Series:
     """psi = (phi / (phi2 t^2 / 2))^{-1/2}, order = phi.order - 2."""
     scaled = pa.phi.shift_down(2) * Fraction(2, 1) / pa.phi2
     return scaled.pow_rational(Fraction(-1, 2))
 
 
-def expand_hadamard(pa: PhaseAmplitude, r: int) -> LaplaceExpansion:
+def expand_hadamard(pa: PhaseAmplitude, r: int) -> Series:
     """Expansion coefficients through z^r via the tree substitution.
 
-    Builds G(x) = A(T(x)) T'(x) and evaluates each even slice with the
-    moment rule at weight 1/phi''(0).
+    Builds G(x) = A(T(x)) T'(x) and weights each even coefficient [x^{2l}] G
+    with the Gaussian moment (2l-1)!!/phi''(0)^l.
     """
     _require_orders(pa, r)
     psi = psi_from_phase(pa).truncate(2 * r)
     tree = newton_solve_tree(psi)
     g = pa.amp.truncate(2 * r).compose(tree) * tree.derivative()
-    alpha = {0: Fraction(1) / pa.phi2}
-    out = []
-    for l in range(r + 1):
-        slice_poly = MPoly.variable(0, 2 * l, g[2 * l]) if g[2 * l] else MPoly.zero()
-        out.append(gaussian_hadamard(slice_poly, alpha))
-    return LaplaceExpansion(tuple(out))
+    return Series([_moment(g[2 * l], l, pa.phi2) for l in range(r + 1)], r)
 
 
-def expand_direct(pa: PhaseAmplitude, r: int) -> LaplaceExpansion:
+def expand_direct(pa: PhaseAmplitude, r: int) -> Series:
     """Expansion coefficients through z^r via the closed coefficient formula."""
     _require_orders(pa, r)
     psi = psi_from_phase(pa).truncate(2 * r)
@@ -99,8 +82,13 @@ def expand_direct(pa: PhaseAmplitude, r: int) -> LaplaceExpansion:
     out = []
     for l in range(r + 1):
         prod = amp * psi.pow_rational(2 * l + 1)
-        out.append(double_factorial(2 * l - 1) * prod[2 * l] / pa.phi2**l)
-    return LaplaceExpansion(tuple(out))
+        out.append(_moment(prod[2 * l], l, pa.phi2))
+    return Series(out, r)
+
+
+def _moment(coeff: Fraction, l: int, phi2: Fraction) -> Fraction:
+    """coeff times the 2l-th moment (2l-1)!!/phi2^l of the Gaussian weight."""
+    return double_factorial(2 * l - 1) * coeff / phi2**l
 
 
 def _require_orders(pa: PhaseAmplitude, r: int):
@@ -132,4 +120,4 @@ def stirling_series(r: int) -> Series:
     if r < 0:
         raise ValueError("order must be nonnegative")
     pa = PhaseAmplitude(factorial_phase(2 * r + 2), Series.one(2 * r), Fraction(1))
-    return Series(expand_hadamard(pa, r).coeffs, r)
+    return expand_hadamard(pa, r)

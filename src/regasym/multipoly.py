@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and polynomial-coefficient series.
+"""Sparse multivariate polynomials and the formal Gaussian-moment rule.
 
 A monomial is a canonical tuple of ``(variable, exponent)`` pairs, sorted
 by variable index, with no zero exponents stored.  Variables are small
@@ -7,9 +7,9 @@ square-root placeholder and 1.. for the auxiliary t variables.
 
 :class:`MPoly` is a sparse polynomial over these monomials whose
 coefficients are Fractions (or any exact ring element supporting + and
-*).  :class:`PolySeries` is a truncated power series in one distinguished
-variable s whose coefficients are MPoly values; the same min-order
-truncation rules as the scalar series apply.
+*).  It is also a coefficient ring for :class:`series.Series`: a series
+in one distinguished variable s with MPoly coefficients is the
+polynomial-coefficient series of the fixed-k pipeline.
 
 The moment-rule evaluator :func:`gaussian_hadamard` reduces a polynomial
 against per-variable quadratic weights: a monomial with all exponents even
@@ -26,13 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .series import (
-    BadConstantTerm,
-    InsufficientOrder,
-    Series,
-    ValuationViolation,
-    double_factorial,
-)
+from .series import double_factorial
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -122,11 +116,11 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def constant_term(self):
         return self.terms.get(MONO_ONE, Fraction(0))
-
-    def is_one(self) -> bool:
-        return set(self.terms) == {MONO_ONE} and self.terms[MONO_ONE] == 1
 
     def variables(self) -> set[int]:
         return {v for mono in self.terms for v, _ in mono}
@@ -288,207 +282,3 @@ def gaussian_hadamard(p: MPoly, alphas: Mapping[int, Fraction]):
         return Fraction(0)
     return total
 
-
-class PolySeries:
-    """Truncated power series in s with sparse-polynomial coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[MPoly], order: int | None = None):
-        cs = list(coeffs)
-        if order is None:
-            if not cs:
-                raise ValueError("empty coefficient list needs an explicit order")
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cs = cs[: order + 1]
-        cs.extend([MPoly.zero()] * (order + 1 - len(cs)))
-        for c in cs:
-            if not isinstance(c, MPoly):
-                raise TypeError("PolySeries coefficients must be MPoly values")
-        object.__setattr__(self, "_coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("PolySeries is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(order: int) -> "PolySeries":
-        return PolySeries([], order)
-
-    @staticmethod
-    def one(order: int) -> "PolySeries":
-        return PolySeries([MPoly.const(1)], order)
-
-    @staticmethod
-    def from_const(p: MPoly, order: int) -> "PolySeries":
-        return PolySeries([p], order)
-
-    @staticmethod
-    def from_series(s: Series) -> "PolySeries":
-        return PolySeries([MPoly.const(c) for c in s.coefficients], s.order)
-
-    # -- inspection -----------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    def coeff(self, i: int) -> MPoly:
-        if not 0 <= i <= self.order:
-            raise IndexError(
-                f"coefficient {i} of a series truncated at order {self.order} is unknown"
-            )
-        return self._coeffs[i]
-
-    def valuation(self) -> int:
-        for i, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                return i
-        return self.order + 1
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self):
-        return f"PolySeries(order={self.order}, coeffs={list(self._coeffs)!r})"
-
-    # -- order management -------------------------------------------------
-
-    def truncate(self, order: int) -> "PolySeries":
-        if order > self.order:
-            raise InsufficientOrder(
-                f"cannot extend a series of order {self.order} to order {order}"
-            )
-        return PolySeries(self._coeffs[: order + 1], order)
-
-    def shift_down(self, m: int) -> "PolySeries":
-        if m == 0:
-            return self
-        if m > self.order:
-            raise ValuationViolation(f"cannot shift a series of order {self.order} down by {m}")
-        for i in range(m):
-            if not self._coeffs[i].is_zero():
-                raise ValuationViolation(
-                    f"series has valuation {self.valuation()}, expected at least {m}"
-                )
-        return PolySeries(self._coeffs[m:], self.order - m)
-
-    def shift_up(self, m: int) -> "PolySeries":
-        return PolySeries((MPoly.zero(),) * m + self._coeffs, self.order + m)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PolySeries(
-            [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)], n
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PolySeries(
-            [self._coeffs[i] - other._coeffs[i] for i in range(n + 1)], n
-        )
-
-    def __neg__(self):
-        return PolySeries([-c for c in self._coeffs], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
-            return PolySeries([c * other for c in self._coeffs], self.order)
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [MPoly.zero() for _ in range(n + 1)]
-        for i in range(min(self.order, n) + 1):
-            a = self._coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(min(other.order, n - i) + 1):
-                b = other._coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PolySeries(out, n)
-
-    __rmul__ = __mul__
-
-    def pow_int(self, e: int) -> "PolySeries":
-        if e < 0:
-            raise ValueError("pow_int needs a nonnegative exponent")
-        result = PolySeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def inverse(self) -> "PolySeries":
-        """Multiplicative inverse; the constant coefficient must be the unit 1."""
-        if not self._coeffs[0].is_one():
-            raise NonUnitPolyConstant(self._coeffs[0])
-        n = self.order
-        inv = [MPoly.const(1)] + [MPoly.zero()] * n
-        for m in range(1, n + 1):
-            acc = MPoly.zero()
-            for i in range(1, m + 1):
-                if not self._coeffs[i].is_zero():
-                    acc = acc + self._coeffs[i] * inv[m - i]
-            inv[m] = -acc
-        return PolySeries(inv, n)
-
-    def exp(self) -> "PolySeries":
-        """Series exponential in s; [s^0] must be the zero polynomial."""
-        if not self._coeffs[0].is_zero():
-            raise BadConstantTerm("PolySeries.exp requires a vanishing constant coefficient")
-        n = self.order
-        a = self._coeffs
-        e = [MPoly.const(1)] + [MPoly.zero()] * n
-        for m in range(1, n + 1):
-            acc = MPoly.zero()
-            for i in range(1, m + 1):
-                if not a[i].is_zero():
-                    acc = acc + (a[i] * Fraction(i)) * e[m - i]
-            e[m] = acc * Fraction(1, m)
-        return PolySeries(e, n)
-
-    def log(self) -> "PolySeries":
-        """Series logarithm in s; [s^0] must be the unit polynomial 1."""
-        if not self._coeffs[0].is_one():
-            raise BadConstantTerm("PolySeries.log requires constant coefficient 1")
-        n = self.order
-        a = self._coeffs
-        l = [MPoly.zero()] * (n + 1)
-        for m in range(1, n + 1):
-            acc = a[m] * Fraction(m)
-            for i in range(1, m):
-                if not a[m - i].is_zero():
-                    acc = acc - (l[i] * Fraction(i)) * a[m - i]
-            l[m] = acc * Fraction(1, m)
-        return PolySeries(l, n)
-
-    # -- structural helpers ---------------------------------------------------
-
-    def map_coeffs(self, fn: Callable[[MPoly], MPoly]) -> "PolySeries":
-        return PolySeries([fn(c) for c in self._coeffs], self.order)
-
-
-class NonUnitPolyConstant(BadConstantTerm):
-    """PolySeries inversion needs the constant coefficient to be exactly 1."""
-
-    def __init__(self, got: MPoly):
-        super().__init__(f"constant coefficient must be 1, got {got!r}")

@@ -35,9 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laplace import PhaseAmplitude, factorial_phase, psi_from_phase
-from .multipoly import MPoly, PolySeries, gaussian_hadamard, monomial
+from .multipoly import MPoly, gaussian_hadamard, monomial
 from .series import (
     Series,
+    SeriesError,
     ValuationViolation,
     lagrange_invert_coeff,
     newton_solve_tree,
@@ -51,45 +52,8 @@ class DegreeOverflow(Exception):
     """Held-out interpolation points disagreed with the fitted polynomial."""
 
 
-@dataclass(frozen=True)
-class Prefactor:
-    """Exact description of the growth envelope factored out of the counts.
-
-    The envelope is n^{alpha n} beta^n n^gamma times a pure constant, with
-    alpha = k/2, beta = (k/e)^{k/2} / k!, gamma = 0 and the constant
-    e^{-(k^2-1)/4} / sqrt(2).  Only exact integers and exponents are
-    stored; high-precision evaluation happens in the validation harness.
-    """
-
-    k: int
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(self.k, 2)
-
-    @property
-    def gamma(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def beta_e_exp(self) -> Fraction:
-        return -Fraction(self.k, 2)
-
-    @property
-    def beta_k_exp(self) -> Fraction:
-        return Fraction(self.k, 2)
-
-    @property
-    def beta_factorial_exp(self) -> int:
-        return -1
-
-    @property
-    def const_e_exp(self) -> Fraction:
-        return -Fraction(self.k**2 - 1, 4)
-
-    @property
-    def const_sqrt2_exp(self) -> int:
-        return -1
+class RouteMismatch(SeriesError):
+    """Two independent exact routes to the same quantity disagree."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +61,6 @@ class Expansion:
     """Expansion coefficients [z^0..z^r] for one fixed k."""
 
     k: int
-    prefactor: Prefactor
     coeffs: tuple[Fraction, ...]
 
     @property
@@ -140,7 +103,8 @@ def expansion_psi(order: int) -> Series:
     )
     inner = -log1p + Series.x(order + 2) - Series.monomial(Fraction(1, 2), 2, order + 2)
     display = (Series.one(order) + inner.shift_down(2)).pow_rational(Fraction(-1, 2))
-    assert psi == display, "psi disagrees with its closed form"
+    if psi != display:
+        raise RouteMismatch(f"psi disagrees with its closed form at order {order}")
     return psi
 
 
@@ -154,7 +118,7 @@ def tree_series(order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def u_pq(p: int, q: int) -> Fraction:
-    """[s^p] (1 + T(s))^{-q}, with the inversion-formula value asserted equal."""
+    """[s^p] (1 + T(s))^{-q}, with the inversion-formula value checked equal."""
     if p < 0 or q < 0:
         raise ValueError("u_pq needs nonnegative indices")
     if p == 0:
@@ -165,7 +129,8 @@ def u_pq(p: int, q: int) -> Fraction:
     alt = -Fraction(q, p) * (
         psi.pow_rational(p) * Series([1, 1], p - 1).pow_rational(-(q + 1))
     )[p - 1]
-    assert value == alt, f"u_pq({p},{q}): tree route {value} vs inversion route {alt}"
+    if value != alt:
+        raise RouteMismatch(f"u_pq({p},{q}): tree route {value} vs inversion route {alt}")
     return value
 
 
@@ -185,13 +150,9 @@ def v_pq(p: int, q: int) -> MPoly:
     """
     if p < 0 or q < 0:
         raise ValueError("v_pq needs nonnegative indices")
-    inner = PolySeries(
-        [MPoly.zero()] + [MPoly.variable(j + 1) for j in range(1, p + 1)], p
-    )
-    invsqrt = PolySeries.from_series(
-        Series([1, 0, -1], p).pow_rational(Fraction(-1, 2))
-    )
-    return (inner.pow_int(q) * invsqrt).coeff(p)
+    inner = Series([MPoly.zero()] + [MPoly.variable(j + 1) for j in range(1, p + 1)], p)
+    invsqrt = Series([1, 0, -1], p).pow_rational(Fraction(-1, 2)).map_coeffs(MPoly.const)
+    return (inner.pow_int(q) * invsqrt)[p]
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +200,7 @@ def _reduce_u(k: int):
 
 
 @lru_cache(maxsize=None)
-def c2_series(k: int, r: int) -> PolySeries:
+def c2_series(k: int, r: int) -> Series:
     """The sign-summed core series to s-order 2r, free of the variable u.
 
     Assembled per the fixed-k recipe: log(1 + B0) minus the t_2 shift term,
@@ -255,11 +216,11 @@ def c2_series(k: int, r: int) -> PolySeries:
     red = _reduce_u(k)
     tree = tree_series(max(n_hi, 1))
 
-    t_of_st1 = PolySeries(
+    t_of_st1 = Series(
         [MPoly.variable(1, i, tree[i]) if tree[i] else MPoly.zero() for i in range(n_hi + 1)],
         n_hi,
     )
-    tprime_st1 = PolySeries(
+    tprime_st1 = Series(
         [
             MPoly.variable(1, i, (i + 1) * tree[i + 1]) if tree[i + 1] else MPoly.zero()
             for i in range(n_lo + 1)
@@ -267,15 +228,12 @@ def c2_series(k: int, r: int) -> PolySeries:
         n_lo,
     )
 
-    one_plus_t = PolySeries.one(n_hi) + t_of_st1
-    inv = one_plus_t.inverse()
+    inv = (1 + t_of_st1).pow_rational(-1)
     inv2 = inv * inv
     inv4 = inv2 * inv2
 
-    b0 = PolySeries(
-        [MPoly.zero()] + [red(b0_row(j, k)) for j in range(1, n_hi + 1)], n_hi
-    )
-    log_term = (PolySeries.one(n_hi) + b0).log().map_coeffs(red)
+    b0 = Series([MPoly.zero()] + [red(b0_row(j, k)) for j in range(1, n_hi + 1)], n_hi)
+    log_term = (1 + b0).log().map_coeffs(red)
 
     shift_mpoly = red(
         MPoly({monomial({U_VAR: 2, 2: 1}): Fraction(k * (k - 1))})
@@ -283,7 +241,7 @@ def c2_series(k: int, r: int) -> PolySeries:
     shift_term = (inv2.truncate(n_lo) * shift_mpoly).shift_up(2)
 
     numerator = log_term - shift_term
-    if not (numerator.coeff(0).is_zero() and numerator.coeff(1).is_zero()):
+    if numerator[0] or numerator[1]:
         raise ValuationViolation(
             f"exponent numerator has s-valuation {numerator.valuation()} < 2 (k={k})"
         )
@@ -298,11 +256,10 @@ def c2_series(k: int, r: int) -> PolySeries:
             }
         )
     )
-    exponent = exponent + PolySeries.from_const(const, n_lo)
-    if not exponent.coeff(0).is_zero():
+    exponent = exponent + Series([const], n_lo)
+    if exponent[0]:
         raise ValuationViolation(
-            f"constant term of the exponent failed to cancel (k={k}): "
-            f"{exponent.coeff(0)!r}"
+            f"constant term of the exponent failed to cancel (k={k}): {exponent[0]!r}"
         )
 
     c1 = exponent.exp().map_coeffs(red)
@@ -321,8 +278,7 @@ def _moment_weights(k: int, r: int) -> dict[int, Fraction]:
 def sg_tilde_coeff(k: int, r: int) -> Fraction:
     """[z^r] of the expansion series for fixed k >= 2."""
     c2 = c2_series(k, r)
-    slice_poly = c2.coeff(2 * r)
-    value = gaussian_hadamard(slice_poly, _moment_weights(k, r))
+    value = gaussian_hadamard(c2[2 * r], _moment_weights(k, r))
     return value if r % 2 == 0 else -value
 
 
@@ -332,11 +288,11 @@ def sg_expansion(k: int, r: int) -> Expansion:
     weights = _moment_weights(k, r)
     coeffs = []
     for rho in range(r + 1):
-        value = gaussian_hadamard(c2.coeff(2 * rho), weights)
+        value = gaussian_hadamard(c2[2 * rho], weights)
         coeffs.append(value if rho % 2 == 0 else -value)
     if coeffs[0] != 2:
         raise ValuationViolation(f"[z^0] must be 2, got {coeffs[0]} (k={k})")
-    return Expansion(k, Prefactor(k), tuple(coeffs))
+    return Expansion(k, tuple(coeffs))
 
 
 def sg_series(k: int, r: int) -> Series:

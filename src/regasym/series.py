@@ -1,4 +1,4 @@
-"""Exact truncated formal power series over arbitrary-precision rationals.
+"""Exact truncated formal power series over an exact coefficient ring.
 
 Every :class:`Series` carries an explicit truncation order: coefficients
 beyond the order are *unknown*, not zero.  Binary operations return the
@@ -8,6 +8,15 @@ Laurent objects are never created: any division that would produce
 negative powers first asserts the required valuation and fails loudly
 if the cancellation the caller relied on did not happen.
 
+The coefficient ring is taken from the coefficients: ``Fraction`` (ints
+are converted) for scalar series, or :class:`multipoly.MPoly` for the
+polynomial-coefficient series of the fixed-k pipeline.  The algorithms
+use only ``+``, ``-``, ``*``, multiplication by an int or Fraction and
+truthiness as the zero test, so both rings share one implementation.
+Division by a series (:meth:`Series.div`) needs a field and so is
+scalar-only; a polynomial-coefficient series with constant term 1 is
+inverted as ``pow_rational(-1)``.
+
 All values are immutable and every operation is a pure function, so the
 types defined here can be shared freely between threads.
 """
@@ -15,7 +24,7 @@ types defined here can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Rational = Fraction
 
@@ -71,17 +80,18 @@ def double_factorial(m: int) -> int:
 
 
 class Series:
-    """Truncated univariate power series with Fraction coefficients.
+    """Truncated univariate power series over one exact coefficient ring.
 
     ``Series(coeffs, order)`` stores coefficients 0..order; missing trailing
     entries of ``coeffs`` are taken to be exact zeros (a polynomial claim by
-    the caller), extra entries are discarded.
+    the caller), extra entries are discarded.  Int coefficients become
+    Fractions; any other coefficient is kept as a ring element.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable, order: int | None = None):
+        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -89,7 +99,7 @@ class Series:
         if order < 0:
             raise ValueError("order must be nonnegative")
         cs = cs[: order + 1]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs.extend([cs[0] * 0 if cs else Fraction(0)] * (order + 1 - len(cs)))
         object.__setattr__(self, "_coeffs", tuple(cs))
 
     def __setattr__(self, *args):
@@ -122,10 +132,10 @@ class Series:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple:
         return self._coeffs
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
         if not 0 <= i <= self.order:
             raise IndexError(
                 f"coefficient {i} of a series truncated at order {self.order} is unknown"
@@ -140,7 +150,7 @@ class Series:
         return self.order + 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -151,7 +161,9 @@ class Series:
         return hash(self._coeffs)
 
     def __repr__(self):
-        inner = ", ".join(rational_str(c) for c in self._coeffs)
+        inner = ", ".join(
+            rational_str(c) if isinstance(c, Fraction) else repr(c) for c in self._coeffs
+        )
         return f"Series([{inner}], order={self.order})"
 
     # -- order management ------------------------------------------------
@@ -182,6 +194,10 @@ class Series:
             return Series([other], self.order)
         return None
 
+    def _zero(self):
+        """The zero of the coefficient ring."""
+        return self._coeffs[0] * 0
+
     def __add__(self, other):
         o = self._promote(other)
         if o is None:
@@ -208,13 +224,11 @@ class Series:
         return Series([-c for c in self._coeffs], self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self._coeffs], self.order)
         if not isinstance(other, Series):
-            return NotImplemented
+            return Series([c * other for c in self._coeffs], self.order)
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (n + 1)
+        out = [self._zero()] * (n + 1)
         for i in range(min(len(a) - 1, n) + 1):
             ai = a[i]
             if not ai:
@@ -226,11 +240,25 @@ class Series:
 
     __rmul__ = __mul__
 
+    def pow_int(self, e: int) -> "Series":
+        """self**e for integer e >= 0 (binary powering, min-order preserved)."""
+        if e < 0:
+            raise ValueError("pow_int needs a nonnegative exponent")
+        result = Series([self._zero() + 1], self.order)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return Series([c / other for c in self._coeffs], self.order)
+            return self * (1 / Fraction(other))
         if isinstance(other, Series):
             return self.div(other)
         return NotImplemented
@@ -238,7 +266,7 @@ class Series:
     # -- division and shifts ----------------------------------------------
 
     def div(self, b: "Series") -> "Series":
-        """Exact quotient a/b through the appropriate order.
+        """Exact quotient a/b through the appropriate order, over Fraction.
 
         Requires b(0) != 0, or else valuation(a) >= valuation(b) with the
         leading powers cancelling (the Laurent-free case).
@@ -277,7 +305,7 @@ class Series:
 
     def shift_up(self, m: int) -> "Series":
         """Multiply by x**m; the order grows by m (no knowledge is lost)."""
-        return Series((Fraction(0),) * m + self._coeffs, self.order + m)
+        return Series((self._zero(),) * m + self._coeffs, self.order + m)
 
     # -- calculus ----------------------------------------------------------
 
@@ -292,17 +320,18 @@ class Series:
 
     def exp(self) -> "Series":
         """Series exponential; requires a zero constant term."""
-        if self._coeffs[0] != 0:
+        if self._coeffs[0]:
             raise BadConstantTerm(f"exp requires constant term 0, got {self._coeffs[0]}")
         n = self.order
         a = self._coeffs
-        e = [Fraction(1)] + [Fraction(0)] * n
+        zero = self._zero()
+        e = [zero + 1] + [zero] * n
         for m in range(1, n + 1):
-            acc = Fraction(0)
+            acc = zero
             for i in range(1, m + 1):
                 if a[i]:
                     acc += i * a[i] * e[m - i]
-            e[m] = acc / m
+            e[m] = acc * Fraction(1, m)
         return Series(e, n)
 
     def log(self) -> "Series":
@@ -311,34 +340,39 @@ class Series:
             raise BadConstantTerm(f"log requires constant term 1, got {self._coeffs[0]}")
         n = self.order
         a = self._coeffs
-        l = [Fraction(0)] * (n + 1)
+        l = [self._zero()] * (n + 1)
         for m in range(1, n + 1):
             acc = m * a[m]
             for i in range(1, m):
                 if a[m - i]:
                     acc -= i * l[i] * a[m - i]
-            l[m] = acc / m
+            l[m] = acc * Fraction(1, m)
         return Series(l, n)
 
     def pow_rational(self, e: Scalar) -> "Series":
-        """Binomial power a**e for rational e; requires constant term 1."""
+        """Binomial power a**e for rational e; requires constant term 1.
+
+        With e = -1 this is the inverse, which needs no division in the
+        coefficient ring because the constant term is 1.
+        """
         if self._coeffs[0] != 1:
             raise BadConstantTerm(f"pow requires constant term 1, got {self._coeffs[0]}")
         e = Fraction(e)
         n = self.order
         a = self._coeffs
-        f = [Fraction(1)] + [Fraction(0)] * n
+        zero = self._zero()
+        f = [zero + 1] + [zero] * n
         for m in range(1, n + 1):
-            acc = Fraction(0)
+            acc = zero
             for i in range(1, m + 1):
                 if a[i]:
                     acc += (e * i - (m - i)) * a[i] * f[m - i]
-            f[m] = acc / m
+            f[m] = acc * Fraction(1, m)
         return Series(f, n)
 
     def compose(self, inner: "Series") -> "Series":
         """outer(inner) through the minimum of the two orders; inner(0) must be 0."""
-        if inner._coeffs[0] != 0:
+        if inner._coeffs[0]:
             raise BadConstantTerm(
                 f"composition requires inner constant term 0, got {inner._coeffs[0]}"
             )
@@ -348,6 +382,12 @@ class Series:
         for i in range(n - 1, -1, -1):
             res = res * inner_t + Series([self._coeffs[i]], n)
         return res
+
+    # -- structural helpers -------------------------------------------------
+
+    def map_coeffs(self, fn: Callable) -> "Series":
+        """Apply fn to every coefficient, e.g. ``MPoly.const`` to lift a scalar series."""
+        return Series([fn(c) for c in self._coeffs], self.order)
 
 
 def newton_solve_tree(psi: Series) -> Series:
@@ -390,18 +430,6 @@ def lagrange_invert_coeff(h_prime: Series, psi: Series, p: int) -> Fraction:
             f"H' known to order {h_prime.order}, need at least {p - 1} for p = {p}"
         )
     base = psi.truncate(p - 1)
-    prod = h_prime.truncate(p - 1) * _unit_power(base, p)
+    prod = h_prime.truncate(p - 1) * base.pow_int(p)
     return prod[p - 1] / p
 
-
-def _unit_power(a: Series, e: int) -> Series:
-    """a**e for integer e >= 0 (binary powering, min-order preserved)."""
-    result = Series.one(a.order)
-    base = a
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result

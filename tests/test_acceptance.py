@@ -72,7 +72,7 @@ def test_criterion_2_laplace_cross_formula():
         )
         phi, phi2 = phases[trial % 2]
         pa = PhaseAmplitude(phi, amp, phi2)
-        assert expand_hadamard(pa, 6).coeffs == expand_direct(pa, 6).coeffs, trial
+        assert expand_hadamard(pa, 6).coefficients == expand_direct(pa, 6).coefficients, trial
     _report(2, "two expansion formulas agree on 20 random amplitudes, r <= 6", started, 10.0)
 
 

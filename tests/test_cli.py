@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,44 @@ def test_parse_int_list():
     assert cli.parse_int_list("4:6") == (4, 5, 6)
     with pytest.raises(ValueError):
         cli.parse_int_list("1:10:0")
+
+
+# Break one route of a cross-route check, then run the CLI in a fresh
+# python -O process (empty caches; bare asserts stripped): the check must
+# still fire and exit 3.
+BROKEN_ROUTES = {
+    "psi": (
+        "orig = regular.psi_from_phase\n"
+        "regular.psi_from_phase = lambda pa: bump(orig(pa), 1)\n",
+        "closed form",
+    ),
+    "u_pq": (
+        "orig = regular.newton_solve_tree\n"
+        "regular.newton_solve_tree = lambda psi: bump(orig(psi), 2)\n",
+        "tree route",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
+def test_cross_check_alarm_survives_optimize(route):
+    patch, message = BROKEN_ROUTES[route]
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from regasym import cli, regular\n"
+        "from regasym.series import Series\n"
+        "assert False, 'python -O must strip this'\n"
+        "def bump(s, power):\n"
+        "    return s + Series.monomial(Fraction(1, 7), power, s.order)\n"
+        + patch
+        + "sys.exit(cli.main(['expand', 'sg', '--k', '3', '--order', '2']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == cli.EXIT_INTERNAL, proc.stderr
+    assert "internal assertion failed" in proc.stderr and message in proc.stderr, proc.stderr

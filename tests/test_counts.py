@@ -157,6 +157,23 @@ def test_table_cache_round_trip(tmp_path):
     assert back.provenance == {(3, 6): PROV_FORMULA, (2, 5): PROV_BRUTE}
 
 
+def test_table_cache_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    path.write_text("3 6 70 formula\n")
+    t = CountTable()
+    t.put(3, 6, 70, PROV_FORMULA)
+    t.put(2, 5, 12, PROV_BRUTE)
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(counts.os, "replace", crash)
+    with pytest.raises(OSError):
+        t.save_cache(path)
+    assert path.read_text() == "3 6 70 formula\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+
 # -- b-files -----------------------------------------------------------------------
 
 

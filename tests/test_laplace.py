@@ -59,14 +59,14 @@ def test_psi_of_the_main_phase():
 def test_expand_trivial_gaussian():
     pa = PhaseAmplitude(QUAD, Series.one(12), Fraction(1))
     exp = expand_hadamard(pa, 4)
-    assert exp.coeffs == (1, 0, 0, 0, 0)
-    assert expand_direct(pa, 4).coeffs == exp.coeffs
+    assert exp.coefficients == (1, 0, 0, 0, 0)
+    assert expand_direct(pa, 4).coefficients == exp.coefficients
 
 
 def test_expand_factorial_phase_golden():
     pa = PhaseAmplitude(factorial_phase(10), Series.one(8), Fraction(1))
     exp = expand_hadamard(pa, 3)
-    assert exp.coeffs == (
+    assert exp.coefficients == (
         1,
         Fraction(1, 12),
         Fraction(1, 288),
@@ -78,8 +78,8 @@ def test_expand_quadratic_amplitude():
     # A = t^2, phi = t^2/2: [z^1] = 1!! * [t^2] t^2 = 1, others 0
     pa = PhaseAmplitude(QUAD, Series.monomial(1, 2, 8), Fraction(1))
     exp = expand_direct(pa, 3)
-    assert exp.coeffs == (0, 1, 0, 0)
-    assert expand_hadamard(pa, 3).coeffs == exp.coeffs
+    assert exp.coefficients == (0, 1, 0, 0)
+    assert expand_hadamard(pa, 3).coefficients == exp.coefficients
 
 
 def test_expand_insufficient_order():
@@ -92,7 +92,7 @@ def test_constant_coefficient_is_amplitude_at_zero():
     pa = PhaseAmplitude(
         quadratic_plus_log_phase(10), Series([Fraction(5, 7), 1, 2, 3] + [0] * 5, 8), Fraction(2)
     )
-    assert expand_direct(pa, 2).coeffs[0] == Fraction(5, 7)
+    assert expand_direct(pa, 2).coefficients[0] == Fraction(5, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -104,7 +104,7 @@ def test_two_formulas_agree_on_random_amplitudes(amp_coeffs, use_main_phase):
         pa = PhaseAmplitude(quadratic_plus_log_phase(order + 2), amp, Fraction(2))
     else:
         pa = PhaseAmplitude(factorial_phase(order + 2), amp, Fraction(1))
-    assert expand_hadamard(pa, 6).coeffs == expand_direct(pa, 6).coeffs
+    assert expand_hadamard(pa, 6).coefficients == expand_direct(pa, 6).coefficients
 
 
 @settings(max_examples=20, deadline=None)
@@ -114,8 +114,8 @@ def test_linearity_in_amplitude(amp_coeffs, c):
     amp = Series(amp_coeffs, order)
     pa = PhaseAmplitude(factorial_phase(order + 2), amp, Fraction(1))
     pa_scaled = PhaseAmplitude(factorial_phase(order + 2), amp * c, Fraction(1))
-    base = expand_direct(pa, 4).coeffs
-    scaled = expand_direct(pa_scaled, 4).coeffs
+    base = expand_direct(pa, 4).coefficients
+    scaled = expand_direct(pa_scaled, 4).coefficients
     assert scaled == tuple(c * x for x in base)
 
 

@@ -305,3 +305,18 @@ def test_no_floating_point_in_exact_modules():
         assert "float(" not in source, mod.__name__
         assert "import math" not in source or "math.sqrt" not in source, mod.__name__
 
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements, so a correctness check written as
+    # one would silently vanish; checks raise named errors instead
+    import ast
+    from pathlib import Path
+
+    import regasym
+
+    package = Path(regasym.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: bare assert on lines {lines}"
