@@ -21,7 +21,7 @@ from .series import (
     parse_rational,
     rational_str,
 )
-from .multipoly import MPoly, MissingWeight, Monomial, gaussian_hadamard, monomial
+from .multipoly import ExponentOverflow, MPoly, MissingWeight, Monomial, gaussian_hadamard, monomial
 from .laplace import (
     DegeneratePhase,
     PhaseAmplitude,

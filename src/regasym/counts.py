@@ -4,7 +4,8 @@ The routes that produce (and cross-check) the integers:
 
 * ``count_hadamard``: the exact moment formula.  The bracket
   P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2) is expanded as a sparse
-  polynomial over Fraction, raised to the n-th power, and reduced by the
+  rational polynomial, raised to the n-th power with terms of weighted
+  degree above n*k dropped (``MPoly.mul`` with a bound), and reduced by the
   moment rule with weight (-1)^{j+1}/j on variable j; the result must be
   a nonnegative integer.
 * closed forms for small k: perfect matchings (k = 1) and cycle sets
@@ -40,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from .multipoly import MPoly, gaussian_hadamard, mono_mul
+from .multipoly import MPoly, gaussian_hadamard, monomial
 from .series import Series, double_factorial
 
 PROV_STRUCTURAL = "structural"
@@ -51,6 +52,9 @@ PROV_INGESTED = "ingested"
 DATA_DIR = Path(__file__).parent / "data"
 
 DEFAULT_BRUTE_LIMIT = 10
+# count --method auto brute-checks counts up to this many graphs; enumeration
+# visits each graph, at roughly 10^5 graphs per second
+BRUTE_CHECK_MAX_COUNT = 100_000
 
 
 class CountError(Exception):
@@ -206,7 +210,7 @@ class CountTable:
 
 
 def inner_bracket(k: int) -> MPoly:
-    """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact over Fraction.
+    """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact rational coefficients.
 
     Variables 1..k; each monomial has weighted degree sum(j * e_j) of the
     same parity as k and at most k.
@@ -219,14 +223,8 @@ def inner_bracket(k: int) -> MPoly:
     def walk(j: int, budget: int, mono: dict[int, int], coeff: Fraction):
         if j > k:
             if budget % 2 == 0:
-                c = coeff * sqrt_coeffs[budget // 2]
-                key = tuple(sorted(mono.items()))
-                acc = terms.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    terms[key] = acc
-                elif key in terms:
-                    del terms[key]
+                # each leaf has its own exponent vector, so no key repeats
+                terms[monomial(mono)] = coeff * sqrt_coeffs[budget // 2]
             return
         e = 0
         fact = 1
@@ -242,25 +240,6 @@ def inner_bracket(k: int) -> MPoly:
     return MPoly(terms)
 
 
-def _mul_pruned(a: MPoly, b: MPoly, bound: int) -> MPoly:
-    """Sparse product dropping monomials of weighted degree above bound."""
-    out: dict = {}
-    for m1, c1 in a.terms.items():
-        d1 = sum(v * e for v, e in m1)
-        for m2, c2 in b.terms.items():
-            if d1 + sum(v * e for v, e in m2) > bound:
-                continue
-            mono = mono_mul(m1, m2)
-            prod = c1 * c2
-            acc = out.get(mono)
-            acc = prod if acc is None else acc + prod
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-    return MPoly(out)
-
-
 def count_hadamard(k: int, n: int) -> int:
     """Exact number of k-regular labeled graphs on n vertices by the moment formula."""
     if k < 2:
@@ -274,10 +253,10 @@ def count_hadamard(k: int, n: int) -> int:
     e = n
     while e:
         if e & 1:
-            power = _mul_pruned(power, base, bound)
+            power = power.mul(base, bound)
         e >>= 1
         if e:
-            base = _mul_pruned(base, base, bound)
+            base = base.mul(base, bound)
     alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
     value = gaussian_hadamard(power, alphas)
     if value.denominator != 1 or value < 0:

@@ -1,36 +1,44 @@
 """Sparse multivariate polynomials and the formal Gaussian-moment rule.
 
-A monomial is a canonical tuple of ``(variable, exponent)`` pairs, sorted
-by variable index, with no zero exponents stored.  Variables are small
-integers; by convention the expansion pipeline uses index 0 for the formal
-square-root placeholder and 1.. for the auxiliary t variables.
+A monomial is one packed ``int`` (packed exponent vectors, Monagan–Pearce
+2007): the exponent of variable v, 0 <= v < MAX_VARS, sits in the
+``FIELD_BITS``-bit field at bit ``FIELD_BITS * v``, so multiplying
+monomials is integer addition.  The pipeline uses variable 0 for the formal
+square-root placeholder and 1.. for the t variables.  The top bit of each
+field is a guard bit that stored monomials keep clear: an exponent is at
+most ``MAX_EXP``, a sum of two stored monomials never carries into the next
+field, and a product exponent above ``MAX_EXP`` raises
+:class:`ExponentOverflow`.  :func:`mono_exponents` unpacks a monomial.
 
-:class:`MPoly` is a sparse polynomial over these monomials whose
-coefficients are Fractions (or any exact ring element supporting + and
-*).  It is also a coefficient ring for :class:`series.Series`: a series
-in one distinguished variable s with MPoly coefficients is the
-polynomial-coefficient series of the fixed-k pipeline.
-
-The moment-rule evaluator :func:`gaussian_hadamard` reduces a polynomial
-against per-variable quadratic weights: a monomial with all exponents even
-maps to the product over its variables of ``alpha**(e/2) * (e-1)!!`` and
-any odd exponent kills the monomial.  Weights may be negative; the rule is
-formal.
-
-All values are immutable and every operation is pure, so everything here
-can be shared freely between threads.
+:class:`MPoly` holds ``int`` numerators (``terms``, one per monomial) over
+one shared positive denominator ``den``, normalised once per operation so
+that gcd(den, all numerators) = 1; ``==`` is therefore value equality.
+MPoly is a coefficient ring for :class:`series.Series`.
+:func:`gaussian_hadamard` applies the formal Gaussian-moment rule.  All
+values are immutable and every operation is pure.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Mapping
 
 from .series import double_factorial
 
-Monomial = tuple[tuple[int, int], ...]
+Monomial = int
 
-MONO_ONE: Monomial = ()
+FIELD_BITS = 16
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+MAX_VARS = 64
+
+MONO_ONE: Monomial = 0
+_FIELD = (1 << FIELD_BITS) - 1
+_LOW = sum(1 << (FIELD_BITS * v) for v in range(MAX_VARS))  # bit 0 of every field
+_GUARD = _LOW << (FIELD_BITS - 1)  # top bit of every field
 
 
 class MissingWeight(KeyError):
@@ -44,53 +52,68 @@ class MissingWeight(KeyError):
         return f"no moment weight declared for variable {self.var}"
 
 
-def monomial(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
-    """Canonical monomial from a var -> exponent mapping (zeros dropped)."""
-    items = exponents.items() if isinstance(exponents, Mapping) else exponents
-    cleaned = []
-    for var, exp in items:
-        if exp < 0:
-            raise ValueError(f"negative exponent {exp} for variable {var}")
-        if exp:
-            cleaned.append((int(var), int(exp)))
-    cleaned.sort()
-    return tuple(cleaned)
+class ExponentOverflow(OverflowError):
+    """An exponent would exceed MAX_EXP and carry into the next variable's field."""
+
+
+def monomial(exponents: Mapping[int, int]) -> Monomial:
+    """Packed monomial from a var -> exponent mapping (or (var, exp) pairs)."""
+    mono = 0
+    for var, exp in dict(exponents).items():
+        if exp < 0 or not 0 <= var < MAX_VARS:
+            raise ValueError(f"need exponent >= 0 and 0 <= variable < {MAX_VARS}: {var}^{exp}")
+        if exp > MAX_EXP:
+            raise ExponentOverflow(f"exponent {exp} of variable {var} exceeds {MAX_EXP}")
+        mono += int(exp) << (FIELD_BITS * var)
+    return mono
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for var, exp in b:
-        merged[var] = merged.get(var, 0) + exp
-    return tuple(sorted(merged.items()))
+    m = a + b
+    if m & _GUARD:
+        raise ExponentOverflow(f"an exponent exceeds {MAX_EXP} in {mono_exponents(m)}")
+    return m
 
 
-def mono_degree(m: Monomial, var: int) -> int:
-    for v, e in m:
-        if v == var:
-            return e
-    return 0
+def mono_exponents(m: Monomial) -> dict[int, int]:
+    """The var -> exponent mapping of a packed monomial (zeros dropped)."""
+    out = {}
+    var = 0
+    while m:
+        if m & _FIELD:
+            out[var] = m & _FIELD
+        m >>= FIELD_BITS
+        var += 1
+    return out
 
 
-def mono_total_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _weighted_degree(m: Monomial) -> int:
+    """sum(v * e_v): variable v has weight v."""
+    return sum(v * e for v, e in mono_exponents(m).items())
+
+
+def _reduced(terms: dict, den: int, p: "MPoly | None" = None) -> "MPoly":
+    """MPoly of nonzero numerators over den > 0, with their common factor removed."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    p = object.__new__(MPoly) if p is None else p
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "den", den)
+    return p
 
 
 class MPoly:
-    """Sparse multivariate polynomial; zero coefficients are never stored."""
+    """Sparse multivariate polynomial: ``terms`` over the shared denominator ``den``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    cleaned[mono] = coeff
-        object.__setattr__(self, "terms", cleaned)
+        fracs = [(m, Fraction(c)) for m, c in (terms or {}).items() if c]
+        den = math.lcm(*(c.denominator for _, c in fracs))
+        _reduced({m: c.numerator * (den // c.denominator) for m, c in fracs}, den, self)
 
     def __setattr__(self, *args):
         raise AttributeError("MPoly is immutable")
@@ -103,182 +126,155 @@ class MPoly:
 
     @staticmethod
     def const(c) -> "MPoly":
-        if isinstance(c, int):
-            c = Fraction(c)
         return MPoly({MONO_ONE: c})
 
     @staticmethod
-    def variable(var: int, exp: int = 1, coeff=Fraction(1)) -> "MPoly":
+    def variable(var: int, exp: int = 1, coeff=1) -> "MPoly":
         return MPoly({monomial({var: exp}): coeff})
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def constant_term(self):
-        return self.terms.get(MONO_ONE, Fraction(0))
-
     def variables(self) -> set[int]:
-        return {v for mono in self.terms for v, _ in mono}
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(monomial(mono) if not isinstance(mono, tuple) else mono, Fraction(0))
+        return set(mono_exponents(reduce(or_, self.terms, 0)))
 
     def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            if isinstance(other, (int, Fraction)):
-                return self == MPoly.const(other)
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.const(other)
+        elif not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
-            return "MPoly(0)"
-        parts = []
-        for mono, coeff in sorted(self.terms.items()):
-            factors = "*".join(
-                f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in mono
-            )
-            parts.append(f"({coeff})" + (f"*{factors}" if factors else ""))
-        return "MPoly(" + " + ".join(parts) + ")"
+        parts = [
+            f"({Fraction(c, self.den)})"
+            + "".join(f"*x{v}" + (f"^{e}" if e > 1 else "") for v, e in mono_exponents(m).items())
+            for m, c in sorted(self.terms.items())
+        ]
+        return "MPoly(" + (" + ".join(parts) or "0") + ")"
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MPoly":
+        """self + sign * other over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
-        if not isinstance(other, MPoly):
+        elif not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            acc = coeff if acc is None else acc + coeff
+        g = math.gcd(self.den, other.den)
+        scale_a, scale_b = other.den // g, self.den // g * sign
+        out = {m: c * scale_a for m, c in self.terms.items()}
+        get = out.get
+        for m, c in other.terms.items():
+            acc = get(m, 0) + c * scale_b
             if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", out)
-        return res
+                out[m] = acc
+            else:
+                del out[m]  # only a stored term can cancel
+        return _reduced(out, self.den * scale_a)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MPoly) else MPoly.const(-Fraction(other)))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", {m: -c for m, c in self.terms.items()})
-        return res
+        return self * -1
 
     def __mul__(self, other):
+        if isinstance(other, MPoly):
+            return self.mul(other)
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MPoly.zero()
-            res = MPoly.__new__(MPoly)
-            object.__setattr__(res, "terms", {m: c * other for m, c in self.terms.items()})
-            return res
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                prod = c1 * c2
-                acc = out.get(mono)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", out)
-        return res
+            p = other.numerator
+            terms = {m: c * p for m, c in self.terms.items() if p}
+            return _reduced(terms, self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def pow(self, e: int) -> "MPoly":
-        if e < 0:
-            raise ValueError("MPoly.pow needs a nonnegative exponent")
-        result = MPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+    def mul(self, other: "MPoly", bound: int | None = None) -> "MPoly":
+        """The product; with a bound, terms of weighted degree sum(v * e_v) > bound are dropped."""
+        row = list(other.terms.items())
+        if bound is None:
+            rows = [(m1, c1, row) for m1, c1 in self.terms.items()]
+        else:
+            row.sort(key=lambda t: _weighted_degree(t[0]))
+            weights = [_weighted_degree(m) for m, _ in row]
+            rows = [
+                (m1, c1, row[: bisect_right(weights, bound - _weighted_degree(m1))])
+                for m1, c1 in self.terms.items()
+            ]
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for m1, c1, part in rows:
+            for m2, c2 in part:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        if out and reduce(or_, out) & _GUARD:
+            bad = next(m for m in out if m & _GUARD)
+            raise ExponentOverflow(f"an exponent exceeds {MAX_EXP} in {mono_exponents(bad)}")
+        return _reduced({m: c for m, c in out.items() if c}, self.den * other.den)
 
     # -- structural helpers -----------------------------------------------
 
-    def map_coeffs(self, fn: Callable) -> "MPoly":
-        return MPoly({m: fn(c) for m, c in self.terms.items()})
-
-    def filter_terms(self, keep: Callable[[Monomial], bool]) -> "MPoly":
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", {m: c for m, c in self.terms.items() if keep(m)})
-        return res
-
     def subs_square(self, var: int, value: Fraction) -> "MPoly":
         """Reduce var**2 -> value, leaving exponents of var at 0 or 1."""
-        out: dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            e = mono_degree(mono, var)
-            if e >= 2:
-                coeff = coeff * value ** (e // 2)
-                rest = [(v, x) for v, x in mono if v != var]
-                if e % 2:
-                    rest.append((var, 1))
-                mono = tuple(sorted(rest))
-            acc = out.get(mono)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", out)
-        return res
+        value = Fraction(value)
+        shift = FIELD_BITS * var
+        split = [(m, c, (m >> shift & _FIELD) >> 1) for m, c in self.terms.items()]
+        top = max((h for _, _, h in split), default=0)
+        p_pow = [value.numerator**h for h in range(top + 1)]
+        q_pow = [value.denominator**h for h in range(top + 1)]
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for m, c, h in split:
+            m -= h << (shift + 1)
+            out[m] = get(m, 0) + c * p_pow[h] * q_pow[top - h]
+        return _reduced({m: c for m, c in out.items() if c}, self.den * q_pow[top])
 
     def even_part(self, var: int) -> "MPoly":
         """Terms with an even exponent of ``var``."""
-        return self.filter_terms(lambda m: mono_degree(m, var) % 2 == 0)
+        odd = 1 << (FIELD_BITS * var)
+        return _reduced({m: c for m, c in self.terms.items() if not m & odd}, self.den)
 
 
-def gaussian_hadamard(p: MPoly, alphas: Mapping[int, Fraction]):
-    """Formal Gaussian-moment evaluation of a polynomial.
+def gaussian_hadamard(p: MPoly, alphas: Mapping[int, Fraction]) -> Fraction:
+    """Formal Gaussian-moment evaluation: sum of coeff * prod alphas[v]**(e_v/2) * (e_v-1)!!.
 
-    Each monomial prod x_v^{e_v} with every e_v even contributes
-    ``coeff * prod alphas[v]**(e_v/2) * (e_v - 1)!!``; monomials with any
-    odd exponent contribute 0.  Linear in p, multiplicative over disjoint
-    variable sets.
+    Monomials with an odd exponent contribute 0.  The sum is taken in
+    integers over den * prod_v denominator(alphas[v])**H_v, with H_v the
+    largest half-exponent of v among the surviving monomials.
     """
-    total = None
-    for mono, coeff in p.terms.items():
-        weight = Fraction(1)
-        dead = False
-        for var, exp in mono:
-            if exp % 2:
-                dead = True
-                break
-            try:
-                alpha = alphas[var]
-            except KeyError:
-                raise MissingWeight(var) from None
-            weight *= alpha ** (exp // 2) * double_factorial(exp - 1)
-        if dead:
-            continue
-        contribution = coeff * weight
-        total = contribution if total is None else total + contribution
-    if total is None:
-        return Fraction(0)
-    return total
-
+    live = [
+        (num, {v: e >> 1 for v, e in mono_exponents(m).items()})
+        for m, num in p.terms.items()
+        if not m & _LOW
+    ]
+    top: dict[int, int] = {}
+    for _, halves in live:
+        for v, h in halves.items():
+            top[v] = max(top.get(v, 0), h)
+    for v in top:
+        if v not in alphas:
+            raise MissingWeight(v)
+    factor = {}
+    den = p.den
+    for v, hv in top.items():
+        a = Fraction(alphas[v])
+        den *= a.denominator**hv
+        for h in range(hv + 1):
+            factor[v, h] = a.numerator**h * double_factorial(2 * h - 1) * a.denominator ** (hv - h)
+    total = 0
+    for num, halves in live:
+        for v in top:
+            num *= factor[v, halves.get(v, 0)]
+        total += num
+    return Fraction(total, den)

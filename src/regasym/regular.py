@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laplace import PhaseAmplitude, factorial_phase, psi_from_phase
-from .multipoly import MPoly, gaussian_hadamard, monomial
+from .multipoly import MONO_ONE, MPoly, gaussian_hadamard, monomial
 from .series import (
     Series,
     SeriesError,
@@ -123,8 +123,7 @@ def u_pq(p: int, q: int) -> Fraction:
         raise ValueError("u_pq needs nonnegative indices")
     if p == 0:
         return Fraction(1)
-    outer = Series([1, 1], p).pow_rational(-q)
-    value = outer.compose(tree_series(p))[p]
+    value = (1 + tree_series(p)).pow_rational(-q)[p]
     psi = expansion_psi(p - 1) if p > 1 else expansion_psi(0)
     alt = -Fraction(q, p) * (
         psi.pow_rational(p) * Series([1, 1], p - 1).pow_rational(-(q + 1))
@@ -252,7 +251,7 @@ def c2_series(k: int, r: int) -> Series:
         MPoly(
             {
                 monomial({U_VAR: 2}): Fraction(2 * k**2 * (k - 1), 4),
-                (): Fraction((1 - k) * (k - 1), 4),
+                MONO_ONE: Fraction((1 - k) * (k - 1), 4),
             }
         )
     )

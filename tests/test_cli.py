@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,27 @@ def test_auto_brute_check_catches_wrong_cached_count(tmp_path, capsys):
     )
     assert code == cli.EXIT_COUNT_MISMATCH and out == ""
     assert "71 (formula) vs 70 (brute)" in err
+
+
+def test_auto_skips_brute_check_of_large_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
+    enumerated = []
+    brute = cli.counts.count_brute
+
+    def spy(k, n, limit):
+        enumerated.append((k, n))
+        return brute(k, n, limit)
+
+    monkeypatch.setattr(cli.counts, "count_brute", spy)
+    data = ["--data-dir", str(tmp_path)]  # empty: the moment formula computes the count
+    start = time.perf_counter()
+    code, out, err = run([*data, "count", "--k", "3", "--n", "10"], capsys)
+    assert (code, out) == (0, "11180820 formula\n")
+    assert "brute-force check skipped" in err
+    assert enumerated == [] and time.perf_counter() - start < 10
+    # 19,355 graphs are still enumerated
+    assert run([*data, "count", "--k", "4", "--n", "8"], capsys) == (0, "19355 formula\n", "")
+    assert enumerated == [(4, 8)]
 
 
 def test_count_brute_method(capsys):

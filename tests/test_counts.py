@@ -80,15 +80,17 @@ def test_hadamard_empty_graph():
 
 def test_inner_bracket_real_structure():
     # the k=2 bracket is x2 + x1^2/2 - 1/2, all rational
-    from regasym.multipoly import monomial
+    from regasym.multipoly import mono_exponents
 
     p = inner_bracket(2)
-    assert p.terms == {
-        monomial({2: 1}): Fraction(1),
-        monomial({1: 2}): Fraction(1, 2),
+    assert {
+        tuple(mono_exponents(m).items()): Fraction(c, p.den) for m, c in p.terms.items()
+    } == {
+        ((2, 1),): Fraction(1),
+        ((1, 2),): Fraction(1, 2),
         (): Fraction(-1, 2),
     }
-    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.den == 2 and all(type(c) is int for c in p.terms.values())
 
 
 def test_hadamard_matches_brute_small_grid():

@@ -1,0 +1,53 @@
+"""Golden high-order coefficients, pinned in full.
+
+Each value is the exact output of the matching ``python -m regasym``
+invocation as recorded in ``perfbench/expected.json``, whose oracle checks
+it independently (criterion-3 prefixes, the connected valuation gap).
+A change to the exact pipeline must leave every coefficient bit-identical.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from regasym.connected import csg_tilde
+from regasym.regular import formal_k_interpolate, sg_expansion
+
+
+def rationals(text: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for x in text.split(", "))
+
+
+SG_GOLDEN = {
+    (3, 8): "2, -71/18, -143/1296, 2337053/699840, 1210504613/100776960, "
+    "956840252047/25395793920, 2792905801830611/27427457433600, "
+    "159207355061022749/987388467609600, -37564770620004407999/56873575734312960",
+    (4, 8): "2, -235/24, 18289/2304, 22776313/1658880, 1727827201/63700992, "
+    "9499201625747/107017666560, 58303082889165491/154105439846400, "
+    "2531905322323069349/1479412222525440, 21547979524418338922117/2840471467248844800",
+    (5, 6): "2, -589/30, 190249/3600, 19063687/3240000, -34591161067/777600000, "
+    "-15412921330603/326592000000, 143030729435671691/587865600000000",
+}
+
+CSG_4_6 = (
+    "2, -235/24, 18289/2304, 22776313/1658880, 1727827201/63700992, "
+    "9485657202323/107017666560, 58032871641856691/154105439846400"
+)
+
+FORMAL_K_3 = (
+    "74237/25920, -6473/576, 27119/1728, -4715/576, 403/2880, 95/288, "
+    "2705/5184, 0, -269/2880, -1/576, 7/864, 0, -1/5184"
+)
+
+
+@pytest.mark.parametrize("k, r", sorted(SG_GOLDEN))
+def test_sg_expansion_golden(k, r):
+    assert sg_expansion(k, r).coeffs == rationals(SG_GOLDEN[k, r])
+
+
+def test_csg_tilde_golden(sg_reference):
+    assert csg_tilde(4, 6, sg_reference).coefficients == rationals(CSG_4_6)
+
+
+def test_formal_k_r3_golden():
+    assert formal_k_interpolate(3).numerator_coeffs == rationals(FORMAL_K_3)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,46 +6,164 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regasym.multipoly import (
+    MAX_EXP,
+    MAX_VARS,
+    MONO_ONE,
+    ExponentOverflow,
     MPoly,
     MissingWeight,
     gaussian_hadamard,
+    mono_exponents,
     mono_mul,
-    mono_total_degree,
     monomial,
 )
-from regasym.series import BadConstantTerm, Series, ValuationViolation
+from regasym.series import BadConstantTerm, Series, ValuationViolation, double_factorial
 
 from conftest import small_fractions
 
 
-def mpoly_strategy(max_vars=3, max_exp=3, max_terms=4):
+# -- reference model -------------------------------------------------------
+# The plain representation the packed kernel replaced: a dict from sorted
+# (var, exp) tuples to nonzero Fractions.  The kernel must agree with it.
+
+
+def build(model) -> MPoly:
+    return MPoly({monomial(dict(mono)): c for mono, c in model.items()})
+
+
+def to_model(p: MPoly) -> dict:
+    return {
+        tuple(sorted(mono_exponents(m).items())): Fraction(c, p.den)
+        for m, c in p.terms.items()
+    }
+
+
+def clean(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_mono_mul(a, b):
+    merged = dict(a)
+    for v, e in b:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return clean(out)
+
+
+def ref_subs_square(a, var, value):
+    out = {}
+    for mono, c in a.items():
+        exps = dict(mono)
+        e = exps.pop(var, 0)
+        if e % 2:
+            exps[var] = 1
+        m = tuple(sorted(exps.items()))
+        out[m] = out.get(m, 0) + c * value ** (e // 2)
+    return clean(out)
+
+
+def ref_moment(a, alphas):
+    total = Fraction(0)
+    for mono, c in a.items():
+        if all(e % 2 == 0 for _, e in mono):
+            for v, e in mono:
+                c *= alphas[v] ** (e // 2) * double_factorial(e - 1)
+            total += c
+    return total
+
+
+def reference_strategy(variables=range(4), max_exp=3, max_terms=4):
     mono = st.dictionaries(
-        st.integers(min_value=1, max_value=max_vars),
+        st.sampled_from(variables),
         st.integers(min_value=1, max_value=max_exp),
-        max_size=max_vars,
-    )
-    term = st.tuples(mono, small_fractions())
-    return st.builds(
-        lambda ts: sum((MPoly({monomial(m): c}) for m, c in ts), MPoly.zero()),
-        st.lists(term, max_size=max_terms),
-    )
+        max_size=len(variables),
+    ).map(lambda d: tuple(sorted(d.items())))
+    return st.dictionaries(mono, small_fractions(), max_size=max_terms).map(clean)
+
+
+def mpoly_strategy(max_vars=3):
+    return reference_strategy(range(1, max_vars + 1)).map(build)
+
+
+def assert_matches(p: MPoly, model: dict):
+    assert to_model(p) == model
+    # normal form: positive denominator coprime to the numerators, so that
+    # == is value equality
+    assert p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1
+    assert p == build(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_strategy(), reference_strategy(), small_fractions(), st.integers(0, 12))
+def test_kernel_matches_reference_model(a, b, c, bound):
+    pa, pb = build(a), build(b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa - pb, ref_add(a, b, -1))
+    assert_matches(-pa, ref_add({}, a, -1))
+    assert_matches(pa * pb, ref_mul(a, b))
+    assert_matches(pa * c, clean({m: x * c for m, x in a.items()}))
+    assert_matches(pa * 3, {m: x * 3 for m, x in a.items()})
+    weighted = {m: x for m, x in ref_mul(a, b).items() if sum(v * e for v, e in m) <= bound}
+    assert_matches(pa.mul(pb, bound), weighted)
+    for var in (0, 2):
+        assert_matches(pa.subs_square(var, c), ref_subs_square(a, var, c))
+        even = {m: x for m, x in a.items() if dict(m).get(var, 0) % 2 == 0}
+        assert_matches(pa.even_part(var), even)
+    alphas = {v: Fraction((-1) ** v * (v + 1), v + 2) for v in range(4)}
+    assert gaussian_hadamard(pa * pb, alphas) == ref_moment(ref_mul(a, b), alphas)
 
 
 # -- monomials ------------------------------------------------------------
 
 
 def test_monomial_canonical():
-    assert monomial({3: 1, 1: 2, 2: 0}) == ((1, 2), (3, 1))
-    assert monomial({}) == ()
+    m = monomial({3: 1, 1: 2, 2: 0})
+    assert mono_exponents(m) == {1: 2, 3: 1}
+    assert m == monomial([(1, 2), (3, 1)])
+    assert monomial({}) == MONO_ONE
+    assert mono_exponents(MONO_ONE) == {}
     with pytest.raises(ValueError):
         monomial({1: -1})
+    with pytest.raises(ValueError):
+        monomial({MAX_VARS: 1})
 
 
 def test_mono_mul_merges():
     a = monomial({1: 2, 2: 1})
     b = monomial({2: 1, 3: 4})
     assert mono_mul(a, b) == monomial({1: 2, 2: 2, 3: 4})
-    assert mono_total_degree(mono_mul(a, b)) == 8
+    assert sum(mono_exponents(mono_mul(a, b)).values()) == 8
+
+
+def test_exponent_overflow_raises_instead_of_carrying():
+    # up to the field limit an exponent stays in its own field
+    at_limit = MPoly.variable(1, MAX_EXP - 1) * MPoly.variable(1)
+    assert [mono_exponents(m) for m in at_limit.terms] == [{1: MAX_EXP}]
+    # one past it would carry into variable 2's field: it raises instead
+    with pytest.raises(ExponentOverflow):
+        at_limit * MPoly.variable(1)
+    with pytest.raises(ExponentOverflow):
+        at_limit.mul(MPoly.variable(1) + 1, bound=10**9)
+    with pytest.raises(ExponentOverflow):
+        mono_mul(monomial({1: MAX_EXP}), monomial({1: 1, 2: 1}))
+    with pytest.raises(ExponentOverflow):
+        monomial({1: MAX_EXP + 1})
 
 
 # -- polynomial ring --------------------------------------------------------
@@ -52,8 +171,8 @@ def test_mono_mul_merges():
 
 def test_mpoly_add_cancels():
     p = MPoly.variable(1) + MPoly.variable(1) * Fraction(-1)
-    assert p.is_zero()
-    assert p.terms == {}
+    assert not p
+    assert p.terms == {} and p.den == 1
 
 
 def test_mpoly_mul():
@@ -64,7 +183,7 @@ def test_mpoly_mul():
 
 def test_mpoly_pow():
     p = MPoly.variable(1) + MPoly.const(1)
-    assert p.pow(3) == (
+    assert p * p * p == (
         MPoly.variable(1, 3)
         + MPoly.variable(1, 2) * 3
         + MPoly.variable(1) * 3
@@ -127,7 +246,10 @@ def test_moment_linear(p, q, c):
 def test_moment_multiplicative_disjoint_vars(p, q):
     # move q to variables 3..4 so the variable sets are disjoint
     q_shift = MPoly(
-        {tuple((v + 2, e) for v, e in mono): c for mono, c in q.terms.items()}
+        {
+            monomial({v + 2: e for v, e in mono_exponents(m).items()}): Fraction(c, q.den)
+            for m, c in q.terms.items()
+        }
     )
     alphas = {v: Fraction((-1) ** v, v) for v in range(1, 5)}
     lhs = gaussian_hadamard(p * q_shift, alphas)
@@ -152,7 +274,7 @@ def test_polyseries_inverse_round_trip():
     a = Series([MPoly.const(1), MPoly.variable(1), MPoly.variable(2) * Fraction(1, 2)], 4)
     prod = a * a.pow_rational(-1)
     assert prod[0] == 1
-    assert all(prod[i].is_zero() for i in range(1, 5))
+    assert not any(prod[i] for i in range(1, 5))
 
 
 def test_polyseries_exp_log_round_trip():

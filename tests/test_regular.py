@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from regasym.multipoly import MPoly, gaussian_hadamard, monomial
+from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial
 from regasym.regular import (
     DegreeOverflow,
     U_VAR,
@@ -48,13 +48,14 @@ def test_u_pq_values():
 
 
 def test_u_pq_matches_independent_inversion_route():
-    for p in range(0, 7):
-        for q in range(0, 7):
+    # the Lagrange route shares no code with the tree route (1 + T)^{-q}
+    for p in range(0, 13):
+        for q in range(0, 13):
             assert u_pq(p, q) == u_pq_lagrange(p, q), (p, q)
 
 
 def test_v_pq_values():
-    assert v_pq(1, 0).is_zero()
+    assert not v_pq(1, 0)
     assert v_pq(2, 0) == MPoly.const(Fraction(1, 2))
     assert v_pq(1, 1) == MPoly.variable(2)
     assert v_pq(0, 0) == MPoly.const(1)
@@ -69,7 +70,7 @@ def test_v_pq_uses_only_low_t_variables():
 
 def test_b0_row_one_vanishes():
     for k in range(2, 9):
-        assert b0_row(1, k).is_zero(), k
+        assert not b0_row(1, k), k
 
 
 def test_b0_row_two_hand_enumeration():
@@ -87,9 +88,8 @@ def test_b0_row_two_hand_enumeration():
 def test_falling_factorial_kills_deep_terms():
     # for k=3 every term with a+b+l > 3 vanishes, so row 4 only has depth <= 3
     row = b0_row(4, 3)
-    for mono, _ in row.terms.items():
-        depth = dict(mono).get(U_VAR, 0)
-        assert depth <= 3
+    for mono in row.terms:
+        assert mono_exponents(mono).get(U_VAR, 0) <= 3
 
 
 def test_falling_factorial_equals_indicator_form():
