@@ -16,16 +16,13 @@ from .series import (
     SeriesError,
     ValuationViolation,
     double_factorial,
-    lagrange_invert_coeff,
     newton_solve_tree,
-    parse_rational,
     rational_str,
 )
 from .multipoly import ExponentOverflow, MPoly, MissingWeight, Monomial, gaussian_hadamard, monomial
 from .laplace import (
     DegeneratePhase,
     PhaseAmplitude,
-    expand_direct,
     expand_hadamard,
     psi_from_phase,
     stirling_series,
@@ -48,8 +45,10 @@ from .counts import (
 )
 from .regular import (
     DegreeOverflow,
+    Envelope,
     Expansion,
     FormalKPolynomial,
+    IrrationalPrefactor,
     RouteMismatch,
     formal_k_interpolate,
     sg_expansion,
@@ -58,16 +57,6 @@ from .regular import (
     u_pq,
     v_pq,
 )
-from .connected import (
-    BadScale,
-    GapMismatch,
-    GrowthScale,
-    IrrationalPrefactor,
-    csg_tilde,
-    f_kj,
-    generic_transfer,
-    shifted_expansion,
-    valuation_gap,
-)
+from .connected import GapMismatch, csg_tilde, shifted_expansion, valuation_gap
 
 __version__ = "0.1.0"

@@ -1,29 +1,24 @@
 """Expansion coefficients for connected k-regular labeled graphs.
 
-Connected counts share the growth envelope of all k-regular counts; their
-expansion series is obtained from the plain one by a transfer that works
-directly on divergent series.  Writing S for the factorial correction
-series and A = F / S (F the plain expansion series), the shifted series
+Connected counts share the growth envelope of all k-regular counts
+(:class:`regular.Envelope`); their expansion series is obtained from the
+plain one by a transfer that works directly on divergent series.  Writing
+S for the factorial correction series, A = F / S (F the plain expansion
+series) and alpha = k/2 - 1, the shifted series
 
-    A_j(z) = (k!/k^{k/2})^j f_{k,j}(z) (1-jz)^{-1/2-(k/2-1)j}
-             exp((k/2-1) (log(1-jz)+jz) / z)  A(z/(1-jz))
+    A_j(z) = (k!/k^{k/2})^j z^{alpha j} (1-jz)^{-1/2-alpha j}
+             exp(alpha (log(1-jz)+jz) / z)  A(z/(1-jz))
 
 are combined against the reciprocal of the exponential generating
 function of the counts:
 
     C(z) = S(z) * sum_{j>=0} A_j(z) [x^j] 1/EGF(x).
 
-Here f_{k,j} is z^{(k/2-1)j} when jk is even and 0 otherwise, so for odd
-k the odd-j terms are skipped before any arithmetic and the prefactor
-k!^j k^{-kj/2} stays rational.  (log(1-jz)+jz has valuation 2, so the
-division by z is a genuine series operation; this is asserted.)
-
-The same machinery is exposed generically (:func:`generic_transfer`) for
-any growth scale with positive integer alpha, plus the even-only variant
-for half-integer alpha where only even shifts contribute.  The j-sum for
-the connected series is cut at 2r by default, with a dynamic cutoff mode
-that stops once the shifted series can no longer reach order r; the two
-must agree.
+A shift with jk odd contributes nothing and its constant k!^j k^{-kj/2}
+would be irrational, so it is skipped before any arithmetic, as is a zero
+weight.  A_j has valuation alpha j, checked for every shift, so the sum
+stops once alpha j exceeds r.  (log(1-jz)+jz has valuation 2, so the
+division by z is a genuine series operation; this is checked.)
 
 The two expansions agree through order (k+1)(k-2)/2 - 1 and differ at
 exactly (k+1)(k-2)/2, which :func:`valuation_gap` verifies.
@@ -31,23 +26,12 @@ exactly (k+1)(k-2)/2, which :func:`valuation_gap` verifies.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import CountTable, egf_reciprocal_coeffs
 from .laplace import stirling_series
-from .regular import sg_series
-from .series import Series, SeriesError
-
-
-class BadScale(SeriesError):
-    """The transfer needs a strictly positive growth exponent alpha."""
-
-
-class IrrationalPrefactor(SeriesError):
-    """A shift term would require an irrational constant; it must be
-    filtered out (odd k with odd j) before reaching the arithmetic path."""
+from .regular import Envelope, sg_series
+from .series import Series, SeriesError, ValuationViolation
 
 
 class GapMismatch(SeriesError):
@@ -62,103 +46,24 @@ class GapMismatch(SeriesError):
         self.plain, self.connected = plain, connected
 
 
-@dataclass(frozen=True)
-class GrowthScale:
-    """Envelope n^{alpha n} beta^n n^gamma with beta kept symbolic.
-
-    beta = e^{e_exp} * base^{base_exp} * (base!)^{fact_exp} for an integer
-    base, which is enough to decide exactly when the per-shift constant
-    e^{-alpha j} beta^{-j} is rational (the e exponents must cancel and
-    the base exponent must be integral).
-    """
-
-    base: int
-    alpha: Fraction
-    e_exp: Fraction
-    base_exp: Fraction
-    fact_exp: int
-    gamma: Fraction
-
-    @staticmethod
-    def connected(k: int) -> "GrowthScale":
-        """Scale of the per-component counts: alpha = k/2 - 1,
-        beta = e (k/e)^{k/2} / k!, gamma = -1/2."""
-        if k < 3:
-            raise BadScale("connected transfer requires k >= 3 (alpha must be positive)")
-        return GrowthScale(
-            base=k,
-            alpha=Fraction(k, 2) - 1,
-            e_exp=1 - Fraction(k, 2),
-            base_exp=Fraction(k, 2),
-            fact_exp=-1,
-            gamma=Fraction(-1, 2),
-        )
-
-    def prefactor(self, j: int) -> Fraction:
-        """e^{-alpha j} beta^{-j} as an exact rational."""
-        e_total = -self.alpha * j - self.e_exp * j
-        if e_total != 0:
-            raise IrrationalPrefactor(
-                f"shift j={j} leaves a factor e^{e_total}, not rational"
-            )
-        base_total = -self.base_exp * j
-        if base_total.denominator != 1:
-            raise IrrationalPrefactor(
-                f"shift j={j} leaves {self.base}^({base_total}), not rational"
-            )
-        value = Fraction(self.base) ** int(base_total)
-        value *= Fraction(math.factorial(self.base)) ** (-self.fact_exp * j)
-        return value
+def _alpha(k: int) -> Fraction:
+    """Growth exponent of the per-component counts: n^{alpha n} with alpha = k/2 - 1."""
+    return Envelope(k).exponent - 1
 
 
-@dataclass(frozen=True)
-class ShiftedExpansion:
-    """A shift term together with its index, for valuation bookkeeping."""
-
-    j: int
-    series: Series
-
-    def check_valuation(self, scale: GrowthScale):
-        bound = scale.alpha * self.j
-        if bound.denominator == 1 and not self.series.is_zero():
-            if self.series.valuation() < bound:
-                raise SeriesError(
-                    f"shift j={self.j} has valuation {self.series.valuation()},"
-                    f" below alpha*j = {bound}"
-                )
-
-
-def f_kj(k: int, j: int, order: int) -> Series:
-    """The parity monomial z^{(k/2-1)j} for jk even, zero otherwise (j > 0)."""
-    if k < 3:
-        raise ValueError("f_kj is defined for k >= 3")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if j == 0:
-        return Series.one(order)
-    if (j * k) % 2:
-        return Series.zero(order)
-    power = (k - 2) * j // 2
-    return Series.monomial(1, power, order) if power <= order else Series.zero(order)
-
-
-def shifted_expansion(atilde: Series, j: int, scale: GrowthScale) -> Series:
-    """The j-th shifted series, exact to the order of the input.
+def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
+    """The j-th shifted series A_j, exact to the order of the input.
 
     Composes atilde with z/(1-jz), multiplies the binomial and exponential
-    correction factors, and shifts up by alpha*j; the exponential factor's
-    argument (log(1-jz)+jz)/z is checked to be a genuine power series.
+    correction factors and the shift constant, and shifts up by alpha*j.
+    Raises IrrationalPrefactor when jk is odd.
     """
     r = atilde.order
     if j == 0:
         return atilde
-    pref = scale.prefactor(j)
-    aj = scale.alpha * j
-    if aj.denominator != 1:
-        raise IrrationalPrefactor(
-            f"shift j={j} has non-integral valuation alpha*j = {aj}"
-        )
-    aj = int(aj)
+    pref = Envelope(k).shift_constant(j)
+    alpha = _alpha(k)
+    aj = int(alpha * j)  # integral, because jk is even
     if aj > r:
         return Series.zero(r)
     m = r - aj
@@ -166,10 +71,10 @@ def shifted_expansion(atilde: Series, j: int, scale: GrowthScale) -> Series:
     one_minus = Series([1, -j], m + 1)
     log_part = one_minus.log() + Series.monomial(j, 1, m + 1)
     # log(1-jz) + jz = -j^2 z^2/2 - ...: valuation 2, so /z is Laurent-free
-    arg = log_part.shift_down(1) * scale.alpha
+    arg = log_part.shift_down(1) * alpha
     exp_factor = arg.exp()
 
-    binom_factor = one_minus.truncate(m).pow_rational(scale.gamma - scale.alpha * j)
+    binom_factor = one_minus.truncate(m).pow_rational(Fraction(-1, 2) - alpha * j)
 
     inner = Series([Fraction(0)] + [Fraction(j) ** i for i in range(m)], m)
     composed = atilde.truncate(m).compose(inner)
@@ -178,48 +83,12 @@ def shifted_expansion(atilde: Series, j: int, scale: GrowthScale) -> Series:
     return (core * pref).shift_up(aj)
 
 
-def generic_transfer(
-    atilde: Series,
-    scale: GrowthScale,
-    hprime_coeffs: list[Fraction],
-    r: int,
-) -> Series:
-    """Transferred expansion series sum_j A_j(z) * hprime_coeffs[j] to order r.
-
-    For a positive integer alpha every shift j <= r/alpha can contribute;
-    for half-integer alpha only even j are used (the even-only variant)
-    and odd entries of hprime_coeffs must vanish.
-    """
-    if scale.alpha <= 0:
-        raise BadScale(f"alpha must be positive, got {scale.alpha}")
-    integral = scale.alpha.denominator == 1
-    if not integral and (2 * scale.alpha).denominator != 1:
-        raise BadScale(f"alpha must be a half-integer, got {scale.alpha}")
-    total = Series.zero(r)
-    for j, h in enumerate(hprime_coeffs):
-        if h == 0:
-            continue
-        if not integral and j % 2:
-            raise BadScale(
-                f"half-integer alpha admits only even shifts, got weight at j={j}"
-            )
-        if scale.alpha * j > r:
-            break
-        term = ShiftedExpansion(j, shifted_expansion(atilde.truncate(r), j, scale))
-        term.check_valuation(scale)
-        total = total + term.series * h
-    return total
-
-
-def csg_tilde(
-    k: int, r: int, counts: CountTable, dynamic_cutoff: bool = False
-) -> Series:
+def csg_tilde(k: int, r: int, counts: CountTable) -> Series:
     """Expansion series of connected k-regular counts, coefficients 0..r.
 
     Needs the plain counts for 0..2r vertices (the reciprocal EGF weights).
-    The default sums shifts j = 0..2r; the dynamic mode instead stops once
-    alpha*j exceeds r, and the two agree because the skipped shifts have
-    valuation beyond r.
+    Sums the shifts j = 0..2r, and stops once alpha*j exceeds r: every
+    shift has valuation at least alpha*j, which is checked.
     """
     if k < 3:
         raise ValueError("connected expansion requires k >= 3")
@@ -228,17 +97,20 @@ def csg_tilde(
     stirling = stirling_series(r)
     atilde = sg_series(k, r).div(stirling)
     recip = egf_reciprocal_coeffs(k, 2 * r, counts)
-    scale = GrowthScale.connected(k)
+    alpha = _alpha(k)
 
     total = Series.zero(r)
     for j in range(0, 2 * r + 1):
-        if recip[j] == 0:
-            continue
-        if (j * k) % 2:
-            continue  # f_kj vanishes; skipped before any irrational prefactor
-        if dynamic_cutoff and scale.alpha * j > r:
+        if (j * k) % 2 or recip[j] == 0:
+            continue  # no contribution; skipped before any irrational constant
+        if alpha * j > r:
             break
-        total = total + shifted_expansion(atilde, j, scale) * recip[j]
+        term = shifted_expansion(atilde, j, k)
+        if not term.is_zero() and term.valuation() < alpha * j:
+            raise ValuationViolation(
+                f"shift j={j} has valuation {term.valuation()}, below alpha*j = {alpha * j}"
+            )
+        total = total + term * recip[j]
     return (stirling * total).truncate(r)
 
 

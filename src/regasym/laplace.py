@@ -75,7 +75,11 @@ def expand_hadamard(pa: PhaseAmplitude, r: int) -> Series:
 
 
 def expand_direct(pa: PhaseAmplitude, r: int) -> Series:
-    """Expansion coefficients through z^r via the closed coefficient formula."""
+    """Expansion coefficients through z^r via the closed coefficient formula.
+
+    A test oracle for :func:`expand_hadamard`: it weights [x^{2l}] A psi^{2l+1}
+    instead of composing with the tree series.
+    """
     _require_orders(pa, r)
     psi = psi_from_phase(pa).truncate(2 * r)
     amp = pa.amp.truncate(2 * r)

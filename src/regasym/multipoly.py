@@ -68,13 +68,6 @@ def monomial(exponents: Mapping[int, int]) -> Monomial:
     return mono
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    m = a + b
-    if m & _GUARD:
-        raise ExponentOverflow(f"an exponent exceeds {MAX_EXP} in {mono_exponents(m)}")
-    return m
-
-
 def mono_exponents(m: Monomial) -> dict[int, int]:
     """The var -> exponent mapping of a packed monomial (zeros dropped)."""
     out = {}

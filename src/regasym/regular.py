@@ -4,9 +4,10 @@ The count of k-regular graphs on n vertices grows like
 
     (n k / e)^{n k / 2} / k!^n  *  e^{-(k^2-1)/4} / sqrt(2)  *  F(1/n)
 
-for an exact rational series F with F(0) = 2.  This module computes
-[z^r] F for fixed integer k >= 2, and recovers the coefficient as a single
-polynomial in k (divided by k^r) by exact interpolation over sampled k.
+for an exact rational series F with F(0) = 2; :class:`Envelope` holds the
+envelope in front of F.  This module computes [z^r] F for fixed integer
+k >= 2, and recovers the coefficient as a single polynomial in k (divided
+by k^r) by exact interpolation over sampled k.
 
 Pipeline for fixed k (all arithmetic exact):
 
@@ -54,6 +55,39 @@ class DegreeOverflow(Exception):
 
 class RouteMismatch(SeriesError):
     """Two independent exact routes to the same quantity disagree."""
+
+
+class IrrationalPrefactor(SeriesError):
+    """A shift constant would be irrational (j*k odd); such shifts must be
+    skipped before they reach any arithmetic."""
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """The growth envelope (n k/e)^{n k/2} / k!^n * e^{-(k^2-1)/4} / sqrt(2).
+
+    Held exactly: the exponent k/2 of n k/e, the exponent -(k^2-1)/4 of the
+    constant factor e, and the rational per-shift constant of the connected
+    transfer.  The residual harness evaluates the same object numerically.
+    """
+
+    k: int
+
+    @property
+    def exponent(self) -> Fraction:
+        return Fraction(self.k, 2)
+
+    @property
+    def const_exponent(self) -> Fraction:
+        return Fraction(1 - self.k * self.k, 4)
+
+    def shift_constant(self, j: int) -> Fraction:
+        """k!^j / k^{kj/2}, rational exactly when j*k is even."""
+        if (j * self.k) % 2:
+            raise IrrationalPrefactor(
+                f"shift j={j} leaves {self.k}^({Fraction(-self.k * j, 2)}), not rational"
+            )
+        return Fraction(math.factorial(self.k) ** j, self.k ** (self.k * j // 2))
 
 
 @dataclass(frozen=True)
@@ -108,12 +142,21 @@ def expansion_psi(order: int) -> Series:
     return psi
 
 
-@lru_cache(maxsize=None)
+_longest_tree: Series | None = None
+
+
 def tree_series(order: int) -> Series:
-    """T(x) = x psi(T(x)) for the expansion's psi, exact through the order."""
+    """T(x) = x psi(T(x)) for the expansion's psi, exact through the order.
+
+    One Newton solve serves every lower order: the longest solution so far
+    is kept and truncated, which is exact because T is exact through its order.
+    """
+    global _longest_tree
     if order < 1:
         raise ValueError("the tree series needs order >= 1")
-    return newton_solve_tree(expansion_psi(order - 1))
+    if _longest_tree is None or _longest_tree.order < order:
+        _longest_tree = newton_solve_tree(expansion_psi(order - 1))
+    return _longest_tree.truncate(order)
 
 
 @lru_cache(maxsize=None)
@@ -124,17 +167,15 @@ def u_pq(p: int, q: int) -> Fraction:
     if p == 0:
         return Fraction(1)
     value = (1 + tree_series(p)).pow_rational(-q)[p]
-    psi = expansion_psi(p - 1) if p > 1 else expansion_psi(0)
-    alt = -Fraction(q, p) * (
-        psi.pow_rational(p) * Series([1, 1], p - 1).pow_rational(-(q + 1))
-    )[p - 1]
+    alt = u_pq_lagrange(p, q)
     if value != alt:
         raise RouteMismatch(f"u_pq({p},{q}): tree route {value} vs inversion route {alt}")
     return value
 
 
 def u_pq_lagrange(p: int, q: int) -> Fraction:
-    """Independent route to u_pq through the generic inversion helper."""
+    """The inversion route to u_pq: (1/p) [s^{p-1}] H'(s) psi(s)^p for
+    H = (1+s)^{-q}, independent of the tree series."""
     if p == 0:
         return Fraction(1)
     h_prime = Series([1, 1], p - 1).pow_rational(-(q + 1)) * Fraction(-q)

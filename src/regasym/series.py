@@ -63,11 +63,6 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`rational_str`."""
-    return Fraction(text.strip())
-
-
 def double_factorial(m: int) -> int:
     """(2n-1)!! for odd m = 2n-1 >= -1; the empty product (-1)!! is 1."""
     if m < -1 or m % 2 == 0:
@@ -430,6 +425,7 @@ def lagrange_invert_coeff(h_prime: Series, psi: Series, p: int) -> Fraction:
             f"H' known to order {h_prime.order}, need at least {p - 1} for p = {p}"
         )
     base = psi.truncate(p - 1)
-    prod = h_prime.truncate(p - 1) * base.pow_int(p)
+    power = (base / base[0]).pow_rational(p) * base[0] ** p
+    prod = h_prime.truncate(p - 1) * power
     return prod[p - 1] / p
 

@@ -9,8 +9,8 @@ must stay bounded in n if the expansion is correct; the harness evaluates
 it in configurable binary precision (default 256 bits) and reproduces the
 reference residual grids for n = 10..100 to two decimals.
 
-The prefactor (nk/e)^{nk/2} / k!^n * e^{-(k^2-1)/4} / sqrt(2) overflows
-any fixed-width float long before n = 100, so the whole quotient is
+The prefactor is the growth envelope of :class:`regular.Envelope`; it
+overflows any fixed-width float long before n = 100, so the whole quotient is
 evaluated in log space; log(k!) is summed from exact integer logarithms
 and log(count) comes from the exact integer, so no expansion is ever used
 to validate itself.  Cells print with two decimals, rounding half to
@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from .counts import CountTable, MissingCount
+from .regular import Envelope
 
 logger = logging.getLogger(__name__)
 
@@ -74,12 +75,13 @@ class ResidualCell:
 
 
 def _log_prefactor(k: int, n: int) -> mpmath.mpf:
-    """log of (nk/e)^{nk/2} / k!^n * e^{-(k^2-1)/4} / sqrt(2)."""
+    """log of the exact :class:`regular.Envelope` of k at n, in mpmath."""
+    env = Envelope(k)
     log_kfact = mpmath.fsum(mpmath.log(i) for i in range(2, k + 1))
     return (
-        Fraction(n * k, 2) * (mpmath.log(n) + mpmath.log(k) - 1)
+        env.exponent * n * (mpmath.log(n) + mpmath.log(k) - 1)
         - n * log_kfact
-        - Fraction(k * k - 1, 4)
+        + env.const_exponent
         - mpmath.log(2) / 2
     )
 
@@ -207,20 +209,6 @@ def render_csv(ns: Sequence[int], rows) -> str:
     for k, cells in rows:
         lines.append(",".join([str(k)] + [format_cell(c) for c in cells]))
     return "\n".join(lines) + "\n"
-
-
-def render_json(ns: Sequence[int], rows) -> str:
-    import json
-
-    out = []
-    for k, cells in rows:
-        record = {"k": k, "cells": {}}
-        for n, cell in zip(ns, cells):
-            record["cells"][str(n)] = (
-                None if cell is None else mpmath.nstr(cell.value, 30)
-            )
-        out.append(record)
-    return json.dumps(out, indent=2)
 
 
 def golden_for(which: str) -> dict[int, tuple[str, ...]]:

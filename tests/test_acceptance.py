@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from regasym.connected import GrowthScale, csg_tilde, shifted_expansion, valuation_gap
+from regasym.connected import csg_tilde, shifted_expansion, valuation_gap
 from regasym.counts import (
     CountTable,
     count_brute,
@@ -221,12 +221,11 @@ def test_criterion_9_property_suites(small_counts):
 
     # shifted series valuations
     for k in (3, 4, 5):
-        scale = GrowthScale.connected(k)
         atilde = sg_series(k, 2).div(stirling_series(2)).extended(15)
         for j in range(0, 11):
             if (j * k) % 2:
                 continue
-            term = shifted_expansion(atilde, j, scale)
+            term = shifted_expansion(atilde, j, k)
             if not term.is_zero():
                 assert term.valuation() >= math.ceil(j / 2), (k, j)
 

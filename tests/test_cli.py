@@ -233,6 +233,15 @@ def test_corrupt_counts_trip_internal_alarm(tmp_path, capsys):
     assert "internal assertion failed" in err
 
 
+def test_low_valuation_shift_trips_internal_alarm(capsys, monkeypatch):
+    # a shift below valuation alpha*j is a transcription bug: the per-shift
+    # check in the transfer loop must fire and map to the internal exit
+    monkeypatch.setattr(cli.connected, "shifted_expansion", lambda atilde, j, k: atilde)
+    code, _, err = run(["expand", "csg", "--k", "3", "--order", "2"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert "below alpha*j" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["stirling", "--r", "2", "--bogus"], capsys)[0] == 2
     assert run(["expand", "sg", "--k", "3"], capsys)[0] == 2  # missing --order

@@ -2,27 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from regasym.connected import (
-    BadScale,
-    GapMismatch,
-    GrowthScale,
-    IrrationalPrefactor,
-    ShiftedExpansion,
-    csg_tilde,
-    f_kj,
-    generic_transfer,
-    shifted_expansion,
-    valuation_gap,
-)
-from regasym.counts import CountTable, count_brute
+from regasym.connected import GapMismatch, csg_tilde, shifted_expansion, valuation_gap
+from regasym.counts import CountTable, count_brute, egf_reciprocal_coeffs
 from regasym.laplace import stirling_series
-from regasym.regular import sg_series
+from regasym.regular import Envelope, IrrationalPrefactor, sg_series
 from regasym.series import Series
-
-from conftest import small_fractions
 
 CSG_GOLDEN = {
     3: (Fraction(2), Fraction(-71, 18), Fraction(-335, 1296)),
@@ -34,34 +19,27 @@ CSG_GOLDEN = {
 # -- building blocks ----------------------------------------------------------
 
 
-def test_f_kj_values():
-    assert f_kj(4, 1, 3) == Series([0, 1], 3)
-    assert f_kj(3, 3, 5).is_zero()
-    assert f_kj(3, 4, 4) == Series.monomial(1, 2, 4)
-    assert f_kj(5, 2, 4) == Series.monomial(1, 3, 4)
-    assert f_kj(3, 0, 2) == Series.one(2)
-
-
 def test_connected_scale_values():
-    s = GrowthScale.connected(5)
-    assert s.alpha == Fraction(3, 2)
-    assert s.gamma == Fraction(-1, 2)
-    assert s.e_exp == 1 - Fraction(5, 2)
-    with pytest.raises(BadScale):
-        GrowthScale.connected(2)
+    env = Envelope(5)
+    assert env.exponent == Fraction(5, 2)
+    assert env.const_exponent == -6
+    assert Envelope(2).const_exponent == Fraction(-3, 4)
 
 
 def test_prefactor_rational_values():
     # (k!)^j k^(-kj/2) at k=3, j=4: 6^4 / 3^6 = 16/9
-    assert GrowthScale.connected(3).prefactor(4) == Fraction(16, 9)
-    assert GrowthScale.connected(4).prefactor(1) == Fraction(3, 2)  # 24/4^2
+    assert Envelope(3).shift_constant(4) == Fraction(16, 9)
+    assert Envelope(4).shift_constant(1) == Fraction(3, 2)  # 24/4^2
+    assert Envelope(5).shift_constant(0) == 1
     with pytest.raises(IrrationalPrefactor):
-        GrowthScale.connected(3).prefactor(1)
+        Envelope(3).shift_constant(1)
+    with pytest.raises(IrrationalPrefactor):
+        shifted_expansion(Series.one(4), 3, 5)
 
 
 def test_shift_zero_is_identity():
     a = Series([2, Fraction(1, 3), 5], 2)
-    assert shifted_expansion(a, 0, GrowthScale.connected(4)) == a
+    assert shifted_expansion(a, 0, 4) == a
 
 
 def test_log_shift_argument_is_mercator():
@@ -72,18 +50,25 @@ def test_log_shift_argument_is_mercator():
     assert arg[2] == Fraction(-1, 2) and arg[3] == Fraction(-1, 3)
 
 
-def test_shifted_expansion_valuation(small_counts):
-    # valuation of the j-th shift is alpha*j = (k/2-1)j >= ceil(j/2) for k >= 3
+def test_shifted_expansion_valuation():
+    # the j-th shift starts at z^{alpha j} = z^{(k/2-1)j}, alpha*j >= ceil(j/2),
+    # with the shift constant times atilde(0) = 2 as its leading coefficient
     for k in (3, 4, 5):
-        scale = GrowthScale.connected(k)
         atilde = sg_series(k, 2).div(stirling_series(2)).extended(15)
         for j in range(0, 11):
             if (j * k) % 2:
                 continue
-            term = ShiftedExpansion(j, shifted_expansion(atilde, j, scale))
-            term.check_valuation(scale)
-            if not term.series.is_zero():
-                assert term.series.valuation() >= math.ceil(j / 2), (k, j)
+            term = shifted_expansion(atilde, j, k)
+            aj = (k - 2) * j // 2
+            assert term.valuation() == aj >= math.ceil(j / 2), (k, j)
+            assert term[aj] == 2 * Envelope(k).shift_constant(j), (k, j)
+
+
+def test_transfer_truncates_high_shifts():
+    # a shift whose valuation alpha*j exceeds the order is zero
+    atilde = sg_series(4, 2).div(stirling_series(2))
+    assert shifted_expansion(atilde, 3, 4) == Series.zero(2)
+    assert not shifted_expansion(atilde, 2, 4).is_zero()
 
 
 # -- the connected expansion ---------------------------------------------------
@@ -96,10 +81,28 @@ def test_csg_golden(small_counts):
 
 
 def test_csg_dynamic_cutoff_agrees(small_counts):
+    # the loop stops once alpha*j > r; the full sum over every j <= 2r with
+    # an even jk must give the same series
+    r = 2
     for k in (3, 4, 5):
-        a = csg_tilde(k, 2, small_counts)
-        b = csg_tilde(k, 2, small_counts, dynamic_cutoff=True)
-        assert a == b, k
+        stirling = stirling_series(r)
+        atilde = sg_series(k, r).div(stirling)
+        recip = egf_reciprocal_coeffs(k, 2 * r, small_counts)
+        total = Series.zero(r)
+        for j in range(2 * r + 1):
+            if (j * k) % 2 == 0:
+                total = total + shifted_expansion(atilde, j, k) * recip[j]
+        assert csg_tilde(k, r, small_counts) == (stirling * total).truncate(r), k
+
+
+def test_transfer_identity_weight():
+    # with no graph on n >= 1 vertices the reciprocal EGF is 1, so only the
+    # j = 0 shift survives and the transfer returns the plain series
+    empty = CountTable()
+    for n in range(0, 7):
+        if (3 * n) % 2 == 0:
+            empty.put(3, n, 1 if n == 0 else 0, "formula")
+    assert csg_tilde(3, 3, empty) == sg_series(3, 3)
 
 
 def test_csg_k3_z2_indicator_identity(small_counts):
@@ -130,6 +133,12 @@ def test_valuation_gap_values(small_counts):
     assert valuation_gap(4, 5, small_counts) == 5
 
 
+def test_valuation_gap_k5(sg_reference):
+    # half-integer alpha = 3/2: only even shifts contribute, and the gap is
+    # (6)(3)/2 = 9 from the shipped counts
+    assert valuation_gap(5, 9, sg_reference) == 9
+
+
 def test_agreement_window_k5(sg_reference):
     # the k=5 gap is (6)(3)/2 = 9, so the two series coincide through
     # every order we can reach below it
@@ -157,85 +166,6 @@ def test_gap_mismatch_alarm(small_counts):
         bad.put(k, n, v if (k, n) != (3, 4) else 0, "formula")
     with pytest.raises(GapMismatch):
         valuation_gap(3, 2, bad)
-
-
-# -- the generic transfer ---------------------------------------------------------
-
-
-def synth_scale(alpha, gamma, base=2, base_exp=Fraction(0)):
-    # e_exp = -alpha makes e^{-alpha j} beta^{-j} rational for every j
-    return GrowthScale(
-        base=base, alpha=Fraction(alpha), e_exp=-Fraction(alpha),
-        base_exp=Fraction(base_exp), fact_exp=0, gamma=Fraction(gamma),
-    )
-
-
-def test_transfer_identity_weight():
-    a = Series([1, Fraction(2, 3), -1, Fraction(1, 5)], 3)
-    scale = synth_scale(1, Fraction(-1, 2))
-    assert generic_transfer(a, scale, [Fraction(1)], 3) == a
-    assert generic_transfer(a, scale, [Fraction(1), Fraction(0), Fraction(0)], 3) == a
-
-
-def test_transfer_rejects_bad_scale():
-    a = Series.one(2)
-    with pytest.raises(BadScale):
-        generic_transfer(a, synth_scale(0, 0), [Fraction(1)], 2)
-    with pytest.raises(BadScale):
-        generic_transfer(a, synth_scale(Fraction(1, 3), 0), [Fraction(1)], 2)
-
-
-def test_transfer_truncates_high_shifts():
-    # with alpha = 2 only j <= r/2 shifts can touch order r
-    a = Series([1, 1, 1, 1, 1], 4)
-    scale = synth_scale(2, -1)
-    full = generic_transfer(a, scale, [Fraction(1)] * 10, 4)
-    trimmed = generic_transfer(a, scale, [Fraction(1)] * 3, 4)
-    assert full == trimmed
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(small_fractions(), min_size=5, max_size=5),
-    st.lists(small_fractions(), min_size=4, max_size=4),
-)
-def test_even_only_variant_matches_reindexed_transfer(b_coeffs, weights):
-    """The half-integer-alpha even-shift transfer equals the integral-alpha
-    transfer of the index-halved series, up to the power-of-two rescaling."""
-    r = 4
-    alpha = Fraction(3, 2)
-    gamma = Fraction(-1)  # integer so the reindexed series stays rational
-    base_exp = Fraction(1)
-    b_tilde = Series([Fraction(2)] + b_coeffs, r * 2)
-
-    scale_b = GrowthScale(
-        base=2, alpha=alpha, e_exp=-alpha, base_exp=base_exp, fact_exp=0, gamma=gamma
-    )
-    even_weights = []
-    for w in weights:
-        even_weights.extend([w, Fraction(0)])
-    lhs = generic_transfer(b_tilde.truncate(r), scale_b, even_weights, r)
-
-    # reindexed: a_m = b_{2m} has alpha' = 2 alpha, beta' = 2^{2 alpha} beta^2,
-    # gamma' = gamma, A~(z) = 2^gamma B~(z/2); and B~_H(z) = 2^{-gamma} A~_H(2z)
-    alpha2 = 2 * alpha
-    scale_a = GrowthScale(
-        base=2,
-        alpha=alpha2,
-        e_exp=-alpha2,
-        base_exp=2 * base_exp + 2 * alpha,
-        fact_exp=0,
-        gamma=gamma,
-    )
-    a_tilde = Series(
-        [b_tilde[i] * Fraction(2) ** (gamma - i) for i in range(r + 1)], r
-    )
-    a_weights = [even_weights[2 * j] for j in range(len(weights))]
-    rhs_half = generic_transfer(a_tilde, scale_a, a_weights, r)
-    rhs = Series(
-        [rhs_half[i] * Fraction(2) ** (i - gamma) for i in range(r + 1)], r
-    )
-    assert lhs == rhs
 
 
 # -- consistency with raw enumeration ------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 
 from regasym.connected import csg_tilde
 from regasym.counts import CountTable, PROV_FORMULA, count_two_regular
-from regasym.regular import sg_expansion
+from regasym.regular import Envelope, sg_expansion
 from regasym.validation import (
-    render_json,
     GOLDEN_CSG,
     GOLDEN_SG,
     TABLE_NS,
+    _log_prefactor,
     compare_to_golden,
     format_cell,
     mpf_to_fraction,
@@ -117,14 +117,44 @@ def test_render_csv_shape(sg_reference):
     assert lines[1].startswith("3,5.04,4.05")
 
 
-def test_render_json_full_precision(sg_reference):
-    import json
+# 30-digit residual cells (r = 3, coefficients through z^2, 256 bits),
+# recorded before the envelope moved into regasym.regular.Envelope.
+RESIDUALS_30 = {
+    (2, 10): "1.00064099504299422017626045378",
+    (2, 100): "0.839556498506354847032015375443",
+    (3, 10): "5.03875250800825453087209275311",
+    (3, 100): "3.46339871156778665847279744766",
+    (4, 10): "17.9343177508457933293928321607",
+    (4, 100): "14.0104468166105723426970857077",
+    (5, 10): "2.12584063010825783698488533752",
+    (5, 100): "5.43455845657999615186577146796",
+}
 
-    coeffs = {3: sg_expansion(3, 2).coeffs}
-    rows = residual_table([3], (10,), 3, {3: sg_reference}, coeffs)
-    doc = json.loads(render_json((10,), rows))
-    assert doc[0]["k"] == 3
-    assert doc[0]["cells"]["10"].startswith("5.0387525")
+
+def test_residual_cell_full_precision(sg_reference, two_regular_table):
+    for (k, n), expected in RESIDUALS_30.items():
+        table = two_regular_table if k == 2 else sg_reference
+        cell = residual_cell(k, n, 3, table, sg_expansion(k, 2).coeffs)
+        assert mpmath.nstr(cell.value, 30) == expected, (k, n)
+
+
+def test_envelope_log_matches_shift_constant():
+    # without its (n/e)^{(k/2) n} part the envelope log h(n) is linear in n,
+    # and exp(h(n) - h(n+j)) is the transfer's exact shift constant
+    n = 10
+    with mpmath.workprec(256):
+        for k in (3, 4, 5, 6):
+            env = Envelope(k)
+
+            def h(m):
+                return _log_prefactor(k, m) - env.exponent * m * (mpmath.log(m) - 1)
+
+            for j in range(7):
+                if (j * k) % 2:
+                    continue
+                exact = env.shift_constant(j)
+                ratio = mpmath.exp(h(n) - h(n + j)) * exact.denominator / exact.numerator
+                assert abs(ratio - 1) < mpmath.mpf(2) ** -200, (k, j)
 
 
 def test_missing_cells_render_na():
