@@ -8,8 +8,8 @@ The routes that produce (and cross-check) the integers:
   degree above n*k dropped (``MPoly.mul`` with a bound), and reduced by the
   moment rule with weight (-1)^{j+1}/j on variable j; the result must be
   a nonnegative integer.
-* closed forms for small k: perfect matchings (k = 1) and cycle sets
-  (``count_two_regular``, k = 2).
+* closed forms for small k: perfect matchings (k = 1), and for cycle
+  sets (k = 2) the integer recurrence of ``count_two_regular``.
 * ``count_brute``: backtracking over the upper-triangular adjacency
   matrix with degree-feasibility pruning.
 * shipped reference tables in plain b-file format ("n value" lines).
@@ -308,19 +308,18 @@ def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
 
 
 def count_two_regular(n: int) -> int:
-    """Number of 2-regular labeled graphs: n! [x^n] exp(sum_{m>=3} x^m/(2m))."""
+    """Number of 2-regular labeled graphs (sets of cycles of length >= 3).
+
+    The EGF E = exp(-x/2 - x^2/4) / sqrt(1 - x) satisfies the ODE
+    (1 - x) E' = (x^2/2) E, which on a(n) = n! [x^n] E is the integer
+    recurrence a(m+1) = m a(m) + m(m-1)/2 a(m-2), a(0..2) = 1, 0, 0.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    cycles = Series(
-        [Fraction(0)] * 3 + [Fraction(1, 2 * m) for m in range(3, n + 1)], n
-    )
-    egf = cycles.exp()
-    value = egf[n] * math.factorial(n)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"two-regular count for n={n} came out {value}")
-    return int(value)
+    a = [1, 0, 0]
+    for m in range(2, n):
+        a.append(m * a[m] + m * (m - 1) // 2 * a[m - 2])
+    return a[n]
 
 
 def load_bfile(

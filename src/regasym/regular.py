@@ -178,7 +178,8 @@ def u_pq_lagrange(p: int, q: int) -> Fraction:
     H = (1+s)^{-q}, independent of the tree series."""
     if p == 0:
         return Fraction(1)
-    h_prime = Series([1, 1], p - 1).pow_rational(-(q + 1)) * Fraction(-q)
+    # H'(s) = -q (1+s)^{-(q+1)}, whose s^i coefficient is -q (-1)^i C(q+i, i)
+    h_prime = Series([-q * (-1) ** i * math.comb(q + i, i) for i in range(p)], p - 1)
     return lagrange_invert_coeff(h_prime, expansion_psi(max(p - 1, 0)), p)
 
 

@@ -24,6 +24,7 @@ types defined here can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Union
 
 Rational = Fraction
@@ -424,8 +425,13 @@ def lagrange_invert_coeff(h_prime: Series, psi: Series, p: int) -> Fraction:
         raise InsufficientOrder(
             f"H' known to order {h_prime.order}, need at least {p - 1} for p = {p}"
         )
-    base = psi.truncate(p - 1)
-    power = (base / base[0]).pow_rational(p) * base[0] ** p
-    prod = h_prime.truncate(p - 1) * power
-    return prod[p - 1] / p
+    power = _lagrange_power(psi.truncate(p - 1), p)
+    return sum(h_prime[i] * power[p - 1 - i] for i in range(p)) / p
+
+
+@lru_cache(maxsize=None)
+def _lagrange_power(base: Series, p: int) -> Series:
+    """base^p, computed once per (base, p): every H inverted against one psi
+    at one p reads the same power."""
+    return (base / base[0]).pow_rational(p) * base[0] ** p
 

@@ -9,12 +9,18 @@ must stay bounded in n if the expansion is correct; the harness evaluates
 it in configurable binary precision (default 256 bits) and reproduces the
 reference residual grids for n = 10..100 to two decimals.
 
-The prefactor is the growth envelope of :class:`regular.Envelope`; it
-overflows any fixed-width float long before n = 100, so the whole quotient is
-evaluated in log space; log(k!) is summed from exact integer logarithms
-and log(count) comes from the exact integer, so no expansion is ever used
-to validate itself.  Cells print with two decimals, rounding half to
-even, and doubling the working precision must not change a printed digit.
+The prefactor is the growth envelope of :class:`regular.Envelope`.  With
+h = n k / 2 (an integer whenever a count is positive) the quotient is
+
+    count / envelope = [count k!^n / (n k)^h] * e^{h + (k^2-1)/4} * sqrt(2),
+
+and floats enter only here: the bracket is an exact integer quotient,
+rounded to the working precision once, and exp of the exact rational
+argument and sqrt(2) are the only transcendental values, so no expansion is
+ever used to validate itself.  The coefficients enter as exact rationals
+in the subtracted partial sum.  Cells print with two decimals, rounding
+half to even, and doubling the working precision must not change a
+printed digit.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from .counts import CountTable, MissingCount
 from .regular import Envelope
@@ -74,18 +81,6 @@ class ResidualCell:
     value: mpmath.mpf
 
 
-def _log_prefactor(k: int, n: int) -> mpmath.mpf:
-    """log of the exact :class:`regular.Envelope` of k at n, in mpmath."""
-    env = Envelope(k)
-    log_kfact = mpmath.fsum(mpmath.log(i) for i in range(2, k + 1))
-    return (
-        env.exponent * n * (mpmath.log(n) + mpmath.log(k) - 1)
-        - n * log_kfact
-        + env.const_exponent
-        - mpmath.log(2) / 2
-    )
-
-
 def residual(
     k: int,
     n: int,
@@ -98,26 +93,38 @@ def residual(
     subtraction cancels more than precision-32 bits."""
     if count <= 0:
         raise ValueError(f"count for (k={k}, n={n}) must be positive, got {count}")
+    if (n * k) % 2:
+        raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
     if len(coeffs) < r:
         raise ValueError(f"need coefficients 0..{r - 1}, got {len(coeffs)}")
+    env = Envelope(k)
+    h = int(env.exponent * n)
+    growth = h - env.const_exponent  # h + (k^2-1)/4, a dyadic rational
     with mpmath.workprec(precision):
-        ratio = mpmath.exp(mpmath.log(mpmath.mpf(count)) - _log_prefactor(k, n))
+        bracket = from_rational(
+            count * math.factorial(k) ** n, (n * k) ** h, precision, round_nearest
+        )
+        ratio = (
+            mpmath.mpf(bracket)
+            * mpmath.exp(mpmath.mpf(growth.numerator) / growth.denominator)
+            * mpmath.sqrt(2)
+        )
         partial = mpmath.fsum(
             mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** j
             for j, c in enumerate(coeffs[:r])
         )
         diff = ratio - partial
-        if ratio != 0:
-            if diff == 0:
-                raise PrecisionUnderflow(
-                    f"(k={k}, n={n}): total cancellation at precision {precision}"
-                )
-            cancelled = mpmath.log(abs(ratio) / abs(diff), 2)
-            if cancelled > precision - 32:
-                raise PrecisionUnderflow(
-                    f"(k={k}, n={n}): {mpmath.nstr(cancelled, 4)} bits cancelled "
-                    f"at precision {precision}"
-                )
+        if diff == 0:
+            raise PrecisionUnderflow(
+                f"(k={k}, n={n}): total cancellation at precision {precision}"
+            )
+        with mpmath.workprec(64):
+            cancelled = mpmath.log(ratio / abs(diff), 2)
+        if cancelled > precision - 32:
+            raise PrecisionUnderflow(
+                f"(k={k}, n={n}): {mpmath.nstr(cancelled, 4)} bits cancelled "
+                f"at precision {precision}"
+            )
         return diff * mpmath.mpf(n) ** r
 
 

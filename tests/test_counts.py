@@ -101,7 +101,7 @@ def test_hadamard_matches_brute_small_grid():
 
 
 def test_hadamard_matches_two_regular():
-    for n in range(0, 13):
+    for n in range(0, 31):
         assert count_hadamard(2, n) == count_two_regular(n), n
 
 
@@ -115,7 +115,19 @@ def test_two_regular_examples():
     assert count_two_regular(0) == 1
     assert count_two_regular(3) == 1
     assert count_two_regular(5) == 12  # brute-force oracle value
-    assert count_two_regular(5) == count_brute(2, 5)
+    for n in range(0, 9):
+        assert count_two_regular(n) == count_brute(2, n), n
+    with pytest.raises(ValueError):
+        count_two_regular(-1)
+
+
+def test_two_regular_matches_cycle_set_egf():
+    # oracle: n! [x^n] exp(sum_{m>=3} x^m / (2m)), one Series.exp to order 120
+    order = 120
+    cycles = Series([0, 0, 0] + [Fraction(1, 2 * m) for m in range(3, order + 1)], order)
+    egf = cycles.exp()
+    for n in range(order + 1):
+        assert count_two_regular(n) == egf[n] * math.factorial(n), n
 
 
 # -- count table ----------------------------------------------------------------

@@ -1,15 +1,20 @@
-"""Golden high-order coefficients, pinned in full.
+"""Golden high-order coefficients and dense residual grids, pinned in full.
 
 Each value is the exact output of the matching ``python -m regasym``
 invocation as recorded in ``perfbench/expected.json``, whose oracle checks
-it independently (criterion-3 prefixes, the connected valuation gap).
-A change to the exact pipeline must leave every coefficient bit-identical.
+it independently (criterion-3 prefixes, the connected valuation gap, the
+published grid cells).  A change to the exact pipeline must leave every
+coefficient bit-identical, and a change to the residual harness every
+printed grid cell.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from regasym import cli
 from regasym.connected import csg_tilde
 from regasym.regular import formal_k_interpolate, sg_expansion
 
@@ -51,3 +56,22 @@ def test_csg_tilde_golden(sg_reference):
 
 def test_formal_k_r3_golden():
     assert formal_k_interpolate(3).numerator_coeffs == rationals(FORMAL_K_3)
+
+
+EXPECTED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+# The dense 4096-bit grids and their exit codes: the plain grid holds the
+# known-red published cell (k=5, n=10), so it exits with a grid mismatch.
+DENSE_GRIDS = {
+    "validate --which sg --k 2,3,4,5 --n 10:100:2 --r 3 --precision 4096": cli.EXIT_GOLDEN_MISMATCH,
+    "validate --which csg --k 3,4 --n 10:100:2 --r 3 --precision 4096": cli.EXIT_OK,
+}
+
+
+@pytest.mark.parametrize("args", sorted(DENSE_GRIDS))
+def test_dense_residual_grid_golden(args, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
+    expected = json.loads(EXPECTED_PATH.read_text())[args]
+    code = cli.main(args.split())
+    assert capsys.readouterr().out == expected
+    assert code == DENSE_GRIDS[args]

@@ -10,7 +10,6 @@ from regasym.validation import (
     GOLDEN_CSG,
     GOLDEN_SG,
     TABLE_NS,
-    _log_prefactor,
     compare_to_golden,
     format_cell,
     mpf_to_fraction,
@@ -21,6 +20,29 @@ from regasym.validation import (
     residual_table,
     round_half_even_2dp,
 )
+
+
+def _log_prefactor(k, n):
+    """Oracle: log of the regular.Envelope of k at n, summed in log space."""
+    env = Envelope(k)
+    log_kfact = mpmath.fsum(mpmath.log(i) for i in range(2, k + 1))
+    return (
+        env.exponent * n * (mpmath.log(n) + mpmath.log(k) - 1)
+        - n * log_kfact
+        + env.const_exponent
+        - mpmath.log(2) / 2
+    )
+
+
+def log_space_residual(k, n, r, count, coeffs, precision):
+    """Oracle: the residual with count / envelope taken as exp of a log difference."""
+    with mpmath.workprec(precision):
+        ratio = mpmath.exp(mpmath.log(mpmath.mpf(count)) - _log_prefactor(k, n))
+        partial = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** j
+            for j, c in enumerate(coeffs[:r])
+        )
+        return (ratio - partial) * mpmath.mpf(n) ** r
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +94,43 @@ def test_residual_csg_spot_values(csg_reference, sg_reference):
 def test_residual_requires_coeffs_and_counts(sg_reference):
     with pytest.raises(ValueError):
         residual(3, 10, 3, 11180820, sg_expansion(3, 1).coeffs)
+
+
+def test_residual_rejects_odd_degree_sum():
+    # n*k odd would leave a half-integer power of n k in the envelope
+    with pytest.raises(ValueError, match=r"k=3, n=11"):
+        residual(3, 11, 3, 1, sg_expansion(3, 2).coeffs)
+    with pytest.raises(ValueError, match=r"k=5, n=9"):
+        residual(5, 9, 0, 1, [])
+
+
+DENSE_NS = tuple(range(10, 101, 2))  # every n even: no cell lacks a graph
+
+
+def dense_grid_cells(sg_reference, csg_reference):
+    """(k, n, r, count, coeffs) for every cell of the dense sg and csg grids."""
+    for k in (2, 3, 4, 5):
+        r = published_r("sg", k, 3)
+        coeffs = sg_expansion(k, r - 1).coeffs
+        for n in DENSE_NS:
+            count = count_two_regular(n) if k == 2 else sg_reference.get(k, n)
+            yield k, n, r, count, coeffs
+    for k in (3, 4):
+        coeffs = tuple(csg_tilde(k, 2, sg_reference).coefficients)
+        for n in DENSE_NS:
+            yield k, n, 3, csg_reference[k].get(k, n), coeffs
+
+
+@pytest.mark.parametrize("precision", [256, 4096])
+def test_exact_ratio_matches_log_space_route(sg_reference, csg_reference, precision):
+    tol = mpmath.mpf(2) ** -(precision - 64)
+    checked = 0
+    for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
+        exact_ratio = residual(k, n, r, count, coeffs, precision)
+        log_space = log_space_residual(k, n, r, count, coeffs, precision)
+        assert abs(exact_ratio - log_space) <= tol * abs(log_space), (k, n)
+        checked += 1
+    assert checked == 6 * len(DENSE_NS)
 
 
 def test_precision_underflow_detected_and_retried(sg_reference):
@@ -139,6 +198,7 @@ def test_residual_cell_full_precision(sg_reference, two_regular_table):
 
 
 def test_envelope_log_matches_shift_constant():
+    # the log-space oracle and the exact shift constant read one Envelope:
     # without its (n/e)^{(k/2) n} part the envelope log h(n) is linear in n,
     # and exp(h(n) - h(n+j)) is the transfer's exact shift constant
     n = 10
