@@ -13,7 +13,9 @@ field, and a product exponent above ``MAX_EXP`` raises
 :class:`MPoly` holds ``int`` numerators (``terms``, one per monomial) over
 one shared positive denominator ``den``, normalised once per operation so
 that gcd(den, all numerators) = 1; ``==`` is therefore value equality.
-MPoly is a coefficient ring for :class:`series.Series`.
+MPoly is a coefficient ring for :class:`series.Series`, which sums every
+series coefficient as one :meth:`MPoly.dot`: one ``int`` accumulator over
+one lcm denominator, one guard-bit check and one gcd pass.
 :func:`gaussian_hadamard` applies the formal Gaussian-moment rule.  All
 values are immutable and every operation is pure.
 """
@@ -96,6 +98,21 @@ def _reduced(terms: dict, den: int, p: "MPoly | None" = None) -> "MPoly":
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "den", den)
     return p
+
+
+def _sum_rows(rows, den: int) -> "MPoly":
+    """sum(c1 * x^m1 * part) over (m1, c1, part) rows, over den: one guard-bit
+    check and one normalisation for the whole sum."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for m1, c1, part in rows:
+        for m2, c2 in part:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    if out and reduce(or_, out) & _GUARD:
+        bad = next(m for m in out if m & _GUARD)
+        raise ExponentOverflow(f"an exponent exceeds {MAX_EXP} in {mono_exponents(bad)}")
+    return _reduced({m: c for m, c in out.items() if c}, den)
 
 
 class MPoly:
@@ -205,16 +222,28 @@ class MPoly:
                 (m1, c1, row[: bisect_right(weights, bound - _weighted_degree(m1))])
                 for m1, c1 in self.terms.items()
             ]
-        out: dict[Monomial, int] = {}
-        get = out.get
-        for m1, c1, part in rows:
-            for m2, c2 in part:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        if out and reduce(or_, out) & _GUARD:
-            bad = next(m for m in out if m & _GUARD)
-            raise ExponentOverflow(f"an exponent exceeds {MAX_EXP} in {mono_exponents(bad)}")
-        return _reduced({m: c for m, c in out.items() if c}, self.den * other.den)
+        return _sum_rows(rows, self.den * other.den)
+
+    @staticmethod
+    def dot(triples) -> "MPoly":
+        """sum(s * a * b) over (scalar, a, b) triples, normalised once.
+
+        Every pair of terms is multiplied into one ``int`` dict over the lcm
+        of the triples' denominators, each scalar's numerator folded into
+        its row scale; one guard-bit check and one gcd pass end the sum.
+        """
+        live = []
+        den = 1
+        for s, a, b in triples:
+            if s and a.terms and b.terms:
+                d = s.denominator * a.den * b.den
+                den = den // math.gcd(den, d) * d
+                live.append((s.numerator, d, a, list(b.terms.items())))
+        rows = []
+        for num, d, a, part in live:
+            scale = num * (den // d)
+            rows.extend((m1, c1 * scale, part) for m1, c1 in a.terms.items())
+        return _sum_rows(rows, den)
 
     # -- structural helpers -----------------------------------------------
 

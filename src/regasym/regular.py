@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .laplace import PhaseAmplitude, factorial_phase, psi_from_phase
 from .multipoly import MONO_ONE, MPoly, gaussian_hadamard, monomial
@@ -125,9 +125,26 @@ def expansion_phase(order: int) -> Series:
     return factorial_phase(order) + Series.monomial(Fraction(1, 2), 2, order)
 
 
-@lru_cache(maxsize=None)
+def _longest(solve):
+    """Memoise an exact series solver: the longest solution so far is kept and
+    every order up to it is read as a truncation, which is exact because the
+    solution is exact through its order."""
+    longest: Series | None = None
+
+    @wraps(solve)
+    def solution(order: int) -> Series:
+        nonlocal longest
+        if longest is None or longest.order < order:
+            longest = solve(order)
+        return longest.truncate(order)
+
+    return solution
+
+
+@_longest
 def expansion_psi(order: int) -> Series:
-    """The expansion's psi series, cross-checked against its closed display form."""
+    """The expansion's psi series, cross-checked against its closed display form
+    (once per longest order)."""
     pa = PhaseAmplitude(expansion_phase(order + 2), Series.one(order), Fraction(2))
     psi = psi_from_phase(pa)
     # closed form: (1 + (log(1/(1+t)) + t - t^2/2)/t^2)^(-1/2)
@@ -142,21 +159,13 @@ def expansion_psi(order: int) -> Series:
     return psi
 
 
-_longest_tree: Series | None = None
-
-
+@_longest
 def tree_series(order: int) -> Series:
-    """T(x) = x psi(T(x)) for the expansion's psi, exact through the order.
-
-    One Newton solve serves every lower order: the longest solution so far
-    is kept and truncated, which is exact because T is exact through its order.
-    """
-    global _longest_tree
+    """T(x) = x psi(T(x)) for the expansion's psi, exact through the order;
+    one Newton solve serves every lower order."""
     if order < 1:
         raise ValueError("the tree series needs order >= 1")
-    if _longest_tree is None or _longest_tree.order < order:
-        _longest_tree = newton_solve_tree(expansion_psi(order - 1))
-    return _longest_tree.truncate(order)
+    return newton_solve_tree(expansion_psi(order - 1))
 
 
 @lru_cache(maxsize=None)
@@ -206,29 +215,21 @@ def b0_row(j: int, k: int) -> MPoly:
     """
     if j < 1:
         raise ValueError("b0_row needs j >= 1")
-    total = MPoly.zero()
+    monos = [MPoly({monomial({U_VAR: d, 1: j - d}): 1}) for d in range(j + 1)]
+    terms = []
     for ell in range(1, j + 1):
         for a in range(0, ell + 1):
             for b in range(0, j - ell - a + 1):
                 depth = a + b + ell
-                falling = 1
-                for m in range(depth):
-                    falling *= k - m
-                if falling == 0:
-                    continue
-                scalar = (
-                    Fraction(falling)
-                    * Fraction(k - 1, 2) ** a
-                    / (math.factorial(a) * math.factorial(b))
-                    * u_pq(j - depth, 3 * a + b + ell)
-                )
-                if scalar == 0:
-                    continue
-                mono = MPoly(
-                    {monomial({U_VAR: depth, 1: j - depth}): scalar}
-                )
-                total = total + mono * v_pq(ell - a, b)
-    return total
+                falling = math.perm(k, depth)  # 0 once depth > k
+                u = u_pq(j - depth, 3 * a + b + ell) if falling else 0
+                if u:
+                    scalar = Fraction(
+                        falling * (k - 1) ** a * u.numerator,
+                        2**a * math.factorial(a) * math.factorial(b) * u.denominator,
+                    )
+                    terms.append((scalar, monos[depth], v_pq(ell - a, b)))
+    return MPoly.dot(terms)
 
 
 def _reduce_u(k: int):

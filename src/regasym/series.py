@@ -11,8 +11,12 @@ if the cancellation the caller relied on did not happen.
 The coefficient ring is taken from the coefficients: ``Fraction`` (ints
 are converted) for scalar series, or :class:`multipoly.MPoly` for the
 polynomial-coefficient series of the fixed-k pipeline.  The algorithms
-use only ``+``, ``-``, ``*``, multiplication by an int or Fraction and
-truthiness as the zero test, so both rings share one implementation.
+use only ``+``, ``-``, ``*``, multiplication by an int or Fraction,
+truthiness as the zero test and the ring's dot product (the sum of s*a*b
+over (scalar, a, b) triples: :meth:`multipoly.MPoly.dot` or
+:func:`fraction_dot`), so both rings share one implementation.  Each
+coefficient of a product, quotient, exp, log or power is one dot product,
+normalised once; the two operands of a product share one ring.
 Division by a series (:meth:`Series.div`) needs a field and so is
 scalar-only; a polynomial-coefficient series with constant term 1 is
 inverted as ``pow_rational(-1)``.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Union
 
 Rational = Fraction
@@ -73,6 +78,20 @@ def double_factorial(m: int) -> int:
         out *= m
         m -= 2
     return out
+
+
+def fraction_dot(triples) -> Fraction:
+    """sum(s * a * b) over (scalar, a, b) triples of ints or Fractions: the
+    numerators are summed over one running denominator, normalised once."""
+    num, den = 0, 1
+    for s, a, b in triples:
+        n = s.numerator * a.numerator * b.numerator
+        if n:
+            d = s.denominator * a.denominator * b.denominator
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
 
 
 class Series:
@@ -194,6 +213,10 @@ class Series:
         """The zero of the coefficient ring."""
         return self._coeffs[0] * 0
 
+    def _dot(self, triples):
+        """The coefficient ring's dot product: ``MPoly.dot``, else ``fraction_dot``."""
+        return getattr(type(self._coeffs[0]), "dot", fraction_dot)(triples)
+
     def __add__(self, other):
         o = self._promote(other)
         if o is None:
@@ -224,15 +247,8 @@ class Series:
             return Series([c * other for c in self._coeffs], self.order)
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out = [self._zero()] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return Series(out, n)
+        dot = self._dot
+        return Series([dot((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -277,14 +293,12 @@ class Series:
                 )
             return self.shift_down(v).div(b.shift_down(v))
         n = min(self.order, b.order)
-        binv0 = b._coeffs[0]
-        out = [Fraction(0)] * (n + 1)
+        a, c = self._coeffs, b._coeffs
+        inv0 = 1 / c[0]
+        out = []
         for m in range(n + 1):
-            acc = self._coeffs[m]
-            for i in range(1, m + 1):
-                if b._coeffs[i]:
-                    acc -= b._coeffs[i] * out[m - i]
-            out[m] = acc / binv0
+            terms = [(inv0, a[m], 1)] + [(-inv0, c[i], out[m - i]) for i in range(1, m + 1)]
+            out.append(fraction_dot(terms))
         return Series(out, n)
 
     def shift_down(self, m: int) -> "Series":
@@ -318,32 +332,23 @@ class Series:
         """Series exponential; requires a zero constant term."""
         if self._coeffs[0]:
             raise BadConstantTerm(f"exp requires constant term 0, got {self._coeffs[0]}")
-        n = self.order
         a = self._coeffs
-        zero = self._zero()
-        e = [zero + 1] + [zero] * n
-        for m in range(1, n + 1):
-            acc = zero
-            for i in range(1, m + 1):
-                if a[i]:
-                    acc += i * a[i] * e[m - i]
-            e[m] = acc * Fraction(1, m)
-        return Series(e, n)
+        e = [self._zero() + 1]
+        for m in range(1, self.order + 1):
+            e.append(self._dot((Fraction(i, m), a[i], e[m - i]) for i in range(1, m + 1)))
+        return Series(e, self.order)
 
     def log(self) -> "Series":
         """Series logarithm; requires constant term 1."""
         if self._coeffs[0] != 1:
             raise BadConstantTerm(f"log requires constant term 1, got {self._coeffs[0]}")
-        n = self.order
         a = self._coeffs
-        l = [self._zero()] * (n + 1)
-        for m in range(1, n + 1):
-            acc = m * a[m]
-            for i in range(1, m):
-                if a[m - i]:
-                    acc -= i * l[i] * a[m - i]
-            l[m] = acc * Fraction(1, m)
-        return Series(l, n)
+        l = [self._zero()]
+        for m in range(1, self.order + 1):
+            # a[0] = 1 carries the leading a[m] term into the same dot
+            terms = [(1, a[m], a[0])] + [(Fraction(-i, m), l[i], a[m - i]) for i in range(1, m)]
+            l.append(self._dot(terms))
+        return Series(l, self.order)
 
     def pow_rational(self, e: Scalar) -> "Series":
         """Binomial power a**e for rational e; requires constant term 1.
@@ -353,18 +358,14 @@ class Series:
         """
         if self._coeffs[0] != 1:
             raise BadConstantTerm(f"pow requires constant term 1, got {self._coeffs[0]}")
-        e = Fraction(e)
-        n = self.order
+        p, q = Fraction(e).as_integer_ratio()
         a = self._coeffs
-        zero = self._zero()
-        f = [zero + 1] + [zero] * n
-        for m in range(1, n + 1):
-            acc = zero
-            for i in range(1, m + 1):
-                if a[i]:
-                    acc += (e * i - (m - i)) * a[i] * f[m - i]
-            f[m] = acc * Fraction(1, m)
-        return Series(f, n)
+        f = [self._zero() + 1]
+        for m in range(1, self.order + 1):
+            # the weight (e*i - (m-i)) / m, built as one Fraction
+            weights = (Fraction(p * i - q * (m - i), q * m) for i in range(1, m + 1))
+            f.append(self._dot((w, a[i], f[m - i]) for i, w in enumerate(weights, 1)))
+        return Series(f, self.order)
 
     def compose(self, inner: "Series") -> "Series":
         """outer(inner) through the minimum of the two orders; inner(0) must be 0."""
@@ -426,7 +427,7 @@ def lagrange_invert_coeff(h_prime: Series, psi: Series, p: int) -> Fraction:
             f"H' known to order {h_prime.order}, need at least {p - 1} for p = {p}"
         )
     power = _lagrange_power(psi.truncate(p - 1), p)
-    return sum(h_prime[i] * power[p - 1 - i] for i in range(p)) / p
+    return fraction_dot((Fraction(1, p), h_prime[i], power[p - 1 - i]) for i in range(p))
 
 
 @lru_cache(maxsize=None)

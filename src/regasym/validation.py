@@ -43,7 +43,8 @@ DEFAULT_PRECISION = 256
 
 TABLE_NS = tuple(range(10, 101, 10))
 
-# Reference residual grids at r = 3 (two-decimal cells, n = 10..100).
+# Reference residual grids at r = GOLDEN_R (two-decimal cells, n = 10..100).
+GOLDEN_R = 3
 GOLDEN_SG = {
     2: ("1.79", "1.79", "1.80", "1.80", "1.79", "1.79", "1.79", "1.79", "1.79", "1.79"),
     3: ("5.04", "4.05", "3.79", "3.66", "3.60", "3.55", "3.52", "3.50", "3.48", "3.46"),

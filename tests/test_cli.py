@@ -203,6 +203,22 @@ def test_validate_known_published_anomaly(capsys):
     assert "2.13" in err and "2.16" in err
 
 
+def test_validate_compares_with_published_grids_only_at_r3(capsys):
+    # the published grids are r = 3 residuals; at another order every cell
+    # differs from them by construction, so nothing is compared
+    code, _, err = run(
+        ["validate", "--which", "csg", "--k", "3,4", "--n", "10:30:10", "--r", "5"], capsys
+    )
+    assert code == cli.EXIT_OK
+    assert "deviates" not in err
+    for r, expected in ((5, cli.EXIT_OK), (3, cli.EXIT_GOLDEN_MISMATCH)):
+        code, _, err = run(
+            ["validate", "--which", "sg", "--k", "5", "--n", "10:10:1", "--r", str(r)], capsys
+        )
+        assert code == expected
+        assert ("cell (k=5, n=10) deviates" in err) == (r == 3)
+
+
 def test_validate_csg(capsys):
     code, out, _ = run(
         ["validate", "--which", "csg", "--k", "3,4", "--n", "10:100:10", "--r", "3"],

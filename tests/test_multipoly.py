@@ -16,7 +16,13 @@ from regasym.multipoly import (
     mono_exponents,
     monomial,
 )
-from regasym.series import BadConstantTerm, Series, ValuationViolation, double_factorial
+from regasym.series import (
+    BadConstantTerm,
+    Series,
+    ValuationViolation,
+    double_factorial,
+    fraction_dot,
+)
 
 from conftest import small_fractions
 
@@ -126,6 +132,64 @@ def test_kernel_matches_reference_model(a, b, c, bound):
         assert_matches(pa.even_part(var), even)
     alphas = {v: Fraction((-1) ** v * (v + 1), v + 2) for v in range(4)}
     assert gaussian_hadamard(pa * pb, alphas) == ref_moment(ref_mul(a, b), alphas)
+
+
+# -- dot product ------------------------------------------------------------
+
+
+def ref_dot(triples):
+    out = {}
+    for s, a, b in triples:
+        out = ref_add(out, {m: s * c for m, c in ref_mul(a, b).items()})
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(small_fractions(), reference_strategy(), reference_strategy()), max_size=5)
+)
+def test_dot_matches_reference_model(triples):
+    # small_fractions mixes denominators 1..4 and includes zero scalars
+    dot = MPoly.dot((s, build(a), build(b)) for s, a, b in triples)
+    assert_matches(dot, ref_dot(triples))
+
+
+def test_dot_mixed_denominators_and_fraction_scalars():
+    x1, x2 = MPoly.variable(1), MPoly.variable(2)
+    a = x1 * Fraction(1, 6) + Fraction(2, 9)
+    b = x2 * Fraction(3, 4) - Fraction(1, 10)
+    triples = [(Fraction(5, 7), a, b), (3, b, x1 * Fraction(1, 15)), (Fraction(0), a, a)]
+    expected = a * b * Fraction(5, 7) + b * x1 * Fraction(1, 5)
+    assert_matches(MPoly.dot(triples), to_model(expected))
+
+
+def test_dot_of_nothing_and_of_zeros_is_normal_zero():
+    zeros = [(1, MPoly.zero(), MPoly.variable(1)), (0, MPoly.const(3), MPoly.const(5))]
+    for triples in ([], zeros):
+        dot = MPoly.dot(triples)
+        assert not dot and dot.terms == {} and dot.den == 1
+
+
+def test_dot_total_cancellation_is_normal_zero():
+    a = MPoly.variable(1) * Fraction(1, 3) + Fraction(1, 2)
+    b = MPoly.variable(2) * Fraction(2, 5) - 7
+    dot = MPoly.dot([(Fraction(3, 4), a, b), (Fraction(-1, 2), b, a), (Fraction(-1, 4), a, b)])
+    assert not dot and dot.terms == {} and dot.den == 1
+
+
+def test_dot_exponent_overflow_raises_instead_of_carrying():
+    at_limit = MPoly.variable(1, MAX_EXP)
+    x1, x2 = MPoly.variable(1), MPoly.variable(2)
+    with pytest.raises(ExponentOverflow):
+        MPoly.dot([(1, x2, x2), (Fraction(1, 3), at_limit, x1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_fractions(), small_fractions(), small_fractions()), max_size=6))
+def test_fraction_dot_matches_plain_sum(triples):
+    dot = fraction_dot(triples)
+    assert type(dot) is Fraction and dot == sum(s * a * b for s, a, b in triples)
+    assert fraction_dot([(2, Fraction(1, 3), 3)]) == 2  # ints count as Fractions
 
 
 # -- monomials ------------------------------------------------------------
