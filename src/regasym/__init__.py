@@ -41,6 +41,7 @@ from .counts import (
     egf_reciprocal_coeffs,
     load_bfile,
     load_counts,
+    moment_counts,
     resolve,
 )
 from .regular import (

@@ -12,7 +12,7 @@ stirling  coefficients of the factorial correction series
 Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
 alarm, never a user error), 4 interpolation degree overflow, 5 count
 mismatch (the formula against brute force, or a cached count against a
-shipped or structural one), 6 residual grid mismatch.
+shipped, structural or recomputed one), 6 residual grid mismatch.
 
 Counts come from :func:`counts.load_counts` (the count cache merged with
 the shipped table under --data-dir) and :func:`counts.resolve`.  The
@@ -160,7 +160,8 @@ def cmd_count(cfg: RunConfig, out) -> int:
         value, provenance = counts.resolve(table, k, n)
         # auto checks a computed or cached count by brute force when feasible;
         # the shipped tables were checked so when they were generated, and
-        # enumeration visits every graph, so large counts are not checked
+        # counts above the cap are not checked (the memoised backtracking
+        # no longer visits every graph, but the cap keeps the checked cases)
         if (
             cfg.method == "auto"
             and provenance != counts.PROV_INGESTED
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--brute-limit", type=int, default=counts.DEFAULT_BRUTE_LIMIT,
-        help=f"largest n for brute-force enumeration (default {counts.DEFAULT_BRUTE_LIMIT})",
+        help=f"largest n for the brute-force count (default {counts.DEFAULT_BRUTE_LIMIT})",
     )
 
     p = sub.add_parser("validate", help="residual grid against ingested counts")

@@ -2,25 +2,30 @@
 
 The routes that produce (and cross-check) the integers:
 
-* ``count_hadamard``: the exact moment formula.  The bracket
-  P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2) is expanded as a sparse
-  rational polynomial, raised to the n-th power with terms of weighted
-  degree above n*k dropped (``MPoly.mul`` with a bound), and reduced by the
-  moment rule with weight (-1)^{j+1}/j on variable j; the result must be
-  a nonnegative integer.
+* ``moment_counts``: the moment recurrence, the production route for
+  k >= 3.  In the bracket P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2)
+  every x_j with 2j > k appears at most linearly, so P = Q + sum_j x_j L_j
+  with Q and L_j in x_1..x_{k//2}.  Integrating those x_j out by Wick
+  pairing leaves moments U_n with U_{n+1} = Q U_n + n V U_{n-1},
+  V = sum_j alpha_j L_j^2, each step one ``MPoly.dot``; the Gaussian
+  moment rule on x_1..x_{k//2} turns U_n into the count, which must be a
+  nonnegative integer.  One sweep per k per process serves every n.
+* ``count_hadamard``: the moment formula by direct sparse powering of P,
+  kept as an independent oracle for tests and the table generator.
 * closed forms for small k: perfect matchings (k = 1), and for cycle
   sets (k = 2) the integer recurrence of ``count_two_regular``.
-* ``count_brute``: backtracking over the upper-triangular adjacency
-  matrix with degree-feasibility pruning.
+* ``count_brute``: backtracking over adjacency choices, memoised on the
+  multiset of remaining degrees.
 * shipped reference tables in plain b-file format ("n value" lines).
 
 :func:`resolve` is the one place that decides where a count comes from:
 the structural rules, then the table, then the closed forms, then the
-moment formula.  It returns the route as a provenance word:
+moment recurrence.  It returns the route as a provenance word:
 ``structural``, the table's own word for a stored count (``ingested``
 for a shipped b-file entry, ``formula`` for a cached computed one), or
 ``formula`` for a count it computed.  :func:`load_counts` builds the
-table it reads: the count cache merged with the shipped table for k.
+table it reads: the count cache merged with the shipped table for k,
+with every cached count for k that no shipped entry covers recomputed.
 
 Counts are held in a :class:`CountTable` keyed (k, n) with provenance and
 an optional plain-text cache ("k n count provenance" per line) that
@@ -40,8 +45,9 @@ import os
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
-from .multipoly import MPoly, gaussian_hadamard, monomial
+from .multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial
 from .series import Series, double_factorial
 
 PROV_STRUCTURAL = "structural"
@@ -52,8 +58,9 @@ PROV_INGESTED = "ingested"
 DATA_DIR = Path(__file__).parent / "data"
 
 DEFAULT_BRUTE_LIMIT = 10
-# count --method auto brute-checks counts up to this many graphs; enumeration
-# visits each graph, at roughly 10^5 graphs per second
+# count --method auto brute-checks counts up to this many graphs; the cap
+# dates from when enumeration visited every graph and is kept, so auto
+# checks the same (k, n) pairs
 BRUTE_CHECK_MAX_COUNT = 100_000
 
 
@@ -62,11 +69,11 @@ class CountError(Exception):
 
 
 class NonIntegerResult(CountError):
-    """The moment formula produced a non-integral value: implementation bug."""
+    """A moment route produced a non-integral or negative value: implementation bug."""
 
 
 class LimitExceeded(CountError):
-    """Brute-force enumeration was asked to exceed its configured limit."""
+    """The brute-force count was asked to exceed its configured limit."""
 
 
 class MissingCount(CountError, KeyError):
@@ -241,7 +248,13 @@ def inner_bracket(k: int) -> MPoly:
 
 
 def count_hadamard(k: int, n: int) -> int:
-    """Exact number of k-regular labeled graphs on n vertices by the moment formula."""
+    """Exact number of k-regular labeled graphs on n vertices by the moment formula.
+
+    The bracket is raised to the n-th power directly, which is independent
+    of the recurrence in :func:`moment_counts` but far slower (45 s for
+    k = 6, n = 12), so this is an oracle for tests and the table generator,
+    not a production route.
+    """
     if k < 2:
         raise ValueError("the moment formula requires k >= 2")
     if (n * k) % 2:
@@ -265,11 +278,15 @@ def count_hadamard(k: int, n: int) -> int:
 
 
 def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
-    """Exact count by backtracking over the upper-triangular adjacency matrix.
+    """Exact count by backtracking over adjacency choices, memoised.
 
-    Vertices are completed in index order: each step chooses the whole
-    remaining neighborhood of the smallest unfinished vertex among higher
-    indices, pruning whenever some remaining degree exceeds the slots left.
+    One vertex is completed at a time: it chooses its whole remaining
+    neighbourhood among the unfinished vertices, pruning whenever some
+    remaining degree exceeds the slots left.  The edges among unfinished
+    vertices are all still open, so the number of completions depends only
+    on the multiset of their remaining positive degrees; the recursion is
+    memoised on that sorted tuple.  This is a combinatorial route,
+    independent of the moment formula, that no longer visits every graph.
     """
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds the brute-force limit {limit}")
@@ -279,32 +296,81 @@ def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
         return 0
     if k == 0:
         return 1
-    rem = [k] * n
+    memo: dict[tuple[int, ...], int] = {(): 1}
 
-    def fill(i: int) -> int:
-        while i < n and rem[i] == 0:
-            i += 1
-        if i == n:
-            return 1
-        candidates = [j for j in range(i + 1, n) if rem[j] > 0]
-        need = rem[i]
-        if need > len(candidates):
-            return 0
+    def fill(degrees: tuple[int, ...]) -> int:
+        """Labeled graphs with this sorted positive degree sequence."""
+        total = memo.get(degrees)
+        if total is not None:
+            return total
+        need, rest = degrees[0], degrees[1:]
         total = 0
-        rem[i] = 0
-        for chosen in combinations(candidates, need):
+        for chosen in combinations(range(len(rest)), need):
+            left = list(rest)
             for j in chosen:
-                rem[j] -= 1
-            open_after = [j for j in range(i + 1, n) if rem[j] > 0]
-            slots = len(open_after) - 1
-            if all(rem[j] <= slots for j in open_after):
-                total += fill(i + 1)
-            for j in chosen:
-                rem[j] += 1
-        rem[i] = need
+                left[j] -= 1
+            left = sorted(d for d in left if d)
+            if not left or left[-1] < len(left):
+                total += fill(tuple(left))
+        memo[degrees] = total
         return total
 
-    return fill(0)
+    return fill((k,) * n)
+
+
+_SWEEPS: dict[int, tuple[list[int], Iterator[int]]] = {}
+
+
+def moment_counts(k: int, nmax: int) -> list[int]:
+    """Counts of k-regular labeled graphs on 0..nmax vertices by the moment recurrence.
+
+    One sweep per k per process: its counts so far are kept, every call
+    reads a truncation, and a longer call extends the same sweep, so
+    asking for n = 0, 1, 2, ... in turn costs one sweep in all.
+    """
+    if k < 1:
+        raise ValueError("the moment recurrence requires k >= 1")
+    if k not in _SWEEPS:
+        _SWEEPS[k] = ([], _moment_sweep(k))
+    done, steps = _SWEEPS[k]
+    while len(done) <= nmax:
+        done.append(next(steps))
+    return done[: nmax + 1]
+
+
+def _moment_sweep(k: int) -> Iterator[int]:
+    """Yield the counts for n = 0, 1, 2, ...: P = Q + sum_{2j>k} x_j L_j,
+    U_{n+1} = Q U_n + n V U_{n-1} with V = sum_j alpha_j L_j^2, and the
+    count at n the Gaussian moment of U_n over x_1..x_{k//2}."""
+    half = k // 2
+    alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
+    bracket = inner_bracket(k)
+    q: dict = {}
+    linear: dict[int, dict] = {}
+    for m, c in bracket.terms.items():
+        coeff = Fraction(c, bracket.den)
+        # 2j > k, so at most one such x_j divides the monomial, to the first power
+        high = [v for v in mono_exponents(m) if v > half]
+        if high:
+            (j,) = high
+            linear.setdefault(j, {})[m - monomial({j: 1})] = coeff
+        else:
+            q[m] = coeff
+    q_poly = MPoly(q)
+    v_poly = MPoly.dot((alphas[j], MPoly(lj), MPoly(lj)) for j, lj in linear.items())
+    low = {j: alphas[j] for j in range(1, half + 1)}
+    prev, curr = MPoly.zero(), MPoly.const(1)
+    n = 0
+    while True:
+        if (n * k) % 2:
+            yield 0
+        else:
+            value = gaussian_hadamard(curr, low)
+            if value.denominator != 1 or value < 0:
+                raise NonIntegerResult(f"value {value} for (k={k}, n={n})")
+            yield int(value)
+        prev, curr = curr, MPoly.dot([(1, q_poly, curr), (n, v_poly, prev)])
+        n += 1
 
 
 def count_two_regular(n: int) -> int:
@@ -374,20 +440,40 @@ def load_counts(
     """The count cache (if given and present) merged with the shipped table for k.
 
     A cached count that contradicts a shipped one raises CountConflict.
+    The shipped tables were cross-checked when they were generated; every
+    cached count for k that they do not cover is recomputed (one sweep up
+    to the largest such n) and a mismatch raises CountConflict too, so a
+    corrupted cache never silently changes a result.
     """
     if cache is not None and Path(cache).exists():
         table = CountTable.load_cache(cache)
     else:
         table = CountTable()
-    table.merge(reference_table("sg", k, data_dir))
+    shipped = reference_table("sg", k, data_dir)
+    table.merge(shipped)
+    unchecked = sorted(n for kk, n in table.entries if kk == k and (k, n) not in shipped.entries)
+    for n in unchecked:
+        cached, value = table.entries[(k, n)], _compute(k, n)
+        if cached != value:
+            raise CountConflict(k, n, cached, value, table.provenance[(k, n)], "recomputed")
     return table
+
+
+def _compute(k: int, n: int) -> int:
+    """The count by the closed forms for k = 1, 2, else the moment recurrence."""
+    if k == 1:
+        return double_factorial(n - 1)
+    if k == 2:
+        return count_two_regular(n)
+    return moment_counts(k, n)[n]
 
 
 def resolve(table: CountTable, k: int, n: int) -> tuple[int, str]:
     """The count of k-regular graphs on n vertices and the route that gave it.
 
     Tries the structural rules, the table, the closed forms for k = 1
-    and k = 2, and then the moment formula; a computed count is put into
+    and k = 2, and then the moment recurrence (:func:`moment_counts`,
+    whose one sweep per k serves every n); a computed count is put into
     the table as 'formula'.
     """
     s = CountTable.structural(k, n)
@@ -395,12 +481,7 @@ def resolve(table: CountTable, k: int, n: int) -> tuple[int, str]:
         return s, PROV_STRUCTURAL
     if (k, n) in table.entries:
         return table.entries[(k, n)], table.provenance[(k, n)]
-    if k == 1:
-        value = double_factorial(n - 1)
-    elif k == 2:
-        value = count_two_regular(n)
-    else:
-        value = count_hadamard(k, n)
+    value = _compute(k, n)
     table.put(k, n, value, PROV_FORMULA)
     return value, PROV_FORMULA
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regasym import cli
 
@@ -89,10 +95,10 @@ def test_count_examples(tmp_path, capsys):
 def test_count_reads_shipped_table(capsys, monkeypatch):
     monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
 
-    def boom(k, n):
-        raise AssertionError("the moment formula must not run")
+    def boom(k, nmax):
+        raise AssertionError("the moment recurrence must not run")
 
-    monkeypatch.setattr(cli.counts, "count_hadamard", boom)
+    monkeypatch.setattr(cli.counts, "moment_counts", boom)
     assert run(["count", "--k", "4", "--n", "10"], capsys) == (0, "66462606 ingested\n", "")
     assert run(["count", "--k", "3", "--n", "6"], capsys)[1] == "70 ingested\n"
     assert run(["count", "--k", "3", "--n", "5"], capsys)[1] == "0 structural\n"
@@ -112,7 +118,13 @@ def test_conflicting_cache_is_count_mismatch(tmp_path, capsys):
     assert "123" in err and "66462606" in err
 
 
-def test_auto_brute_check_catches_wrong_cached_count(tmp_path, capsys):
+def test_auto_brute_check_catches_wrong_cached_count(tmp_path, capsys, monkeypatch):
+    # the cache check on load recomputes the entry; with that route broken to
+    # agree with the wrong cached count, the brute-force check must catch it
+    moment_counts = cli.counts.moment_counts
+    monkeypatch.setattr(
+        cli.counts, "moment_counts", lambda k, nmax: moment_counts(k, nmax)[:6] + [71]
+    )
     (tmp_path / cli.CACHE_FILENAME).write_text("3 6 71 formula\n")
     code, out, err = run(
         ["--cache-dir", str(tmp_path), "--data-dir", str(tmp_path), "count", "--k", "3", "--n", "6"],
@@ -138,9 +150,62 @@ def test_auto_skips_brute_check_of_large_counts(tmp_path, capsys, monkeypatch):
     assert (code, out) == (0, "11180820 formula\n")
     assert "brute-force check skipped" in err
     assert enumerated == [] and time.perf_counter() - start < 10
-    # 19,355 graphs are still enumerated
+    # 19,355 graphs are still brute-force checked
     assert run([*data, "count", "--k", "4", "--n", "8"], capsys) == (0, "19355 formula\n", "")
     assert enumerated == [(4, 8)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "csg", "--k", "3", "--order", "3"],
+        ["count", "--k", "3", "--n", "6", "--method", "formula"],
+    ],
+)
+def test_wrong_cached_count_without_shipped_table_is_count_mismatch(tmp_path, capsys, argv):
+    # no shipped table covers the cached entry, so it is recomputed on load
+    (tmp_path / cli.CACHE_FILENAME).write_text("3 6 71 formula\n")
+    code, out, err = run(["--cache-dir", str(tmp_path), "--data-dir", str(tmp_path), *argv], capsys)
+    assert code == cli.EXIT_COUNT_MISMATCH and out == ""
+    assert "71 (formula) vs 70 (recomputed)" in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_corrupted_cache_entry_never_changes_a_result(data):
+    # one wrong entry among correct cached counts, with or without the shipped
+    # table covering it: every command that reads it exits 5 and prints nothing
+    k = data.draw(st.sampled_from((3, 4, 5)), label="k")
+    ns = [n for n in range(k + 1, 13) if (n * k) % 2 == 0]
+    n = data.draw(st.sampled_from(ns), label="n")
+    truth = cli.counts.reference_table("sg", k)
+    right = truth.get(k, n)
+    wrong = data.draw(st.integers(0, 2 * right + 5).filter(lambda v: v != right), label="wrong")
+    shipped = data.draw(st.booleans(), label="shipped")
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [f"{k} {m} {wrong if m == n else truth.get(k, m)} formula" for m in ns]
+        (Path(tmp) / cli.CACHE_FILENAME).write_text("\n".join(lines) + "\n")
+        options = ["--cache-dir", tmp] + ([] if shipped else ["--data-dir", tmp])
+        for argv in (
+            ["expand", "csg", "--k", str(k), "--order", str((n + 1) // 2)],
+            ["count", "--k", str(k), "--n", str(n), "--method", "formula"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(options + argv)
+            assert (code, out.getvalue()) == (cli.EXIT_COUNT_MISMATCH, ""), argv
+            assert f"{wrong} (formula)" in err.getvalue()
+
+
+def test_non_integral_moment_is_internal_alarm(tmp_path, capsys, monkeypatch):
+    # a bracket off by a factor cannot give integer moments: the recurrence's
+    # integrality check must fire and map to the internal-assertion exit
+    bracket = cli.counts.inner_bracket
+    monkeypatch.setattr(cli.counts, "_SWEEPS", {})
+    monkeypatch.setattr(cli.counts, "inner_bracket", lambda k: bracket(k) * Fraction(1, 3))
+    code, out, err = run(["--data-dir", str(tmp_path), "count", "--k", "3", "--n", "4"], capsys)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert "internal assertion failed" in err and "(k=3, n=4)" in err
 
 
 def test_count_brute_method(capsys):

@@ -22,10 +22,11 @@ from regasym.counts import (
     inner_bracket,
     load_bfile,
     load_counts,
+    moment_counts,
     reference_table,
     resolve,
 )
-from regasym.series import Series
+from regasym.series import Series, double_factorial
 
 
 # -- brute force ------------------------------------------------------------
@@ -49,6 +50,64 @@ def test_brute_structural_zeros():
     assert count_brute(3, 2) == 0
     assert count_brute(5, 4) == 0
     assert count_brute(2, 0) == 1
+
+
+def test_memoised_brute_matches_moment_formula(small_counts):
+    # the direct moment formula is cheap for k <= 5; at k = 6 it takes 0.4 s
+    # for n = 7 (checked against the recurrence below) and 2-6 s for n = 8..10,
+    # so those cells are pinned by degree complements instead
+    for n in range(0, 11):
+        assert count_brute(2, n) == count_hadamard(2, n), n
+        for k in (3, 4, 5):
+            if (n * k) % 2 == 0:
+                assert count_brute(k, n) == small_counts.get(k, n), (k, n)
+    assert count_brute(6, 7) == 1  # K7
+    assert count_brute(6, 8) == double_factorial(7)  # complements of perfect matchings
+    assert count_brute(6, 9) == count_two_regular(9)
+    assert count_brute(6, 10) == reference_table("sg", 3).get(3, 10)
+
+
+# -- moment recurrence ---------------------------------------------------------
+
+
+def test_moment_counts_match_shipped_tables():
+    for k in (3, 4, 5):
+        ref = reference_table("sg", k)
+        assert moment_counts(k, 40) == [ref.get(k, n) for n in range(41)], k
+
+
+def test_moment_counts_match_moment_formula(small_counts):
+    # every n <= 10 where the direct formula is cheap: all of k <= 5; for
+    # k = 6, 7 only the complete graphs K7 and K8 (n = 8..10 take 2-35 s)
+    assert moment_counts(2, 10) == [count_hadamard(2, n) for n in range(11)]
+    for k in (3, 4, 5):
+        for n, value in enumerate(moment_counts(k, 10)):
+            if (n * k) % 2 == 0:
+                assert value == small_counts.get(k, n), (k, n)
+    assert moment_counts(6, 7)[7] == count_hadamard(6, 7) == 1
+    assert moment_counts(7, 8)[8] == 1
+
+
+def test_moment_counts_degree_complements():
+    # a k-regular graph on n vertices is the complement of an (n-1-k)-regular one
+    assert moment_counts(6, 12)[10] == reference_table("sg", 3).get(3, 10)
+    assert moment_counts(6, 12)[12] == reference_table("sg", 5).get(5, 12)
+    assert moment_counts(7, 10)[10] == count_two_regular(10)
+    for k in (6, 7):
+        for n in range(k + 1, 11):
+            assert moment_counts(k, n)[n] == count_brute(k, n), (k, n)
+
+
+def test_moment_counts_one_sweep_read_as_truncations(monkeypatch):
+    longest = moment_counts(4, 12)
+
+    def boom(k):
+        raise AssertionError("a second sweep must not start")
+
+    monkeypatch.setattr(counts, "_moment_sweep", boom)
+    assert [moment_counts(4, n) for n in range(13)] == [longest[: n + 1] for n in range(13)]
+    with pytest.raises(ValueError):
+        moment_counts(0, 3)
 
 
 # -- moment formula ----------------------------------------------------------
@@ -264,11 +323,34 @@ def test_resolve_routes(monkeypatch):
     assert resolve(fresh, 3, 6) == (70, PROV_FORMULA)
     assert fresh.provenance[(3, 6)] == PROV_FORMULA  # computed counts are recorded
 
-    def boom(k, n):
-        raise AssertionError("the moment formula must not run")
+    def boom(k, nmax):
+        raise AssertionError("the moment recurrence must not run")
 
-    monkeypatch.setattr(counts, "count_hadamard", boom)
+    monkeypatch.setattr(counts, "moment_counts", boom)
     assert resolve(fresh, 3, 6) == (70, PROV_FORMULA)  # now from the table
+
+
+def test_load_counts_recomputes_uncovered_cache_entries(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("3 6 71 formula\n3 8 19355 formula\n")
+    with pytest.raises(CountConflict) as err:
+        load_counts(3, tmp_path, cache)  # no shipped table: the entries are recomputed
+    assert (err.value.n, err.value.old, err.value.new) == (6, 71, 70)
+    assert err.value.new_source == "recomputed"
+    cache.write_text("3 6 70 formula\n6 10 11180820 formula\n2 7 465 formula\n")
+    assert load_counts(6, tmp_path, cache).get(6, 10) == 11180820
+    assert load_counts(2, tmp_path, cache).get(2, 7) == 465
+    matchings = tmp_path / "k1.txt"
+    matchings.write_text("1 6 16 formula\n")  # 5!! = 15
+    with pytest.raises(CountConflict):
+        load_counts(1, tmp_path, matchings)
+
+    def boom(k, nmax):
+        raise AssertionError("entries a shipped table covers are not recomputed")
+
+    monkeypatch.setattr(counts, "moment_counts", boom)
+    cache.write_text("3 6 70 formula\n3 100 %d formula\n" % reference_table("sg", 3).get(3, 100))
+    assert load_counts(3, counts.DATA_DIR, cache).get(3, 6) == 70
 
 
 def test_load_counts_merges_cache_and_shipped(tmp_path):
