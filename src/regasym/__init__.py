@@ -11,7 +11,6 @@ from .series import (
     BadParity,
     InsufficientOrder,
     NonUnitDivisor,
-    Rational,
     Series,
     SeriesError,
     ValuationViolation,
@@ -22,7 +21,6 @@ from .series import (
 from .multipoly import ExponentOverflow, MPoly, MissingWeight, Monomial, gaussian_hadamard, monomial
 from .laplace import (
     DegeneratePhase,
-    PhaseAmplitude,
     expand_hadamard,
     psi_from_phase,
     stirling_series,
@@ -47,14 +45,11 @@ from .counts import (
 from .regular import (
     DegreeOverflow,
     Envelope,
-    Expansion,
     FormalKPolynomial,
     IrrationalPrefactor,
     RouteMismatch,
     formal_k_interpolate,
     sg_expansion,
-    sg_series,
-    sg_tilde_coeff,
     u_pq,
     v_pq,
 )

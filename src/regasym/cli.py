@@ -19,6 +19,13 @@ the shipped table under --data-dir) and :func:`counts.resolve`.  The
 count cache directory comes from --cache-dir, falling back to the
 REGASYM_CACHE_DIR environment variable; the flag wins.  Identical flags
 always produce byte-identical output.
+
+Each subcommand is bound to its ``cmd_*`` function with ``set_defaults``
+and reads the parsed arguments directly.  A value argparse cannot reject
+(a precision below 64 bits, a negative order) raises ValueError where it
+is read and exits 2.  Coefficient lists are written from one record per
+coefficient ({k, r, coefficient}, or {r, coefficient} for stirling) as
+plain values, CSV lines or JSON.
 """
 
 from __future__ import annotations
@@ -27,12 +34,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import connected, counts, laplace, regular, validation
-from .series import SeriesError, ValuationViolation, rational_str
+from .series import Series, SeriesError, ValuationViolation, rational_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,31 +48,6 @@ EXIT_GOLDEN_MISMATCH = 6
 
 ENV_CACHE_DIR = "REGASYM_CACHE_DIR"
 CACHE_FILENAME = "counts_cache.txt"
-
-
-@dataclass
-class RunConfig:
-    """Validated options shared by the subcommands."""
-
-    command: str
-    k: int | None = None
-    order: int = 0
-    which: str = "sg"
-    ks: tuple[int, ...] = ()
-    ns: tuple[int, ...] = ()
-    method: str = "auto"
-    n: int | None = None
-    fmt: str = "plain"
-    precision: int = validation.DEFAULT_PRECISION
-    brute_limit: int = counts.DEFAULT_BRUTE_LIMIT
-    cache_dir: Path | None = None
-    data_dir: Path = counts.DATA_DIR
-
-    def __post_init__(self):
-        if self.precision < 64:
-            raise ValueError("precision below 64 bits is not meaningful here")
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -87,133 +67,127 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _cache_path(cfg: RunConfig) -> Path | None:
-    if cfg.cache_dir is None:
+def _cache_path(args: argparse.Namespace) -> Path | None:
+    if args.cache_dir is None:
         return None
-    return cfg.cache_dir / CACHE_FILENAME
+    return args.cache_dir / CACHE_FILENAME
 
 
-def _load_counts(cfg: RunConfig, k: int) -> counts.CountTable:
-    return counts.load_counts(k, cfg.data_dir, _cache_path(cfg))
+def _load_counts(args: argparse.Namespace, k: int) -> counts.CountTable:
+    return counts.load_counts(k, args.data_dir, _cache_path(args))
 
 
-def _save_cached_counts(cfg: RunConfig, table: counts.CountTable):
-    path = _cache_path(cfg)
+def _save_cached_counts(args: argparse.Namespace, table: counts.CountTable):
+    path = _cache_path(args)
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     table.save_cache(path)
 
 
-def cmd_expand(cfg: RunConfig, out) -> int:
-    k, r = cfg.k, cfg.order
-    if cfg.which == "sg":
+def _records(series: Series, **fields) -> list[dict]:
+    """One record per coefficient: the given fields, then its index r and value."""
+    return [
+        {**fields, "r": i, "coefficient": rational_str(c)}
+        for i, c in enumerate(series.coefficients)
+    ]
+
+
+def _write(out, fmt: str, records: list[dict], doc=None):
+    """Write the records as plain values, CSV lines or JSON; for JSON the
+    document doc, when given, is written in place of the bare records."""
+    if fmt == "json":
+        lines = [json.dumps(records if doc is None else doc, indent=2)]
+    elif fmt == "csv":
+        lines = [",".join(records[0])] + [",".join(map(str, rec.values())) for rec in records]
+    else:
+        lines = [", ".join(rec["coefficient"] for rec in records)]
+    out.write("\n".join(lines) + "\n")
+
+
+def cmd_expand(args: argparse.Namespace, out) -> int:
+    k, r = args.k, args.order
+    if args.which == "sg":
         if k < 2:
             raise ValueError("plain expansion requires k >= 2")
-        exp = regular.sg_expansion(k, r)
-        coeffs = exp.coeffs
-        gap = None
-    else:
-        if k < 3:
-            raise ValueError("connected expansion requires k >= 3")
-        table = _load_counts(cfg, k)
-        for m in range(2 * r + 1):
-            counts.resolve(table, k, m)
-        series = connected.csg_tilde(k, r, table)
-        coeffs = series.coefficients
-        gap_order = (k + 1) * (k - 2) // 2
-        gap = connected.valuation_gap(k, r, table) if r >= gap_order else None
-        _save_cached_counts(cfg, table)
-
-    if cfg.fmt == "plain":
-        out.write(", ".join(rational_str(c) for c in coeffs) + "\n")
-    elif cfg.fmt == "csv":
-        out.write("k,r,coefficient\n")
-        for i, c in enumerate(coeffs):
-            out.write(f"{k},{i},{rational_str(c)}\n")
-    elif cfg.which == "sg":
-        out.write(regular.expansion_json(exp) + "\n")
-    else:
-        records = [
-            {"k": k, "r": i, "coefficient": rational_str(c)}
-            for i, c in enumerate(coeffs)
-        ]
-        out.write(
-            json.dumps({"k": k, "terms": records, "gap_valuation": gap}, indent=2) + "\n"
-        )
+        _write(out, args.fmt, _records(regular.sg_expansion(k, r), k=k))
+        return EXIT_OK
+    if k < 3:
+        raise ValueError("connected expansion requires k >= 3")
+    table = _load_counts(args, k)
+    for m in range(2 * r + 1):
+        counts.resolve(table, k, m)
+    records = _records(connected.csg_tilde(k, r, table), k=k)
+    gap_order = (k + 1) * (k - 2) // 2
+    gap = connected.valuation_gap(k, r, table) if r >= gap_order else None
+    _save_cached_counts(args, table)
+    _write(out, args.fmt, records, {"k": k, "terms": records, "gap_valuation": gap})
     return EXIT_OK
 
 
-def cmd_formal_k(cfg: RunConfig, out) -> int:
-    poly = regular.formal_k_interpolate(cfg.order)
-    out.write(regular.formal_k_json(poly) + "\n")
+def cmd_formal_k(args: argparse.Namespace, out) -> int:
+    poly = regular.formal_k_interpolate(args.r)
+    doc = {
+        "r": poly.r,
+        "poly": [rational_str(c) for c in poly.numerator_coeffs],
+        "denom_power": poly.r,
+    }
+    if poly.r >= 3:
+        # beyond r = 2 the single-polynomial form is only established for
+        # k >= 2r+2, where every structural indicator is active
+        doc["valid_k_min"] = 2 * poly.r + 2
+    out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_count(cfg: RunConfig, out) -> int:
-    k, n = cfg.k, cfg.n
-    table = _load_counts(cfg, k)
-    if cfg.method == "brute":
-        value = counts.count_brute(k, n, cfg.brute_limit)
+def cmd_count(args: argparse.Namespace, out) -> int:
+    k, n = args.k, args.n
+    table = _load_counts(args, k)
+    if args.method == "brute":
+        value = counts.count_brute(k, n, args.brute_limit)
         provenance = counts.PROV_BRUTE
     else:
         value, provenance = counts.resolve(table, k, n)
-        # auto checks a computed or cached count by brute force when feasible;
-        # the shipped tables were checked so when they were generated, and
-        # counts above the cap are not checked (the memoised backtracking
-        # no longer visits every graph, but the cap keeps the checked cases)
+        # auto checks a computed or cached count by brute force when n is
+        # small; the shipped tables were checked so when they were generated
         if (
-            cfg.method == "auto"
+            args.method == "auto"
             and provenance != counts.PROV_INGESTED
-            and n <= cfg.brute_limit
+            and n <= args.brute_limit
         ):
-            if value > counts.BRUTE_CHECK_MAX_COUNT:
-                sys.stderr.write(
-                    f"note: brute-force check skipped, {value} graphs exceed "
-                    f"{counts.BRUTE_CHECK_MAX_COUNT}\n"
-                )
-            else:
-                brute = counts.count_brute(k, n, cfg.brute_limit)
-                if brute != value:
-                    raise counts.CountConflict(
-                        k, n, value, brute, provenance, counts.PROV_BRUTE
-                    )
-        _save_cached_counts(cfg, table)
+            brute = counts.count_brute(k, n, args.brute_limit)
+            if brute != value:
+                raise counts.CountConflict(k, n, value, brute, provenance, counts.PROV_BRUTE)
+        _save_cached_counts(args, table)
     out.write(f"{value} {provenance}\n")
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig, out) -> int:
-    which, r = cfg.which, cfg.order
-    ks, ns = cfg.ks, cfg.ns
+def cmd_validate(args: argparse.Namespace, out) -> int:
+    if args.precision < 64:
+        raise ValueError("precision below 64 bits is not meaningful here")
+    which, r = args.which, args.r
+    ks, ns = parse_int_list(args.k), parse_int_list(args.n)
     if not ns:
         out.write("n\n")
         return EXIT_OK
 
-    tables: dict[int, counts.CountTable] = {}
-    coeffs: dict[int, tuple[Fraction, ...]] = {}
-    rs: dict[int, int] = {}
-    for k in ks:
-        rs[k] = validation.published_r(which, k, r)
-        if which == "sg":
-            tables[k] = _load_counts(cfg, k)
-            if k == 2:
-                for n in ns:
-                    counts.resolve(tables[k], 2, n)
-            coeffs[k] = regular.sg_expansion(k, rs[k] - 1).coeffs
-        else:
-            tables[k] = counts.reference_table("csg", k, cfg.data_dir)
-            sg_table = _load_counts(cfg, k)
-            for m in range(2 * (rs[k] - 1) + 1):
-                counts.resolve(sg_table, k, m)
-            coeffs[k] = tuple(connected.csg_tilde(k, rs[k] - 1, sg_table).coefficients)
-
     rows = []
     for k in ks:
-        row = validation.residual_table(
-            [k], ns, rs[k], {k: tables[k]}, {k: coeffs[k]}, cfg.precision
-        )
-        rows.append(row[0])
+        k_r = validation.published_r(which, k, r)
+        sg_table = _load_counts(args, k)
+        if which == "sg":
+            table = sg_table
+            if k == 2:
+                for n in ns:
+                    counts.resolve(table, 2, n)
+            coeffs = regular.sg_expansion(k, k_r - 1).coefficients
+        else:
+            table = counts.reference_table("csg", k, args.data_dir)
+            for m in range(2 * (k_r - 1) + 1):
+                counts.resolve(sg_table, k, m)
+            coeffs = connected.csg_tilde(k, k_r - 1, sg_table).coefficients
+        rows.append((k, validation.residual_row(k, ns, k_r, table, coeffs, args.precision)))
     out.write(validation.render_csv(ns, rows))
 
     if r != validation.GOLDEN_R:  # the published grids exist at r = 3 only
@@ -228,21 +202,8 @@ def cmd_validate(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_stirling(cfg: RunConfig, out) -> int:
-    series = laplace.stirling_series(cfg.order)
-    if cfg.fmt == "json":
-        out.write(
-            json.dumps(
-                [
-                    {"r": i, "coefficient": rational_str(c)}
-                    for i, c in enumerate(series.coefficients)
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
-        out.write(", ".join(rational_str(c) for c in series.coefficients) + "\n")
+def cmd_stirling(args: argparse.Namespace, out) -> int:
+    _write(out, args.fmt, _records(laplace.stirling_series(args.r)))
     return EXIT_OK
 
 
@@ -267,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expansion coefficients for fixed k")
+    p.set_defaults(run=cmd_expand)
     p.add_argument("which", choices=("sg", "csg"), help="plain or connected counts")
     p.add_argument("--k", type=int, required=True, help="degree k (sg: k>=2, csg: k>=3)")
     p.add_argument("--order", type=int, required=True, help="highest coefficient index r")
@@ -276,15 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("formal-k", help="coefficient as one polynomial in k")
+    p.set_defaults(run=cmd_formal_k)
     p.add_argument("--r", type=int, required=True, help="coefficient index")
 
     p = sub.add_parser("count", help="exact count for one (k, n)")
+    p.set_defaults(run=cmd_count)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--method", choices=("formula", "brute", "auto"), default="auto",
         help="auto cross-checks a computed or cached count against brute force "
-        f"for small n and at most {counts.BRUTE_CHECK_MAX_COUNT} graphs (default auto)",
+        "when n <= --brute-limit (default auto)",
     )
     p.add_argument(
         "--brute-limit", type=int, default=counts.DEFAULT_BRUTE_LIMIT,
@@ -292,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("validate", help="residual grid against ingested counts")
+    p.set_defaults(run=cmd_validate)
     p.add_argument("--which", choices=("sg", "csg"), default="sg", help="which grid (default sg)")
     p.add_argument("--k", type=str, required=True, help='comma list, e.g. "2,3,4,5"')
     p.add_argument("--n", type=str, required=True, help='comma list or range, e.g. "10:100:10"')
@@ -302,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("stirling", help="factorial correction series")
+    p.set_defaults(run=cmd_stirling)
     p.add_argument("--r", type=int, required=True, help="highest coefficient index")
     p.add_argument(
         "--format", choices=("plain", "json"), default="plain", dest="fmt",
@@ -310,47 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cache_dir = args.cache_dir
-    if cache_dir is None and os.environ.get(ENV_CACHE_DIR):
-        cache_dir = Path(os.environ[ENV_CACHE_DIR])
-    cfg = RunConfig(command=args.command, cache_dir=cache_dir, data_dir=args.data_dir)
-    if args.command == "expand":
-        cfg.which, cfg.k, cfg.order, cfg.fmt = args.which, args.k, args.order, args.fmt
-    elif args.command == "formal-k":
-        cfg.order = args.r
-    elif args.command == "count":
-        cfg.k, cfg.n = args.k, args.n
-        cfg.method, cfg.brute_limit = args.method, args.brute_limit
-    elif args.command == "validate":
-        cfg.which, cfg.order, cfg.precision = args.which, args.r, args.precision
-        cfg.ks, cfg.ns = parse_int_list(args.k), parse_int_list(args.n)
-    elif args.command == "stirling":
-        cfg.order, cfg.fmt = args.r, args.fmt
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if args.cache_dir is None and os.environ.get(ENV_CACHE_DIR):
+        args.cache_dir = Path(os.environ[ENV_CACHE_DIR])
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
-    dispatch = {
-        "expand": cmd_expand,
-        "formal-k": cmd_formal_k,
-        "count": cmd_count,
-        "validate": cmd_validate,
-        "stirling": cmd_stirling,
-    }
-    try:
-        return dispatch[cfg.command](cfg, sys.stdout)
+        return args.run(args, sys.stdout)
     except regular.DegreeOverflow as exc:
         sys.stderr.write(f"degree overflow: {exc}\n")
         return EXIT_DEGREE

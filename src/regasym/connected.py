@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .counts import CountTable, egf_reciprocal_coeffs
 from .laplace import stirling_series
-from .regular import Envelope, sg_series
+from .regular import Envelope, sg_expansion
 from .series import Series, SeriesError, ValuationViolation
 
 
@@ -95,7 +95,7 @@ def csg_tilde(k: int, r: int, counts: CountTable) -> Series:
     if r < 0:
         raise ValueError("r must be nonnegative")
     stirling = stirling_series(r)
-    atilde = sg_series(k, r).div(stirling)
+    atilde = sg_expansion(k, r).div(stirling)
     recip = egf_reciprocal_coeffs(k, 2 * r, counts)
     alpha = _alpha(k)
 
@@ -125,7 +125,7 @@ def valuation_gap(k: int, r: int, counts: CountTable) -> int:
         raise ValueError(
             f"r = {r} cannot expose the gap (k+1)(k-2)/2 = {expected}"
         )
-    plain = sg_series(k, r)
+    plain = sg_expansion(k, r)
     connected = csg_tilde(k, r, counts)
     diff = connected - plain
     got = diff.valuation()

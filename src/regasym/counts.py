@@ -58,10 +58,6 @@ PROV_INGESTED = "ingested"
 DATA_DIR = Path(__file__).parent / "data"
 
 DEFAULT_BRUTE_LIMIT = 10
-# count --method auto brute-checks counts up to this many graphs; the cap
-# dates from when enumeration visited every graph and is kept, so auto
-# checks the same (k, n) pairs
-BRUTE_CHECK_MAX_COUNT = 100_000
 
 
 class CountError(Exception):
@@ -146,9 +142,6 @@ class CountTable:
 
     def _structural(self, k: int, n: int) -> int | None:
         return self.structural(k, n) if self.enforce_structural else None
-
-    def known(self, k: int, n: int) -> bool:
-        return self._structural(k, n) is not None or (k, n) in self.entries
 
     def get(self, k: int, n: int) -> int:
         s = self._structural(k, n)

@@ -147,9 +147,6 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def variables(self) -> set[int]:
-        return set(mono_exponents(reduce(or_, self.terms, 0)))
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)

@@ -29,13 +29,12 @@ failure means a transcription bug, never a rounding issue.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .laplace import PhaseAmplitude, factorial_phase, psi_from_phase
+from .laplace import factorial_phase, psi_from_phase
 from .multipoly import MONO_ONE, MPoly, gaussian_hadamard, monomial
 from .series import (
     Series,
@@ -43,7 +42,6 @@ from .series import (
     ValuationViolation,
     lagrange_invert_coeff,
     newton_solve_tree,
-    rational_str,
 )
 
 U_VAR = 0  # formal placeholder with u^2 = 1/k
@@ -91,27 +89,11 @@ class Envelope:
 
 
 @dataclass(frozen=True)
-class Expansion:
-    """Expansion coefficients [z^0..z^r] for one fixed k."""
-
-    k: int
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class FormalKPolynomial:
     """[z^r] F multiplied by k^r, as one polynomial valid for k >= 2r+2."""
 
     r: int
     numerator_coeffs: tuple[Fraction, ...]
-
-    @property
-    def denom_power(self) -> int:
-        return self.r
 
     def evaluate(self, k: int) -> Fraction:
         acc = Fraction(0)
@@ -145,8 +127,7 @@ def _longest(solve):
 def expansion_psi(order: int) -> Series:
     """The expansion's psi series, cross-checked against its closed display form
     (once per longest order)."""
-    pa = PhaseAmplitude(expansion_phase(order + 2), Series.one(order), Fraction(2))
-    psi = psi_from_phase(pa)
+    psi = psi_from_phase(expansion_phase(order + 2))
     # closed form: (1 + (log(1/(1+t)) + t - t^2/2)/t^2)^(-1/2)
     log1p = Series(
         [Fraction(0)] + [Fraction((-1) ** (m + 1), m) for m in range(1, order + 3)],
@@ -232,15 +213,6 @@ def b0_row(j: int, k: int) -> MPoly:
     return MPoly.dot(terms)
 
 
-def _reduce_u(k: int):
-    invk = Fraction(1, k)
-
-    def fn(p: MPoly) -> MPoly:
-        return p.subs_square(U_VAR, invk)
-
-    return fn
-
-
 @lru_cache(maxsize=None)
 def c2_series(k: int, r: int) -> Series:
     """The sign-summed core series to s-order 2r, free of the variable u.
@@ -255,7 +227,11 @@ def c2_series(k: int, r: int) -> Series:
         raise ValueError("the expansion order must be nonnegative")
     n_lo = 2 * r
     n_hi = n_lo + 2
-    red = _reduce_u(k)
+    invk = Fraction(1, k)
+
+    def red(p: MPoly) -> MPoly:
+        return p.subs_square(U_VAR, invk)
+
     tree = tree_series(max(n_hi, 1))
 
     t_of_st1 = Series(
@@ -316,16 +292,8 @@ def _moment_weights(k: int, r: int) -> dict[int, Fraction]:
     return weights
 
 
-@lru_cache(maxsize=None)
-def sg_tilde_coeff(k: int, r: int) -> Fraction:
-    """[z^r] of the expansion series for fixed k >= 2."""
-    c2 = c2_series(k, r)
-    value = gaussian_hadamard(c2[2 * r], _moment_weights(k, r))
-    return value if r % 2 == 0 else -value
-
-
-def sg_expansion(k: int, r: int) -> Expansion:
-    """Coefficients [z^0..z^r] for fixed k, sharing one core series."""
+def sg_expansion(k: int, r: int) -> Series:
+    """The expansion series [z^0..z^r] for fixed k >= 2, from one core series."""
     c2 = c2_series(k, r)
     weights = _moment_weights(k, r)
     coeffs = []
@@ -334,12 +302,7 @@ def sg_expansion(k: int, r: int) -> Expansion:
         coeffs.append(value if rho % 2 == 0 else -value)
     if coeffs[0] != 2:
         raise ValuationViolation(f"[z^0] must be 2, got {coeffs[0]} (k={k})")
-    return Expansion(k, tuple(coeffs))
-
-
-def sg_series(k: int, r: int) -> Series:
-    """The expansion as a Series of order r."""
-    return Series(sg_expansion(k, r).coeffs, r)
+    return Series(coeffs, r)
 
 
 def _lagrange_interpolate(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
@@ -381,38 +344,16 @@ def formal_k_interpolate(
     if samples is None:
         samples = 4 * r + 1
     ks = [kmin + i for i in range(samples)]
-    ys = [sg_tilde_coeff(k, r) * Fraction(k) ** r for k in ks]
+    ys = [sg_expansion(k, r)[r] * Fraction(k) ** r for k in ks]
     coeffs = _lagrange_interpolate(ks, ys)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     poly = FormalKPolynomial(r, tuple(coeffs))
     for extra in (kmin + samples, kmin + samples + 1):
-        expected = sg_tilde_coeff(extra, r)
+        expected = sg_expansion(extra, r)[r]
         if poly.evaluate(extra) != expected:
             raise DegreeOverflow(
                 f"degree-{4 * r} fit for r={r} fails at held-out k={extra}: "
                 f"poly gives {poly.evaluate(extra)}, pipeline gives {expected}"
             )
     return poly
-
-
-def expansion_json(exp: Expansion) -> str:
-    """One record per coefficient: {k, r, coefficient}."""
-    records = [
-        {"k": exp.k, "r": i, "coefficient": rational_str(c)}
-        for i, c in enumerate(exp.coeffs)
-    ]
-    return json.dumps(records, indent=2)
-
-
-def formal_k_json(poly: FormalKPolynomial) -> str:
-    doc = {
-        "r": poly.r,
-        "poly": [rational_str(c) for c in poly.numerator_coeffs],
-        "denom_power": poly.denom_power,
-    }
-    if poly.r >= 3:
-        # beyond r = 2 the single-polynomial form is only established for
-        # k >= 2r+2, where every structural indicator is active
-        doc["valid_k_min"] = 2 * poly.r + 2
-    return json.dumps(doc, indent=2)

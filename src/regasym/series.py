@@ -32,8 +32,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 

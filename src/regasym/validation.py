@@ -21,15 +21,18 @@ ever used to validate itself.  The coefficients enter as exact rationals
 in the subtracted partial sum.  Cells print with two decimals, rounding
 half to even, and doubling the working precision must not change a
 printed digit.
+
+A grid is a list of (k, cells) rows: :func:`residual_row` gives the cells
+of one k as plain mpf values, None where a count is missing or no graph
+exists, and :func:`render_csv` and :func:`compare_to_golden` read the rows.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -55,6 +58,7 @@ GOLDEN_CSG = {
     3: ("4.40", "2.05", "2.15", "2.26", "2.30", "2.31", "2.31", "2.31", "2.31", "2.31"),
     4: ("17.93", "15.37", "14.75", "14.47", "14.31", "14.20", "14.14", "14.08", "14.04", "14.01"),
 }
+GOLDEN = {"sg": GOLDEN_SG, "csg": GOLDEN_CSG}
 
 # The published plain-count grid labels every row r=3, but its k=2 row is
 # reproducible (all ten cells, two decimals) only with one more subtracted
@@ -72,14 +76,6 @@ def published_r(which: str, k: int, r: int) -> int:
 
 class PrecisionUnderflow(ArithmeticError):
     """Cancellation consumed more than precision-32 bits; retry higher."""
-
-
-@dataclass(frozen=True)
-class ResidualCell:
-    k: int
-    n: int
-    r: int
-    value: mpmath.mpf
 
 
 def residual(
@@ -136,45 +132,42 @@ def residual_cell(
     counts: CountTable,
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
-) -> ResidualCell:
+) -> mpmath.mpf:
     """Residual for one cell, retrying with doubled precision on underflow."""
     count = counts.get(k, n)
     prec = precision
     for _ in range(4):
         try:
-            return ResidualCell(k, n, r, residual(k, n, r, count, coeffs, prec))
+            return residual(k, n, r, count, coeffs, prec)
         except PrecisionUnderflow:
             prec *= 2
     raise PrecisionUnderflow(f"(k={k}, n={n}) still cancelling at precision {prec}")
 
 
-def residual_table(
-    ks: Sequence[int],
+def residual_row(
+    k: int,
     ns: Sequence[int],
     r: int,
-    counts_by_k: Mapping[int, CountTable],
-    coeffs_by_k: Mapping[int, Sequence[Fraction]],
+    table: CountTable,
+    coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
-) -> list[tuple[int, list[ResidualCell | None]]]:
-    """One row of cells per k; unavailable cells are None (and logged).
+) -> list[mpmath.mpf | None]:
+    """The cells of one k over ns; a cell with no count is None (and logged).
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
     is None as well.
     """
-    rows: list[tuple[int, list[ResidualCell | None]]] = []
-    for k in ks:
-        cells: list[ResidualCell | None] = []
-        for n in ns:
-            if CountTable.structural(k, n) == 0:
-                cells.append(None)
-                continue
-            try:
-                cells.append(residual_cell(k, n, r, counts_by_k[k], coeffs_by_k[k], precision))
-            except (MissingCount, KeyError) as exc:
-                logger.warning("no residual for k=%d, n=%d: %s", k, n, exc)
-                cells.append(None)
-        rows.append((k, cells))
-    return rows
+    cells: list[mpmath.mpf | None] = []
+    for n in ns:
+        if CountTable.structural(k, n) == 0:
+            cells.append(None)
+            continue
+        try:
+            cells.append(residual_cell(k, n, r, table, coeffs, precision))
+        except MissingCount as exc:
+            logger.warning("no residual for k=%d, n=%d: %s", k, n, exc)
+            cells.append(None)
+    return cells
 
 
 def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
@@ -204,38 +197,31 @@ def round_half_even_2dp(x: mpmath.mpf) -> Fraction:
     return Fraction(floor, 100)
 
 
-def format_cell(cell: ResidualCell | None) -> str:
+def format_cell(cell: mpmath.mpf | None) -> str:
     if cell is None:
         return "NA"
-    q = round_half_even_2dp(cell.value)
+    q = round_half_even_2dp(cell)
     return f"{q.numerator / q.denominator:.2f}"
 
 
 def render_csv(ns: Sequence[int], rows) -> str:
-    """Header "n,<n-values>", one row per k, cells at two decimals."""
+    """Header "n,<n-values>", then one line per (k, cells) row at two decimals."""
     lines = [",".join(["n"] + [str(n) for n in ns])]
     for k, cells in rows:
         lines.append(",".join([str(k)] + [format_cell(c) for c in cells]))
     return "\n".join(lines) + "\n"
 
 
-def golden_for(which: str) -> dict[int, tuple[str, ...]]:
-    if which == "sg":
-        return GOLDEN_SG
-    if which == "csg":
-        return GOLDEN_CSG
-    raise ValueError("which must be 'sg' or 'csg'")
-
-
 def compare_to_golden(
     which: str, ns: Sequence[int], rows
 ) -> list[tuple[int, int, str, str]]:
-    """Cells deviating from the reference grid by more than 0.01.
+    """Cells of the (k, cells) rows deviating from the reference grid of
+    which ("sg" or "csg") by more than 0.01.
 
     Returns (k, n, got, expected) tuples; an empty list means every cell
     reproduces the printed value within the tolerance.
     """
-    golden = golden_for(which)
+    golden = GOLDEN[which]
     mismatches = []
     for k, cells in rows:
         if k not in golden:
@@ -247,7 +233,7 @@ def compare_to_golden(
             if cell is None:
                 mismatches.append((k, n, "NA", str(expected)))
                 continue
-            got = mpf_to_fraction(cell.value)
+            got = mpf_to_fraction(cell)
             if abs(got - expected) > Fraction(1, 100):
                 mismatches.append(
                     (k, n, format_cell(cell), golden[k][TABLE_NS.index(n)])

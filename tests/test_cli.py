@@ -134,7 +134,7 @@ def test_auto_brute_check_catches_wrong_cached_count(tmp_path, capsys, monkeypat
     assert "71 (formula) vs 70 (brute)" in err
 
 
-def test_auto_skips_brute_check_of_large_counts(tmp_path, capsys, monkeypatch):
+def test_auto_brute_checks_every_computed_count(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
     enumerated = []
     brute = cli.counts.count_brute
@@ -146,13 +146,11 @@ def test_auto_skips_brute_check_of_large_counts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.counts, "count_brute", spy)
     data = ["--data-dir", str(tmp_path)]  # empty: the moment formula computes the count
     start = time.perf_counter()
-    code, out, err = run([*data, "count", "--k", "3", "--n", "10"], capsys)
-    assert (code, out) == (0, "11180820 formula\n")
-    assert "brute-force check skipped" in err
-    assert enumerated == [] and time.perf_counter() - start < 10
-    # 19,355 graphs are still brute-force checked
+    # the memoised backtracking checks millions of graphs without visiting each
+    assert run([*data, "count", "--k", "3", "--n", "10"], capsys) == (0, "11180820 formula\n", "")
+    assert enumerated == [(3, 10)] and time.perf_counter() - start < 10
     assert run([*data, "count", "--k", "4", "--n", "8"], capsys) == (0, "19355 formula\n", "")
-    assert enumerated == [(4, 8)]
+    assert enumerated == [(3, 10), (4, 8)]
 
 
 @pytest.mark.parametrize(
@@ -334,6 +332,109 @@ def test_bad_values_are_usage_errors(capsys):
     assert code == 2 and "k >= 2" in err
     code, _, err = run(["expand", "csg", "--k", "2", "--order", "1"], capsys)
     assert code == 2
+    code, out, err = run(
+        ["validate", "--which", "sg", "--k", "3", "--n", "10:20:10", "--precision", "8"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: precision below 64 bits is not meaningful here\n"
+    for argv in (
+        ["expand", "sg", "--k", "3", "--order", "-1"],
+        ["expand", "csg", "--k", "3", "--order", "-1"],
+        ["formal-k", "--r", "-1"],
+        ["stirling", "--r", "-1"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
+# Exact output text of the structured formats.
+PINNED_OUTPUTS = {
+    "expand sg --k 3 --order 2 --format json": """[
+  {
+    "k": 3,
+    "r": 0,
+    "coefficient": "2"
+  },
+  {
+    "k": 3,
+    "r": 1,
+    "coefficient": "-71/18"
+  },
+  {
+    "k": 3,
+    "r": 2,
+    "coefficient": "-143/1296"
+  }
+]
+""",
+    "expand csg --k 4 --order 5 --format json": """{
+  "k": 4,
+  "terms": [
+    {
+      "k": 4,
+      "r": 0,
+      "coefficient": "2"
+    },
+    {
+      "k": 4,
+      "r": 1,
+      "coefficient": "-235/24"
+    },
+    {
+      "k": 4,
+      "r": 2,
+      "coefficient": "18289/2304"
+    },
+    {
+      "k": 4,
+      "r": 3,
+      "coefficient": "22776313/1658880"
+    },
+    {
+      "k": 4,
+      "r": 4,
+      "coefficient": "1727827201/63700992"
+    },
+    {
+      "k": 4,
+      "r": 5,
+      "coefficient": "9485657202323/107017666560"
+    }
+  ],
+  "gap_valuation": 5
+}
+""",
+    "expand sg --k 3 --order 2 --format csv": """k,r,coefficient
+3,0,2
+3,1,-71/18
+3,2,-143/1296
+""",
+    "stirling --r 3 --format json": """[
+  {
+    "r": 0,
+    "coefficient": "1"
+  },
+  {
+    "r": 1,
+    "coefficient": "1/12"
+  },
+  {
+    "r": 2,
+    "coefficient": "1/288"
+  },
+  {
+    "r": 3,
+    "coefficient": "-139/51840"
+  }
+]
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
+def test_structured_output_is_pinned(argv, capsys):
+    assert run(argv.split(), capsys) == (0, PINNED_OUTPUTS[argv], "")
 
 
 def test_help_mentions_defaults(capsys):

@@ -6,7 +6,7 @@ import pytest
 from regasym.connected import GapMismatch, csg_tilde, shifted_expansion, valuation_gap
 from regasym.counts import CountTable, count_brute, egf_reciprocal_coeffs
 from regasym.laplace import stirling_series
-from regasym.regular import Envelope, IrrationalPrefactor, sg_series
+from regasym.regular import Envelope, IrrationalPrefactor, sg_expansion
 from regasym.series import Series
 
 CSG_GOLDEN = {
@@ -54,7 +54,7 @@ def test_shifted_expansion_valuation():
     # the j-th shift starts at z^{alpha j} = z^{(k/2-1)j}, alpha*j >= ceil(j/2),
     # with the shift constant times atilde(0) = 2 as its leading coefficient
     for k in (3, 4, 5):
-        atilde = sg_series(k, 2).div(stirling_series(2)).extended(15)
+        atilde = sg_expansion(k, 2).div(stirling_series(2)).extended(15)
         for j in range(0, 11):
             if (j * k) % 2:
                 continue
@@ -66,7 +66,7 @@ def test_shifted_expansion_valuation():
 
 def test_transfer_truncates_high_shifts():
     # a shift whose valuation alpha*j exceeds the order is zero
-    atilde = sg_series(4, 2).div(stirling_series(2))
+    atilde = sg_expansion(4, 2).div(stirling_series(2))
     assert shifted_expansion(atilde, 3, 4) == Series.zero(2)
     assert not shifted_expansion(atilde, 2, 4).is_zero()
 
@@ -86,7 +86,7 @@ def test_csg_dynamic_cutoff_agrees(small_counts):
     r = 2
     for k in (3, 4, 5):
         stirling = stirling_series(r)
-        atilde = sg_series(k, r).div(stirling)
+        atilde = sg_expansion(k, r).div(stirling)
         recip = egf_reciprocal_coeffs(k, 2 * r, small_counts)
         total = Series.zero(r)
         for j in range(2 * r + 1):
@@ -102,7 +102,7 @@ def test_transfer_identity_weight():
     for n in range(0, 7):
         if (3 * n) % 2 == 0:
             empty.put(3, n, 1 if n == 0 else 0, "formula")
-    assert csg_tilde(3, 3, empty) == sg_series(3, 3)
+    assert csg_tilde(3, 3, empty) == sg_expansion(3, 3)
 
 
 def test_csg_k3_z2_indicator_identity(small_counts):
@@ -110,7 +110,7 @@ def test_csg_k3_z2_indicator_identity(small_counts):
     # relative to the plain one, with count(4) from the exact count oracle
     k = 3
     count4 = small_counts.get(3, 4)
-    plain = sg_series(3, 2)[2]
+    plain = sg_expansion(3, 2)[2]
     correction = Fraction(-12 * 6**4 * count4, 3 ** (2 * k - 2) * 144 * k**2)
     assert csg_tilde(3, 2, small_counts)[2] == plain + correction
     assert correction == Fraction(-4, 27)
@@ -142,13 +142,13 @@ def test_valuation_gap_k5(sg_reference):
 def test_agreement_window_k5(sg_reference):
     # the k=5 gap is (6)(3)/2 = 9, so the two series coincide through
     # every order we can reach below it
-    plain = sg_series(5, 6)
+    plain = sg_expansion(5, 6)
     conn = csg_tilde(5, 6, sg_reference)
     assert conn == plain
 
 
 def test_valuation_gap_difference_value(small_counts):
-    diff = csg_tilde(3, 2, small_counts) - sg_series(3, 2)
+    diff = csg_tilde(3, 2, small_counts) - sg_expansion(3, 2)
     assert diff.valuation() == 2
     assert diff[2] == Fraction(-4, 27)
 

@@ -298,7 +298,7 @@ def test_reference_table_absent_is_empty(tmp_path):
 def test_reference_table_extends_to_100():
     for which, k in (("sg", 3), ("sg", 4), ("sg", 5), ("csg", 3), ("csg", 4)):
         t = reference_table(which, k)
-        assert t.known(k, 100)
+        assert t.get(k, 100) > 0
 
 
 def test_ingested_values_equal_formula_values(small_counts):
@@ -306,7 +306,7 @@ def test_ingested_values_equal_formula_values(small_counts):
     for k in (3, 4, 5):
         ref = reference_table("sg", k)
         for (kk, n), value in small_counts.entries.items():
-            if kk == k and ref.known(k, n):
+            if kk == k and (CountTable.structural(k, n) is not None or (k, n) in ref.entries):
                 assert ref.get(k, n) == value, (k, n)
 
 

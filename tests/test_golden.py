@@ -62,7 +62,7 @@ FORMAL_K_3 = (
 
 @pytest.mark.parametrize("k, r", sorted(SG_GOLDEN))
 def test_sg_expansion_golden(k, r):
-    assert sg_expansion(k, r).coeffs == rationals(SG_GOLDEN[k, r])
+    assert sg_expansion(k, r).coefficients == rationals(SG_GOLDEN[k, r])
 
 
 def test_csg_tilde_golden(sg_reference):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from regasym.laplace import (
     DegeneratePhase,
-    PhaseAmplitude,
     expand_direct,
     expand_hadamard,
     factorial_phase,
@@ -26,24 +25,30 @@ def quadratic_plus_log_phase(order):
 
 
 def test_phase_validation():
-    with pytest.raises(ValueError):
-        PhaseAmplitude(Series([1, 0, 1], 4), Series.one(2), Fraction(2))
-    with pytest.raises(DegeneratePhase):
-        PhaseAmplitude(Series([0, 0, 0, 1], 4), Series.one(2), Fraction(0))
-    with pytest.raises(ValueError):
-        PhaseAmplitude(QUAD, Series.one(2), Fraction(3))
+    # every entry point checks the phase: centered, non-degenerate, order >= 2
+    cases = [
+        (Series([1, 0, 1], 4), ValueError),
+        (Series([0, 1, 1], 4), ValueError),
+        (Series([0, 0, 0, 1], 4), DegeneratePhase),
+        (Series([0, 0], 1), InsufficientOrder),
+    ]
+    for phi, error in cases:
+        with pytest.raises(error):
+            psi_from_phase(phi)
+        with pytest.raises(error):
+            expand_hadamard(phi, Series.one(2), 0)
+        with pytest.raises(error):
+            expand_direct(phi, Series.one(2), 0)
 
 
 def test_psi_pure_gaussian():
-    pa = PhaseAmplitude(QUAD, Series.one(14), Fraction(1))
-    assert psi_from_phase(pa) == Series.one(14)
+    assert psi_from_phase(QUAD) == Series.one(14)
 
 
 def test_psi_factorial_phase():
     # oracle: direct expansion of (2(t - log(1+t))/t^2)^(-1/2)
     order = 8
-    pa = PhaseAmplitude(factorial_phase(order + 2), Series.one(order), Fraction(1))
-    psi = psi_from_phase(pa)
+    psi = psi_from_phase(factorial_phase(order + 2))
     direct = (factorial_phase(order + 2).shift_down(2) * 2).pow_rational(Fraction(-1, 2))
     assert psi == direct
     assert psi[0] == 1 and psi[1] == Fraction(1, 3)
@@ -51,21 +56,18 @@ def test_psi_factorial_phase():
 
 def test_psi_of_the_main_phase():
     order = 6
-    pa = PhaseAmplitude(quadratic_plus_log_phase(order + 2), Series.one(order), Fraction(2))
-    psi = psi_from_phase(pa)
+    psi = psi_from_phase(quadratic_plus_log_phase(order + 2))
     assert psi[0] == 1 and psi[1] == Fraction(1, 6)
 
 
 def test_expand_trivial_gaussian():
-    pa = PhaseAmplitude(QUAD, Series.one(12), Fraction(1))
-    exp = expand_hadamard(pa, 4)
+    exp = expand_hadamard(QUAD, Series.one(12), 4)
     assert exp.coefficients == (1, 0, 0, 0, 0)
-    assert expand_direct(pa, 4).coefficients == exp.coefficients
+    assert expand_direct(QUAD, Series.one(12), 4).coefficients == exp.coefficients
 
 
 def test_expand_factorial_phase_golden():
-    pa = PhaseAmplitude(factorial_phase(10), Series.one(8), Fraction(1))
-    exp = expand_hadamard(pa, 3)
+    exp = expand_hadamard(factorial_phase(10), Series.one(8), 3)
     assert exp.coefficients == (
         1,
         Fraction(1, 12),
@@ -76,23 +78,20 @@ def test_expand_factorial_phase_golden():
 
 def test_expand_quadratic_amplitude():
     # A = t^2, phi = t^2/2: [z^1] = 1!! * [t^2] t^2 = 1, others 0
-    pa = PhaseAmplitude(QUAD, Series.monomial(1, 2, 8), Fraction(1))
-    exp = expand_direct(pa, 3)
+    amp = Series.monomial(1, 2, 8)
+    exp = expand_direct(QUAD, amp, 3)
     assert exp.coefficients == (0, 1, 0, 0)
-    assert expand_hadamard(pa, 3).coefficients == exp.coefficients
+    assert expand_hadamard(QUAD, amp, 3).coefficients == exp.coefficients
 
 
 def test_expand_insufficient_order():
-    pa = PhaseAmplitude(QUAD.truncate(4), Series.one(4), Fraction(1))
     with pytest.raises(InsufficientOrder):
-        expand_hadamard(pa, 3)
+        expand_hadamard(QUAD.truncate(4), Series.one(4), 3)
 
 
 def test_constant_coefficient_is_amplitude_at_zero():
-    pa = PhaseAmplitude(
-        quadratic_plus_log_phase(10), Series([Fraction(5, 7), 1, 2, 3] + [0] * 5, 8), Fraction(2)
-    )
-    assert expand_direct(pa, 2).coefficients[0] == Fraction(5, 7)
+    amp = Series([Fraction(5, 7), 1, 2, 3] + [0] * 5, 8)
+    assert expand_direct(quadratic_plus_log_phase(10), amp, 2).coefficients[0] == Fraction(5, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,11 +99,9 @@ def test_constant_coefficient_is_amplitude_at_zero():
 def test_two_formulas_agree_on_random_amplitudes(amp_coeffs, use_main_phase):
     order = 12
     amp = Series(amp_coeffs, order)
-    if use_main_phase:
-        pa = PhaseAmplitude(quadratic_plus_log_phase(order + 2), amp, Fraction(2))
-    else:
-        pa = PhaseAmplitude(factorial_phase(order + 2), amp, Fraction(1))
-    assert expand_hadamard(pa, 6).coefficients == expand_direct(pa, 6).coefficients
+    phase = quadratic_plus_log_phase if use_main_phase else factorial_phase
+    phi = phase(order + 2)
+    assert expand_hadamard(phi, amp, 6).coefficients == expand_direct(phi, amp, 6).coefficients
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,10 +109,9 @@ def test_two_formulas_agree_on_random_amplitudes(amp_coeffs, use_main_phase):
 def test_linearity_in_amplitude(amp_coeffs, c):
     order = 8
     amp = Series(amp_coeffs, order)
-    pa = PhaseAmplitude(factorial_phase(order + 2), amp, Fraction(1))
-    pa_scaled = PhaseAmplitude(factorial_phase(order + 2), amp * c, Fraction(1))
-    base = expand_direct(pa, 4).coefficients
-    scaled = expand_direct(pa_scaled, 4).coefficients
+    phi = factorial_phase(order + 2)
+    base = expand_direct(phi, amp, 4).coefficients
+    scaled = expand_direct(phi, amp * c, 4).coefficients
     assert scaled == tuple(c * x for x in base)
 
 

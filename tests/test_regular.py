@@ -11,14 +11,13 @@ from regasym.regular import (
     c2_series,
     formal_k_interpolate,
     sg_expansion,
-    sg_series,
-    sg_tilde_coeff,
     expansion_psi,
     tree_series,
     u_pq,
     u_pq_lagrange,
     v_pq,
 )
+from regasym.series import Series
 
 GOLDEN = {
     3: (Fraction(2), Fraction(-71, 18), Fraction(-143, 1296)),
@@ -30,6 +29,10 @@ R1_POLY = (Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3), Fraction(0), Fractio
 R2_POLY = tuple(
     Fraction(c, 144) for c in (-71, 234, -239, 36, 50, 6, -16, 0, 1)
 )
+
+
+def variables(p: MPoly) -> set[int]:
+    return {v for m in p.terms for v in mono_exponents(m)}
 
 
 def test_expansion_psi_leading_terms():
@@ -64,7 +67,7 @@ def test_v_pq_values():
 def test_v_pq_uses_only_low_t_variables():
     for p in range(0, 6):
         for q in range(0, 4):
-            vars_used = v_pq(p, q).variables()
+            vars_used = variables(v_pq(p, q))
             assert all(2 <= v <= p + 1 for v in vars_used), (p, q, vars_used)
 
 
@@ -106,12 +109,12 @@ def test_falling_factorial_equals_indicator_form():
 
 def test_golden_fixed_k():
     for k, expected in GOLDEN.items():
-        assert sg_expansion(k, 2).coeffs == expected, k
+        assert sg_expansion(k, 2).coefficients == expected, k
 
 
 def test_z0_is_two_for_all_k():
     for k in range(2, 13):
-        assert sg_tilde_coeff(k, 0) == 2, k
+        assert sg_expansion(k, 0)[0] == 2, k
 
 
 def test_odd_s_slices_die_under_moment_rule():
@@ -129,7 +132,7 @@ def test_core_series_has_no_u_left():
     for k in (3, 5):
         c2 = c2_series(k, 1)
         for m in range(c2.order + 1):
-            assert U_VAR not in c2[m].variables(), (k, m)
+            assert U_VAR not in variables(c2[m]), (k, m)
 
 
 def test_core_series_t_variables_bounded():
@@ -138,7 +141,7 @@ def test_core_series_t_variables_bounded():
         c2 = c2_series(k, r)
         bound = min(k, 2 * r + 2)
         for m in range(c2.order + 1):
-            vars_used = c2[m].variables()
+            vars_used = variables(c2[m])
             assert all(v <= bound for v in vars_used), (k, r, m, vars_used)
 
 
@@ -165,16 +168,15 @@ def test_formal_k_r0_constant():
 def test_formal_k_r1_golden():
     poly = formal_k_interpolate(1)
     assert poly.numerator_coeffs == R1_POLY
-    assert poly.denom_power == 1
     for k in (3, 4, 5, 11):
-        assert poly.evaluate(k) == sg_tilde_coeff(k, 1), k
+        assert poly.evaluate(k) == sg_expansion(k, 1)[1], k
 
 
 def test_formal_k_r2_golden():
     poly = formal_k_interpolate(2)
     assert poly.numerator_coeffs == R2_POLY
     for k in (3, 4, 5):
-        assert poly.evaluate(k) == sg_tilde_coeff(k, 2), k
+        assert poly.evaluate(k) == sg_expansion(k, 2)[2], k
 
 
 def test_formal_k_degree_overflow_detection():
@@ -185,5 +187,5 @@ def test_formal_k_degree_overflow_detection():
 
 
 def test_sg_series_matches_expansion():
-    s = sg_series(4, 2)
-    assert s.coefficients == GOLDEN[4]
+    s = sg_expansion(4, 2)
+    assert s == Series(GOLDEN[4], 2)

@@ -24,3 +24,12 @@ def test_make_reference_counts_reproduces_shipped_prefix(tmp_path, capsys):
         shipped = (DATA_DIR / name).read_text().splitlines()[:13]  # header and n = 0..10
         assert (tmp_path / name).read_text().splitlines() == shipped, name
     assert "cross-table complement check passed" in capsys.readouterr().out
+
+
+def test_reproduce_reference_tables_runs_every_subcommand(capsys):
+    # expand (sg and csg), formal-k and validate (both grids) through cli.main
+    script = load_script("reproduce_reference_tables")
+    assert script.main() == 0
+    out, err = capsys.readouterr()
+    assert "== residual grid, connected counts, r = 3 ==" in out
+    assert "the only deviation is the published cell k=5, n=10" in err

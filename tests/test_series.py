@@ -322,8 +322,9 @@ def test_no_bare_assert_in_package():
 
 
 def test_every_package_definition_has_a_caller():
-    # a top-level function or class that nothing in the package references
-    # is dead code, unless its docstring keeps it as an independent oracle
+    # a top-level function or class, or a public method of a package class,
+    # that nothing in the package references is dead code, unless its
+    # docstring keeps it as an independent oracle
     import ast
     from pathlib import Path
 
@@ -337,12 +338,20 @@ def test_every_package_definition_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append(node)
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    item
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
     unused = [
         node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in used
-        and "oracle" not in (ast.get_docstring(node) or "")
+        for node in definitions
+        if node.name not in used and "oracle" not in (ast.get_docstring(node) or "")
     ]
     assert not unused, f"no caller in the package: {sorted(unused)}"

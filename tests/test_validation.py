@@ -17,7 +17,7 @@ from regasym.validation import (
     render_csv,
     residual,
     residual_cell,
-    residual_table,
+    residual_row,
     round_half_even_2dp,
 )
 
@@ -70,15 +70,15 @@ def test_mpf_to_fraction_exact():
 def test_residual_spot_values(sg_reference, two_regular_table):
     # reference grid cells, two decimals
     cases = [
-        (3, 20, sg_expansion(3, 2).coeffs, "4.05"),
-        (4, 100, sg_expansion(4, 2).coeffs, "14.01"),
+        (3, 20, sg_expansion(3, 2).coefficients, "4.05"),
+        (4, 100, sg_expansion(4, 2).coefficients, "14.01"),
     ]
     for k, n, coeffs, expected in cases:
         cell = residual_cell(k, n, 3, sg_reference, coeffs)
         assert format_cell(cell) == expected, (k, n)
     # the published k=2 row carries one extra subtracted term
     assert published_r("sg", 2, 3) == 4
-    cell = residual_cell(2, 50, published_r("sg", 2, 3), two_regular_table, sg_expansion(2, 3).coeffs)
+    cell = residual_cell(2, 50, published_r("sg", 2, 3), two_regular_table, sg_expansion(2, 3).coefficients)
     assert format_cell(cell) == "1.79"
 
 
@@ -93,13 +93,13 @@ def test_residual_csg_spot_values(csg_reference, sg_reference):
 
 def test_residual_requires_coeffs_and_counts(sg_reference):
     with pytest.raises(ValueError):
-        residual(3, 10, 3, 11180820, sg_expansion(3, 1).coeffs)
+        residual(3, 10, 3, 11180820, sg_expansion(3, 1).coefficients)
 
 
 def test_residual_rejects_odd_degree_sum():
     # n*k odd would leave a half-integer power of n k in the envelope
     with pytest.raises(ValueError, match=r"k=3, n=11"):
-        residual(3, 11, 3, 1, sg_expansion(3, 2).coeffs)
+        residual(3, 11, 3, 1, sg_expansion(3, 2).coefficients)
     with pytest.raises(ValueError, match=r"k=5, n=9"):
         residual(5, 9, 0, 1, [])
 
@@ -111,7 +111,7 @@ def dense_grid_cells(sg_reference, csg_reference):
     """(k, n, r, count, coeffs) for every cell of the dense sg and csg grids."""
     for k in (2, 3, 4, 5):
         r = published_r("sg", k, 3)
-        coeffs = sg_expansion(k, r - 1).coeffs
+        coeffs = sg_expansion(k, r - 1).coefficients
         for n in DENSE_NS:
             count = count_two_regular(n) if k == 2 else sg_reference.get(k, n)
             yield k, n, r, count, coeffs
@@ -148,11 +148,11 @@ def test_precision_underflow_detected_and_retried(sg_reference):
     table.put(3, 10, count, PROV_FORMULA)
     cell = residual_cell(3, 10, 1, table, [near], precision=128)
     high = residual(3, 10, 1, count, [near], precision=1024)
-    assert mpmath.nstr(cell.value, 20) == mpmath.nstr(high, 20)
+    assert mpmath.nstr(cell, 20) == mpmath.nstr(high, 20)
 
 
 def test_precision_doubling_changes_no_printed_digit(sg_reference):
-    coeffs = sg_expansion(3, 2).coeffs
+    coeffs = sg_expansion(3, 2).coefficients
     for n in TABLE_NS:
         low = residual_cell(3, n, 3, sg_reference, coeffs, precision=256)
         high = residual_cell(3, n, 3, sg_reference, coeffs, precision=512)
@@ -161,15 +161,15 @@ def test_precision_doubling_changes_no_printed_digit(sg_reference):
 
 def test_boundedness_smoke(sg_reference):
     # |cell(n=100)| <= max over the printed range + 1
-    coeffs = sg_expansion(5, 2).coeffs
+    coeffs = sg_expansion(5, 2).coefficients
     cells = [residual_cell(5, n, 3, sg_reference, coeffs) for n in TABLE_NS]
-    values = [abs(mpf_to_fraction(c.value)) for c in cells]
+    values = [abs(mpf_to_fraction(c)) for c in cells]
     assert values[-1] <= max(values) + 1
 
 
 def test_render_csv_shape(sg_reference):
-    coeffs = {3: sg_expansion(3, 2).coeffs}
-    rows = residual_table([3], (10, 20), 3, {3: sg_reference}, coeffs)
+    coeffs = sg_expansion(3, 2).coefficients
+    rows = [(3, residual_row(3, (10, 20), 3, sg_reference, coeffs))]
     text = render_csv((10, 20), rows)
     lines = text.strip().splitlines()
     assert lines[0] == "n,10,20"
@@ -193,8 +193,8 @@ RESIDUALS_30 = {
 def test_residual_cell_full_precision(sg_reference, two_regular_table):
     for (k, n), expected in RESIDUALS_30.items():
         table = two_regular_table if k == 2 else sg_reference
-        cell = residual_cell(k, n, 3, table, sg_expansion(k, 2).coeffs)
-        assert mpmath.nstr(cell.value, 30) == expected, (k, n)
+        cell = residual_cell(k, n, 3, table, sg_expansion(k, 2).coefficients)
+        assert mpmath.nstr(cell, 30) == expected, (k, n)
 
 
 def test_envelope_log_matches_shift_constant():
@@ -219,7 +219,7 @@ def test_envelope_log_matches_shift_constant():
 
 def test_missing_cells_render_na():
     empty = CountTable()
-    rows = residual_table([3], (10,), 3, {3: empty}, {3: sg_expansion(3, 2).coeffs})
+    rows = [(3, residual_row(3, (10,), 3, empty, sg_expansion(3, 2).coefficients))]
     assert render_csv((10,), rows).splitlines()[1] == "3,NA"
 
 
@@ -228,8 +228,8 @@ def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_table):
     for k in (2, 3, 4, 5):
         r_eff = published_r("sg", k, 3)
         table = two_regular_table if k == 2 else sg_reference
-        coeffs = sg_expansion(k, r_eff - 1).coeffs
-        rows.extend(residual_table([k], TABLE_NS, r_eff, {k: table}, {k: coeffs}))
+        coeffs = sg_expansion(k, r_eff - 1).coefficients
+        rows.append((k, residual_row(k, TABLE_NS, r_eff, table, coeffs)))
     mismatches = compare_to_golden("sg", TABLE_NS, rows)
     # the single published cell that no exact count reproduces
     assert [(m[0], m[1]) for m in mismatches] == [(5, 10)]
@@ -239,7 +239,7 @@ def test_compare_to_golden_csg_clean(csg_reference, sg_reference):
     rows = []
     for k in (3, 4):
         coeffs = tuple(csg_tilde(k, 2, sg_reference).coefficients)
-        rows.extend(residual_table([k], TABLE_NS, 3, {k: csg_reference[k]}, {k: coeffs}))
+        rows.append((k, residual_row(k, TABLE_NS, 3, csg_reference[k], coeffs)))
     assert compare_to_golden("csg", TABLE_NS, rows) == []
 
 
