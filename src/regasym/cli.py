@@ -117,9 +117,10 @@ def cmd_expand(args: argparse.Namespace, out) -> int:
     table = _load_counts(args, k)
     for m in range(2 * r + 1):
         counts.resolve(table, k, m)
-    records = _records(connected.csg_tilde(k, r, table), k=k)
+    csg = connected.csg_tilde(k, r, table)
+    records = _records(csg, k=k)
     gap_order = (k + 1) * (k - 2) // 2
-    gap = connected.valuation_gap(k, r, table) if r >= gap_order else None
+    gap = connected.valuation_gap(k, csg) if r >= gap_order else None
     _save_cached_counts(args, table)
     _write(out, args.fmt, records, {"k": k, "terms": records, "gap_valuation": gap})
     return EXIT_OK

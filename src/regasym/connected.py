@@ -20,12 +20,14 @@ weight.  A_j has valuation alpha j, checked for every shift, so the sum
 stops once alpha j exceeds r.  (log(1-jz)+jz has valuation 2, so the
 division by z is a genuine series operation; this is checked.)
 
-The two expansions agree through order (k+1)(k-2)/2 - 1 and differ at
-exactly (k+1)(k-2)/2, which :func:`valuation_gap` verifies.
+The two expansions agree through order g - 1 and differ at exactly
+g = (k+1)(k-2)/2, where connected minus plain is
+-2 (k!/k^{k/2})^{k+1} / (k+1)!; :func:`valuation_gap` verifies both.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .counts import CountTable, egf_reciprocal_coeffs
@@ -35,11 +37,14 @@ from .series import Series, SeriesError, ValuationViolation
 
 
 class GapMismatch(SeriesError):
-    """The two expansions differ at the wrong order: a correctness alarm."""
+    """The two expansions first differ at the wrong order or by the wrong
+    amount: a correctness alarm.  ``got`` and ``expected`` are (order,
+    coefficient) pairs of connected minus plain."""
 
-    def __init__(self, k: int, got: int, expected: int, plain: Series, connected: Series):
+    def __init__(self, k: int, got: tuple, expected: tuple, plain: Series, connected: Series):
         super().__init__(
-            f"valuation gap for k={k} is {got}, expected {expected};\n"
+            f"connected minus plain for k={k} starts {got[1]} z^{got[0]}, "
+            f"expected {expected[1]} z^{expected[0]};\n"
             f"  plain     = {plain!r}\n  connected = {connected!r}"
         )
         self.k, self.got, self.expected = k, got, expected
@@ -114,21 +119,23 @@ def csg_tilde(k: int, r: int, counts: CountTable) -> Series:
     return (stirling * total).truncate(r)
 
 
-def valuation_gap(k: int, r: int, counts: CountTable) -> int:
-    """Order of the first disagreement between the two expansions.
+def valuation_gap(k: int, connected: Series) -> int:
+    """Order of the first disagreement between the connected series and the
+    plain one of the same order.
 
-    Must equal (k+1)(k-2)/2; anything else raises GapMismatch with both
-    series attached, as a correctness alarm.
+    The order must be (k+1)(k-2)/2 and the coefficient there
+    -2 shift_constant(k+1) / (k+1)!; anything else raises GapMismatch with
+    both series attached, as a correctness alarm.
     """
-    expected = (k + 1) * (k - 2) // 2
-    if r < expected:
-        raise ValueError(
-            f"r = {r} cannot expose the gap (k+1)(k-2)/2 = {expected}"
-        )
+    r = connected.order
+    order = (k + 1) * (k - 2) // 2
+    if r < order:
+        raise ValueError(f"r = {r} cannot expose the gap (k+1)(k-2)/2 = {order}")
+    expected = (order, -2 * Envelope(k).shift_constant(k + 1) / math.factorial(k + 1))
     plain = sg_expansion(k, r)
-    connected = csg_tilde(k, r, counts)
     diff = connected - plain
-    got = diff.valuation()
+    got_order = diff.valuation()
+    got = (got_order, diff[got_order] if got_order <= r else Fraction(0))
     if got != expected:
         raise GapMismatch(k, got, expected, plain, connected)
-    return got
+    return got_order

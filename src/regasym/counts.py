@@ -110,7 +110,7 @@ class ParseError(CountError):
 
 
 class OffsetMismatch(CountError):
-    """The declared offset disagrees with the first index in the file."""
+    """A b-file does not start at index 0."""
 
 
 class CountTable:
@@ -381,17 +381,16 @@ def count_two_regular(n: int) -> int:
     return a[n]
 
 
-def load_bfile(
-    path: str | Path, k: int, offset: int | None = None, connected: bool = False
-) -> CountTable:
+def load_bfile(path: str | Path, k: int, connected: bool = False) -> CountTable:
     """Parse a plain b-file ("n value" per line, '#' comments) into a table.
 
-    The (k, connected-or-not) meaning of the file is the caller's: the
-    parsed entries are attached to the given k, and the connected flag
-    only decides whether the plain-count structural rules apply.
+    The first entry must be n = 0 (OffsetMismatch otherwise).  The
+    (k, connected-or-not) meaning of the file is the caller's: the parsed
+    entries are attached to the given k, and the connected flag only
+    decides whether the plain-count structural rules apply.
     """
     table = CountTable(enforce_structural=not connected)
-    first_index = None
+    first = True
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -403,12 +402,9 @@ def load_bfile(
             n, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(lineno, raw) from None
-        if first_index is None:
-            first_index = n
-            if offset is not None and n != offset:
-                raise OffsetMismatch(
-                    f"declared offset {offset} but the file starts at index {n}"
-                )
+        if first and n != 0:
+            raise OffsetMismatch(f"a b-file must start at index 0, this one starts at {n}")
+        first = False
         table.put(k, n, value, PROV_INGESTED)
     return table
 
@@ -424,7 +420,7 @@ def reference_table(which: str, k: int, data_dir: str | Path = DATA_DIR) -> Coun
     path = Path(data_dir) / f"{which}_k{k}.txt"
     if not path.exists():
         return CountTable(enforce_structural=not connected)
-    return load_bfile(path, k, offset=0, connected=connected)
+    return load_bfile(path, k, connected=connected)
 
 
 def load_counts(

@@ -3,12 +3,11 @@
 A monomial is one packed ``int`` (packed exponent vectors, Monagan–Pearce
 2007): the exponent of variable v, 0 <= v < MAX_VARS, sits in the
 ``FIELD_BITS``-bit field at bit ``FIELD_BITS * v``, so multiplying
-monomials is integer addition.  The pipeline uses variable 0 for the formal
-square-root placeholder and 1.. for the t variables.  The top bit of each
-field is a guard bit that stored monomials keep clear: an exponent is at
-most ``MAX_EXP``, a sum of two stored monomials never carries into the next
-field, and a product exponent above ``MAX_EXP`` raises
-:class:`ExponentOverflow`.  :func:`mono_exponents` unpacks a monomial.
+monomials is integer addition.  The pipeline uses variables 1.. for the t
+variables.  The top bit of each field is a guard bit that stored monomials
+keep clear: an exponent is at most ``MAX_EXP``, a sum of two stored
+monomials never carries into the next field, and a product exponent above
+``MAX_EXP`` raises :class:`ExponentOverflow`.  :func:`mono_exponents` unpacks a monomial.
 
 :class:`MPoly` holds ``int`` numerators (``terms``, one per monomial) over
 one shared positive denominator ``den``, normalised once per operation so
@@ -241,28 +240,6 @@ class MPoly:
             scale = num * (den // d)
             rows.extend((m1, c1 * scale, part) for m1, c1 in a.terms.items())
         return _sum_rows(rows, den)
-
-    # -- structural helpers -----------------------------------------------
-
-    def subs_square(self, var: int, value: Fraction) -> "MPoly":
-        """Reduce var**2 -> value, leaving exponents of var at 0 or 1."""
-        value = Fraction(value)
-        shift = FIELD_BITS * var
-        split = [(m, c, (m >> shift & _FIELD) >> 1) for m, c in self.terms.items()]
-        top = max((h for _, _, h in split), default=0)
-        p_pow = [value.numerator**h for h in range(top + 1)]
-        q_pow = [value.denominator**h for h in range(top + 1)]
-        out: dict[Monomial, int] = {}
-        get = out.get
-        for m, c, h in split:
-            m -= h << (shift + 1)
-            out[m] = get(m, 0) + c * p_pow[h] * q_pow[top - h]
-        return _reduced({m: c for m, c in out.items() if c}, self.den * q_pow[top])
-
-    def even_part(self, var: int) -> "MPoly":
-        """Terms with an even exponent of ``var``."""
-        odd = 1 << (FIELD_BITS * var)
-        return _reduced({m: c for m, c in self.terms.items() if not m & odd}, self.den)
 
 
 def gaussian_hadamard(p: MPoly, alphas: Mapping[int, Fraction]) -> Fraction:

@@ -20,11 +20,14 @@ Pipeline for fixed k (all arithmetic exact):
   [z^r] F  the moment rule applied to [s^{2r}] C2 with negative weights
            -1/(2k) on t_1 and -1/j on t_j.
 
-The square root 1/sqrt(k) never appears as an irrational: it is carried as
-the formal variable u, u^2 is rewritten to 1/k on the fly, and the final
-sign-sum keeps only the even part, so every stored coefficient is a plain
-Fraction.  The division by s^2 is guarded by a valuation assertion; a
-failure means a transcription bug, never a rounding issue.
+The recipe has factors 1/sqrt(k).  They are absorbed by rescaling
+sigma = s/sqrt(k) and tau = sqrt(k) t_1: then s t_1 = sigma tau, and each
+term s^j t_1^{j-d} / sqrt(k)^d of the B0 rows becomes sigma^j tau^{j-d},
+so every stored coefficient is a plain Fraction.  The core series is built
+in sigma, with tau as variable 1; [s^{2r}] is [sigma^{2r}] / k^r, and tau
+takes the moment weight -1/2.  The division by s^2 is guarded by a
+valuation assertion; a failure means a transcription bug, never a
+rounding issue.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from .laplace import factorial_phase, psi_from_phase
-from .multipoly import MONO_ONE, MPoly, gaussian_hadamard, monomial
+from .multipoly import MPoly, gaussian_hadamard
 from .series import (
     Series,
     SeriesError,
@@ -43,8 +46,6 @@ from .series import (
     lagrange_invert_coeff,
     newton_solve_tree,
 )
-
-U_VAR = 0  # formal placeholder with u^2 = 1/k
 
 
 class DegreeOverflow(Exception):
@@ -188,15 +189,18 @@ def v_pq(p: int, q: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def b0_row(j: int, k: int) -> MPoly:
-    """Row j of the B0 series: a polynomial in u and t_1..t_j.
+    """Row j of the B0 series: the coefficient of sigma^j, a polynomial in
+    tau (variable 1) and t_2..t_j.
 
+    A term of depth a+b+l carries tau^{j-depth}, since
+    s^j t_1^{j-depth} / sqrt(k)^depth = sigma^j tau^{j-depth}.
     The falling factorial prod_{m<a+b+l}(k-m) vanishes automatically as
     soon as a+b+l exceeds k, which is what keeps small k consistent
     without indicator bookkeeping.
     """
     if j < 1:
         raise ValueError("b0_row needs j >= 1")
-    monos = [MPoly({monomial({U_VAR: d, 1: j - d}): 1}) for d in range(j + 1)]
+    monos = [MPoly.variable(1, j - d) for d in range(j + 1)]
     terms = []
     for ell in range(1, j + 1):
         for a in range(0, ell + 1):
@@ -215,11 +219,14 @@ def b0_row(j: int, k: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def c2_series(k: int, r: int) -> Series:
-    """The sign-summed core series to s-order 2r, free of the variable u.
+    """The core series in sigma to order 2r, every coefficient rational.
 
     Assembled per the fixed-k recipe: log(1 + B0) minus the t_2 shift term,
-    an asserted exact division by s^2, the two constant corrections, exp,
-    the even-in-u part doubled, then the T'(s t_1) factor.
+    an asserted exact division by s^2 = k sigma^2, the two constant
+    corrections, exp, then the T'(s t_1) = T'(sigma tau) factor.  The sign
+    sum over +-sqrt(k) maps (sigma, tau) to (-sigma, -tau): on an even
+    sigma slice it only flips the sign of odd powers of tau, which the
+    moment rule drops anyway, so it is the factor 2 and nothing else.
     """
     if k < 2:
         raise ValueError("the pipeline requires k >= 2")
@@ -227,10 +234,6 @@ def c2_series(k: int, r: int) -> Series:
         raise ValueError("the expansion order must be nonnegative")
     n_lo = 2 * r
     n_hi = n_lo + 2
-    invk = Fraction(1, k)
-
-    def red(p: MPoly) -> MPoly:
-        return p.subs_square(U_VAR, invk)
 
     tree = tree_series(max(n_hi, 1))
 
@@ -250,43 +253,30 @@ def c2_series(k: int, r: int) -> Series:
     inv2 = inv * inv
     inv4 = inv2 * inv2
 
-    b0 = Series([MPoly.zero()] + [red(b0_row(j, k)) for j in range(1, n_hi + 1)], n_hi)
-    log_term = (1 + b0).log().map_coeffs(red)
-
-    shift_mpoly = red(
-        MPoly({monomial({U_VAR: 2, 2: 1}): Fraction(k * (k - 1))})
-    )
-    shift_term = (inv2.truncate(n_lo) * shift_mpoly).shift_up(2)
+    b0 = Series([MPoly.zero()] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)
+    log_term = (1 + b0).log()
+    shift_term = (inv2.truncate(n_lo) * MPoly.variable(2, 1, k * (k - 1))).shift_up(2)
 
     numerator = log_term - shift_term
     if numerator[0] or numerator[1]:
         raise ValuationViolation(
-            f"exponent numerator has s-valuation {numerator.valuation()} < 2 (k={k})"
+            f"exponent numerator has sigma-valuation {numerator.valuation()} < 2 (k={k})"
         )
 
-    exponent = -numerator.shift_down(2)
-    exponent = exponent + inv4.truncate(n_lo) * Fraction((k - 1) ** 2, 4)
-    const = red(
-        MPoly(
-            {
-                monomial({U_VAR: 2}): Fraction(2 * k**2 * (k - 1), 4),
-                MONO_ONE: Fraction((1 - k) * (k - 1), 4),
-            }
-        )
+    exponent = (
+        numerator.shift_down(2) * Fraction(-1, k)
+        + inv4.truncate(n_lo) * Fraction((k - 1) ** 2, 4)
+        + (Fraction(k * (k - 1), 2) - Fraction((k - 1) ** 2, 4))
     )
-    exponent = exponent + Series([const], n_lo)
     if exponent[0]:
         raise ValuationViolation(
             f"constant term of the exponent failed to cancel (k={k}): {exponent[0]!r}"
         )
-
-    c1 = exponent.exp().map_coeffs(red)
-    even_doubled = c1.map_coeffs(lambda p: p.even_part(U_VAR) * 2)
-    return (even_doubled * tprime_st1).map_coeffs(red)
+    return exponent.exp() * tprime_st1 * 2
 
 
-def _moment_weights(k: int, r: int) -> dict[int, Fraction]:
-    weights = {1: Fraction(-1, 2 * k)}
+def _moment_weights(r: int) -> dict[int, Fraction]:
+    weights = {1: Fraction(-1, 2)}
     for j in range(2, 2 * r + 3):
         weights[j] = Fraction(-1, j)
     return weights
@@ -295,10 +285,11 @@ def _moment_weights(k: int, r: int) -> dict[int, Fraction]:
 def sg_expansion(k: int, r: int) -> Series:
     """The expansion series [z^0..z^r] for fixed k >= 2, from one core series."""
     c2 = c2_series(k, r)
-    weights = _moment_weights(k, r)
+    weights = _moment_weights(r)
     coeffs = []
     for rho in range(r + 1):
-        value = gaussian_hadamard(c2[2 * rho], weights)
+        # [s^{2 rho}] = [sigma^{2 rho}] / k^rho
+        value = gaussian_hadamard(c2[2 * rho], weights) / Fraction(k) ** rho
         coeffs.append(value if rho % 2 == 0 else -value)
     if coeffs[0] != 2:
         raise ValuationViolation(f"[z^0] must be 2, got {coeffs[0]} (k={k})")

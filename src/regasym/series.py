@@ -15,11 +15,11 @@ use only ``+``, ``-``, ``*``, multiplication by an int or Fraction,
 truthiness as the zero test and the ring's dot product (the sum of s*a*b
 over (scalar, a, b) triples: :meth:`multipoly.MPoly.dot` or
 :func:`fraction_dot`), so both rings share one implementation.  Each
-coefficient of a product, quotient, exp, log or power is one dot product,
-normalised once; the two operands of a product share one ring.
-Division by a series (:meth:`Series.div`) needs a field and so is
-scalar-only; a polynomial-coefficient series with constant term 1 is
-inverted as ``pow_rational(-1)``.
+coefficient of a product, exp, log or power is one dot product,
+normalised once; the two operands of a product share one ring.  Every
+series is inverted as ``pow_rational(-1)`` of a constant term 1:
+division by a series (:meth:`Series.div`) scales the divisor to that
+form, which needs a field and so is scalar-only.
 
 All values are immutable and every operation is a pure function, so the
 types defined here can be shared freely between threads.
@@ -279,7 +279,8 @@ class Series:
         """Exact quotient a/b through the appropriate order, over Fraction.
 
         Requires b(0) != 0, or else valuation(a) >= valuation(b) with the
-        leading powers cancelling (the Laurent-free case).
+        leading powers cancelling (the Laurent-free case).  The divisor,
+        scaled to constant term 1, is inverted by ``pow_rational(-1)``.
         """
         v = b.valuation()
         if v > b.order:
@@ -291,13 +292,8 @@ class Series:
                 )
             return self.shift_down(v).div(b.shift_down(v))
         n = min(self.order, b.order)
-        a, c = self._coeffs, b._coeffs
-        inv0 = 1 / c[0]
-        out = []
-        for m in range(n + 1):
-            terms = [(inv0, a[m], 1)] + [(-inv0, c[i], out[m - i]) for i in range(1, m + 1)]
-            out.append(fraction_dot(terms))
-        return Series(out, n)
+        inv0 = 1 / b[0]
+        return self.truncate(n) * (b.truncate(n) * inv0).pow_rational(-1) * inv0
 
     def shift_down(self, m: int) -> "Series":
         """Divide by x**m; the valuation must be at least m."""

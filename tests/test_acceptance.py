@@ -129,10 +129,10 @@ def test_criterion_6_connected_golden(small_counts):
 
 def test_criterion_7_valuation_gap(small_counts):
     started = time.time()
-    assert valuation_gap(3, 2, small_counts) == 2
+    assert valuation_gap(3, csg_tilde(3, 2, small_counts)) == 2
     diff = csg_tilde(3, 2, small_counts) - sg_expansion(3, 2)
     assert diff[2] == Fraction(-4, 27)
-    assert valuation_gap(4, 5, small_counts) == 5  # agreement through z^4
+    assert valuation_gap(4, csg_tilde(4, 5, small_counts)) == 5  # agreement through z^4
     _report(7, "expansion gap exactly 2 for k=3 (difference -4/27) and 5 for k=4", started, 60.0)
 
 

@@ -312,6 +312,38 @@ def test_corrupt_counts_trip_internal_alarm(tmp_path, capsys):
     assert "internal assertion failed" in err
 
 
+def test_gap_value_alone_trips_internal_alarm(tmp_path, capsys):
+    # two complete graphs on 4 vertices keep the gap at z^2 but double the
+    # difference there: the value check alone must fire
+    src = (cli.counts.DATA_DIR / "sg_k3.txt").read_text().splitlines()
+    lines = [("4 2" if line.startswith("4 ") else line) for line in src]
+    (tmp_path / "sg_k3.txt").write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        ["--data-dir", str(tmp_path), "expand", "csg", "--k", "3", "--order", "2"],
+        capsys,
+    )
+    assert code == cli.EXIT_INTERNAL
+    assert "-8/27 z^2, expected -4/27 z^2" in err
+
+
+def test_expand_csg_transfers_once(capsys, monkeypatch):
+    # the gap check reads the connected series already computed for output
+    calls = []
+    csg_tilde = cli.connected.csg_tilde
+
+    def counted(*args):
+        calls.append(args[:2])
+        return csg_tilde(*args)
+
+    monkeypatch.setattr(cli.connected, "csg_tilde", counted)
+    code, out, _ = run(
+        ["expand", "csg", "--k", "4", "--order", "12", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["gap_valuation"] == 5
+    assert calls == [(4, 12)]
+
+
 def test_low_valuation_shift_trips_internal_alarm(capsys, monkeypatch):
     # a shift below valuation alpha*j is a transcription bug: the per-shift
     # check in the transfer loop must fire and map to the internal exit

@@ -129,14 +129,14 @@ def test_csg_missing_counts_propagate():
 
 
 def test_valuation_gap_values(small_counts):
-    assert valuation_gap(3, 2, small_counts) == 2
-    assert valuation_gap(4, 5, small_counts) == 5
+    assert valuation_gap(3, csg_tilde(3, 2, small_counts)) == 2
+    assert valuation_gap(4, csg_tilde(4, 5, small_counts)) == 5
 
 
 def test_valuation_gap_k5(sg_reference):
     # half-integer alpha = 3/2: only even shifts contribute, and the gap is
     # (6)(3)/2 = 9 from the shipped counts
-    assert valuation_gap(5, 9, sg_reference) == 9
+    assert valuation_gap(5, csg_tilde(5, 9, sg_reference)) == 9
 
 
 def test_agreement_window_k5(sg_reference):
@@ -147,15 +147,23 @@ def test_agreement_window_k5(sg_reference):
     assert conn == plain
 
 
-def test_valuation_gap_difference_value(small_counts):
-    diff = csg_tilde(3, 2, small_counts) - sg_expansion(3, 2)
-    assert diff.valuation() == 2
-    assert diff[2] == Fraction(-4, 27)
+def test_valuation_gap_difference_value(small_counts, sg_reference):
+    # the first nonzero coefficient of connected minus plain is
+    # -2 shift_constant(k+1) / (k+1)!, at the gap order
+    for k, r, counts, value in (
+        (3, 2, small_counts, Fraction(-4, 27)),
+        (4, 5, small_counts, Fraction(-81, 640)),
+        (5, 9, sg_reference, Fraction(-2654208, 9765625)),
+    ):
+        diff = csg_tilde(k, r, counts) - sg_expansion(k, r)
+        assert diff.valuation() == r, k
+        assert diff[r] == value, k
+        assert value == -2 * Envelope(k).shift_constant(k + 1) / math.factorial(k + 1), k
 
 
 def test_valuation_gap_needs_enough_order(small_counts):
     with pytest.raises(ValueError):
-        valuation_gap(4, 3, small_counts)
+        valuation_gap(4, csg_tilde(4, 3, small_counts))
 
 
 def test_gap_mismatch_alarm(small_counts):
@@ -165,7 +173,21 @@ def test_gap_mismatch_alarm(small_counts):
     for (k, n), v in small_counts.entries.items():
         bad.put(k, n, v if (k, n) != (3, 4) else 0, "formula")
     with pytest.raises(GapMismatch):
-        valuation_gap(3, 2, bad)
+        valuation_gap(3, csg_tilde(3, 2, bad))
+
+
+def test_gap_value_mismatch_alarm(small_counts):
+    # two complete graphs on 4 vertices double the z^2 correction: the gap
+    # order stays 2, only its value is wrong, and the alarm must still fire
+    bad = CountTable()
+    for (k, n), v in small_counts.entries.items():
+        bad.put(k, n, v if (k, n) != (3, 4) else 2, "formula")
+    connected = csg_tilde(3, 2, bad)
+    assert (connected - sg_expansion(3, 2)).valuation() == 2
+    with pytest.raises(GapMismatch) as err:
+        valuation_gap(3, connected)
+    assert err.value.got == (2, Fraction(-8, 27))
+    assert err.value.expected == (2, Fraction(-4, 27))
 
 
 # -- consistency with raw enumeration ------------------------------------------------

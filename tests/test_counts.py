@@ -270,10 +270,11 @@ def test_load_bfile_parse_error(tmp_path):
 
 
 def test_load_bfile_offset(tmp_path):
+    # every b-file starts at n = 0; comments and blank lines do not count
     path = tmp_path / "b.txt"
-    path.write_text("5 1\n6 0\n")
+    path.write_text("# starts late\n\n5 1\n6 0\n")
     with pytest.raises(OffsetMismatch):
-        load_bfile(path, 3, offset=0)
+        load_bfile(path, 3)
 
 
 def test_reference_tables_cross_checked():

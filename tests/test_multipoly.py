@@ -70,18 +70,6 @@ def ref_mul(a, b):
     return clean(out)
 
 
-def ref_subs_square(a, var, value):
-    out = {}
-    for mono, c in a.items():
-        exps = dict(mono)
-        e = exps.pop(var, 0)
-        if e % 2:
-            exps[var] = 1
-        m = tuple(sorted(exps.items()))
-        out[m] = out.get(m, 0) + c * value ** (e // 2)
-    return clean(out)
-
-
 def ref_moment(a, alphas):
     total = Fraction(0)
     for mono, c in a.items():
@@ -126,10 +114,6 @@ def test_kernel_matches_reference_model(a, b, c, bound):
     assert_matches(pa * 3, {m: x * 3 for m, x in a.items()})
     weighted = {m: x for m, x in ref_mul(a, b).items() if sum(v * e for v, e in m) <= bound}
     assert_matches(pa.mul(pb, bound), weighted)
-    for var in (0, 2):
-        assert_matches(pa.subs_square(var, c), ref_subs_square(a, var, c))
-        even = {m: x for m, x in a.items() if dict(m).get(var, 0) % 2 == 0}
-        assert_matches(pa.even_part(var), even)
     alphas = {v: Fraction((-1) ** v * (v + 1), v + 2) for v in range(4)}
     assert gaussian_hadamard(pa * pb, alphas) == ref_moment(ref_mul(a, b), alphas)
 
@@ -251,17 +235,6 @@ def test_mpoly_pow():
         + MPoly.variable(1) * 3
         + MPoly.const(1)
     )
-
-
-def test_subs_square():
-    p = MPoly.variable(0, 5) + MPoly.variable(0, 2) * MPoly.variable(1)
-    reduced = p.subs_square(0, Fraction(1, 3))
-    assert reduced == MPoly.variable(0) * Fraction(1, 9) + MPoly.variable(1) * Fraction(1, 3)
-
-
-def test_even_part():
-    p = MPoly.variable(0, 2) + MPoly.variable(0) + MPoly.const(5)
-    assert p.even_part(0) == MPoly.variable(0, 2) + MPoly.const(5)
 
 
 # -- moment rule ----------------------------------------------------------------

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial
+from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents
 from regasym.regular import (
     DegreeOverflow,
-    U_VAR,
     _lagrange_interpolate,
     b0_row,
     c2_series,
@@ -77,22 +76,24 @@ def test_b0_row_one_vanishes():
 
 
 def test_b0_row_two_hand_enumeration():
-    # (l=1,a=0,b=1): k(k-1) u^2 t2; (l=1,a=1,b=0): k(k-1)^2/2 u^2;
-    # (l=2,a=0,b=0): k(k-1)/2 u^2
+    # every term of row 2 has depth 2, so tau^0:
+    # (l=1,a=0,b=1): k(k-1) t2; (l=1,a=1,b=0): k(k-1)^2/2; (l=2,a=0,b=0): k(k-1)/2
     for k in (3, 4, 7):
         expected = (
-            MPoly({monomial({U_VAR: 2, 2: 1}): Fraction(k * (k - 1))})
-            + MPoly.variable(U_VAR, 2) * Fraction(k * (k - 1) ** 2, 2)
-            + MPoly.variable(U_VAR, 2) * Fraction(k * (k - 1), 2)
+            MPoly.variable(2, 1, k * (k - 1))
+            + Fraction(k * (k - 1) ** 2, 2)
+            + Fraction(k * (k - 1), 2)
         )
         assert b0_row(2, k) == expected, k
 
 
 def test_falling_factorial_kills_deep_terms():
-    # for k=3 every term with a+b+l > 3 vanishes, so row 4 only has depth <= 3
+    # for k=3 every term with a+b+l > 3 vanishes, so row 4 only has depth <= 3,
+    # that is tau-degree 4 - depth >= 1
     row = b0_row(4, 3)
+    assert row
     for mono in row.terms:
-        assert mono_exponents(mono).get(U_VAR, 0) <= 3
+        assert mono_exponents(mono).get(1, 0) >= 4 - 3
 
 
 def test_falling_factorial_equals_indicator_form():
@@ -118,31 +119,25 @@ def test_z0_is_two_for_all_k():
 
 
 def test_odd_s_slices_die_under_moment_rule():
-    # every odd-s slice of the core series is killed by the moment rule,
-    # so pruning those slices cannot change any extracted coefficient
+    # every odd-sigma slice of the core series is killed by the moment rule
+    # (tau has weight -1/2), so pruning those slices cannot change any
+    # extracted coefficient
     for k in (3, 4):
         c2 = c2_series(k, 2)
-        weights = {1: Fraction(-1, 2 * k)}
+        weights = {1: Fraction(-1, 2)}
         weights.update({j: Fraction(-1, j) for j in range(2, 7)})
         for m in range(1, c2.order + 1, 2):
             assert gaussian_hadamard(c2[m], weights) == 0, (k, m)
 
 
-def test_core_series_has_no_u_left():
-    for k in (3, 5):
-        c2 = c2_series(k, 1)
-        for m in range(c2.order + 1):
-            assert U_VAR not in variables(c2[m]), (k, m)
-
-
 def test_core_series_t_variables_bounded():
-    # [s^m] uses no t_j beyond min(k, 2r+2)
+    # [sigma^m] uses tau (variable 1) and no t_j beyond min(k, 2r+2)
     for k, r in ((2, 2), (3, 2), (4, 2)):
         c2 = c2_series(k, r)
         bound = min(k, 2 * r + 2)
         for m in range(c2.order + 1):
             vars_used = variables(c2[m])
-            assert all(v <= bound for v in vars_used), (k, r, m, vars_used)
+            assert all(1 <= v <= bound for v in vars_used), (k, r, m, vars_used)
 
 
 def test_lagrange_interpolation_exact():
