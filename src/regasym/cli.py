@@ -9,6 +9,10 @@ validate  residual grid against ingested counts, checked against the
           published reference values when --r is 3 (the published order)
 stirling  coefficients of the factorial correction series
 
+Only ``validate`` loads the numerical harness :mod:`regasym.validation`
+and, with it, mpmath: it is imported inside :func:`cmd_validate`, so every
+other subcommand runs on the exact layers alone and starts faster.
+
 Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
 alarm, never a user error), 4 interpolation degree overflow, 5 count
 mismatch (the formula against brute force, or a cached count against a
@@ -36,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import connected, counts, laplace, regular, validation
+from . import connected, counts, laplace, regular
 from .series import Series, SeriesError, ValuationViolation, rational_str
 
 EXIT_OK = 0
@@ -165,7 +169,10 @@ def cmd_count(args: argparse.Namespace, out) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, out) -> int:
-    if args.precision < 64:
+    from . import validation  # the one subcommand that needs mpmath
+
+    precision = validation.DEFAULT_PRECISION if args.precision is None else args.precision
+    if precision < 64:
         raise ValueError("precision below 64 bits is not meaningful here")
     which, r = args.which, args.r
     ks, ns = parse_int_list(args.k), parse_int_list(args.n)
@@ -188,7 +195,7 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
             for m in range(2 * (k_r - 1) + 1):
                 counts.resolve(sg_table, k, m)
             coeffs = connected.csg_tilde(k, k_r - 1, sg_table).coefficients
-        rows.append((k, validation.residual_row(k, ns, k_r, table, coeffs, args.precision)))
+        rows.append((k, validation.residual_row(k, ns, k_r, table, coeffs, precision)))
     out.write(validation.render_csv(ns, rows))
 
     if r != validation.GOLDEN_R:  # the published grids exist at r = 3 only
@@ -262,9 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=str, required=True, help='comma list, e.g. "2,3,4,5"')
     p.add_argument("--n", type=str, required=True, help='comma list or range, e.g. "10:100:10"')
     p.add_argument("--r", type=int, default=3, help="residual order (default 3, as published)")
+    # the default is validation.DEFAULT_PRECISION, read in cmd_validate so that
+    # parsing does not load mpmath; a test keeps this help text equal to it
     p.add_argument(
-        "--precision", type=int, default=validation.DEFAULT_PRECISION,
-        help=f"working precision in bits (default {validation.DEFAULT_PRECISION})",
+        "--precision", type=int, default=None,
+        help="working precision in bits (default 256)",
     )
 
     p = sub.add_parser("stirling", help="factorial correction series")

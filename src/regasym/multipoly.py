@@ -38,6 +38,7 @@ MAX_VARS = 64
 
 MONO_ONE: Monomial = 0
 _FIELD = (1 << FIELD_BITS) - 1
+_HALF = _FIELD >> 1  # an even exponent's field, shifted right by one
 _LOW = sum(1 << (FIELD_BITS * v) for v in range(MAX_VARS))  # bit 0 of every field
 _GUARD = _LOW << (FIELD_BITS - 1)  # top bit of every field
 
@@ -245,32 +246,36 @@ class MPoly:
 def gaussian_hadamard(p: MPoly, alphas: Mapping[int, Fraction]) -> Fraction:
     """Formal Gaussian-moment evaluation: sum of coeff * prod alphas[v]**(e_v/2) * (e_v-1)!!.
 
-    Monomials with an odd exponent contribute 0.  The sum is taken in
-    integers over den * prod_v denominator(alphas[v])**H_v, with H_v the
-    largest half-exponent of v among the surviving monomials.
+    Monomials with an odd exponent contribute 0.  The half-exponent e_v/2 of
+    a weighted variable v is read from its field by shift and mask; any other
+    nonzero field raises :class:`MissingWeight`.  The sum is taken in integers
+    over den * prod_v denominator(alphas[v])**H_v, with H_v the largest
+    half-exponent of v among the surviving monomials.
     """
-    live = [
-        (num, {v: e >> 1 for v, e in mono_exponents(m).items()})
-        for m, num in p.terms.items()
-        if not m & _LOW
-    ]
-    top: dict[int, int] = {}
-    for _, halves in live:
-        for v, h in halves.items():
-            top[v] = max(top.get(v, 0), h)
-    for v in top:
-        if v not in alphas:
-            raise MissingWeight(v)
-    factor = {}
+    live = [(m, num) for m, num in p.terms.items() if not m & _LOW]
+    monos = [m for m, _ in live]
+    present = reduce(or_, monos, 0)
+    weighted = reduce(or_, (_FIELD << (FIELD_BITS * v) for v in alphas), 0)
+    stray = present & ~weighted
+    if stray:
+        raise MissingWeight(((stray & -stray).bit_length() - 1) // FIELD_BITS)
     den = p.den
-    for v, hv in top.items():
-        a = Fraction(alphas[v])
+    columns = []  # (shift to the half-exponent of v, its factor per half-exponent)
+    for v, a in alphas.items():
+        shift = FIELD_BITS * v + 1  # bit 0 of every surviving field is clear
+        if not present >> shift & _HALF:
+            continue
+        hv = max([m >> shift & _HALF for m in monos])
+        a = Fraction(a)
         den *= a.denominator**hv
-        for h in range(hv + 1):
-            factor[v, h] = a.numerator**h * double_factorial(2 * h - 1) * a.denominator ** (hv - h)
+        factor = [
+            a.numerator**h * double_factorial(2 * h - 1) * a.denominator ** (hv - h)
+            for h in range(hv + 1)
+        ]
+        columns.append((shift, factor))
     total = 0
-    for num, halves in live:
-        for v in top:
-            num *= factor[v, halves.get(v, 0)]
+    for m, num in live:
+        for shift, factor in columns:
+            num *= factor[m >> shift & _HALF]
         total += num
     return Fraction(total, den)

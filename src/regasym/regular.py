@@ -33,9 +33,9 @@ rounding issue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .laplace import factorial_phase, psi_from_phase
 from .multipoly import MPoly, gaussian_hadamard
@@ -61,13 +61,13 @@ class IrrationalPrefactor(SeriesError):
     skipped before they reach any arithmetic."""
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """The growth envelope (n k/e)^{n k/2} / k!^n * e^{-(k^2-1)/4} / sqrt(2).
 
     Held exactly: the exponent k/2 of n k/e, the exponent -(k^2-1)/4 of the
     constant factor e, and the rational per-shift constant of the connected
     transfer.  The residual harness evaluates the same object numerically.
+    An immutable value, compared and hashed by k.
     """
 
     k: int
@@ -89,9 +89,9 @@ class Envelope:
         return Fraction(math.factorial(self.k) ** j, self.k ** (self.k * j // 2))
 
 
-@dataclass(frozen=True)
-class FormalKPolynomial:
-    """[z^r] F multiplied by k^r, as one polynomial valid for k >= 2r+2."""
+class FormalKPolynomial(NamedTuple):
+    """[z^r] F multiplied by k^r, as one polynomial valid for k >= 2r+2;
+    an immutable value."""
 
     r: int
     numerator_coeffs: tuple[Fraction, ...]

@@ -29,8 +29,8 @@ exists, and :func:`render_csv` and :func:`compare_to_golden` read the rows.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,8 +39,6 @@ from mpmath.libmp import from_rational, round_nearest
 
 from .counts import CountTable, MissingCount
 from .regular import Envelope
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_PRECISION = 256
 
@@ -152,7 +150,8 @@ def residual_row(
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
 ) -> list[mpmath.mpf | None]:
-    """The cells of one k over ns; a cell with no count is None (and logged).
+    """The cells of one k over ns; a cell with no count is None, with one
+    line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
     is None as well.
@@ -165,7 +164,7 @@ def residual_row(
         try:
             cells.append(residual_cell(k, n, r, table, coeffs, precision))
         except MissingCount as exc:
-            logger.warning("no residual for k=%d, n=%d: %s", k, n, exc)
+            sys.stderr.write(f"no residual for k={k}, n={n}: {exc}\n")
             cells.append(None)
     return cells
 

@@ -22,6 +22,18 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_fresh(*python_args):
+    """Run python with the given arguments in a fresh interpreter, with this
+    regasym first on the path and no count cache directory from the environment."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop(cli.ENV_CACHE_DIR, None)
+    return subprocess.run(
+        [sys.executable, *python_args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_stirling_plain(capsys):
     code, out, _ = run(["stirling", "--r", "3"], capsys)
     assert code == 0
@@ -291,6 +303,58 @@ def test_validate_csg(capsys):
     assert out.strip().splitlines()[1].endswith("2.31")
 
 
+def test_validate_missing_count_warning_text():
+    # no connected k = 5 counts exist: each cell is NA with one stderr line,
+    # which pytest's log capture would swallow in process
+    proc = run_fresh("-m", "regasym", *"validate --which csg --k 5 --n 10:14:2 --r 3".split())
+    assert (proc.returncode, proc.stdout) == (0, "n,10,12,14\n5,NA,NA,NA\n")
+    assert proc.stderr == "".join(
+        f"no residual for k=5, n={n}: no count available for k=5, n={n}\n" for n in (10, 12, 14)
+    )
+
+
+def test_validate_default_precision_is_256(capsys):
+    argv = ["validate", "--which", "sg", "--k", "3,5", "--n", "10:30:10", "--r", "4"]
+    default = run(argv, capsys)
+    assert default[0] == cli.EXIT_OK and default[1].startswith("n,10,20,30\n3,")
+    assert default == run([*argv, "--precision", "256"], capsys)
+    for precision in ("32", "63"):
+        assert run([*argv, "--precision", precision], capsys) == (
+            cli.EXIT_USAGE, "", "error: precision below 64 bits is not meaningful here\n"
+        )
+
+
+# validate loads the numerical harness and mpmath, and no other subcommand
+# does; no subcommand loads the standard library modules listed after them.
+NUMERICAL = ("mpmath", "regasym.validation")
+IMPORT_BUDGET_SCRIPT = f"""
+import sys
+from regasym import cli
+code = cli.main(sys.argv[1:])
+loaded = [m for m in {NUMERICAL + ("dataclasses", "inspect", "logging")!r} if m in sys.modules]
+expected = {list(NUMERICAL)!r} if sys.argv[1] == "validate" else []
+sys.exit(code if loaded == expected else f"loaded {{loaded}}, expected {{expected}}")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --k 3 --n 6",
+        "expand sg --k 3 --order 2",
+        "expand csg --k 3 --order 2",
+        "formal-k --r 1",
+        "stirling --r 3",
+        "validate --which sg --k 3 --n 10:20:10",
+    ],
+)
+def test_only_validate_loads_the_numerical_harness(argv):
+    # pytest itself has loaded these modules, so each command runs in a fresh interpreter
+    proc = run_fresh("-c", IMPORT_BUDGET_SCRIPT, *argv.split())
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, ""), proc.stderr
+    assert proc.stdout
+
+
 def test_validate_empty_range(capsys):
     code, out, _ = run(["validate", "--which", "sg", "--k", "3", "--n", "", "--r", "3"], capsys)
     assert code == 0
@@ -470,11 +534,18 @@ def test_structured_output_is_pinned(argv, capsys):
 
 
 def test_help_mentions_defaults(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["count", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "--method" in out and "default auto" in out
+    from regasym import validation
+
+    for argv, expected in (
+        (["count", "--help"], "--method"),
+        (["count", "--help"], "default auto"),
+        # the parser does not load the harness, so its default is restated here
+        (["validate", "--help"], f"in bits (default {validation.DEFAULT_PRECISION})"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 0
+        assert expected in " ".join(capsys.readouterr().out.split())
 
 
 def test_determinism(capsys):
@@ -524,11 +595,6 @@ def test_cross_check_alarm_survives_optimize(route):
         + patch
         + "sys.exit(cli.main(['expand', 'sg', '--k', '3', '--order', '2']))\n"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = run_fresh("-O", "-c", script)
     assert proc.returncode == cli.EXIT_INTERNAL, proc.stderr
     assert "internal assertion failed" in proc.stderr and message in proc.stderr, proc.stderr

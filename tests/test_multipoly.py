@@ -267,6 +267,70 @@ def test_moment_missing_weight_names_variable():
     assert err.value.var == 9
 
 
+def dict_gaussian_hadamard(p: MPoly, alphas) -> Fraction:
+    """The moment rule read through one var -> half-exponent dict per
+    surviving monomial, summed in integers over one denominator: the oracle
+    for the shift-and-mask reading of the fields."""
+    live = [
+        (num, {v: e >> 1 for v, e in mono_exponents(m).items()})
+        for m, num in p.terms.items()
+        if all(e % 2 == 0 for e in mono_exponents(m).values())
+    ]
+    top: dict[int, int] = {}
+    for _, halves in live:
+        for v, h in halves.items():
+            top[v] = max(top.get(v, 0), h)
+    for v in top:
+        if v not in alphas:
+            raise MissingWeight(v)
+    factor = {}
+    den = p.den
+    for v, hv in top.items():
+        a = Fraction(alphas[v])
+        den *= a.denominator**hv
+        for h in range(hv + 1):
+            factor[v, h] = a.numerator**h * double_factorial(2 * h - 1) * a.denominator ** (hv - h)
+    total = 0
+    for num, halves in live:
+        for v in top:
+            num *= factor[v, halves.get(v, 0)]
+        total += num
+    return Fraction(total, den)
+
+
+# variables at both ends of the packed word, so every field position is read
+MOMENT_VARS = (0, 1, 2, 5, MAX_VARS - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.dictionaries(
+            st.sampled_from(MOMENT_VARS),
+            st.integers(1, 5).map(lambda h: 2 * h) | st.integers(1, 9),
+            max_size=4,
+        ).map(monomial),
+        small_fractions(),
+        max_size=8,
+    ).map(MPoly),
+    st.dictionaries(st.sampled_from(MOMENT_VARS), small_fractions(max_num=7, max_den=9)),
+)
+def test_moment_matches_dict_oracle(p, alphas):
+    try:
+        expected = dict_gaussian_hadamard(p, alphas)
+    except MissingWeight as exc:
+        surviving = [
+            mono_exponents(m) for m in p.terms if all(e % 2 == 0 for e in mono_exponents(m).values())
+        ]
+        missing = {v for exps in surviving for v in exps} - alphas.keys()
+        assert exc.var in missing
+        with pytest.raises(MissingWeight) as err:
+            gaussian_hadamard(p, alphas)
+        assert err.value.var == min(missing)
+    else:
+        assert gaussian_hadamard(p, alphas) == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(mpoly_strategy(), mpoly_strategy(), small_fractions())
 def test_moment_linear(p, q, c):

@@ -5,6 +5,8 @@ import pytest
 from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents
 from regasym.regular import (
     DegreeOverflow,
+    Envelope,
+    FormalKPolynomial,
     _lagrange_interpolate,
     b0_row,
     c2_series,
@@ -179,6 +181,19 @@ def test_formal_k_degree_overflow_detection():
     # points cannot fit a single polynomial: the verification must catch it
     with pytest.raises(DegreeOverflow):
         formal_k_interpolate(1, kmin=4, samples=2)
+
+
+def test_records_are_immutable_values():
+    env = Envelope(4)
+    poly = FormalKPolynomial(1, R1_POLY)
+    for record, field in ((env, "k"), (poly, "r"), (poly, "numerator_coeffs"), (env, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+    assert env.k == 4 and poly.r == 1 and poly.numerator_coeffs == R1_POLY
+    assert env == Envelope(4) and env != Envelope(5)
+    assert poly == formal_k_interpolate(1) and poly != FormalKPolynomial(2, R1_POLY)
+    assert len({env, Envelope(4), Envelope(5)}) == 2
+    assert hash(poly) == hash(formal_k_interpolate(1))
 
 
 def test_sg_series_matches_expansion():
