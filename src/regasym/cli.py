@@ -26,8 +26,8 @@ always produce byte-identical output.
 
 Each subcommand is bound to its ``cmd_*`` function with ``set_defaults``
 and reads the parsed arguments directly.  A value argparse cannot reject
-(a precision below 64 bits, a negative order) raises ValueError where it
-is read and exits 2.  Coefficient lists are written from one record per
+(a precision below 64 bits, a negative order or n) raises ValueError where
+it is read and exits 2.  Coefficient lists are written from one record per
 coefficient ({k, r, coefficient}, or {r, coefficient} for stirling) as
 plain values, CSV lines or JSON.
 """
@@ -109,15 +109,19 @@ def _write(out, fmt: str, records: list[dict], doc=None):
     out.write("\n".join(lines) + "\n")
 
 
+def _check_k(which: str, k: int):
+    if which == "sg" and k < 2:
+        raise ValueError("plain expansion requires k >= 2")
+    if which == "csg" and k < 3:
+        raise ValueError("connected expansion requires k >= 3")
+
+
 def cmd_expand(args: argparse.Namespace, out) -> int:
     k, r = args.k, args.order
+    _check_k(args.which, k)
     if args.which == "sg":
-        if k < 2:
-            raise ValueError("plain expansion requires k >= 2")
         _write(out, args.fmt, _records(regular.sg_expansion(k, r), k=k))
         return EXIT_OK
-    if k < 3:
-        raise ValueError("connected expansion requires k >= 3")
     table = _load_counts(args, k)
     for m in range(2 * r + 1):
         counts.resolve(table, k, m)
@@ -175,6 +179,8 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
     if precision < 64:
         raise ValueError("precision below 64 bits is not meaningful here")
     which, r = args.which, args.r
+    if r < 0:
+        raise ValueError("the residual order must be nonnegative")
     ks, ns = parse_int_list(args.k), parse_int_list(args.n)
     if not ns:
         out.write("n\n")
@@ -182,19 +188,23 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
 
     rows = []
     for k in ks:
+        _check_k(which, k)
         k_r = validation.published_r(which, k, r)
         sg_table = _load_counts(args, k)
+        coeffs = ()  # at k_r = 0 nothing is subtracted
         if which == "sg":
             table = sg_table
             if k == 2:
                 for n in ns:
                     counts.resolve(table, 2, n)
-            coeffs = regular.sg_expansion(k, k_r - 1).coefficients
+            if k_r:
+                coeffs = regular.sg_expansion(k, k_r - 1).coefficients
         else:
             table = counts.reference_table("csg", k, args.data_dir)
             for m in range(2 * (k_r - 1) + 1):
                 counts.resolve(sg_table, k, m)
-            coeffs = connected.csg_tilde(k, k_r - 1, sg_table).coefficients
+            if k_r:
+                coeffs = connected.csg_tilde(k, k_r - 1, sg_table).coefficients
         rows.append((k, validation.residual_row(k, ns, k_r, table, coeffs, precision)))
     out.write(validation.render_csv(ns, rows))
 

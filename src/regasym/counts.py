@@ -35,7 +35,8 @@ count_* functions are pure; a CountTable is the one mutable object here,
 intended for a single writer with concurrent readers between writes.
 Table lookups answer the structural cases without storage: the empty
 graph gives 1, there is no k-regular graph on 1..k vertices, and none
-at all when n*k is odd.
+at all when n*k is odd.  A negative n is a ValueError there, so every
+route rejects it.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ class CountTable:
 
     @staticmethod
     def structural(k: int, n: int) -> int | None:
-        """Counts forced by structure alone, None when a real count is needed."""
+        """Counts forced by structure alone, None when a real count is needed;
+        ValueError for a negative n."""
+        if n < 0:
+            raise ValueError(f"(k={k}, n={n}): the number of vertices must be nonnegative")
         if n == 0:
             return 1
         if (n * k) % 2:
@@ -283,12 +287,9 @@ def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     """
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds the brute-force limit {limit}")
-    if n == 0:
-        return 1
-    if k >= n or (n * k) % 2:
-        return 0
-    if k == 0:
-        return 1
+    s = CountTable.structural(k, n)
+    if s is not None:
+        return s
     memo: dict[tuple[int, ...], int] = {(): 1}
 
     def fill(degrees: tuple[int, ...]) -> int:

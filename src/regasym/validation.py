@@ -15,9 +15,12 @@ h = n k / 2 (an integer whenever a count is positive) the quotient is
     count / envelope = [count k!^n / (n k)^h] * e^{h + (k^2-1)/4} * sqrt(2),
 
 and floats enter only here: the bracket is an exact integer quotient,
-rounded to the working precision once, and exp of the exact rational
-argument and sqrt(2) are the only transcendental values, so no expansion is
-ever used to validate itself.  The coefficients enter as exact rationals
+rounded to the working precision once, and e^h and the constant
+e^{(k^2-1)/4} sqrt(2) are the only transcendental values, so no expansion
+is ever used to validate itself.  e^h is evaluated per cell (above ~600
+bits mpmath takes e to an integer power from its cached e); the constant is
+evaluated once per (k, precision) and memoised, so each precision of the
+doubling retry gets its own.  The coefficients enter as exact rationals
 in the subtracted partial sum.  Cells print with two decimals, rounding
 half to even, and doubling the working precision must not change a
 printed digit.
@@ -29,6 +32,7 @@ exists, and :func:`render_csv` and :func:`compare_to_golden` read the rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -72,6 +76,14 @@ def published_r(which: str, k: int, r: int) -> int:
     return r + PUBLISHED_EXTRA_TERMS.get((which, k), 0)
 
 
+@functools.lru_cache(maxsize=64)
+def _envelope_constant(k: int, precision: int) -> mpmath.mpf:
+    """e^{(k^2-1)/4} * sqrt(2) at the given precision, evaluated once per (k, precision)."""
+    c = -Envelope(k).const_exponent
+    with mpmath.workprec(precision):
+        return mpmath.exp(mpmath.mpf(c.numerator) / c.denominator) * mpmath.sqrt(2)
+
+
 class PrecisionUnderflow(ArithmeticError):
     """Cancellation consumed more than precision-32 bits; retry higher."""
 
@@ -86,24 +98,20 @@ def residual(
 ) -> mpmath.mpf:
     """The scaled residual for one cell, or PrecisionUnderflow if the
     subtraction cancels more than precision-32 bits."""
+    if n < 1:
+        raise ValueError(f"(k={k}, n={n}): the residual needs n >= 1")
     if count <= 0:
         raise ValueError(f"count for (k={k}, n={n}) must be positive, got {count}")
     if (n * k) % 2:
         raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
     if len(coeffs) < r:
         raise ValueError(f"need coefficients 0..{r - 1}, got {len(coeffs)}")
-    env = Envelope(k)
-    h = int(env.exponent * n)
-    growth = h - env.const_exponent  # h + (k^2-1)/4, a dyadic rational
+    h = int(Envelope(k).exponent * n)
     with mpmath.workprec(precision):
         bracket = from_rational(
             count * math.factorial(k) ** n, (n * k) ** h, precision, round_nearest
         )
-        ratio = (
-            mpmath.mpf(bracket)
-            * mpmath.exp(mpmath.mpf(growth.numerator) / growth.denominator)
-            * mpmath.sqrt(2)
-        )
+        ratio = mpmath.mpf(bracket) * mpmath.exp(h) * _envelope_constant(k, precision)
         partial = mpmath.fsum(
             mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** j
             for j, c in enumerate(coeffs[:r])

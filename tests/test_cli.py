@@ -444,6 +444,53 @@ def test_bad_values_are_usage_errors(capsys):
         assert err.startswith("error: "), argv
 
 
+# Edge values, each run in a fresh interpreter: (argv, exit code, stdout or
+# None when it is not pinned).  n = 0 has a structural count but no
+# residual, a negative n is a usage error, at --r 0 nothing is subtracted,
+# and past the shipped tables (n <= 100) counts are computed or are NA.
+EDGE_INVOCATIONS = [
+    (["count", "--k", "3", "--n", "0"], 0, "1 structural\n"),
+    (["count", "--k", "3", "--n", "-1"], 2, ""),
+    (["count", "--k", "3", "--n", "-2"], 2, ""),
+    (["count", "--k", "3", "--n", "-2", "--method", "brute"], 2, ""),
+    (["count", "--k", "3", "--n", "102", "--method", "formula"], 0, None),
+    (["validate", "--which", "sg", "--k", "3", "--n", "0:4:2"], 2, ""),
+    (["validate", "--which", "csg", "--k", "3", "--n", "0"], 2, ""),
+    (["validate", "--which", "sg", "--k", "3", "--n", "-2"], 2, ""),
+    (["validate", "--which", "sg", "--k", "3", "--n", "100", "--r", "0"], 0, "n,100\n3,1.96\n"),
+    (["validate", "--which", "csg", "--k", "3", "--n", "100", "--r", "0"], 0, "n,100\n3,1.96\n"),
+    (["validate", "--which", "sg", "--k", "3", "--n", "100", "--r", "-1"], 2, ""),
+    (["validate", "--which", "sg", "--k", "", "--n", "10"], 0, "n,10\n"),
+    (["validate", "--which", "sg", "--k", "1", "--n", "10"], 2, ""),
+    (["validate", "--which", "sg", "--k", "1", "--n", "10", "--r", "0"], 2, ""),
+    (["validate", "--which", "csg", "--k", "2", "--n", "10", "--r", "0"], 2, ""),
+    (["validate", "--which", "sg", "--k", "3", "--n", "102"], 0, "n,102\n3,NA\n"),
+    (["validate", "--which", "csg", "--k", "3", "--n", "102"], 0, "n,102\n3,NA\n"),
+]
+DOCUMENTED_EXIT_CODES = {
+    cli.EXIT_OK,
+    cli.EXIT_USAGE,
+    cli.EXIT_INTERNAL,
+    cli.EXIT_DEGREE,
+    cli.EXIT_COUNT_MISMATCH,
+    cli.EXIT_GOLDEN_MISMATCH,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout", EDGE_INVOCATIONS, ids=[" ".join(e[0]) for e in EDGE_INVOCATIONS]
+)
+def test_edge_values_exit_with_a_documented_code(argv, code, stdout):
+    proc = run_fresh("-m", "regasym", *argv)
+    assert proc.returncode in DOCUMENTED_EXIT_CODES, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if stdout is not None:
+        assert proc.stdout == stdout
+    if code == cli.EXIT_USAGE:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # Exact output text of the structured formats.
 PINNED_OUTPUTS = {
     "expand sg --k 3 --order 2 --format json": """[

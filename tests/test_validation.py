@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from regasym.connected import csg_tilde
 from regasym.counts import CountTable, PROV_FORMULA, count_two_regular
@@ -248,3 +250,71 @@ def test_published_grids_have_full_rows():
         assert len(row) == len(TABLE_NS)
     for row in GOLDEN_CSG.values():
         assert len(row) == len(TABLE_NS)
+
+
+def single_exp_ratio(k, n, count, precision):
+    """Oracle: count / envelope with the envelope factor as one exp,
+    exp(h + (k^2-1)/4) * sqrt(2), evaluated afresh for every cell."""
+    env = Envelope(k)
+    h = int(env.exponent * n)
+    growth = h - env.const_exponent
+    with mpmath.workprec(precision):
+        bracket = from_rational(
+            count * math.factorial(k) ** n, (n * k) ** h, precision, round_nearest
+        )
+        return (
+            mpmath.mpf(bracket)
+            * mpmath.exp(mpmath.mpf(growth.numerator) / growth.denominator)
+            * mpmath.sqrt(2)
+        )
+
+
+@pytest.mark.parametrize("precision", [256, 4096])
+def test_split_envelope_factor_matches_single_exp(sg_reference, csg_reference, precision):
+    # The two routes differ only in how count / envelope is rounded, so a
+    # cell's error is measured against ratio * n^r, the size of the terms
+    # before the subtraction (which cancels the same bits in both routes).
+    tol = mpmath.mpf(2) ** -(precision - 16)
+    checked = 0
+    for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
+        cell = residual(k, n, r, count, coeffs, precision)
+        with mpmath.workprec(precision):
+            ratio = single_exp_ratio(k, n, count, precision)
+            partial = mpmath.fsum(
+                mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** j
+                for j, c in enumerate(coeffs[:r])
+            )
+            scale = ratio * mpmath.mpf(n) ** r
+            expected = (ratio - partial) * mpmath.mpf(n) ** r
+            assert abs(cell - expected) <= tol * scale, (k, n)
+        checked += 1
+    assert checked == 6 * len(DENSE_NS)
+
+
+def test_envelope_constant_is_evaluated_once_per_row(sg_reference, monkeypatch):
+    from regasym import validation
+
+    arguments = []
+    exp = mpmath.exp
+
+    def counting_exp(x, **kwargs):
+        arguments.append(x)
+        return exp(x, **kwargs)
+
+    monkeypatch.setattr(mpmath, "exp", counting_exp)
+    validation._envelope_constant.cache_clear()
+    coeffs = sg_expansion(4, 2).coefficients
+    cells = residual_row(4, DENSE_NS, 3, sg_reference, coeffs, precision=4096)
+    assert len(cells) == 46 and None not in cells
+    # e^{nk/2} per cell has an integer argument; e^{(k^2-1)/4} is the one other
+    assert len([x for x in arguments if x != int(x)]) <= 1
+
+
+def test_residual_rejects_empty_vertex_set():
+    # n = 0 has the structural count 1 (the empty graph), but no residual
+    with pytest.raises(ValueError, match=r"k=3, n=0"):
+        residual(3, 0, 3, 1, sg_expansion(3, 2).coefficients)
+    # a connected table stores 0 there; the cell is still named, not its count
+    with pytest.raises(ValueError, match=r"k=3, n=0\): the residual needs n >= 1"):
+        residual(3, 0, 0, 0, [])
+
