@@ -194,9 +194,8 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
         coeffs = ()  # at k_r = 0 nothing is subtracted
         if which == "sg":
             table = sg_table
-            if k == 2:
-                for n in ns:
-                    counts.resolve(table, 2, n)
+            for n in ns:  # a table hit up to n = 100, else computed
+                counts.resolve(table, k, n)
             if k_r:
                 coeffs = regular.sg_expansion(k, k_r - 1).coefficients
         else:

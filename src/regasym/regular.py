@@ -12,11 +12,12 @@ by k^r) by exact interpolation over sampled k.
 Pipeline for fixed k (all arithmetic exact):
 
   psi      solved from the centered phase t^2/2 + t - log(1+t),
-  T        the tree series T(x) = x psi(T(x)),
-  u_{p,q}  [s^p] (1 + T(s))^{-q},
-  v_{p,q}  [z^p] (sum_{j>=2} t_j z^{j-1})^q / sqrt(1-z^2),
+  T        the tree series T(x) = x psi(T(x)), solved in one pass,
+  u_{p,q}  [s^p] W^q with W = (1 + T(s))^{-1},
+  v_{p,q}  [z^p] I(z)^q / sqrt(1-z^2) with I(z) = sum_{j>=2} t_j z^{j-1},
   B0 rows  combine falling factorials of k with u and v values,
-  C1, C2   an exponential assembled from B0 with an exact division by s^2,
+  C2       2 exp(E + log T'(s t_1)), with the exponent E assembled from B0
+           by an exact division by s^2,
   [z^r] F  the moment rule applied to [s^{2r}] C2 with negative weights
            -1/(2k) on t_1 and -1/j on t_j.
 
@@ -27,7 +28,9 @@ so every stored coefficient is a plain Fraction.  The core series is built
 in sigma, with tau as variable 1; [s^{2r}] is [sigma^{2r}] / k^r, and tau
 takes the moment weight -1/2.  The division by s^2 is guarded by a
 valuation assertion; a failure means a transcription bug, never a
-rounding issue.
+rounding issue.  T, u and v do not depend on k: u and v are read off
+running powers W^0, W^1, ... and I^0, I^1, ..., one product per new
+power, in tables sized once per core series and shared by every k.
 """
 
 from __future__ import annotations
@@ -144,20 +147,48 @@ def expansion_psi(order: int) -> Series:
 @_longest
 def tree_series(order: int) -> Series:
     """T(x) = x psi(T(x)) for the expansion's psi, exact through the order;
-    one Newton solve serves every lower order."""
+    one solve serves every lower order."""
     if order < 1:
         raise ValueError("the tree series needs order >= 1")
     return newton_solve_tree(expansion_psi(order - 1))
 
 
+class _RunningPowers:
+    """The running powers base^0, base^1, ... of one series: each new power
+    is one product with the base.  Like ``_longest``, the table is built at
+    the longest order asked for so far, and every lower order reads it."""
+
+    def __init__(self, base):
+        self.base = base  # order -> the base series through that order
+        self.powers: list[Series] = []
+
+    def size(self, order: int) -> "_RunningPowers":
+        if not self.powers or self.powers[1].order < order:
+            base = self.base(order)
+            self.powers = [Series([base[0] * 0 + 1], order), base]
+        return self
+
+    def power(self, q: int) -> Series:
+        while len(self.powers) <= q:
+            self.powers.append(self.powers[-1] * self.powers[1])
+        return self.powers[q]
+
+
+# W = (1 + T(s))^{-1} and I(z) = sum_{j>=2} t_j z^{j-1}, shared by every k
+_W = _RunningPowers(lambda order: (1 + tree_series(order)).pow_rational(-1))
+_I = _RunningPowers(
+    lambda order: Series([MPoly.zero()] + [MPoly.variable(j) for j in range(2, order + 2)], order)
+)
+
+
 @lru_cache(maxsize=None)
 def u_pq(p: int, q: int) -> Fraction:
-    """[s^p] (1 + T(s))^{-q}, with the inversion-formula value checked equal."""
+    """[s^p] W^q = [s^p] (1 + T(s))^{-q}, with the inversion-formula value checked equal."""
     if p < 0 or q < 0:
         raise ValueError("u_pq needs nonnegative indices")
     if p == 0:
         return Fraction(1)
-    value = (1 + tree_series(p)).pow_rational(-q)[p]
+    value = _W.size(p).power(q)[p]
     alt = u_pq_lagrange(p, q)
     if value != alt:
         raise RouteMismatch(f"u_pq({p},{q}): tree route {value} vs inversion route {alt}")
@@ -176,15 +207,19 @@ def u_pq_lagrange(p: int, q: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def v_pq(p: int, q: int) -> MPoly:
-    """[z^p] (sum_{j>=2} t_j z^{j-1})^q / sqrt(1 - z^2).
+    """[z^p] I(z)^q / sqrt(1 - z^2), read off the running powers of I against
+    [z^{2m}] 1/sqrt(1 - z^2) = C(2m, m) / 4^m.
 
-    Only t_2..t_{p+1} can contribute, so the inner sum is truncated there.
+    Only t_2..t_{p+1} can contribute, and I^q vanishes below z^q.
     """
     if p < 0 or q < 0:
         raise ValueError("v_pq needs nonnegative indices")
-    inner = Series([MPoly.zero()] + [MPoly.variable(j + 1) for j in range(1, p + 1)], p)
-    invsqrt = Series([1, 0, -1], p).pow_rational(Fraction(-1, 2)).map_coeffs(MPoly.const)
-    return (inner.pow_int(q) * invsqrt)[p]
+    if q > p:
+        return MPoly.zero()
+    power, one = _I.size(p).power(q), MPoly.const(1)
+    return MPoly.dot(
+        (Fraction(math.comb(2 * m, m), 4**m), power[p - 2 * m], one) for m in range(p // 2 + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -222,11 +257,13 @@ def c2_series(k: int, r: int) -> Series:
     """The core series in sigma to order 2r, every coefficient rational.
 
     Assembled per the fixed-k recipe: log(1 + B0) minus the t_2 shift term,
-    an asserted exact division by s^2 = k sigma^2, the two constant
-    corrections, exp, then the T'(s t_1) = T'(sigma tau) factor.  The sign
-    sum over +-sqrt(k) maps (sigma, tau) to (-sigma, -tau): on an even
-    sigma slice it only flips the sign of odd powers of tau, which the
-    moment rule drops anyway, so it is the factor 2 and nothing else.
+    an asserted exact division by s^2 = k sigma^2 and the two constant
+    corrections give the exponent E; the factor T'(s t_1) = T'(sigma tau)
+    enters it as the scalar series log T'(sigma tau), so the core series
+    is 2 exp(E + log T'(sigma tau)).  The sign sum over +-sqrt(k) maps
+    (sigma, tau) to (-sigma, -tau): on an even sigma slice it only flips
+    the sign of odd powers of tau, which the moment rule drops anyway, so
+    it is the factor 2 and nothing else.
     """
     if k < 2:
         raise ValueError("the pipeline requires k >= 2")
@@ -234,28 +271,13 @@ def c2_series(k: int, r: int) -> Series:
         raise ValueError("the expansion order must be nonnegative")
     n_lo = 2 * r
     n_hi = n_lo + 2
-
-    tree = tree_series(max(n_hi, 1))
-
-    t_of_st1 = Series(
-        [MPoly.variable(1, i, tree[i]) if tree[i] else MPoly.zero() for i in range(n_hi + 1)],
-        n_hi,
-    )
-    tprime_st1 = Series(
-        [
-            MPoly.variable(1, i, (i + 1) * tree[i + 1]) if tree[i + 1] else MPoly.zero()
-            for i in range(n_lo + 1)
-        ],
-        n_lo,
-    )
-
-    inv = (1 + t_of_st1).pow_rational(-1)
-    inv2 = inv * inv
-    inv4 = inv2 * inv2
+    _I.size(n_hi)  # both tables sized here: the B0 rows read below n_hi, no rebuild
+    inv2, inv4 = (_at_sigma_tau(_W.size(n_hi).power(q).truncate(n_lo)) for q in (2, 4))
+    log_tprime = _at_sigma_tau(tree_series(n_lo + 1).derivative().log())
 
     b0 = Series([MPoly.zero()] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)
     log_term = (1 + b0).log()
-    shift_term = (inv2.truncate(n_lo) * MPoly.variable(2, 1, k * (k - 1))).shift_up(2)
+    shift_term = (inv2 * MPoly.variable(2, 1, k * (k - 1))).shift_up(2)
 
     numerator = log_term - shift_term
     if numerator[0] or numerator[1]:
@@ -265,21 +287,23 @@ def c2_series(k: int, r: int) -> Series:
 
     exponent = (
         numerator.shift_down(2) * Fraction(-1, k)
-        + inv4.truncate(n_lo) * Fraction((k - 1) ** 2, 4)
+        + inv4 * Fraction((k - 1) ** 2, 4)
         + (Fraction(k * (k - 1), 2) - Fraction((k - 1) ** 2, 4))
     )
     if exponent[0]:
         raise ValuationViolation(
             f"constant term of the exponent failed to cancel (k={k}): {exponent[0]!r}"
         )
-    return exponent.exp() * tprime_st1 * 2
+    return (exponent + log_tprime).exp() * 2
+
+
+def _at_sigma_tau(f: Series) -> Series:
+    """f(sigma tau) for a scalar series f, as a series in sigma: [sigma^i] is f_i tau^i."""
+    return Series([MPoly.variable(1, i, c) for i, c in enumerate(f.coefficients)], f.order)
 
 
 def _moment_weights(r: int) -> dict[int, Fraction]:
-    weights = {1: Fraction(-1, 2)}
-    for j in range(2, 2 * r + 3):
-        weights[j] = Fraction(-1, j)
-    return weights
+    return {j: Fraction(-1, 2 if j == 1 else j) for j in range(1, 2 * r + 3)}
 
 
 def sg_expansion(k: int, r: int) -> Series:

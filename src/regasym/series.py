@@ -19,7 +19,9 @@ coefficient of a product, exp, log or power is one dot product,
 normalised once; the two operands of a product share one ring.  Every
 series is inverted as ``pow_rational(-1)`` of a constant term 1:
 division by a series (:meth:`Series.div`) scales the divisor to that
-form, which needs a field and so is scalar-only.
+form, which needs a field and so is scalar-only.  The tree equation
+T = x psi(T) is solved in one pass, one coefficient at a time from the
+running powers of T (:func:`newton_solve_tree`).
 
 All values are immutable and every operation is a pure function, so the
 types defined here can be shared freely between threads.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -188,16 +190,6 @@ class Series:
             )
         return Series(self._coeffs[: order + 1], order)
 
-    def extended(self, order: int) -> "Series":
-        """Zero-pad to a higher order.
-
-        This asserts knowledge the series does not carry, so it is reserved
-        for callers holding genuine polynomials or iteration guesses.
-        """
-        if order <= self.order:
-            return self.truncate(order)
-        return Series(self._coeffs, order)
-
     # -- ring operations (min-order rule) ---------------------------------
 
     def _promote(self, other) -> "Series | None":
@@ -249,20 +241,6 @@ class Series:
         return Series([dot((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(n + 1)], n)
 
     __rmul__ = __mul__
-
-    def pow_int(self, e: int) -> "Series":
-        """self**e for integer e >= 0 (binary powering, min-order preserved)."""
-        if e < 0:
-            raise ValueError("pow_int needs a nonnegative exponent")
-        result = Series([self._zero() + 1], self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -374,35 +352,31 @@ class Series:
             res = res * inner_t + Series([self._coeffs[i]], n)
         return res
 
-    # -- structural helpers -------------------------------------------------
-
-    def map_coeffs(self, fn: Callable) -> "Series":
-        """Apply fn to every coefficient, e.g. ``MPoly.const`` to lift a scalar series."""
-        return Series([fn(c) for c in self._coeffs], self.order)
-
 
 def newton_solve_tree(psi: Series) -> Series:
-    """Solve T(x) = x * psi(T(x)) by Newton iteration with order doubling.
+    """Solve T(x) = x * psi(T(x)) in one pass, one coefficient at a time.
 
-    Returns T with T(0) = 0 and T'(0) = psi(0), exact through order
-    psi.order + 1.  The solution exists and is unique whenever psi(0) != 0.
+    For n >= 2, [x^n] T = sum_{i>=1} psi_i [x^(n-1)] T^i, and [x^(n-1)] T^i
+    for i >= 2 reads only coefficients of T below n - 1: each step extends
+    the running powers T^2, T^3, ... by one coefficient and reads [x^n] T
+    off them.  Returns T with T(0) = 0 and T'(0) = psi(0), exact through
+    order psi.order + 1; the solution exists and is unique whenever
+    psi(0) != 0.  The name is kept from the Newton iteration this solve
+    replaced, since callers and the stage trace bind it.
     """
     c0 = psi[0]
     if c0 == 0:
         raise BadConstantTerm("the tree equation needs psi(0) != 0")
-    target = psi.order + 1
-    t = Series([0, c0], 1)
-    correct = 1
-    while correct < target:
-        new = min(2 * correct, target)
-        guess = t.extended(new)
-        psi_t = psi.extended(new - 1) if psi.order < new - 1 else psi.truncate(new - 1)
-        f = guess - psi_t.compose(guess.truncate(new - 1)).shift_up(1)
-        dpsi = psi_t.extended(new - 1).derivative().extended(new - 1)
-        fprime = Series.one(new - 1) - dpsi.compose(guess.truncate(new - 1)).shift_up(1).truncate(new - 1)
-        t = (guess - (f * fprime.extended(new).pow_rational(-1).extended(new))).truncate(new)
-        correct = new
-    return t
+    a, dot, zero = psi.coefficients, psi._dot, psi._zero()
+    t = [zero, c0]
+    powers = [None, t]  # powers[i][m] = [x^m] T^i
+    for m in range(1, psi.order + 1):
+        powers.append([zero] * (m + 1))  # T^(m+1) vanishes below x^(m+1)
+        for i in range(2, m + 1):
+            prev = powers[i - 1]
+            powers[i].append(dot((1, t[j], prev[m - j]) for j in range(1, m - i + 2)))
+        t.append(dot((1, a[i], powers[i][m]) for i in range(1, m + 1)))
+    return Series(t, psi.order + 1)
 
 
 def lagrange_invert_coeff(h_prime: Series, psi: Series, p: int) -> Fraction:

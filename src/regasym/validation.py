@@ -72,8 +72,9 @@ PUBLISHED_EXTRA_TERMS: dict[tuple[str, int], int] = {("sg", 2): 1}
 
 
 def published_r(which: str, k: int, r: int) -> int:
-    """Effective number of subtracted terms for a published-grid row."""
-    return r + PUBLISHED_EXTRA_TERMS.get((which, k), 0)
+    """Effective number of subtracted terms for a published-grid row; the
+    extra terms apply only at GOLDEN_R, the order the grids were built at."""
+    return r + PUBLISHED_EXTRA_TERMS.get((which, k), 0) if r == GOLDEN_R else r
 
 
 @functools.lru_cache(maxsize=64)

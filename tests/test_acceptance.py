@@ -209,7 +209,7 @@ def test_criterion_9_property_suites(small_counts):
 
     # shifted series valuations
     for k in (3, 4, 5):
-        atilde = sg_expansion(k, 2).div(stirling_series(2)).extended(15)
+        atilde = Series(sg_expansion(k, 2).div(stirling_series(2)).coefficients, 15)
         for j in range(0, 11):
             if (j * k) % 2:
                 continue

@@ -447,7 +447,8 @@ def test_bad_values_are_usage_errors(capsys):
 # Edge values, each run in a fresh interpreter: (argv, exit code, stdout or
 # None when it is not pinned).  n = 0 has a structural count but no
 # residual, a negative n is a usage error, at --r 0 nothing is subtracted,
-# and past the shipped tables (n <= 100) counts are computed or are NA.
+# and past the shipped tables (n <= 100) plain counts are computed while
+# connected ones are NA.
 EDGE_INVOCATIONS = [
     (["count", "--k", "3", "--n", "0"], 0, "1 structural\n"),
     (["count", "--k", "3", "--n", "-1"], 2, ""),
@@ -459,12 +460,14 @@ EDGE_INVOCATIONS = [
     (["validate", "--which", "sg", "--k", "3", "--n", "-2"], 2, ""),
     (["validate", "--which", "sg", "--k", "3", "--n", "100", "--r", "0"], 0, "n,100\n3,1.96\n"),
     (["validate", "--which", "csg", "--k", "3", "--n", "100", "--r", "0"], 0, "n,100\n3,1.96\n"),
+    # k = 2's extra published term belongs to the r = 3 grid only
+    (["validate", "--which", "sg", "--k", "2", "--n", "10,100", "--r", "0"], 0, "n,10,100\n2,1.89,1.99\n"),
     (["validate", "--which", "sg", "--k", "3", "--n", "100", "--r", "-1"], 2, ""),
     (["validate", "--which", "sg", "--k", "", "--n", "10"], 0, "n,10\n"),
     (["validate", "--which", "sg", "--k", "1", "--n", "10"], 2, ""),
     (["validate", "--which", "sg", "--k", "1", "--n", "10", "--r", "0"], 2, ""),
     (["validate", "--which", "csg", "--k", "2", "--n", "10", "--r", "0"], 2, ""),
-    (["validate", "--which", "sg", "--k", "3", "--n", "102"], 0, "n,102\n3,NA\n"),
+    (["validate", "--which", "sg", "--k", "3", "--n", "102"], 0, "n,102\n3,3.46\n"),
     (["validate", "--which", "csg", "--k", "3", "--n", "102"], 0, "n,102\n3,NA\n"),
 ]
 DOCUMENTED_EXIT_CODES = {
@@ -623,6 +626,11 @@ BROKEN_ROUTES = {
     "u_pq": (
         "orig = regular.newton_solve_tree\n"
         "regular.newton_solve_tree = lambda psi: bump(orig(psi), 2)\n",
+        "tree route",
+    ),
+    "w_table": (
+        "orig = regular._W.base\n"
+        "regular._W.base = lambda order: bump(orig(order), 3)\n",
         "tree route",
     ),
 }

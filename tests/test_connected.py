@@ -54,7 +54,7 @@ def test_shifted_expansion_valuation():
     # the j-th shift starts at z^{alpha j} = z^{(k/2-1)j}, alpha*j >= ceil(j/2),
     # with the shift constant times atilde(0) = 2 as its leading coefficient
     for k in (3, 4, 5):
-        atilde = sg_expansion(k, 2).div(stirling_series(2)).extended(15)
+        atilde = Series(sg_expansion(k, 2).div(stirling_series(2)).coefficients, 15)
         for j in range(0, 11):
             if (j * k) % 2:
                 continue

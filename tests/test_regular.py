@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from regasym import regular
 from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents
 from regasym.regular import (
     DegreeOverflow,
@@ -19,6 +21,7 @@ from regasym.regular import (
     v_pq,
 )
 from regasym.series import Series
+from test_golden import SG_GOLDEN, rationals
 
 GOLDEN = {
     3: (Fraction(2), Fraction(-71, 18), Fraction(-143, 1296)),
@@ -63,6 +66,79 @@ def test_v_pq_values():
     assert v_pq(2, 0) == MPoly.const(Fraction(1, 2))
     assert v_pq(1, 1) == MPoly.variable(2)
     assert v_pq(0, 0) == MPoly.const(1)
+
+
+def test_v_pq_matches_plain_product_reference():
+    # the route before the running-power table: [z^p] of I^q (1 - z^2)^{-1/2},
+    # with I^q by plain products and the square root by pow_rational rather
+    # than the closed coefficients C(2m, m) / 4^m
+    order = 12
+    inner = Series([MPoly.zero()] + [MPoly.variable(j) for j in range(2, order + 2)], order)
+    invsqrt = Series([1, 0, -1], order).pow_rational(Fraction(-1, 2))
+    invsqrt = Series([MPoly.const(c) for c in invsqrt.coefficients], order)
+    power = Series([MPoly.const(1)], order)
+    for q in range(order + 1):
+        product = power * invsqrt
+        for p in range(order + 1):
+            assert v_pq(p, q) == product[p], (p, q)
+        power = power * inner
+
+
+def test_tree_series_matches_lagrange_inversion():
+    # [x^p] T = (1/p) [s^(p-1)] psi^p, with psi^p by plain products, and
+    # T - x psi(T) vanishes through order 24
+    order = 24
+    tree, psi = tree_series(order), expansion_psi(order - 1)
+    power = Series.one(order - 1)
+    assert tree[0] == 0
+    for p in range(1, order + 1):
+        power = power * psi
+        assert tree[p] == power[p - 1] / p, p
+    assert (tree - psi.compose(tree.truncate(order - 1)).shift_up(1)).is_zero()
+
+
+@pytest.fixture
+def fresh_pipeline(monkeypatch):
+    """Empty memo caches, an empty tree memo and empty W and I tables for one
+    test, with every tree solve and table build counted; the module's own
+    caches and tables are back in place afterwards."""
+    builds = {"tree": 0, "W": 0, "I": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("u_pq", "v_pq", "b0_row", "c2_series"):
+        monkeypatch.setattr(regular, name, lru_cache(maxsize=None)(getattr(regular, name).__wrapped__))
+    monkeypatch.setattr(regular, "tree_series", regular._longest(regular.tree_series.__wrapped__))
+    monkeypatch.setattr(regular, "newton_solve_tree", counted("tree", regular.newton_solve_tree))
+    for name in ("W", "I"):
+        base = getattr(regular, f"_{name}").base
+        monkeypatch.setattr(regular, f"_{name}", regular._RunningPowers(counted(name, base)))
+    return builds
+
+
+def test_tables_grow_with_the_order_and_serve_lower_orders(fresh_pipeline):
+    # orders 2, 8, 4 at k = 3, 4, 5: the order-8 run rebuilds the tables that
+    # the order-2 run built, and every later run reads them
+    for k, r, pin in ((3, 2, 8), (4, 8, 8), (5, 4, 6), (3, 8, 8), (4, 2, 8)):
+        expected = rationals(SG_GOLDEN[k, pin])[: r + 1]
+        assert regular.sg_expansion(k, r).coefficients == expected, (k, r)
+    assert fresh_pipeline == {"tree": 2, "W": 2, "I": 2}
+
+
+def test_second_k_shares_the_tree_and_tables(fresh_pipeline):
+    regular.c2_series(3, 4)
+    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1}
+    misses = regular.u_pq.cache_info().misses, regular.v_pq.cache_info().misses
+    regular.c2_series(4, 4)
+    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1}
+    # k = 4 read u and v values that k = 3 did not need
+    assert regular.u_pq.cache_info().misses > misses[0]
+    assert regular.v_pq.cache_info().misses > misses[1]
 
 
 def test_v_pq_uses_only_low_t_variables():
