@@ -14,7 +14,9 @@ one shared positive denominator ``den``, normalised once per operation so
 that gcd(den, all numerators) = 1; ``==`` is therefore value equality.
 MPoly is a coefficient ring for :class:`series.Series`, which sums every
 series coefficient as one :meth:`MPoly.dot`: one ``int`` accumulator over
-one lcm denominator, one guard-bit check and one gcd pass.
+one lcm denominator, one guard-bit check and one gcd pass.  A monomial's
+parity class (:func:`parity_class`, bit 0 of every field) is its exponent
+vector mod 2; ``MPoly.dot`` can restrict itself to a set of classes.
 :func:`gaussian_hadamard` applies the formal Gaussian-moment rule.  All
 values are immutable and every operation is pure.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -222,12 +225,16 @@ class MPoly:
         return _sum_rows(rows, self.den * other.den)
 
     @staticmethod
-    def dot(triples) -> "MPoly":
+    def dot(triples, need: "set[int] | None" = None) -> "MPoly":
         """sum(s * a * b) over (scalar, a, b) triples, normalised once.
 
         Every pair of terms is multiplied into one ``int`` dict over the lcm
         of the triples' denominators, each scalar's numerator folded into
         its row scale; one guard-bit check and one gcd pass end the sum.
+        With ``need``, a set of parity classes, b's terms are grouped by
+        class and each term of a, of class x, is multiplied only with the
+        groups y with x ^ y in ``need``: the sum's terms of those classes,
+        exactly, and no others.
         """
         live = []
         den = 1
@@ -235,12 +242,35 @@ class MPoly:
             if s and a.terms and b.terms:
                 d = s.denominator * a.den * b.den
                 den = den // math.gcd(den, d) * d
-                live.append((s.numerator, d, a, list(b.terms.items())))
+                live.append((s.numerator, d, a, b))
         rows = []
-        for num, d, a, part in live:
+        for num, d, a, b in live:
             scale = num * (den // d)
-            rows.extend((m1, c1 * scale, part) for m1, c1 in a.terms.items())
+            if need is None:
+                part = list(b.terms.items())
+                rows.extend((m1, c1 * scale, part) for m1, c1 in a.terms.items())
+                continue
+            by_class = defaultdict(list)
+            for t in b.terms.items():
+                by_class[t[0] & _LOW].append(t)
+            parts = {}  # class x -> b's terms of the classes y with x ^ y in need
+            for m1, c1 in a.terms.items():
+                x = m1 & _LOW
+                part = parts.get(x)
+                if part is None:
+                    part = [t for y, ts in by_class.items() if x ^ y in need for t in ts]
+                    parts[x] = part
+                if part:
+                    rows.append((m1, c1 * scale, part))
         return _sum_rows(rows, den)
+
+
+def parity_class(m: Monomial) -> int:
+    """Bit 0 of every exponent field: the class of m modulo squares.  The
+    class of a product is the XOR of its factors' classes, since the guard
+    bits stop every carry between fields; class 0 is the all-even monomials
+    that the moment rule reads."""
+    return m & _LOW
 
 
 def gaussian_hadamard(p: MPoly, alphas: Mapping[int, Fraction]) -> Fraction:

@@ -17,7 +17,9 @@ Pipeline for fixed k (all arithmetic exact):
   v_{p,q}  [z^p] I(z)^q / sqrt(1-z^2) with I(z) = sum_{j>=2} t_j z^{j-1},
   B0 rows  combine falling factorials of k with u and v values,
   C2       2 exp(E + log T'(s t_1)), with the exponent E assembled from B0
-           by an exact division by s^2,
+           by an exact division by s^2; the exp builds each slice only in
+           the parity classes that can reach an all-even term of an even
+           slice, so odd and top slices are partial,
   [z^r] F  the moment rule applied to [s^{2r}] C2 with negative weights
            -1/(2k) on t_1 and -1/j on t_j.
 
@@ -41,7 +43,7 @@ from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .laplace import factorial_phase, psi_from_phase
-from .multipoly import MPoly, gaussian_hadamard
+from .multipoly import MPoly, gaussian_hadamard, parity_class
 from .series import (
     Series,
     SeriesError,
@@ -264,6 +266,12 @@ def c2_series(k: int, r: int) -> Series:
     (sigma, tau) to (-sigma, -tau): on an even sigma slice it only flips
     the sign of odd powers of tau, which the moment rule drops anyway, so
     it is the factor 2 and nothing else.
+
+    The moment rule reads only the all-even terms of the even sigma
+    slices, so the exp builds each slice only in the parity classes that
+    can reach such a term (:func:`_demand`): every even slice is exact in
+    class 0, while the odd slices and the top slices are partial.  The
+    moment reading is that of the full series.
     """
     if k < 2:
         raise ValueError("the pipeline requires k >= 2")
@@ -294,7 +302,29 @@ def c2_series(k: int, r: int) -> Series:
         raise ValuationViolation(
             f"constant term of the exponent failed to cancel (k={k}): {exponent[0]!r}"
         )
-    return (exponent + log_tprime).exp() * 2
+    exponent = exponent + log_tprime
+    return exponent.exp(_demand(exponent)) * 2
+
+
+def _demand(exponent: Series) -> list[set[int]]:
+    """The parity classes of each sigma slice of exp(exponent) that can reach
+    a term the moment rule reads, an all-even term of an even slice.
+
+    Slice m of the exponential sums products of slice i of the exponent
+    with slice m - i of the exponential, and a product's class is the XOR
+    of its factors' classes, so, backwards over the slices, need[m] holds
+    class 0 when m is even and x ^ y for every class x of exponent slice i
+    and every class y in need[m + i].
+    """
+    classes = [{parity_class(m) for m in c.terms} for c in exponent.coefficients]
+    top = exponent.order
+    need: list[set[int]] = [set() for _ in range(top + 1)]
+    for m in range(top, -1, -1):
+        if m % 2 == 0:
+            need[m].add(0)
+        for i in range(1, top - m + 1):
+            need[m].update(x ^ y for x in classes[i] for y in need[m + i])
+    return need
 
 
 def _at_sigma_tau(f: Series) -> Series:
@@ -321,24 +351,20 @@ def sg_expansion(k: int, r: int) -> Series:
 
 
 def _lagrange_interpolate(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    """Exact interpolating polynomial coefficients (ascending), len(xs) points."""
+    """Exact interpolating polynomial coefficients (ascending), len(xs) points:
+    Newton's divided differences, then one Horner pass to the monomial basis,
+    O(n^2) Fraction operations."""
     n = len(xs)
+    dd = [Fraction(y) for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    # dd[0] + (x - xs[0]) (dd[1] + (x - xs[1]) (dd[2] + ...)), innermost first
     coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xs[j]
-                new[d + 1] += c
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
+    for i in range(n - 1, -1, -1):
+        for d in range(n - 1, 0, -1):
+            coeffs[d] = coeffs[d - 1] - xs[i] * coeffs[d]
+        coeffs[0] = dd[i] - xs[i] * coeffs[0]
     return coeffs
 
 

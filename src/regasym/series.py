@@ -16,7 +16,10 @@ truthiness as the zero test and the ring's dot product (the sum of s*a*b
 over (scalar, a, b) triples: :meth:`multipoly.MPoly.dot` or
 :func:`fraction_dot`), so both rings share one implementation.  Each
 coefficient of a product, exp, log or power is one dot product,
-normalised once; the two operands of a product share one ring.  Every
+normalised once; the two operands of a product share one ring.  Over
+``MPoly``, :meth:`Series.exp` can build each coefficient only in given
+parity classes (exponents mod 2), which the ring's dot product restricts
+itself to; the fixed-k pipeline builds its core series so.  Every
 series is inverted as ``pow_rational(-1)`` of a constant term 1:
 division by a series (:meth:`Series.div`) scales the divisor to that
 form, which needs a field and so is scalar-only.  The tree equation
@@ -203,9 +206,9 @@ class Series:
         """The zero of the coefficient ring."""
         return self._coeffs[0] * 0
 
-    def _dot(self, triples):
+    def _dot(self, triples, *need):
         """The coefficient ring's dot product: ``MPoly.dot``, else ``fraction_dot``."""
-        return getattr(type(self._coeffs[0]), "dot", fraction_dot)(triples)
+        return getattr(type(self._coeffs[0]), "dot", fraction_dot)(triples, *need)
 
     def __add__(self, other):
         o = self._promote(other)
@@ -300,14 +303,22 @@ class Series:
 
     # -- transcendental operations -----------------------------------------
 
-    def exp(self) -> "Series":
-        """Series exponential; requires a zero constant term."""
+    def exp(self, need=None) -> "Series":
+        """Series exponential; requires a zero constant term.
+
+        ``need``, one set of parity classes per coefficient (``MPoly``
+        coefficients only), builds coefficient m only in the classes of
+        need[m]: each is the ring's dot product restricted to need[m].  The
+        result is exact in those classes when need[m] holds x ^ y for every
+        class x of self[i] and y of need[m + i].
+        """
         if self._coeffs[0]:
             raise BadConstantTerm(f"exp requires constant term 0, got {self._coeffs[0]}")
         a = self._coeffs
         e = [self._zero() + 1]
         for m in range(1, self.order + 1):
-            e.append(self._dot((Fraction(i, m), a[i], e[m - i]) for i in range(1, m + 1)))
+            terms = ((Fraction(i, m), a[i], e[m - i]) for i in range(1, m + 1))
+            e.append(self._dot(terms) if need is None else self._dot(terms, need[m]))
         return Series(e, self.order)
 
     def log(self) -> "Series":

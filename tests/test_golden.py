@@ -3,8 +3,8 @@
 Each value is the exact output of the matching ``python -m regasym``
 invocation as recorded in ``perfbench/expected.json``, whose oracle checks
 it independently (criterion-3 prefixes, the connected valuation gap, the
-published grid cells), except the two expansions above the bench's sizes,
-(6, 8) and (3, 12), which are marked where they are pinned.  A change to the exact pipeline must leave every
+published grid cells), except the three expansions above the bench's sizes,
+(6, 8), (7, 8) and (3, 12), which are marked where they are pinned.  A change to the exact pipeline must leave every
 coefficient bit-identical, and a change to the residual harness every
 printed grid cell.
 """
@@ -40,6 +40,13 @@ SG_GOLDEN = {
     "307124899309537/812665405440, 3130028212283388251/1755357275750400, "
     "628626779853878282459/126385723854028800, "
     "1357631141863153775746469/72798176939920588800",
+    # above the bench's sizes, not in expected.json: recorded from
+    # sg_expansion while the core series was still built in every parity
+    # class; k = 7 has seven moment variables (tau, t_2..t_7)
+    (7, 8): "2, -2323/42, 4105513/7056, -23970326567/8890560, 11273602227989/2987228160, "
+    "11912950426596491/1756490158080, -15510889612736480629/4426355198361600, "
+    "-1685871521191940264849/53116262380339200, "
+    "-17265898387667626729341403/249858898237115596800",
     (3, 12): "2, -71/18, -143/1296, 2337053/699840, 1210504613/100776960, "
     "956840252047/25395793920, 2792905801830611/27427457433600, "
     "159207355061022749/987388467609600, -37564770620004407999/56873575734312960, "

@@ -2,9 +2,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regasym import regular
-from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents
+from regasym.multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial, parity_class
 from regasym.regular import (
     DegreeOverflow,
     Envelope,
@@ -21,6 +23,7 @@ from regasym.regular import (
     v_pq,
 )
 from regasym.series import Series
+from conftest import small_fractions
 from test_golden import SG_GOLDEN, rationals
 
 GOLDEN = {
@@ -216,6 +219,85 @@ def test_core_series_t_variables_bounded():
         for m in range(c2.order + 1):
             vars_used = variables(c2[m])
             assert all(1 <= v <= bound for v in vars_used), (k, r, m, vars_used)
+
+
+def in_classes(p: MPoly, classes: set[int]) -> MPoly:
+    """The terms of p whose parity class lies in classes."""
+    return MPoly({m: Fraction(c, p.den) for m, c in p.terms.items() if parity_class(m) in classes})
+
+
+def plain_exp(a: Series) -> Series:
+    """exp by its recurrence m e_m = sum_i i a_i e_{m-i}, with plain MPoly
+    products and sums rather than the dot-product kernel."""
+    e = [MPoly.const(1)]
+    for m in range(1, a.order + 1):
+        acc = MPoly.zero()
+        for i in range(1, m + 1):
+            acc = acc + a[i] * e[m - i] * Fraction(i, m)
+        e.append(acc)
+    return Series(e, a.order)
+
+
+@pytest.fixture
+def demands(monkeypatch):
+    """Every (exponent, need) pair that c2_series hands to exp during a test."""
+    seen = []
+
+    def recorded(exponent):
+        need = demand(exponent)
+        seen.append((exponent, need))
+        return need
+
+    demand = regular._demand
+    monkeypatch.setattr(regular, "_demand", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_pruned_core_series_is_the_full_one_in_the_needed_classes(k, demands):
+    for r in range(7):
+        c2 = c2_series.__wrapped__(k, r)
+        exponent, need = demands[-1]
+        full = exponent.exp() * 2
+        assert c2.order == full.order == 2 * r
+        for m in range(2 * r + 1):
+            assert 0 in need[m] or m % 2, (k, r, m)
+            assert c2[m] == in_classes(full[m], need[m]), (k, r, m)
+
+
+def test_pruned_core_series_term_counts():
+    # the full exp held 12,807 and 5,832 terms; the top slice feeds no later
+    # slice, so it keeps only the all-even terms that the moment rule reads
+    for k, r, terms in ((6, 8, 5329), (4, 8, 3682)):
+        c2 = c2_series(k, r)
+        assert sum(len(c.terms) for c in c2.coefficients) == terms, (k, r)
+        assert {parity_class(m) for m in c2[2 * r].terms} == {0}, (k, r)
+
+
+def mpoly_series(order, variables=3):
+    monomials = st.builds(
+        monomial,
+        st.fixed_dictionaries({v: st.integers(0, 3) for v in range(1, variables + 1)}),
+    )
+    mpolys = st.dictionaries(monomials, small_fractions(), max_size=4).map(MPoly)
+    return st.lists(mpolys, min_size=order, max_size=order).map(
+        lambda cs: Series([MPoly.zero()] + cs, order)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(mpoly_series))
+# exp(sigma tau + sigma^2 tau): the read tau^4 sigma^6 comes from tau^2 sigma^3
+# through tau^3 sigma^4, so slice 3 is needed in class tau ^ tau = 0, which
+# an OR of the classes (tau | tau = tau) would miss
+@example(Series([MPoly.zero(), MPoly.variable(1), MPoly.variable(1)], 6))
+def test_pruned_exp_keeps_every_even_moment(a):
+    weights = {1: Fraction(-1, 2), 2: Fraction(-1, 2), 3: Fraction(-1, 3)}
+    full = a.exp()
+    assert full == plain_exp(a)
+    pruned = a.exp(regular._demand(a))
+    for m in range(0, a.order + 1, 2):
+        assert gaussian_hadamard(pruned[m], weights) == gaussian_hadamard(full[m], weights), m
 
 
 def test_lagrange_interpolation_exact():
