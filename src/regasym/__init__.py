@@ -29,7 +29,6 @@ from .counts import (
     CountConflict,
     CountTable,
     LimitExceeded,
-    MissingCount,
     NonIntegerResult,
     OffsetMismatch,
     ParseError,

@@ -18,11 +18,12 @@ alarm, never a user error), 4 interpolation degree overflow, 5 count
 mismatch (the formula against brute force, or a cached count against a
 shipped, structural or recomputed one), 6 residual grid mismatch.
 
-Counts come from :func:`counts.load_counts` (the count cache merged with
-the shipped table under --data-dir) and :func:`counts.resolve`.  The
-count cache directory comes from --cache-dir, falling back to the
-REGASYM_CACHE_DIR environment variable; the flag wins.  Identical flags
-always produce byte-identical output.
+Counts come from :func:`counts.load_counts` (the count cache with the
+shipped table under --data-dir put in) and :func:`counts.resolve`; the
+layers below get plain counts, one list or mapping per k built by a
+comprehension over ``resolve``.  The count cache directory comes from
+--cache-dir, falling back to the REGASYM_CACHE_DIR environment variable;
+the flag wins.  Identical flags always produce byte-identical output.
 
 Each subcommand is bound to its ``cmd_*`` function with ``set_defaults``
 and reads the parsed arguments directly.  A value argparse cannot reject
@@ -123,9 +124,8 @@ def cmd_expand(args: argparse.Namespace, out) -> int:
         _write(out, args.fmt, _records(regular.sg_expansion(k, r), k=k))
         return EXIT_OK
     table = _load_counts(args, k)
-    for m in range(2 * r + 1):
-        counts.resolve(table, k, m)
-    csg = connected.csg_tilde(k, r, table)
+    plain = [counts.resolve(table, k, m)[0] for m in range(2 * r + 1)]
+    csg = connected.csg_tilde(k, r, plain)
     records = _records(csg, k=k)
     gap_order = (k + 1) * (k - 2) // 2
     gap = connected.valuation_gap(k, csg) if r >= gap_order else None
@@ -190,21 +190,19 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
     for k in ks:
         _check_k(which, k)
         k_r = validation.published_r(which, k, r)
-        sg_table = _load_counts(args, k)
+        table = _load_counts(args, k)
         coeffs = ()  # at k_r = 0 nothing is subtracted
         if which == "sg":
-            table = sg_table
-            for n in ns:  # a table hit up to n = 100, else computed
-                counts.resolve(table, k, n)
+            # a table hit up to n = 100, else computed
+            cell_counts = {n: counts.resolve(table, k, n)[0] for n in ns}
             if k_r:
                 coeffs = regular.sg_expansion(k, k_r - 1).coefficients
         else:
-            table = counts.reference_table("csg", k, args.data_dir)
-            for m in range(2 * (k_r - 1) + 1):
-                counts.resolve(sg_table, k, m)
+            cell_counts = dict(enumerate(counts.reference_counts("csg", k, args.data_dir)))
             if k_r:
-                coeffs = connected.csg_tilde(k, k_r - 1, sg_table).coefficients
-        rows.append((k, validation.residual_row(k, ns, k_r, table, coeffs, precision)))
+                plain = [counts.resolve(table, k, m)[0] for m in range(2 * k_r - 1)]
+                coeffs = connected.csg_tilde(k, k_r - 1, plain).coefficients
+        rows.append((k, validation.residual_row(k, ns, k_r, cell_counts, coeffs, precision)))
     out.write(validation.render_csv(ns, rows))
 
     if r != validation.GOLDEN_R:  # the published grids exist at r = 3 only

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .counts import CountTable, egf_reciprocal_coeffs
+from .counts import egf_reciprocal_coeffs
 from .laplace import stirling_series
 from .regular import Envelope, sg_expansion
 from .series import Series, SeriesError, ValuationViolation
@@ -88,10 +88,11 @@ def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
     return (core * pref).shift_up(aj)
 
 
-def csg_tilde(k: int, r: int, counts: CountTable) -> Series:
+def csg_tilde(k: int, r: int, counts: list[int]) -> Series:
     """Expansion series of connected k-regular counts, coefficients 0..r.
 
-    Needs the plain counts for 0..2r vertices (the reciprocal EGF weights).
+    counts are the plain counts indexed by n; those for 0..2r vertices are
+    the reciprocal EGF weights, and a shorter list is a ValueError.
     Sums the shifts j = 0..2r, and stops once alpha*j exceeds r: every
     shift has valuation at least alpha*j, which is checked.
     """
@@ -99,9 +100,11 @@ def csg_tilde(k: int, r: int, counts: CountTable) -> Series:
         raise ValueError("connected expansion requires k >= 3")
     if r < 0:
         raise ValueError("r must be nonnegative")
+    if len(counts) < 2 * r + 1:
+        raise ValueError(f"need the plain counts for 0..{2 * r} vertices, got {len(counts)}")
     stirling = stirling_series(r)
     atilde = sg_expansion(k, r).div(stirling)
-    recip = egf_reciprocal_coeffs(k, 2 * r, counts)
+    recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
     alpha = _alpha(k)
 
     total = Series.zero(r)

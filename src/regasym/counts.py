@@ -24,19 +24,23 @@ moment recurrence.  It returns the route as a provenance word:
 ``structural``, the table's own word for a stored count (``ingested``
 for a shipped b-file entry, ``formula`` for a cached computed one), or
 ``formula`` for a count it computed.  :func:`load_counts` builds the
-table it reads: the count cache merged with the shipped table for k,
-with every cached count for k that no shipped entry covers recomputed.
+table it reads: the count cache, then the shipped counts for k put in
+over it (a shipped count is reported ``ingested`` and never cached), with
+every cached count for k that no shipped entry covers recomputed.
 
-Counts are held in a :class:`CountTable` keyed (k, n) with provenance and
-an optional plain-text cache ("k n count provenance" per line) that
-holds only computed counts, never shipped ones.  Two routes that give
+A :class:`CountTable` keyed (k, n) with provenance is the resolver's store
+and the contents of an optional plain-text cache ("k n count provenance"
+per line) that holds only computed counts, never shipped ones.  Every
+other layer reads plain counts: :func:`load_bfile` and
+:func:`reference_counts` return the values for n = 0, 1, 2, ..., and
+:func:`egf_reciprocal_coeffs` takes such a list.  Two routes that give
 different counts for one (k, n) raise :class:`CountConflict`.  The
 count_* functions are pure; a CountTable is the one mutable object here,
 intended for a single writer with concurrent readers between writes.
-Table lookups answer the structural cases without storage: the empty
-graph gives 1, there is no k-regular graph on 1..k vertices, and none
-at all when n*k is odd.  A negative n is a ValueError there, so every
-route rejects it.
+:meth:`CountTable.structural` answers the structural cases without
+storage: the empty graph gives 1, there is no k-regular graph on 1..k
+vertices, and none at all when n*k is odd.  A negative n is a ValueError
+there, so every route rejects it.
 """
 
 from __future__ import annotations
@@ -73,17 +77,6 @@ class LimitExceeded(CountError):
     """The brute-force count was asked to exceed its configured limit."""
 
 
-class MissingCount(CountError, KeyError):
-    """A required count is neither structural nor stored."""
-
-    def __init__(self, k: int, n: int):
-        super().__init__((k, n))
-        self.k, self.n = k, n
-
-    def __str__(self):
-        return f"no count available for k={self.k}, n={self.n}"
-
-
 class CountConflict(CountError, ValueError):
     """Two routes gave different counts for the same (k, n)."""
 
@@ -115,18 +108,16 @@ class OffsetMismatch(CountError):
 
 
 class CountTable:
-    """Exact counts keyed (k, n) with provenance, plus structural answers.
+    """Exact counts keyed (k, n) with provenance: the resolver's store and
+    the cache's contents.
 
-    The structural rules (empty graph counts 1, nothing on 1..k vertices,
-    nothing when n*k is odd) hold for plain regular-graph counts; tables
-    of connected counts disable them and act as pure storage, because the
-    empty graph is not a connected component.
+    A count that the structural rules fix is checked against them and not
+    stored.
     """
 
-    def __init__(self, enforce_structural: bool = True):
+    def __init__(self):
         self.entries: dict[tuple[int, int], int] = {}
         self.provenance: dict[tuple[int, int], str] = {}
-        self.enforce_structural = enforce_structural
 
     @staticmethod
     def structural(k: int, n: int) -> int | None:
@@ -144,22 +135,12 @@ class CountTable:
             return 1  # only the empty graph on n isolated vertices
         return None
 
-    def _structural(self, k: int, n: int) -> int | None:
-        return self.structural(k, n) if self.enforce_structural else None
-
-    def get(self, k: int, n: int) -> int:
-        s = self._structural(k, n)
-        if s is not None:
-            return s
-        try:
-            return self.entries[(k, n)]
-        except KeyError:
-            raise MissingCount(k, n) from None
-
     def put(self, k: int, n: int, count: int, provenance: str):
+        """Store a count.  The first route's provenance is kept, except that a
+        shipped count is always ``ingested``, so the cache drops it."""
         if count < 0:
             raise ValueError("counts are nonnegative")
-        s = self._structural(k, n)
+        s = self.structural(k, n)
         if s is not None:
             if count != s:
                 raise CountConflict(k, n, s, count, PROV_STRUCTURAL, provenance)
@@ -168,11 +149,8 @@ class CountTable:
         if old is not None and old != count:
             raise CountConflict(k, n, old, count, self.provenance[(k, n)], provenance)
         self.entries[(k, n)] = count
-        self.provenance.setdefault((k, n), provenance)
-
-    def merge(self, other: "CountTable"):
-        for (k, n), count in other.entries.items():
-            self.put(k, n, count, other.provenance[(k, n)])
+        if old is None or provenance == PROV_INGESTED:
+            self.provenance[(k, n)] = provenance
 
     def save_cache(self, path: str | Path):
         """Write the computed entries; ingested ones stay in their b-files.
@@ -256,17 +234,15 @@ def count_hadamard(k: int, n: int) -> int:
         raise ValueError("the moment formula requires k >= 2")
     if (n * k) % 2:
         raise ValueError("n*k must be even (no regular graph exists otherwise)")
-    bracket = inner_bracket(k)
-    bound = n * k
     power = MPoly.const(1)
-    base = bracket
+    base = inner_bracket(k)
     e = n
     while e:
         if e & 1:
-            power = power.mul(base, bound)
+            power = power * base
         e >>= 1
         if e:
-            base = base.mul(base, bound)
+            base = base * base
     alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
     value = gaussian_hadamard(power, alphas)
     if value.denominator != 1 or value < 0:
@@ -382,16 +358,15 @@ def count_two_regular(n: int) -> int:
     return a[n]
 
 
-def load_bfile(path: str | Path, k: int, connected: bool = False) -> CountTable:
-    """Parse a plain b-file ("n value" per line, '#' comments) into a table.
+def load_bfile(path: str | Path) -> list[int]:
+    """Parse a plain b-file ("n value" per line, '#' comments): the values
+    for n = 0, 1, 2, ...
 
-    The first entry must be n = 0 (OffsetMismatch otherwise).  The
-    (k, connected-or-not) meaning of the file is the caller's: the parsed
-    entries are attached to the given k, and the connected flag only
-    decides whether the plain-count structural rules apply.
+    The first entry must be n = 0 (OffsetMismatch otherwise); an index that
+    is not the next one (a gap, a repeat, or out of order) or a negative
+    value raises ParseError.
     """
-    table = CountTable(enforce_structural=not connected)
-    first = True
+    values: list[int] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -403,31 +378,27 @@ def load_bfile(path: str | Path, k: int, connected: bool = False) -> CountTable:
             n, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(lineno, raw) from None
-        if first and n != 0:
+        if not values and n != 0:
             raise OffsetMismatch(f"a b-file must start at index 0, this one starts at {n}")
-        first = False
-        table.put(k, n, value, PROV_INGESTED)
-    return table
+        if n != len(values) or value < 0:
+            raise ParseError(lineno, raw)
+        values.append(value)
+    return values
 
 
-def reference_table(which: str, k: int, data_dir: str | Path = DATA_DIR) -> CountTable:
-    """Shipped reference counts ('sg' or 'csg') for one k under data_dir.
-
-    The table is empty when data_dir has no file for this k.
-    """
+def reference_counts(which: str, k: int, data_dir: str | Path = DATA_DIR) -> list[int]:
+    """Shipped reference counts ('sg' or 'csg') of one k under data_dir,
+    indexed by n; empty when data_dir has no file for this k."""
     if which not in ("sg", "csg"):
         raise ValueError("which must be 'sg' or 'csg'")
-    connected = which == "csg"
     path = Path(data_dir) / f"{which}_k{k}.txt"
-    if not path.exists():
-        return CountTable(enforce_structural=not connected)
-    return load_bfile(path, k, connected=connected)
+    return load_bfile(path) if path.exists() else []
 
 
 def load_counts(
     k: int, data_dir: str | Path = DATA_DIR, cache: str | Path | None = None
 ) -> CountTable:
-    """The count cache (if given and present) merged with the shipped table for k.
+    """The count cache (if given and present) with the shipped counts for k put in.
 
     A cached count that contradicts a shipped one raises CountConflict.
     The shipped tables were cross-checked when they were generated; every
@@ -439,9 +410,10 @@ def load_counts(
         table = CountTable.load_cache(cache)
     else:
         table = CountTable()
-    shipped = reference_table("sg", k, data_dir)
-    table.merge(shipped)
-    unchecked = sorted(n for kk, n in table.entries if kk == k and (k, n) not in shipped.entries)
+    shipped = reference_counts("sg", k, data_dir)
+    for n, value in enumerate(shipped):
+        table.put(k, n, value, PROV_INGESTED)
+    unchecked = sorted(n for kk, n in table.entries if kk == k and n >= len(shipped))
     for n in unchecked:
         cached, value = table.entries[(k, n)], _compute(k, n)
         if cached != value:
@@ -476,13 +448,13 @@ def resolve(table: CountTable, k: int, n: int) -> tuple[int, str]:
     return value, PROV_FORMULA
 
 
-def egf_reciprocal_coeffs(k: int, jmax: int, counts: CountTable) -> list[Fraction]:
-    """Coefficients [x^0..x^jmax] of the reciprocal exponential generating function.
+def egf_reciprocal_coeffs(counts: list[int]) -> list[Fraction]:
+    """Coefficients [x^0..x^jmax] of the reciprocal exponential generating
+    function of the counts a(0..jmax), given as a list indexed by n.
 
-    The EGF starts at 1 (empty graph), so the reciprocal is a genuine power
-    series; its coefficients vanish for 1 <= j <= k.
+    The EGF starts at a(0) = 1 (empty graph), so the reciprocal is a genuine
+    power series; its coefficients vanish for 1 <= j <= k.
     """
-    egf = Series(
-        [Fraction(counts.get(k, m), math.factorial(m)) for m in range(jmax + 1)], jmax
-    )
+    jmax = len(counts) - 1
+    egf = Series([Fraction(c, math.factorial(m)) for m, c in enumerate(counts)], jmax)
     return list(Series.one(jmax).div(egf).coefficients)

@@ -24,7 +24,6 @@ values are immutable and every operation is pure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
@@ -83,11 +82,6 @@ def mono_exponents(m: Monomial) -> dict[int, int]:
         m >>= FIELD_BITS
         var += 1
     return out
-
-
-def _weighted_degree(m: Monomial) -> int:
-    """sum(v * e_v): variable v has weight v."""
-    return sum(v * e for v, e in mono_exponents(m).items())
 
 
 def _reduced(terms: dict, den: int, p: "MPoly | None" = None) -> "MPoly":
@@ -201,7 +195,7 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
-            return self.mul(other)
+            return MPoly.dot(((1, self, other),))
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             terms = {m: c * p for m, c in self.terms.items() if p}
@@ -209,20 +203,6 @@ class MPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def mul(self, other: "MPoly", bound: int | None = None) -> "MPoly":
-        """The product; with a bound, terms of weighted degree sum(v * e_v) > bound are dropped."""
-        row = list(other.terms.items())
-        if bound is None:
-            rows = [(m1, c1, row) for m1, c1 in self.terms.items()]
-        else:
-            row.sort(key=lambda t: _weighted_degree(t[0]))
-            weights = [_weighted_degree(m) for m, _ in row]
-            rows = [
-                (m1, c1, row[: bisect_right(weights, bound - _weighted_degree(m1))])
-                for m1, c1 in self.terms.items()
-            ]
-        return _sum_rows(rows, self.den * other.den)
 
     @staticmethod
     def dot(triples, need: "set[int] | None" = None) -> "MPoly":

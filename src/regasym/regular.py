@@ -368,9 +368,7 @@ def _lagrange_interpolate(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def formal_k_interpolate(
-    r: int, kmin: int | None = None, samples: int | None = None
-) -> FormalKPolynomial:
+def formal_k_interpolate(r: int) -> FormalKPolynomial:
     """Recover [z^r] * k^r as one polynomial in k by exact interpolation.
 
     Sampling starts at k = 2r+2 where every structural indicator is active,
@@ -380,10 +378,7 @@ def formal_k_interpolate(
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if kmin is None:
-        kmin = max(2, 2 * r + 2)
-    if samples is None:
-        samples = 4 * r + 1
+    kmin, samples = 2 * r + 2, 4 * r + 1
     ks = [kmin + i for i in range(samples)]
     ys = [sg_expansion(k, r)[r] * Fraction(k) ** r for k in ks]
     coeffs = _lagrange_interpolate(ks, ys)

@@ -25,8 +25,10 @@ in the subtracted partial sum.  Cells print with two decimals, rounding
 half to even, and doubling the working precision must not change a
 printed digit.
 
-A grid is a list of (k, cells) rows: :func:`residual_row` gives the cells
-of one k as plain mpf values, None where a count is missing or no graph
+The counts come in plain: :func:`residual_cell` takes the count of its
+cell, and :func:`residual_row` a mapping n -> count for one k.  A grid is
+a list of (k, cells) rows: :func:`residual_row` gives the cells of one k
+as plain mpf values, None where the mapping has no count or no graph
 exists, and :func:`render_csv` and :func:`compare_to_golden` read the rows.
 """
 
@@ -36,12 +38,12 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
-from .counts import CountTable, MissingCount
+from .counts import CountTable
 from .regular import Envelope
 
 DEFAULT_PRECISION = 256
@@ -136,12 +138,11 @@ def residual_cell(
     k: int,
     n: int,
     r: int,
-    counts: CountTable,
+    count: int,
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
 ) -> mpmath.mpf:
     """Residual for one cell, retrying with doubled precision on underflow."""
-    count = counts.get(k, n)
     prec = precision
     for _ in range(4):
         try:
@@ -155,12 +156,12 @@ def residual_row(
     k: int,
     ns: Sequence[int],
     r: int,
-    table: CountTable,
+    counts: Mapping[int, int],
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
 ) -> list[mpmath.mpf | None]:
-    """The cells of one k over ns; a cell with no count is None, with one
-    line on stderr.
+    """The cells of one k over ns, with counts a mapping n -> count; a cell
+    whose n the mapping lacks is None, with one line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
     is None as well.
@@ -169,12 +170,13 @@ def residual_row(
     for n in ns:
         if CountTable.structural(k, n) == 0:
             cells.append(None)
-            continue
-        try:
-            cells.append(residual_cell(k, n, r, table, coeffs, precision))
-        except MissingCount as exc:
-            sys.stderr.write(f"no residual for k={k}, n={n}: {exc}\n")
+        elif n not in counts:
+            sys.stderr.write(
+                f"no residual for k={k}, n={n}: no count available for k={k}, n={n}\n"
+            )
             cells.append(None)
+        else:
+            cells.append(residual_cell(k, n, r, counts[n], coeffs, precision))
     return cells
 
 
@@ -195,14 +197,7 @@ def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
 
 def round_half_even_2dp(x: mpmath.mpf) -> Fraction:
     """Round to 2 decimals, ties to even, exactly."""
-    scaled = mpf_to_fraction(x) * 100
-    floor = math.floor(scaled)
-    rem = scaled - floor
-    if rem > Fraction(1, 2):
-        floor += 1
-    elif rem == Fraction(1, 2) and floor % 2:
-        floor += 1
-    return Fraction(floor, 100)
+    return Fraction(round(mpf_to_fraction(x) * 100), 100)
 
 
 def format_cell(cell: mpmath.mpf | None) -> str:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from regasym.counts import CountTable, count_hadamard, reference_table
+from regasym.counts import count_hadamard, reference_counts
 
 
 def small_fractions(max_num=6, max_den=4):
@@ -16,23 +16,21 @@ def small_fractions(max_num=6, max_den=4):
 
 @pytest.fixture(scope="session")
 def small_counts():
-    """Exact counts for k in {3,4,5} and n <= 10, by the moment formula."""
-    table = CountTable()
-    for k in (3, 4, 5):
-        for n in range(0, 11):
-            if (n * k) % 2 == 0:
-                table.put(k, n, count_hadamard(k, n), "formula")
-    return table
+    """Exact counts a(0..10) for k in {3,4,5} by the moment formula, as
+    small_counts[k][n]."""
+    return {
+        k: [count_hadamard(k, n) if (n * k) % 2 == 0 else 0 for n in range(11)]
+        for k in (3, 4, 5)
+    }
 
 
 @pytest.fixture(scope="session")
 def sg_reference():
-    table = CountTable()
-    for k in (3, 4, 5):
-        table.merge(reference_table("sg", k))
-    return table
+    """Shipped plain counts a(0..100), as sg_reference[k][n]."""
+    return {k: reference_counts("sg", k) for k in (3, 4, 5)}
 
 
 @pytest.fixture(scope="session")
 def csg_reference():
-    return {k: reference_table("csg", k) for k in (3, 4)}
+    """Shipped connected counts for n = 0..100, as csg_reference[k][n]."""
+    return {k: reference_counts("csg", k) for k in (3, 4)}

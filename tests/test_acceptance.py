@@ -13,11 +13,10 @@ import pytest
 
 from regasym.connected import csg_tilde, shifted_expansion, valuation_gap
 from regasym.counts import (
-    CountTable,
     count_brute,
     count_hadamard,
     count_two_regular,
-    reference_table,
+    reference_counts,
 )
 from regasym.laplace import (
     expand_direct,
@@ -118,21 +117,21 @@ def test_criterion_6_connected_golden(small_counts):
         5: (Fraction(2), Fraction(-589, 30), Fraction(190249, 3600)),
     }
     for k, expected in golden.items():
-        assert tuple(csg_tilde(k, 2, small_counts).coefficients) == expected, k
+        assert tuple(csg_tilde(k, 2, small_counts[k]).coefficients) == expected, k
     # the k=3 z^2 coefficient satisfies the indicator correction with the
     # count of the complete graph from the exact oracle
     count4 = count_hadamard(3, 4)
     correction = Fraction(-12 * math.factorial(3) ** 4 * count4, 3**4) / Fraction(144 * 9)
-    assert csg_tilde(3, 2, small_counts)[2] == sg_expansion(3, 2)[2] + correction
+    assert csg_tilde(3, 2, small_counts[3])[2] == sg_expansion(3, 2)[2] + correction
     _report(6, "connected coefficients through z^2 for k=3,4,5 plus the k=3 correction", started, 60.0)
 
 
 def test_criterion_7_valuation_gap(small_counts):
     started = time.time()
-    assert valuation_gap(3, csg_tilde(3, 2, small_counts)) == 2
-    diff = csg_tilde(3, 2, small_counts) - sg_expansion(3, 2)
+    assert valuation_gap(3, csg_tilde(3, 2, small_counts[3])) == 2
+    diff = csg_tilde(3, 2, small_counts[3]) - sg_expansion(3, 2)
     assert diff[2] == Fraction(-4, 27)
-    assert valuation_gap(4, csg_tilde(4, 5, small_counts)) == 5  # agreement through z^4
+    assert valuation_gap(4, csg_tilde(4, 5, small_counts[4])) == 5  # agreement through z^4
     _report(7, "expansion gap exactly 2 for k=3 (difference -4/27) and 5 for k=4", started, 60.0)
 
 
@@ -142,21 +141,16 @@ def _published_grid_rows(which: str, precision: int):
         for k in (2, 3, 4, 5):
             r_eff = published_r("sg", k, 3)
             if k == 2:
-                table = CountTable()
-                for n in TABLE_NS:
-                    table.put(2, n, count_two_regular(n), "formula")
+                counts = {n: count_two_regular(n) for n in TABLE_NS}
             else:
-                table = reference_table("sg", k)
+                counts = dict(enumerate(reference_counts("sg", k)))
             coeffs = sg_expansion(k, r_eff - 1).coefficients
-            rows.append((k, residual_row(k, TABLE_NS, r_eff, table, coeffs, precision)))
+            rows.append((k, residual_row(k, TABLE_NS, r_eff, counts, coeffs, precision)))
     else:
-        sg_refs = CountTable()
         for k in (3, 4):
-            sg_refs.merge(reference_table("sg", k))
-        for k in (3, 4):
-            coeffs = tuple(csg_tilde(k, 2, sg_refs).coefficients)
-            table = reference_table("csg", k)
-            rows.append((k, residual_row(k, TABLE_NS, 3, table, coeffs, precision)))
+            coeffs = tuple(csg_tilde(k, 2, reference_counts("sg", k)).coefficients)
+            counts = dict(enumerate(reference_counts("csg", k)))
+            rows.append((k, residual_row(k, TABLE_NS, 3, counts, coeffs, precision)))
     return rows
 
 

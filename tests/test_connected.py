@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from regasym.connected import GapMismatch, csg_tilde, shifted_expansion, valuation_gap
-from regasym.counts import CountTable, count_brute, egf_reciprocal_coeffs
+from regasym.counts import count_brute, egf_reciprocal_coeffs
 from regasym.laplace import stirling_series
 from regasym.regular import Envelope, IrrationalPrefactor, sg_expansion
 from regasym.series import Series
@@ -76,7 +76,7 @@ def test_transfer_truncates_high_shifts():
 
 def test_csg_golden(small_counts):
     for k, expected in CSG_GOLDEN.items():
-        got = csg_tilde(k, 2, small_counts)
+        got = csg_tilde(k, 2, small_counts[k])
         assert got.coefficients == expected, k
 
 
@@ -87,63 +87,60 @@ def test_csg_dynamic_cutoff_agrees(small_counts):
     for k in (3, 4, 5):
         stirling = stirling_series(r)
         atilde = sg_expansion(k, r).div(stirling)
-        recip = egf_reciprocal_coeffs(k, 2 * r, small_counts)
+        recip = egf_reciprocal_coeffs(small_counts[k][: 2 * r + 1])
         total = Series.zero(r)
         for j in range(2 * r + 1):
             if (j * k) % 2 == 0:
                 total = total + shifted_expansion(atilde, j, k) * recip[j]
-        assert csg_tilde(k, r, small_counts) == (stirling * total).truncate(r), k
+        assert csg_tilde(k, r, small_counts[k]) == (stirling * total).truncate(r), k
 
 
 def test_transfer_identity_weight():
     # with no graph on n >= 1 vertices the reciprocal EGF is 1, so only the
     # j = 0 shift survives and the transfer returns the plain series
-    empty = CountTable()
-    for n in range(0, 7):
-        if (3 * n) % 2 == 0:
-            empty.put(3, n, 1 if n == 0 else 0, "formula")
-    assert csg_tilde(3, 3, empty) == sg_expansion(3, 3)
+    assert csg_tilde(3, 3, [1, 0, 0, 0, 0, 0, 0]) == sg_expansion(3, 3)
 
 
 def test_csg_k3_z2_indicator_identity(small_counts):
     # the k=3 coefficient picks up -12 (k!)^4 k^(2-2k) count(4) / (144 k^2)
     # relative to the plain one, with count(4) from the exact count oracle
     k = 3
-    count4 = small_counts.get(3, 4)
+    count4 = small_counts[3][4]
     plain = sg_expansion(3, 2)[2]
     correction = Fraction(-12 * 6**4 * count4, 3 ** (2 * k - 2) * 144 * k**2)
-    assert csg_tilde(3, 2, small_counts)[2] == plain + correction
+    assert csg_tilde(3, 2, small_counts[3])[2] == plain + correction
     assert correction == Fraction(-4, 27)
 
 
 def test_csg_requires_k_at_least_three(small_counts):
     with pytest.raises(ValueError):
-        csg_tilde(2, 1, small_counts)
+        csg_tilde(2, 1, small_counts[3])
 
 
-def test_csg_missing_counts_propagate():
-    from regasym.counts import MissingCount
-
-    with pytest.raises(MissingCount):
-        csg_tilde(3, 2, CountTable())
+def test_csg_missing_counts_propagate(small_counts):
+    # the transfer reads a(0..2r): a shorter list is an error, not zeros
+    with pytest.raises(ValueError, match=r"0\.\.4 vertices, got 4"):
+        csg_tilde(3, 2, small_counts[3][:4])
+    with pytest.raises(ValueError):
+        csg_tilde(3, 2, [])
 
 
 def test_valuation_gap_values(small_counts):
-    assert valuation_gap(3, csg_tilde(3, 2, small_counts)) == 2
-    assert valuation_gap(4, csg_tilde(4, 5, small_counts)) == 5
+    assert valuation_gap(3, csg_tilde(3, 2, small_counts[3])) == 2
+    assert valuation_gap(4, csg_tilde(4, 5, small_counts[4])) == 5
 
 
 def test_valuation_gap_k5(sg_reference):
     # half-integer alpha = 3/2: only even shifts contribute, and the gap is
     # (6)(3)/2 = 9 from the shipped counts
-    assert valuation_gap(5, csg_tilde(5, 9, sg_reference)) == 9
+    assert valuation_gap(5, csg_tilde(5, 9, sg_reference[5])) == 9
 
 
 def test_agreement_window_k5(sg_reference):
     # the k=5 gap is (6)(3)/2 = 9, so the two series coincide through
     # every order we can reach below it
     plain = sg_expansion(5, 6)
-    conn = csg_tilde(5, 6, sg_reference)
+    conn = csg_tilde(5, 6, sg_reference[5])
     assert conn == plain
 
 
@@ -151,9 +148,9 @@ def test_valuation_gap_difference_value(small_counts, sg_reference):
     # the first nonzero coefficient of connected minus plain is
     # -2 shift_constant(k+1) / (k+1)!, at the gap order
     for k, r, counts, value in (
-        (3, 2, small_counts, Fraction(-4, 27)),
-        (4, 5, small_counts, Fraction(-81, 640)),
-        (5, 9, sg_reference, Fraction(-2654208, 9765625)),
+        (3, 2, small_counts[3], Fraction(-4, 27)),
+        (4, 5, small_counts[4], Fraction(-81, 640)),
+        (5, 9, sg_reference[5], Fraction(-2654208, 9765625)),
     ):
         diff = csg_tilde(k, r, counts) - sg_expansion(k, r)
         assert diff.valuation() == r, k
@@ -163,15 +160,14 @@ def test_valuation_gap_difference_value(small_counts, sg_reference):
 
 def test_valuation_gap_needs_enough_order(small_counts):
     with pytest.raises(ValueError):
-        valuation_gap(4, csg_tilde(4, 3, small_counts))
+        valuation_gap(4, csg_tilde(4, 3, small_counts[4]))
 
 
 def test_gap_mismatch_alarm(small_counts):
     # zeroing the count of the complete graph kills the only z^2 correction,
     # so the two series coincide through order 2 and the alarm must fire
-    bad = CountTable()
-    for (k, n), v in small_counts.entries.items():
-        bad.put(k, n, v if (k, n) != (3, 4) else 0, "formula")
+    bad = list(small_counts[3])
+    bad[4] = 0
     with pytest.raises(GapMismatch):
         valuation_gap(3, csg_tilde(3, 2, bad))
 
@@ -179,9 +175,8 @@ def test_gap_mismatch_alarm(small_counts):
 def test_gap_value_mismatch_alarm(small_counts):
     # two complete graphs on 4 vertices double the z^2 correction: the gap
     # order stays 2, only its value is wrong, and the alarm must still fire
-    bad = CountTable()
-    for (k, n), v in small_counts.entries.items():
-        bad.put(k, n, v if (k, n) != (3, 4) else 2, "formula")
+    bad = list(small_counts[3])
+    bad[4] = 2
     connected = csg_tilde(3, 2, bad)
     assert (connected - sg_expansion(3, 2)).valuation() == 2
     with pytest.raises(GapMismatch) as err:

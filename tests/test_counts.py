@@ -8,7 +8,6 @@ from regasym.counts import (
     CountConflict,
     CountTable,
     LimitExceeded,
-    MissingCount,
     OffsetMismatch,
     ParseError,
     PROV_BRUTE,
@@ -23,7 +22,7 @@ from regasym.counts import (
     load_bfile,
     load_counts,
     moment_counts,
-    reference_table,
+    reference_counts,
     resolve,
 )
 from regasym.series import Series, double_factorial
@@ -60,11 +59,11 @@ def test_memoised_brute_matches_moment_formula(small_counts):
         assert count_brute(2, n) == count_hadamard(2, n), n
         for k in (3, 4, 5):
             if (n * k) % 2 == 0:
-                assert count_brute(k, n) == small_counts.get(k, n), (k, n)
+                assert count_brute(k, n) == small_counts[k][n], (k, n)
     assert count_brute(6, 7) == 1  # K7
     assert count_brute(6, 8) == double_factorial(7)  # complements of perfect matchings
     assert count_brute(6, 9) == count_two_regular(9)
-    assert count_brute(6, 10) == reference_table("sg", 3).get(3, 10)
+    assert count_brute(6, 10) == reference_counts("sg", 3)[10]
 
 
 # -- moment recurrence ---------------------------------------------------------
@@ -72,8 +71,7 @@ def test_memoised_brute_matches_moment_formula(small_counts):
 
 def test_moment_counts_match_shipped_tables():
     for k in (3, 4, 5):
-        ref = reference_table("sg", k)
-        assert moment_counts(k, 40) == [ref.get(k, n) for n in range(41)], k
+        assert moment_counts(k, 40) == reference_counts("sg", k)[:41], k
 
 
 def test_moment_counts_match_moment_formula(small_counts):
@@ -83,15 +81,15 @@ def test_moment_counts_match_moment_formula(small_counts):
     for k in (3, 4, 5):
         for n, value in enumerate(moment_counts(k, 10)):
             if (n * k) % 2 == 0:
-                assert value == small_counts.get(k, n), (k, n)
+                assert value == small_counts[k][n], (k, n)
     assert moment_counts(6, 7)[7] == count_hadamard(6, 7) == 1
     assert moment_counts(7, 8)[8] == 1
 
 
 def test_moment_counts_degree_complements():
     # a k-regular graph on n vertices is the complement of an (n-1-k)-regular one
-    assert moment_counts(6, 12)[10] == reference_table("sg", 3).get(3, 10)
-    assert moment_counts(6, 12)[12] == reference_table("sg", 5).get(5, 12)
+    assert moment_counts(6, 12)[10] == reference_counts("sg", 3)[10]
+    assert moment_counts(6, 12)[12] == reference_counts("sg", 5)[12]
     assert moment_counts(7, 10)[10] == count_two_regular(10)
     for k in (6, 7):
         for n in range(k + 1, 11):
@@ -193,13 +191,14 @@ def test_two_regular_matches_cycle_set_egf():
 
 
 def test_table_structural_answers():
+    assert CountTable.structural(7, 0) == 1
+    assert CountTable.structural(3, 5) == 0  # odd n*k
+    assert CountTable.structural(4, 3) == 0  # 1 <= n <= k
+    assert CountTable.structural(0, 9) == 1
+    assert CountTable.structural(3, 6) is None  # a real count is needed
     t = CountTable()
-    assert t.get(7, 0) == 1
-    assert t.get(3, 5) == 0  # odd n*k
-    assert t.get(4, 3) == 0  # 1 <= n <= k
-    assert t.get(0, 9) == 1
-    with pytest.raises(MissingCount):
-        t.get(3, 6)
+    t.put(3, 5, 0, PROV_FORMULA)
+    assert t.entries == {}  # a structural count is checked, not stored
 
 
 def test_table_put_conflicts():
@@ -252,21 +251,19 @@ def test_table_cache_write_is_atomic(tmp_path, monkeypatch):
 
 def test_load_bfile_basic(tmp_path):
     path = tmp_path / "b.txt"
-    path.write_text("# a comment\n0 1\n1 0\n\n4 1\n")
-    t = load_bfile(path, 3)
-    assert t.get(3, 0) == 1 and t.get(3, 4) == 1
-    assert t.provenance[(3, 4)] == PROV_INGESTED
+    path.write_text("# a comment\n0 1\n1 0\n\n2 0\n3 0\n4 1\n")
+    assert load_bfile(path) == [1, 0, 0, 0, 1]
 
 
 def test_load_bfile_parse_error(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("0 1\nnot numbers\n")
     with pytest.raises(ParseError) as err:
-        load_bfile(path, 3)
+        load_bfile(path)
     assert err.value.lineno == 2
     path.write_text("0 1 2\n")
     with pytest.raises(ParseError):
-        load_bfile(path, 3)
+        load_bfile(path)
 
 
 def test_load_bfile_offset(tmp_path):
@@ -274,41 +271,55 @@ def test_load_bfile_offset(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("# starts late\n\n5 1\n6 0\n")
     with pytest.raises(OffsetMismatch):
-        load_bfile(path, 3)
+        load_bfile(path)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("0 1\n1 0\n3 0\n", 3),  # a gap: n = 2 is missing
+        ("0 1\n1 0\n1 0\n", 3),  # a repeated index
+        ("0 1\n2 0\n1 0\n", 2),  # out of order
+        ("0 1\n1 -1\n", 2),  # a negative count
+    ],
+    ids=["gap", "duplicate", "out-of-order", "negative"],
+)
+def test_load_bfile_rejects_bad_indices_and_values(tmp_path, text, lineno):
+    path = tmp_path / "b.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_bfile(path)
+    assert err.value.lineno == lineno
 
 
 def test_reference_tables_cross_checked():
-    sg3 = reference_table("sg", 3)
-    assert sg3.get(3, 4) == 1
+    sg3 = reference_counts("sg", 3)
+    assert sg3[4] == 1
     for n in range(0, 9):
-        if (3 * n) % 2 == 0:
-            assert sg3.get(3, n) == count_brute(3, n), n
-    sg5 = reference_table("sg", 5)
-    assert sg5.get(5, 8) == count_two_regular(8)
-    csg3 = reference_table("csg", 3)
-    assert csg3.get(3, 0) == 0  # the empty graph is not connected
-    assert csg3.get(3, 4) == 1
-    assert csg3.get(3, 6) == 70
+        assert sg3[n] == count_brute(3, n), n
+    sg5 = reference_counts("sg", 5)
+    assert sg5[8] == count_two_regular(8)
+    csg3 = reference_counts("csg", 3)
+    assert csg3[0] == 0  # the empty graph is not connected
+    assert csg3[4] == 1
+    assert csg3[6] == 70
 
 
 def test_reference_table_absent_is_empty(tmp_path):
-    assert reference_table("sg", 3, tmp_path).entries == {}
-    assert not reference_table("csg", 3, tmp_path).enforce_structural
+    assert reference_counts("sg", 3, tmp_path) == []
+    assert reference_counts("csg", 3, tmp_path) == []
 
 
 def test_reference_table_extends_to_100():
     for which, k in (("sg", 3), ("sg", 4), ("sg", 5), ("csg", 3), ("csg", 4)):
-        t = reference_table(which, k)
-        assert t.get(k, 100) > 0
+        counts_k = reference_counts(which, k)
+        assert len(counts_k) == 101 and counts_k[100] > 0
 
 
 def test_ingested_values_equal_formula_values(small_counts):
-    # wherever both provenances exist they must agree
+    # wherever both routes give a count they must agree
     for k in (3, 4, 5):
-        ref = reference_table("sg", k)
-        for (kk, n), value in small_counts.entries.items():
-            if kk == k and (CountTable.structural(k, n) is not None or (k, n) in ref.entries):
-                assert ref.get(k, n) == value, (k, n)
+        assert reference_counts("sg", k)[:11] == small_counts[k], k
 
 
 # -- resolver ------------------------------------------------------------------------
@@ -339,8 +350,8 @@ def test_load_counts_recomputes_uncovered_cache_entries(tmp_path, monkeypatch):
     assert (err.value.n, err.value.old, err.value.new) == (6, 71, 70)
     assert err.value.new_source == "recomputed"
     cache.write_text("3 6 70 formula\n6 10 11180820 formula\n2 7 465 formula\n")
-    assert load_counts(6, tmp_path, cache).get(6, 10) == 11180820
-    assert load_counts(2, tmp_path, cache).get(2, 7) == 465
+    assert load_counts(6, tmp_path, cache).entries[(6, 10)] == 11180820
+    assert load_counts(2, tmp_path, cache).entries[(2, 7)] == 465
     matchings = tmp_path / "k1.txt"
     matchings.write_text("1 6 16 formula\n")  # 5!! = 15
     with pytest.raises(CountConflict):
@@ -350,8 +361,8 @@ def test_load_counts_recomputes_uncovered_cache_entries(tmp_path, monkeypatch):
         raise AssertionError("entries a shipped table covers are not recomputed")
 
     monkeypatch.setattr(counts, "moment_counts", boom)
-    cache.write_text("3 6 70 formula\n3 100 %d formula\n" % reference_table("sg", 3).get(3, 100))
-    assert load_counts(3, counts.DATA_DIR, cache).get(3, 6) == 70
+    cache.write_text("3 6 70 formula\n3 100 %d formula\n" % reference_counts("sg", 3)[100])
+    assert load_counts(3, counts.DATA_DIR, cache).entries[(3, 6)] == 70
 
 
 def test_load_counts_merges_cache_and_shipped(tmp_path):
@@ -359,16 +370,29 @@ def test_load_counts_merges_cache_and_shipped(tmp_path):
     assert load_counts(3, tmp_path, cache).entries == {}  # neither present
     cache.write_text("6 7 1 formula\n")  # K7
     table = load_counts(3, counts.DATA_DIR, cache)
-    assert table.get(6, 7) == 1 and table.get(3, 100) == reference_table("sg", 3).get(3, 100)
+    assert table.entries[(6, 7)] == 1
+    assert table.entries[(3, 100)] == reference_counts("sg", 3)[100]
+
+
+def test_shipped_count_wins_provenance_over_cache(tmp_path):
+    # a count computed into the cache, then read with the shipped table
+    # present, is reported as shipped, and the next cache write drops it
+    cache = tmp_path / "cache.txt"
+    table = load_counts(3, tmp_path, cache)  # no shipped table
+    assert resolve(table, 3, 12) == (11555272575, PROV_FORMULA)
+    table.save_cache(cache)
+    assert cache.read_text() == "3 12 11555272575 formula\n"
+    table = load_counts(3, counts.DATA_DIR, cache)
+    assert resolve(table, 3, 12) == (11555272575, PROV_INGESTED)
+    table.save_cache(cache)
+    assert cache.read_text() == ""
 
 
 # -- reciprocal EGF ---------------------------------------------------------------
 
 
 def test_egf_reciprocal_small():
-    t = CountTable()
-    t.put(3, 4, 1, PROV_FORMULA)
-    coeffs = egf_reciprocal_coeffs(3, 4, t)
+    coeffs = egf_reciprocal_coeffs([1, 0, 0, 0, 1])
     assert coeffs[0] == 1
     assert coeffs[1:4] == [0, 0, 0]
     assert coeffs[4] == Fraction(-1, 24)
@@ -376,7 +400,7 @@ def test_egf_reciprocal_small():
 
 def test_egf_reciprocal_vanishes_through_k(small_counts):
     for k in (3, 4, 5):
-        coeffs = egf_reciprocal_coeffs(k, min(2 * k, 10), small_counts)
+        coeffs = egf_reciprocal_coeffs(small_counts[k][: min(2 * k, 10) + 1])
         for j in range(1, k + 1):
             assert coeffs[j] == 0, (k, j)
 
@@ -384,14 +408,9 @@ def test_egf_reciprocal_vanishes_through_k(small_counts):
 def test_egf_reciprocal_oracle_division(small_counts):
     # oracle: multiply back and compare with 1
     k, jmax = 3, 8
-    coeffs = egf_reciprocal_coeffs(k, jmax, small_counts)
+    coeffs = egf_reciprocal_coeffs(small_counts[k][: jmax + 1])
     egf = Series(
-        [Fraction(small_counts.get(k, m), math.factorial(m)) for m in range(jmax + 1)],
+        [Fraction(small_counts[k][m], math.factorial(m)) for m in range(jmax + 1)],
         jmax,
     )
     assert egf * Series(coeffs, jmax) == Series.one(jmax)
-
-
-def test_egf_reciprocal_missing_count():
-    with pytest.raises(MissingCount):
-        egf_reciprocal_coeffs(3, 6, CountTable())

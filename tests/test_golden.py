@@ -3,10 +3,12 @@
 Each value is the exact output of the matching ``python -m regasym``
 invocation as recorded in ``perfbench/expected.json``, whose oracle checks
 it independently (criterion-3 prefixes, the connected valuation gap, the
-published grid cells), except the three expansions above the bench's sizes,
-(6, 8), (7, 8) and (3, 12), which are marked where they are pinned.  A change to the exact pipeline must leave every
-coefficient bit-identical, and a change to the residual harness every
-printed grid cell.
+published grid cells), except the three expansions above the bench's
+sizes, (6, 8), (7, 8) and (3, 12), which are marked where they are pinned.
+A change to the exact pipeline must leave every coefficient bit-identical,
+and a change to the residual harness every printed grid cell.  Every
+invocation in ``expected.json`` is replayed through the command line and
+must print its recorded stdout byte for byte.
 """
 
 import json
@@ -73,7 +75,7 @@ def test_sg_expansion_golden(k, r):
 
 
 def test_csg_tilde_golden(sg_reference):
-    assert csg_tilde(4, 6, sg_reference).coefficients == rationals(CSG_4_6)
+    assert csg_tilde(4, 6, sg_reference[4]).coefficients == rationals(CSG_4_6)
 
 
 def test_formal_k_r3_golden():
@@ -81,19 +83,26 @@ def test_formal_k_r3_golden():
 
 
 EXPECTED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+EXPECTED = json.loads(EXPECTED_PATH.read_text())
 
-# The dense 4096-bit grids and their exit codes: the plain grid holds the
-# known-red published cell (k=5, n=10), so it exits with a grid mismatch.
-DENSE_GRIDS = {
-    "validate --which sg --k 2,3,4,5 --n 10:100:2 --r 3 --precision 4096": cli.EXIT_GOLDEN_MISMATCH,
-    "validate --which csg --k 3,4 --n 10:100:2 --r 3 --precision 4096": cli.EXIT_OK,
+# The grids holding the known-red published cell (k=5, n=10) exit with a
+# grid mismatch; every other recorded invocation exits 0.
+KNOWN_RED_GRIDS = {
+    "validate --which sg --k 2,3,4,5 --n 10:100:2 --r 3 --precision 4096",
+    "validate --which sg --k 3,4,5 --n 10:100:10 --r 3",
 }
 
 
-@pytest.mark.parametrize("args", sorted(DENSE_GRIDS))
-def test_dense_residual_grid_golden(args, capsys, monkeypatch):
+@pytest.mark.parametrize("args", sorted(EXPECTED))
+def test_dense_residual_grid_golden(args, capsys, monkeypatch, tmp_path):
+    # every recorded invocation, the dense 4096-bit grids among them: stdout
+    # byte for byte and the exit code; a count runs from empty cache and
+    # data dirs, as it does in the bench's counts workload
     monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
-    expected = json.loads(EXPECTED_PATH.read_text())[args]
-    code = cli.main(args.split())
-    assert capsys.readouterr().out == expected
-    assert code == DENSE_GRIDS[args]
+    options = []
+    if args.startswith("count "):
+        (tmp_path / "data").mkdir()
+        options = ["--cache-dir", str(tmp_path / "cache"), "--data-dir", str(tmp_path / "data")]
+    code = cli.main(options + args.split())
+    assert capsys.readouterr().out == EXPECTED[args]
+    assert code == (cli.EXIT_GOLDEN_MISMATCH if args in KNOWN_RED_GRIDS else cli.EXIT_OK)

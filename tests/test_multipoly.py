@@ -102,8 +102,8 @@ def assert_matches(p: MPoly, model: dict):
 
 
 @settings(max_examples=200, deadline=None)
-@given(reference_strategy(), reference_strategy(), small_fractions(), st.integers(0, 12))
-def test_kernel_matches_reference_model(a, b, c, bound):
+@given(reference_strategy(), reference_strategy(), small_fractions())
+def test_kernel_matches_reference_model(a, b, c):
     pa, pb = build(a), build(b)
     assert_matches(pa, a)
     assert_matches(pa + pb, ref_add(a, b))
@@ -112,8 +112,6 @@ def test_kernel_matches_reference_model(a, b, c, bound):
     assert_matches(pa * pb, ref_mul(a, b))
     assert_matches(pa * c, clean({m: x * c for m, x in a.items()}))
     assert_matches(pa * 3, {m: x * 3 for m, x in a.items()})
-    weighted = {m: x for m, x in ref_mul(a, b).items() if sum(v * e for v, e in m) <= bound}
-    assert_matches(pa.mul(pb, bound), weighted)
     alphas = {v: Fraction((-1) ** v * (v + 1), v + 2) for v in range(4)}
     assert gaussian_hadamard(pa * pb, alphas) == ref_moment(ref_mul(a, b), alphas)
 
@@ -204,8 +202,6 @@ def test_exponent_overflow_raises_instead_of_carrying():
     # one past it would carry into variable 2's field: it raises instead
     with pytest.raises(ExponentOverflow):
         at_limit * MPoly.variable(1)
-    with pytest.raises(ExponentOverflow):
-        at_limit.mul(MPoly.variable(1) + 1, bound=10**9)
     with pytest.raises(ExponentOverflow):
         MPoly({monomial({1: MAX_EXP}): 1}) * MPoly({monomial({1: 1, 2: 1}): 1})
     with pytest.raises(ExponentOverflow):

@@ -334,11 +334,22 @@ def test_formal_k_r2_golden():
         assert poly.evaluate(k) == sg_expansion(k, 2)[2], k
 
 
-def test_formal_k_degree_overflow_detection():
-    # sampling r=1 from k=2 (inside the indicator region) with too few
-    # points cannot fit a single polynomial: the verification must catch it
+def test_formal_k_degree_overflow_detection(monkeypatch, capsys):
+    # a coefficient of degree 4r + 1 in k (k^r times it of degree 5r + 1)
+    # cannot be fit by the 4r + 1 samples: the held-out points must catch
+    # it, and the command line maps it to the degree-overflow exit code
+    from regasym import cli
+
+    plain = regular.sg_expansion
+
+    def steeper(k, r):
+        return plain(k, r) + Series.monomial(Fraction(k) ** (4 * r + 1), r, r)
+
+    monkeypatch.setattr(regular, "sg_expansion", steeper)
     with pytest.raises(DegreeOverflow):
-        formal_k_interpolate(1, kmin=4, samples=2)
+        formal_k_interpolate(1)
+    assert cli.main(["formal-k", "--r", "1"]) == cli.EXIT_DEGREE
+    assert capsys.readouterr().err.startswith("degree overflow: ")
 
 
 def test_records_are_immutable_values():

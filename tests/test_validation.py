@@ -6,7 +6,7 @@ import pytest
 from mpmath.libmp import from_rational, round_nearest
 
 from regasym.connected import csg_tilde
-from regasym.counts import CountTable, PROV_FORMULA, count_two_regular
+from regasym.counts import count_two_regular
 from regasym.regular import Envelope, sg_expansion
 from regasym.validation import (
     GOLDEN_CSG,
@@ -48,11 +48,9 @@ def log_space_residual(k, n, r, count, coeffs, precision):
 
 
 @pytest.fixture(scope="module")
-def two_regular_table():
-    t = CountTable()
-    for n in TABLE_NS:
-        t.put(2, n, count_two_regular(n), PROV_FORMULA)
-    return t
+def two_regular_counts():
+    """Counts of 2-regular graphs, indexed by n = 0..100."""
+    return [count_two_regular(n) for n in range(101)]
 
 
 def test_round_half_even():
@@ -69,28 +67,30 @@ def test_mpf_to_fraction_exact():
     assert mpf_to_fraction(x) == Fraction(3, 8)
 
 
-def test_residual_spot_values(sg_reference, two_regular_table):
+def test_residual_spot_values(sg_reference, two_regular_counts):
     # reference grid cells, two decimals
     cases = [
         (3, 20, sg_expansion(3, 2).coefficients, "4.05"),
         (4, 100, sg_expansion(4, 2).coefficients, "14.01"),
     ]
     for k, n, coeffs, expected in cases:
-        cell = residual_cell(k, n, 3, sg_reference, coeffs)
+        cell = residual_cell(k, n, 3, sg_reference[k][n], coeffs)
         assert format_cell(cell) == expected, (k, n)
     # the published k=2 row carries one extra subtracted term
     assert published_r("sg", 2, 3) == 4
-    cell = residual_cell(2, 50, published_r("sg", 2, 3), two_regular_table, sg_expansion(2, 3).coefficients)
+    cell = residual_cell(
+        2, 50, published_r("sg", 2, 3), two_regular_counts[50], sg_expansion(2, 3).coefficients
+    )
     assert format_cell(cell) == "1.79"
 
 
 def test_residual_csg_spot_values(csg_reference, sg_reference):
-    coeffs3 = tuple(csg_tilde(3, 2, sg_reference).coefficients)
-    coeffs4 = tuple(csg_tilde(4, 2, sg_reference).coefficients)
-    assert format_cell(residual_cell(3, 10, 3, csg_reference[3], coeffs3)) == "4.40"
-    assert format_cell(residual_cell(4, 50, 3, csg_reference[4], coeffs4)) == "14.31"
+    coeffs3 = tuple(csg_tilde(3, 2, sg_reference[3]).coefficients)
+    coeffs4 = tuple(csg_tilde(4, 2, sg_reference[4]).coefficients)
+    assert format_cell(residual_cell(3, 10, 3, csg_reference[3][10], coeffs3)) == "4.40"
+    assert format_cell(residual_cell(4, 50, 3, csg_reference[4][50], coeffs4)) == "14.31"
     for n in range(60, 101, 10):
-        assert format_cell(residual_cell(3, n, 3, csg_reference[3], coeffs3)) == "2.31"
+        assert format_cell(residual_cell(3, n, 3, csg_reference[3][n], coeffs3)) == "2.31"
 
 
 def test_residual_requires_coeffs_and_counts(sg_reference):
@@ -115,12 +115,12 @@ def dense_grid_cells(sg_reference, csg_reference):
         r = published_r("sg", k, 3)
         coeffs = sg_expansion(k, r - 1).coefficients
         for n in DENSE_NS:
-            count = count_two_regular(n) if k == 2 else sg_reference.get(k, n)
+            count = count_two_regular(n) if k == 2 else sg_reference[k][n]
             yield k, n, r, count, coeffs
     for k in (3, 4):
-        coeffs = tuple(csg_tilde(k, 2, sg_reference).coefficients)
+        coeffs = tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
         for n in DENSE_NS:
-            yield k, n, 3, csg_reference[k].get(k, n), coeffs
+            yield k, n, 3, csg_reference[k][n], coeffs
 
 
 @pytest.mark.parametrize("precision", [256, 4096])
@@ -140,15 +140,13 @@ def test_precision_underflow_detected_and_retried(sg_reference):
 
     # a coefficient matching the exact ratio to ~318 bits forces more
     # cancellation than low-precision runs can absorb
-    count = sg_reference.get(3, 10)
+    count = sg_reference[3][10]
     ratio = residual(3, 10, 0, count, [], precision=320)
     near = mpf_to_fraction(ratio)
     with pytest.raises(PrecisionUnderflow):
         residual(3, 10, 1, count, [near], precision=128)
     # residual_cell retries with doubled precision until the diff resolves
-    table = CountTable()
-    table.put(3, 10, count, PROV_FORMULA)
-    cell = residual_cell(3, 10, 1, table, [near], precision=128)
+    cell = residual_cell(3, 10, 1, count, [near], precision=128)
     high = residual(3, 10, 1, count, [near], precision=1024)
     assert mpmath.nstr(cell, 20) == mpmath.nstr(high, 20)
 
@@ -156,22 +154,22 @@ def test_precision_underflow_detected_and_retried(sg_reference):
 def test_precision_doubling_changes_no_printed_digit(sg_reference):
     coeffs = sg_expansion(3, 2).coefficients
     for n in TABLE_NS:
-        low = residual_cell(3, n, 3, sg_reference, coeffs, precision=256)
-        high = residual_cell(3, n, 3, sg_reference, coeffs, precision=512)
+        low = residual_cell(3, n, 3, sg_reference[3][n], coeffs, precision=256)
+        high = residual_cell(3, n, 3, sg_reference[3][n], coeffs, precision=512)
         assert format_cell(low) == format_cell(high), n
 
 
 def test_boundedness_smoke(sg_reference):
     # |cell(n=100)| <= max over the printed range + 1
     coeffs = sg_expansion(5, 2).coefficients
-    cells = [residual_cell(5, n, 3, sg_reference, coeffs) for n in TABLE_NS]
+    cells = [residual_cell(5, n, 3, sg_reference[5][n], coeffs) for n in TABLE_NS]
     values = [abs(mpf_to_fraction(c)) for c in cells]
     assert values[-1] <= max(values) + 1
 
 
 def test_render_csv_shape(sg_reference):
     coeffs = sg_expansion(3, 2).coefficients
-    rows = [(3, residual_row(3, (10, 20), 3, sg_reference, coeffs))]
+    rows = [(3, residual_row(3, (10, 20), 3, dict(enumerate(sg_reference[3])), coeffs))]
     text = render_csv((10, 20), rows)
     lines = text.strip().splitlines()
     assert lines[0] == "n,10,20"
@@ -192,10 +190,10 @@ RESIDUALS_30 = {
 }
 
 
-def test_residual_cell_full_precision(sg_reference, two_regular_table):
+def test_residual_cell_full_precision(sg_reference, two_regular_counts):
     for (k, n), expected in RESIDUALS_30.items():
-        table = two_regular_table if k == 2 else sg_reference
-        cell = residual_cell(k, n, 3, table, sg_expansion(k, 2).coefficients)
+        count = two_regular_counts[n] if k == 2 else sg_reference[k][n]
+        cell = residual_cell(k, n, 3, count, sg_expansion(k, 2).coefficients)
         assert mpmath.nstr(cell, 30) == expected, (k, n)
 
 
@@ -220,18 +218,17 @@ def test_envelope_log_matches_shift_constant():
 
 
 def test_missing_cells_render_na():
-    empty = CountTable()
-    rows = [(3, residual_row(3, (10,), 3, empty, sg_expansion(3, 2).coefficients))]
+    rows = [(3, residual_row(3, (10,), 3, {}, sg_expansion(3, 2).coefficients))]
     assert render_csv((10,), rows).splitlines()[1] == "3,NA"
 
 
-def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_table):
+def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_counts):
     rows = []
     for k in (2, 3, 4, 5):
         r_eff = published_r("sg", k, 3)
-        table = two_regular_table if k == 2 else sg_reference
+        counts = two_regular_counts if k == 2 else sg_reference[k]
         coeffs = sg_expansion(k, r_eff - 1).coefficients
-        rows.append((k, residual_row(k, TABLE_NS, r_eff, table, coeffs)))
+        rows.append((k, residual_row(k, TABLE_NS, r_eff, dict(enumerate(counts)), coeffs)))
     mismatches = compare_to_golden("sg", TABLE_NS, rows)
     # the single published cell that no exact count reproduces
     assert [(m[0], m[1]) for m in mismatches] == [(5, 10)]
@@ -240,8 +237,8 @@ def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_table):
 def test_compare_to_golden_csg_clean(csg_reference, sg_reference):
     rows = []
     for k in (3, 4):
-        coeffs = tuple(csg_tilde(k, 2, sg_reference).coefficients)
-        rows.append((k, residual_row(k, TABLE_NS, 3, csg_reference[k], coeffs)))
+        coeffs = tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
+        rows.append((k, residual_row(k, TABLE_NS, 3, dict(enumerate(csg_reference[k])), coeffs)))
     assert compare_to_golden("csg", TABLE_NS, rows) == []
 
 
@@ -304,7 +301,7 @@ def test_envelope_constant_is_evaluated_once_per_row(sg_reference, monkeypatch):
     monkeypatch.setattr(mpmath, "exp", counting_exp)
     validation._envelope_constant.cache_clear()
     coeffs = sg_expansion(4, 2).coefficients
-    cells = residual_row(4, DENSE_NS, 3, sg_reference, coeffs, precision=4096)
+    cells = residual_row(4, DENSE_NS, 3, dict(enumerate(sg_reference[4])), coeffs, precision=4096)
     assert len(cells) == 46 and None not in cells
     # e^{nk/2} per cell has an integer argument; e^{(k^2-1)/4} is the one other
     assert len([x for x in arguments if x != int(x)]) <= 1
