@@ -29,7 +29,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from regasym.counts import (  # noqa: E402
-    CountTable,
     count_brute,
     count_hadamard,
     moment_counts,
@@ -77,7 +76,7 @@ def crosscheck(k: int, sg: list[int]) -> int:
     # one, counted by a closed form (degree <= 2) or another k's recurrence
     pairs = 0
     for n in range(k + 1, min(2 * k, len(sg) - 1) + 1):
-        other, _ = resolve(CountTable(), n - 1 - k, n)
+        other, _ = resolve(n - 1 - k, n)
         require(sg[n] == other, f"k={k}, n={n}: table {sg[n]} vs complement {other}")
         pairs += 1
     print(f"  k={k}: cross-checks passed", flush=True)

@@ -27,7 +27,6 @@ from .laplace import (
 )
 from .counts import (
     CountConflict,
-    CountTable,
     LimitExceeded,
     NonIntegerResult,
     OffsetMismatch,
@@ -37,9 +36,9 @@ from .counts import (
     count_two_regular,
     egf_reciprocal_coeffs,
     load_bfile,
-    load_counts,
     moment_counts,
     resolve,
+    structural,
 )
 from .regular import (
     DegreeOverflow,

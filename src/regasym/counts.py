@@ -19,38 +19,29 @@ The routes that produce (and cross-check) the integers:
 * shipped reference tables in plain b-file format ("n value" lines).
 
 :func:`resolve` is the one place that decides where a count comes from:
-the structural rules, then the table, then the closed forms, then the
+the structural rules of :func:`structural` (the empty graph gives 1, there
+is no k-regular graph on 1..k vertices, and none at all when n*k is odd),
+then the shipped counts it is given, then the closed forms, then the
 moment recurrence.  It returns the route as a provenance word:
-``structural``, the table's own word for a stored count (``ingested``
-for a shipped b-file entry, ``formula`` for a cached computed one), or
-``formula`` for a count it computed.  :func:`load_counts` builds the
-table it reads: the count cache, then the shipped counts for k put in
-over it (a shipped count is reported ``ingested`` and never cached), with
-every cached count for k that no shipped entry covers recomputed.
+``structural``, ``ingested`` for a shipped b-file entry, or ``formula``
+for a count it computed.  A negative k or n is a ValueError in
+:func:`structural`, so every route rejects it.
 
-A :class:`CountTable` keyed (k, n) with provenance is the resolver's store
-and the contents of an optional plain-text cache ("k n count provenance"
-per line) that holds only computed counts, never shipped ones.  Every
-other layer reads plain counts: :func:`load_bfile` and
+Every layer reads plain counts: :func:`load_bfile` and
 :func:`reference_counts` return the values for n = 0, 1, 2, ..., and
 :func:`egf_reciprocal_coeffs` takes such a list.  Two routes that give
 different counts for one (k, n) raise :class:`CountConflict`.  The
-count_* functions are pure; a CountTable is the one mutable object here,
-intended for a single writer with concurrent readers between writes.
-:meth:`CountTable.structural` answers the structural cases without
-storage: the empty graph gives 1, there is no k-regular graph on 1..k
-vertices, and none at all when n*k is odd.  A negative n is a ValueError
-there, so every route rejects it.
+count_* functions are pure; the only state here is the per-k sweep of
+:func:`moment_counts`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial
 from .series import Series, double_factorial
@@ -107,88 +98,20 @@ class OffsetMismatch(CountError):
     """A b-file does not start at index 0."""
 
 
-class CountTable:
-    """Exact counts keyed (k, n) with provenance: the resolver's store and
-    the cache's contents.
-
-    A count that the structural rules fix is checked against them and not
-    stored.
-    """
-
-    def __init__(self):
-        self.entries: dict[tuple[int, int], int] = {}
-        self.provenance: dict[tuple[int, int], str] = {}
-
-    @staticmethod
-    def structural(k: int, n: int) -> int | None:
-        """Counts forced by structure alone, None when a real count is needed;
-        ValueError for a negative n."""
-        if n < 0:
-            raise ValueError(f"(k={k}, n={n}): the number of vertices must be nonnegative")
-        if n == 0:
-            return 1
-        if (n * k) % 2:
-            return 0
-        if 1 <= n <= k:
-            return 0
-        if k == 0:
-            return 1  # only the empty graph on n isolated vertices
-        return None
-
-    def put(self, k: int, n: int, count: int, provenance: str):
-        """Store a count.  The first route's provenance is kept, except that a
-        shipped count is always ``ingested``, so the cache drops it."""
-        if count < 0:
-            raise ValueError("counts are nonnegative")
-        s = self.structural(k, n)
-        if s is not None:
-            if count != s:
-                raise CountConflict(k, n, s, count, PROV_STRUCTURAL, provenance)
-            return
-        old = self.entries.get((k, n))
-        if old is not None and old != count:
-            raise CountConflict(k, n, old, count, self.provenance[(k, n)], provenance)
-        self.entries[(k, n)] = count
-        if old is None or provenance == PROV_INGESTED:
-            self.provenance[(k, n)] = provenance
-
-    def save_cache(self, path: str | Path):
-        """Write the computed entries; ingested ones stay in their b-files.
-
-        The file is replaced atomically (a temporary file in the same
-        directory, then ``os.replace``), so a crash or a concurrent run
-        never leaves a truncated cache behind.
-        """
-        lines = []
-        for (k, n) in sorted(self.entries):
-            provenance = self.provenance[(k, n)]
-            if provenance != PROV_INGESTED:
-                lines.append(f"{k} {n} {self.entries[(k, n)]} {provenance}")
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    @staticmethod
-    def load_cache(path: str | Path) -> "CountTable":
-        table = CountTable()
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(lineno, raw)
-            try:
-                k, n, count = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, raw) from None
-            table.put(k, n, count, parts[3])
-        return table
+def structural(k: int, n: int) -> int | None:
+    """Counts forced by structure alone, None when a real count is needed;
+    ValueError for a negative k or n."""
+    if k < 0 or n < 0:
+        raise ValueError(f"(k={k}, n={n}): the degree and the vertex count must be nonnegative")
+    if n == 0:
+        return 1
+    if (n * k) % 2:
+        return 0
+    if 1 <= n <= k:
+        return 0
+    if k == 0:
+        return 1  # only the empty graph on n isolated vertices
+    return None
 
 
 def inner_bracket(k: int) -> MPoly:
@@ -263,7 +186,7 @@ def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     """
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds the brute-force limit {limit}")
-    s = CountTable.structural(k, n)
+    s = structural(k, n)
     if s is not None:
         return s
     memo: dict[tuple[int, ...], int] = {(): 1}
@@ -395,32 +318,6 @@ def reference_counts(which: str, k: int, data_dir: str | Path = DATA_DIR) -> lis
     return load_bfile(path) if path.exists() else []
 
 
-def load_counts(
-    k: int, data_dir: str | Path = DATA_DIR, cache: str | Path | None = None
-) -> CountTable:
-    """The count cache (if given and present) with the shipped counts for k put in.
-
-    A cached count that contradicts a shipped one raises CountConflict.
-    The shipped tables were cross-checked when they were generated; every
-    cached count for k that they do not cover is recomputed (one sweep up
-    to the largest such n) and a mismatch raises CountConflict too, so a
-    corrupted cache never silently changes a result.
-    """
-    if cache is not None and Path(cache).exists():
-        table = CountTable.load_cache(cache)
-    else:
-        table = CountTable()
-    shipped = reference_counts("sg", k, data_dir)
-    for n, value in enumerate(shipped):
-        table.put(k, n, value, PROV_INGESTED)
-    unchecked = sorted(n for kk, n in table.entries if kk == k and n >= len(shipped))
-    for n in unchecked:
-        cached, value = table.entries[(k, n)], _compute(k, n)
-        if cached != value:
-            raise CountConflict(k, n, cached, value, table.provenance[(k, n)], "recomputed")
-    return table
-
-
 def _compute(k: int, n: int) -> int:
     """The count by the closed forms for k = 1, 2, else the moment recurrence."""
     if k == 1:
@@ -430,22 +327,19 @@ def _compute(k: int, n: int) -> int:
     return moment_counts(k, n)[n]
 
 
-def resolve(table: CountTable, k: int, n: int) -> tuple[int, str]:
+def resolve(k: int, n: int, shipped: Sequence[int] = ()) -> tuple[int, str]:
     """The count of k-regular graphs on n vertices and the route that gave it.
 
-    Tries the structural rules, the table, the closed forms for k = 1
-    and k = 2, and then the moment recurrence (:func:`moment_counts`,
-    whose one sweep per k serves every n); a computed count is put into
-    the table as 'formula'.
+    Tries the structural rules, the shipped counts for k (indexed by n),
+    the closed forms for k = 1 and k = 2, and then the moment recurrence
+    (:func:`moment_counts`, whose one sweep per k serves every n).
     """
-    s = CountTable.structural(k, n)
+    s = structural(k, n)
     if s is not None:
         return s, PROV_STRUCTURAL
-    if (k, n) in table.entries:
-        return table.entries[(k, n)], table.provenance[(k, n)]
-    value = _compute(k, n)
-    table.put(k, n, value, PROV_FORMULA)
-    return value, PROV_FORMULA
+    if n < len(shipped):
+        return shipped[n], PROV_INGESTED
+    return _compute(k, n), PROV_FORMULA
 
 
 def egf_reciprocal_coeffs(counts: list[int]) -> list[Fraction]:

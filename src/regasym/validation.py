@@ -18,7 +18,7 @@ and floats enter only here: the bracket is an exact integer quotient,
 rounded to the working precision once, and e^h and the constant
 e^{(k^2-1)/4} sqrt(2) are the only transcendental values, so no expansion
 is ever used to validate itself.  e^h is evaluated per cell (above ~600
-bits mpmath takes e to an integer power from its cached e); the constant is
+bits mpmath takes e to an integer power from its stored e); the constant is
 evaluated once per (k, precision) and memoised, so each precision of the
 doubling retry gets its own.  The coefficients enter as exact rationals
 in the subtracted partial sum.  Cells print with two decimals, rounding
@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
-from .counts import CountTable
+from .counts import structural
 from .regular import Envelope
 
 DEFAULT_PRECISION = 256
@@ -168,7 +168,7 @@ def residual_row(
     """
     cells: list[mpmath.mpf | None] = []
     for n in ns:
-        if CountTable.structural(k, n) == 0:
+        if structural(k, n) == 0:
             cells.append(None)
         elif n not in counts:
             sys.stderr.write(

@@ -1,16 +1,15 @@
+import argparse
 import math
 from fractions import Fraction
 
 import pytest
 
-from regasym import counts
+from regasym import cli, counts
 from regasym.counts import (
     CountConflict,
-    CountTable,
     LimitExceeded,
     OffsetMismatch,
     ParseError,
-    PROV_BRUTE,
     PROV_FORMULA,
     PROV_INGESTED,
     PROV_STRUCTURAL,
@@ -20,10 +19,10 @@ from regasym.counts import (
     egf_reciprocal_coeffs,
     inner_bracket,
     load_bfile,
-    load_counts,
     moment_counts,
     reference_counts,
     resolve,
+    structural,
 )
 from regasym.series import Series, double_factorial
 
@@ -187,63 +186,30 @@ def test_two_regular_matches_cycle_set_egf():
         assert count_two_regular(n) == egf[n] * math.factorial(n), n
 
 
-# -- count table ----------------------------------------------------------------
+# -- structural rules -------------------------------------------------------------
 
 
 def test_table_structural_answers():
-    assert CountTable.structural(7, 0) == 1
-    assert CountTable.structural(3, 5) == 0  # odd n*k
-    assert CountTable.structural(4, 3) == 0  # 1 <= n <= k
-    assert CountTable.structural(0, 9) == 1
-    assert CountTable.structural(3, 6) is None  # a real count is needed
-    t = CountTable()
-    t.put(3, 5, 0, PROV_FORMULA)
-    assert t.entries == {}  # a structural count is checked, not stored
+    assert structural(7, 0) == 1
+    assert structural(3, 5) == 0  # odd n*k
+    assert structural(4, 3) == 0  # 1 <= n <= k
+    assert structural(0, 9) == 1
+    assert structural(3, 6) is None  # a real count is needed
+    for k, n in ((3, -1), (-1, 1), (-3, 0), (-2, 4)):
+        with pytest.raises(ValueError):
+            structural(k, n)
 
 
-def test_table_put_conflicts():
-    t = CountTable()
-    t.put(3, 6, 70, PROV_FORMULA)
-    t.put(3, 6, 70, PROV_INGESTED)  # same value is fine
+def test_table_put_conflicts(tmp_path):
+    # a shipped table that contradicts the structural rules is refused on load
+    (tmp_path / "sg_k3.txt").write_text("0 1\n1 0\n2 5\n")
     with pytest.raises(CountConflict) as err:
-        t.put(3, 6, 71, PROV_FORMULA)
-    assert (err.value.old, err.value.new) == (70, 71)
+        cli._shipped(argparse.Namespace(data_dir=tmp_path), 3)
+    assert (err.value.n, err.value.old, err.value.new) == (2, 0, 5)
+    assert (err.value.old_source, err.value.new_source) == (PROV_STRUCTURAL, PROV_INGESTED)
     assert isinstance(err.value, ValueError)
-    # n = 2 <= k = 3 must be zero
-    with pytest.raises(CountConflict) as err:
-        t.put(3, 2, 5, PROV_FORMULA)
-    assert (err.value.old, err.value.old_source) == (0, PROV_STRUCTURAL)
-
-
-def test_table_cache_round_trip(tmp_path):
-    t = CountTable()
-    t.put(3, 6, 70, PROV_FORMULA)
-    t.put(2, 5, 12, PROV_BRUTE)
-    t.put(3, 8, 19355, PROV_INGESTED)  # shipped counts are not cached
-    path = tmp_path / "cache.txt"
-    t.save_cache(path)
-    lines = path.read_text().splitlines()
-    assert sorted(lines) == ["2 5 12 brute", "3 6 70 formula"]
-    back = CountTable.load_cache(path)
-    assert back.entries == {(3, 6): 70, (2, 5): 12}
-    assert back.provenance == {(3, 6): PROV_FORMULA, (2, 5): PROV_BRUTE}
-
-
-def test_table_cache_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "cache.txt"
-    path.write_text("3 6 70 formula\n")
-    t = CountTable()
-    t.put(3, 6, 70, PROV_FORMULA)
-    t.put(2, 5, 12, PROV_BRUTE)
-
-    def crash(src, dst):
-        raise OSError("simulated crash before the rename")
-
-    monkeypatch.setattr(counts.os, "replace", crash)
-    with pytest.raises(OSError):
-        t.save_cache(path)
-    assert path.read_text() == "3 6 70 formula\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+    (tmp_path / "sg_k3.txt").write_text("0 1\n1 0\n2 0\n3 0\n4 1\n")
+    assert cli._shipped(argparse.Namespace(data_dir=tmp_path), 3) == [1, 0, 0, 0, 1]
 
 
 # -- b-files -----------------------------------------------------------------------
@@ -326,66 +292,22 @@ def test_ingested_values_equal_formula_values(small_counts):
 
 
 def test_resolve_routes(monkeypatch):
-    table = load_counts(4)
-    assert resolve(table, 4, 3) == (0, PROV_STRUCTURAL)
-    assert resolve(table, 4, 10) == (66462606, PROV_INGESTED)
-    assert resolve(CountTable(), 1, 6) == (15, PROV_FORMULA)
-    assert resolve(CountTable(), 2, 6) == (70, PROV_FORMULA)
-    fresh = CountTable()
-    assert resolve(fresh, 3, 6) == (70, PROV_FORMULA)
-    assert fresh.provenance[(3, 6)] == PROV_FORMULA  # computed counts are recorded
+    shipped = reference_counts("sg", 4)
+    assert resolve(4, 3, shipped) == (0, PROV_STRUCTURAL)
+    assert resolve(4, 10, shipped) == (66462606, PROV_INGESTED)
+    assert resolve(3, 2, [1, 0, 5]) == (0, PROV_STRUCTURAL)  # the rules come first
+    assert resolve(1, 6) == (15, PROV_FORMULA)
+    assert resolve(2, 6) == (70, PROV_FORMULA)
+    assert resolve(3, 6) == (70, PROV_FORMULA)
+    assert resolve(3, 8, [1, 0, 0, 0, 1]) == (19355, PROV_FORMULA)  # past the table
+    with pytest.raises(ValueError):
+        resolve(-1, 1)
 
     def boom(k, nmax):
         raise AssertionError("the moment recurrence must not run")
 
     monkeypatch.setattr(counts, "moment_counts", boom)
-    assert resolve(fresh, 3, 6) == (70, PROV_FORMULA)  # now from the table
-
-
-def test_load_counts_recomputes_uncovered_cache_entries(tmp_path, monkeypatch):
-    cache = tmp_path / "cache.txt"
-    cache.write_text("3 6 71 formula\n3 8 19355 formula\n")
-    with pytest.raises(CountConflict) as err:
-        load_counts(3, tmp_path, cache)  # no shipped table: the entries are recomputed
-    assert (err.value.n, err.value.old, err.value.new) == (6, 71, 70)
-    assert err.value.new_source == "recomputed"
-    cache.write_text("3 6 70 formula\n6 10 11180820 formula\n2 7 465 formula\n")
-    assert load_counts(6, tmp_path, cache).entries[(6, 10)] == 11180820
-    assert load_counts(2, tmp_path, cache).entries[(2, 7)] == 465
-    matchings = tmp_path / "k1.txt"
-    matchings.write_text("1 6 16 formula\n")  # 5!! = 15
-    with pytest.raises(CountConflict):
-        load_counts(1, tmp_path, matchings)
-
-    def boom(k, nmax):
-        raise AssertionError("entries a shipped table covers are not recomputed")
-
-    monkeypatch.setattr(counts, "moment_counts", boom)
-    cache.write_text("3 6 70 formula\n3 100 %d formula\n" % reference_counts("sg", 3)[100])
-    assert load_counts(3, counts.DATA_DIR, cache).entries[(3, 6)] == 70
-
-
-def test_load_counts_merges_cache_and_shipped(tmp_path):
-    cache = tmp_path / "cache.txt"
-    assert load_counts(3, tmp_path, cache).entries == {}  # neither present
-    cache.write_text("6 7 1 formula\n")  # K7
-    table = load_counts(3, counts.DATA_DIR, cache)
-    assert table.entries[(6, 7)] == 1
-    assert table.entries[(3, 100)] == reference_counts("sg", 3)[100]
-
-
-def test_shipped_count_wins_provenance_over_cache(tmp_path):
-    # a count computed into the cache, then read with the shipped table
-    # present, is reported as shipped, and the next cache write drops it
-    cache = tmp_path / "cache.txt"
-    table = load_counts(3, tmp_path, cache)  # no shipped table
-    assert resolve(table, 3, 12) == (11555272575, PROV_FORMULA)
-    table.save_cache(cache)
-    assert cache.read_text() == "3 12 11555272575 formula\n"
-    table = load_counts(3, counts.DATA_DIR, cache)
-    assert resolve(table, 3, 12) == (11555272575, PROV_INGESTED)
-    table.save_cache(cache)
-    assert cache.read_text() == ""
+    assert resolve(3, 6, reference_counts("sg", 3)) == (70, PROV_INGESTED)
 
 
 # -- reciprocal EGF ---------------------------------------------------------------

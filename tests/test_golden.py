@@ -94,11 +94,10 @@ KNOWN_RED_GRIDS = {
 
 
 @pytest.mark.parametrize("args", sorted(EXPECTED))
-def test_dense_residual_grid_golden(args, capsys, monkeypatch, tmp_path):
+def test_dense_residual_grid_golden(args, capsys, tmp_path):
     # every recorded invocation, the dense 4096-bit grids among them: stdout
-    # byte for byte and the exit code; a count runs from empty cache and
-    # data dirs, as it does in the bench's counts workload
-    monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
+    # byte for byte and the exit code; a count runs with the bench's counts
+    # workload argv: an empty data dir and the ignored --cache-dir
     options = []
     if args.startswith("count "):
         (tmp_path / "data").mkdir()
