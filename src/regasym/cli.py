@@ -9,9 +9,9 @@ validate  residual grid against ingested counts, checked against the
           published reference values when --r is 3 (the published order)
 stirling  coefficients of the factorial correction series
 
-Only ``validate`` loads the numerical harness :mod:`regasym.validation`
-and, with it, mpmath: it is imported inside :func:`cmd_validate`, so every
-other subcommand runs on the exact layers alone and starts faster.
+Only ``validate`` loads the residual harness :mod:`regasym.validation`:
+it is imported inside :func:`cmd_validate`, so every other subcommand
+loads the exact layers alone.
 
 Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
 alarm, never a user error), 4 interpolation degree overflow, 5 count
@@ -159,7 +159,7 @@ def cmd_count(args: argparse.Namespace, out) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, out) -> int:
-    from . import validation  # the one subcommand that needs mpmath
+    from . import validation  # the one subcommand that runs the residual harness
 
     precision = validation.DEFAULT_PRECISION if args.precision is None else args.precision
     if precision < 64:
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=str, required=True, help='comma list or range, e.g. "10:100:10"')
     p.add_argument("--r", type=int, default=3, help="residual order (default 3, as published)")
     # the default is validation.DEFAULT_PRECISION, read in cmd_validate so that
-    # parsing does not load mpmath; a test keeps this help text equal to it
+    # parsing does not load the harness; a test keeps this help text equal to it
     p.add_argument(
         "--precision", type=int, default=None,
         help="working precision in bits (default 256)",

@@ -1,4 +1,4 @@
-"""High-precision residual harness for the exact expansions.
+"""High-precision residual harness for the exact expansions, in integers.
 
 For each exact count c(k, n) and computed coefficients f_0..f_{r-1}, the
 residual
@@ -6,30 +6,39 @@ residual
     ( c(k,n) / prefactor(k,n)  -  sum_{j<r} f_j n^{-j} ) * n^r
 
 must stay bounded in n if the expansion is correct; the harness evaluates
-it in configurable binary precision (default 256 bits) and reproduces the
+it at a configurable precision p (default 256 bits) and reproduces the
 reference residual grids for n = 10..100 to two decimals.
 
 The prefactor is the growth envelope of :class:`regular.Envelope`.  With
-h = n k / 2 (an integer whenever a count is positive) the quotient is
+h = n k / 2 (an integer whenever a count is positive) and m = 4h + k^2 - 1,
 
-    count / envelope = [count k!^n / (n k)^h] * e^{h + (k^2-1)/4} * sqrt(2),
+    count / envelope = [count k!^n / (n k)^h] * (e^{1/4})^m * sqrt(2),
 
-and floats enter only here: the bracket is an exact integer quotient,
-rounded to the working precision once, and e^h and the constant
-e^{(k^2-1)/4} sqrt(2) are the only transcendental values, so no expansion
-is ever used to validate itself.  e^h is evaluated per cell (above ~600
-bits mpmath takes e to an integer power from its stored e); the constant is
-evaluated once per (k, precision) and memoised, so each precision of the
-doubling retry gets its own.  The coefficients enter as exact rationals
-in the subtracted partial sum.  Cells print with two decimals, rounding
-half to even, and doubling the working precision must not change a
-printed digit.
+evaluated in integers at w = p + bitlen(m) + GUARD_BITS fractional bits
+(X stands for X / 2^w).  e^{1/4} and sqrt(2) are the only transcendental
+values, so no expansion validates itself.  Every step rounds down:
 
-The counts come in plain: :func:`residual_cell` takes the count of its
-cell, and :func:`residual_row` a mapping n -> count for one k.  A grid is
-a list of (k, cells) rows: :func:`residual_row` gives the cells of one k
-as plain mpf values, None where the mapping has no count or no graph
-exists, and :func:`render_csv` and :func:`compare_to_golden` read the rows.
+- E = e^{1/4} 2^w (its Taylor series) is < 2 units short, and
+  S = isqrt(2^{2w+1}) = sqrt(2) 2^w is < 1 unit short;
+- E_i = e^{2^i/4} 2^w come from squaring E, memoised per w, and X is S
+  times E_i for each bit i of m, each product truncated to w bits: all
+  values are >= 2^w, so each truncation loses a relative 2^-w, and X is
+  short of e^{m/4} sqrt(2) 2^w by a relative 4m 2^-w at most;
+- R = floor(count k!^n X / (n k)^h), one floor division, and
+  P = floor(partial 2^w) for the exact rational partial sum.
+
+So D = R - P is off by less than 4m ratio + 1 < 2^-(p+6) max(ratio, 1) 2^w
+units.  More than p - 32 cancelled bits of max(R, 2^w) (all of them when
+D = 0) raise PrecisionUnderflow, so a returned D is good to a relative
+2^-36, and :func:`residual_cell` retries at doubled precision.  A cell is
+the exact D n^r / 2^w, a Fraction with a power-of-two denominator; it
+prints with two decimals, rounding half to even, and doubling the working
+precision must not change a printed digit.
+
+:func:`residual_cell` takes the count of its cell, and :func:`residual_row`
+a mapping n -> count for one k, giving the cells of one k (None where the
+mapping has no count or no graph exists); :func:`render_csv` and
+:func:`compare_to_golden` read a grid, a list of such (k, cells) rows.
 """
 
 from __future__ import annotations
@@ -40,13 +49,11 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import mpmath
-from mpmath.libmp import from_rational, round_nearest
-
 from .counts import structural
 from .regular import Envelope
 
 DEFAULT_PRECISION = 256
+GUARD_BITS = 8  # fractional bits beyond precision + bitlen(m); see the bound above
 
 TABLE_NS = tuple(range(10, 101, 10))
 
@@ -80,11 +87,29 @@ def published_r(which: str, k: int, r: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _envelope_constant(k: int, precision: int) -> mpmath.mpf:
-    """e^{(k^2-1)/4} * sqrt(2) at the given precision, evaluated once per (k, precision)."""
-    c = -Envelope(k).const_exponent
-    with mpmath.workprec(precision):
-        return mpmath.exp(mpmath.mpf(c.numerator) / c.denominator) * mpmath.sqrt(2)
+def _fixed_constants(w: int, bits: int) -> tuple[tuple[int, ...], int]:
+    """e^{2^i/4} for i < bits, and sqrt(2), at w bits.  The Taylor terms
+    2^v / (4^i i!) of e^{1/4}, floored at v = w + t bits, are each < 2 units
+    short, at most v/2 + 1 of them, and the tail is < 8/3: < v + 5 <= 2^t."""
+    t = w.bit_length() + 1
+    total, term, i = 0, 1 << (w + t), 0
+    while term:
+        total += term
+        i += 1
+        term //= 4 * i
+    squares = [total >> t]
+    while len(squares) < bits:
+        squares.append(squares[-1] ** 2 >> w)
+    return tuple(squares), math.isqrt(2 << 2 * w)
+
+
+def _fixed_growth(m: int, w: int) -> int:
+    """e^{m/4} sqrt(2) at w bits: sqrt(2) times e^{2^i/4} for each bit i of m."""
+    squares, growth = _fixed_constants(w, m.bit_length())
+    for i, square in enumerate(squares):
+        if m >> i & 1:
+            growth = growth * square >> w
+    return growth
 
 
 class PrecisionUnderflow(ArithmeticError):
@@ -98,9 +123,8 @@ def residual(
     count: int,
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
-) -> mpmath.mpf:
-    """The scaled residual for one cell, or PrecisionUnderflow if the
-    subtraction cancels more than precision-32 bits."""
+) -> Fraction:
+    """The scaled residual of one cell; PrecisionUnderflow past precision-32 cancelled bits."""
     if n < 1:
         raise ValueError(f"(k={k}, n={n}): the residual needs n >= 1")
     if count <= 0:
@@ -109,29 +133,19 @@ def residual(
         raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
     if len(coeffs) < r:
         raise ValueError(f"need coefficients 0..{r - 1}, got {len(coeffs)}")
-    h = int(Envelope(k).exponent * n)
-    with mpmath.workprec(precision):
-        bracket = from_rational(
-            count * math.factorial(k) ** n, (n * k) ** h, precision, round_nearest
+    env = Envelope(k)
+    h = int(env.exponent * n)
+    m = int(4 * (h - env.const_exponent))  # e^{h + (k^2-1)/4} = (e^{1/4})^m
+    w = precision + m.bit_length() + GUARD_BITS
+    ratio = count * math.factorial(k) ** n * _fixed_growth(m, w) // (n * k) ** h
+    partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs[:r]))
+    diff = ratio - (partial.numerator << w) // partial.denominator
+    cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
+    if cancelled > precision - 32:
+        raise PrecisionUnderflow(
+            f"(k={k}, n={n}): {cancelled} bits cancelled at precision {precision}"
         )
-        ratio = mpmath.mpf(bracket) * mpmath.exp(h) * _envelope_constant(k, precision)
-        partial = mpmath.fsum(
-            mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** j
-            for j, c in enumerate(coeffs[:r])
-        )
-        diff = ratio - partial
-        if diff == 0:
-            raise PrecisionUnderflow(
-                f"(k={k}, n={n}): total cancellation at precision {precision}"
-            )
-        with mpmath.workprec(64):
-            cancelled = mpmath.log(ratio / abs(diff), 2)
-        if cancelled > precision - 32:
-            raise PrecisionUnderflow(
-                f"(k={k}, n={n}): {mpmath.nstr(cancelled, 4)} bits cancelled "
-                f"at precision {precision}"
-            )
-        return diff * mpmath.mpf(n) ** r
+    return Fraction(diff * n**r, 1 << w)
 
 
 def residual_cell(
@@ -141,7 +155,7 @@ def residual_cell(
     count: int,
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
-) -> mpmath.mpf:
+) -> Fraction:
     """Residual for one cell, retrying with doubled precision on underflow."""
     prec = precision
     for _ in range(4):
@@ -159,14 +173,14 @@ def residual_row(
     counts: Mapping[int, int],
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
-) -> list[mpmath.mpf | None]:
+) -> list[Fraction | None]:
     """The cells of one k over ns, with counts a mapping n -> count; a cell
     whose n the mapping lacks is None, with one line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
     is None as well.
     """
-    cells: list[mpmath.mpf | None] = []
+    cells: list[Fraction | None] = []
     for n in ns:
         if structural(k, n) == 0:
             cells.append(None)
@@ -180,31 +194,17 @@ def residual_row(
     return cells
 
 
-def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a binary float (independent of mp precision)."""
-    tup = getattr(x, "_mpf_", None)
-    if tup is None:
-        tup = mpmath.mpf(x)._mpf_
-    sign, man, exp, _ = tup
-    man, exp = int(man), int(exp)
-    if man == 0:
-        if exp != 0:
-            raise ValueError(f"cannot convert special value {x!r} to a fraction")
-        return Fraction(0)
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+def round_half_even_2dp(x: Fraction) -> int:
+    """x in hundredths, rounded to an integer with ties to even."""
+    return round(x * 100)
 
 
-def round_half_even_2dp(x: mpmath.mpf) -> Fraction:
-    """Round to 2 decimals, ties to even, exactly."""
-    return Fraction(round(mpf_to_fraction(x) * 100), 100)
-
-
-def format_cell(cell: mpmath.mpf | None) -> str:
+def format_cell(cell: Fraction | None) -> str:
     if cell is None:
         return "NA"
-    q = round_half_even_2dp(cell)
-    return f"{q.numerator / q.denominator:.2f}"
+    hundredths = round_half_even_2dp(cell)
+    units, cents = divmod(abs(hundredths), 100)
+    return f"{'-' if hundredths < 0 else ''}{units}.{cents:02d}"
 
 
 def render_csv(ns: Sequence[int], rows) -> str:
@@ -236,8 +236,7 @@ def compare_to_golden(
             if cell is None:
                 mismatches.append((k, n, "NA", str(expected)))
                 continue
-            got = mpf_to_fraction(cell)
-            if abs(got - expected) > Fraction(1, 100):
+            if abs(cell - expected) > Fraction(1, 100):
                 mismatches.append(
                     (k, n, format_cell(cell), golden[k][TABLE_NS.index(n)])
                 )

@@ -268,15 +268,16 @@ def test_validate_default_precision_is_256(capsys):
         )
 
 
-# validate loads the numerical harness and mpmath, and no other subcommand
-# does; no subcommand loads the standard library modules listed after them.
-NUMERICAL = ("mpmath", "regasym.validation")
+# validate loads the residual harness, and no other subcommand does; no
+# subcommand loads mpmath (the harness computes in integers) or the standard
+# library modules listed after it.
+HARNESS = "regasym.validation"
 IMPORT_BUDGET_SCRIPT = f"""
 import sys
 from regasym import cli
 code = cli.main(sys.argv[1:])
-loaded = [m for m in {NUMERICAL + ("dataclasses", "inspect", "logging")!r} if m in sys.modules]
-expected = {list(NUMERICAL)!r} if sys.argv[1] == "validate" else []
+loaded = [m for m in {(HARNESS, "mpmath", "dataclasses", "inspect", "logging")!r} if m in sys.modules]
+expected = [{HARNESS!r}] if sys.argv[1] == "validate" else []
 sys.exit(code if loaded == expected else f"loaded {{loaded}}, expected {{expected}}")
 """
 
@@ -297,6 +298,16 @@ def test_only_validate_loads_the_numerical_harness(argv):
     proc = run_fresh("-c", IMPORT_BUDGET_SCRIPT, *argv.split())
     assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, ""), proc.stderr
     assert proc.stdout
+
+
+def test_validate_checks_survive_optimised_python():
+    # the harness's checks raise rather than assert, so -O prints the same
+    # grid and still flags the known-red published cell (k=5, n=10)
+    argv = ["-m", "regasym", "validate", "--which", "sg", "--k", "3,5", "--n", "10:20:10"]
+    plain, optimised = run_fresh(*argv), run_fresh("-O", *argv)
+    assert plain.returncode == optimised.returncode == cli.EXIT_GOLDEN_MISMATCH
+    assert plain.stdout == optimised.stdout
+    assert optimised.stdout.startswith("n,10,20\n3,5.04,4.05\n5,2.13,")
 
 
 def test_validate_empty_range(capsys):

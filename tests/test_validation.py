@@ -14,7 +14,6 @@ from regasym.validation import (
     TABLE_NS,
     compare_to_golden,
     format_cell,
-    mpf_to_fraction,
     published_r,
     render_csv,
     residual,
@@ -22,6 +21,11 @@ from regasym.validation import (
     residual_row,
     round_half_even_2dp,
 )
+
+
+def to_mpf(q):
+    """The Fraction q as an mpf, rounded once at the working precision."""
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _log_prefactor(k, n):
@@ -54,17 +58,26 @@ def two_regular_counts():
 
 
 def test_round_half_even():
-    # exact binary ties: 0.125 -> 12.5 -> 12 (even); 0.375 -> 37.5 -> 38
-    assert round_half_even_2dp(mpmath.mpf(1) / 8) == Fraction(12, 100)
-    assert round_half_even_2dp(mpmath.mpf(3) / 8) == Fraction(38, 100)
-    assert round_half_even_2dp(mpmath.mpf("1.0151")) == Fraction(102, 100)
-    assert round_half_even_2dp(mpmath.mpf("-1.386")) == Fraction(-139, 100)
-    assert round_half_even_2dp(-mpmath.mpf(1) / 8) == Fraction(-12, 100)
+    # in hundredths; exact binary ties: 0.125 -> 12.5 -> 12 (even); 0.375 -> 37.5 -> 38
+    assert round_half_even_2dp(Fraction(1, 8)) == 12
+    assert round_half_even_2dp(Fraction(3, 8)) == 38
+    assert round_half_even_2dp(Fraction("1.0151")) == 102
+    assert round_half_even_2dp(Fraction("-1.386")) == -139
+    assert round_half_even_2dp(Fraction(-1, 8)) == -12
 
 
-def test_mpf_to_fraction_exact():
-    x = mpmath.mpf(3) / 8
-    assert mpf_to_fraction(x) == Fraction(3, 8)
+def test_format_cell_prints_exact_two_decimals():
+    # cells past 2^53 / 100 keep their decimals (a float would drop them),
+    # as in validate --which sg --k 3 --n 8,10,12 --r 20
+    for text in ("-2538086555764012.77", "3352518417407723.87", "2276658745885638.55"):
+        assert format_cell(Fraction(text) + Fraction(1, 1000)) == text
+    assert format_cell(Fraction(-139, 100)) == "-1.39"
+    assert format_cell(Fraction(-1, 20)) == "-0.05"
+    # a negative cell that rounds to zero prints without a sign
+    assert format_cell(Fraction(-1, 300)) == "0.00"
+    assert format_cell(Fraction(1, 8)) == "0.12"
+    assert format_cell(Fraction(3, 8)) == "0.38"
+    assert format_cell(None) == "NA"
 
 
 def test_residual_spot_values(sg_reference, two_regular_counts):
@@ -128,7 +141,8 @@ def test_exact_ratio_matches_log_space_route(sg_reference, csg_reference, precis
     tol = mpmath.mpf(2) ** -(precision - 64)
     checked = 0
     for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
-        exact_ratio = residual(k, n, r, count, coeffs, precision)
+        with mpmath.workprec(precision):
+            exact_ratio = to_mpf(residual(k, n, r, count, coeffs, precision))
         log_space = log_space_residual(k, n, r, count, coeffs, precision)
         assert abs(exact_ratio - log_space) <= tol * abs(log_space), (k, n)
         checked += 1
@@ -142,13 +156,15 @@ def test_precision_underflow_detected_and_retried(sg_reference):
     # cancellation than low-precision runs can absorb
     count = sg_reference[3][10]
     ratio = residual(3, 10, 0, count, [], precision=320)
-    near = mpf_to_fraction(ratio)
+    assert 1 <= ratio < 2
+    near = Fraction(round(ratio * 2**319), 2**319)  # rounded to 320 bits
     with pytest.raises(PrecisionUnderflow):
         residual(3, 10, 1, count, [near], precision=128)
     # residual_cell retries with doubled precision until the diff resolves
     cell = residual_cell(3, 10, 1, count, [near], precision=128)
     high = residual(3, 10, 1, count, [near], precision=1024)
-    assert mpmath.nstr(cell, 20) == mpmath.nstr(high, 20)
+    with mpmath.workprec(256):
+        assert mpmath.nstr(to_mpf(cell), 20) == mpmath.nstr(to_mpf(high), 20)
 
 
 def test_precision_doubling_changes_no_printed_digit(sg_reference):
@@ -163,7 +179,7 @@ def test_boundedness_smoke(sg_reference):
     # |cell(n=100)| <= max over the printed range + 1
     coeffs = sg_expansion(5, 2).coefficients
     cells = [residual_cell(5, n, 3, sg_reference[5][n], coeffs) for n in TABLE_NS]
-    values = [abs(mpf_to_fraction(c)) for c in cells]
+    values = [abs(c) for c in cells]
     assert values[-1] <= max(values) + 1
 
 
@@ -194,7 +210,8 @@ def test_residual_cell_full_precision(sg_reference, two_regular_counts):
     for (k, n), expected in RESIDUALS_30.items():
         count = two_regular_counts[n] if k == 2 else sg_reference[k][n]
         cell = residual_cell(k, n, 3, count, sg_expansion(k, 2).coefficients)
-        assert mpmath.nstr(cell, 30) == expected, (k, n)
+        with mpmath.workprec(256):
+            assert mpmath.nstr(to_mpf(cell), 30) == expected, (k, n)
 
 
 def test_envelope_log_matches_shift_constant():
@@ -276,6 +293,7 @@ def test_split_envelope_factor_matches_single_exp(sg_reference, csg_reference, p
     for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
         cell = residual(k, n, r, count, coeffs, precision)
         with mpmath.workprec(precision):
+            cell = to_mpf(cell)
             ratio = single_exp_ratio(k, n, count, precision)
             partial = mpmath.fsum(
                 mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** j
@@ -288,23 +306,36 @@ def test_split_envelope_factor_matches_single_exp(sg_reference, csg_reference, p
     assert checked == 6 * len(DENSE_NS)
 
 
-def test_envelope_constant_is_evaluated_once_per_row(sg_reference, monkeypatch):
+def test_envelope_constants_are_evaluated_once_per_width(sg_reference):
     from regasym import validation
 
-    arguments = []
-    exp = mpmath.exp
-
-    def counting_exp(x, **kwargs):
-        arguments.append(x)
-        return exp(x, **kwargs)
-
-    monkeypatch.setattr(mpmath, "exp", counting_exp)
-    validation._envelope_constant.cache_clear()
+    validation._fixed_constants.cache_clear()
     coeffs = sg_expansion(4, 2).coefficients
     cells = residual_row(4, DENSE_NS, 3, dict(enumerate(sg_reference[4])), coeffs, precision=4096)
     assert len(cells) == 46 and None not in cells
-    # e^{nk/2} per cell has an integer argument; e^{(k^2-1)/4} is the one other
-    assert len([x for x in arguments if x != int(x)]) <= 1
+    # the working width is 4096 + bitlen(m) + GUARD_BITS, m = 4h + k^2 - 1 = 8n + 15:
+    # e^{1/4}, its squares and sqrt(2) are evaluated once per width of the row
+    widths = {(8 * n + 15).bit_length() for n in DENSE_NS}
+    assert validation._fixed_constants.cache_info().misses == len(widths) == 4
+
+
+@pytest.mark.parametrize("precision", [256, 4096])
+@pytest.mark.parametrize("n", [100, 98])
+def test_fixed_point_constants_match_mpmath(precision, n):
+    # within the module docstring's bounds, all from below: e^{1/4} 2^w by < 2
+    # units, sqrt(2) 2^w by < 1, and e^{h + (k^2-1)/4} sqrt(2) 2^w by a relative
+    # 4m 2^-w, at k = 5 (m = 1024 = 2^10 at n = 100; 1004 has seven bits set)
+    from regasym import validation
+
+    m = 4 * (5 * n // 2) + 5**2 - 1
+    w = precision + m.bit_length() + validation.GUARD_BITS
+    squares, sqrt2 = validation._fixed_constants(w, m.bit_length())
+    with mpmath.workprec(w + 64):
+        scale = mpmath.mpf(2) ** w
+        assert 0 <= mpmath.exp(mpmath.mpf(1) / 4) * scale - squares[0] < 2
+        assert 0 <= mpmath.sqrt(2) * scale - sqrt2 < 1
+        growth = mpmath.exp(mpmath.mpf(m) / 4) * mpmath.sqrt(2) * scale
+        assert 0 <= growth - validation._fixed_growth(m, w) < 4 * m * growth / scale
 
 
 def test_residual_rejects_empty_vertex_set():
