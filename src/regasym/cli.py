@@ -11,7 +11,10 @@ stirling  coefficients of the factorial correction series
 
 Only ``validate`` loads the residual harness :mod:`regasym.validation`:
 it is imported inside :func:`cmd_validate`, so every other subcommand
-loads the exact layers alone.
+loads the exact layers alone.  Likewise only ``formal-k`` and
+``--format json`` import :mod:`json`.  The layer modules stay imported at
+the top: ``perfbench/tracer.py`` wraps the layers that ``import
+regasym.cli`` has loaded.
 
 Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
 alarm, never a user error), 4 interpolation degree overflow, 5 count
@@ -34,7 +37,6 @@ plain values, CSV lines or JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -91,6 +93,8 @@ def _write(out, fmt: str, records: list[dict], doc=None):
     """Write the records as plain values, CSV lines or JSON; for JSON the
     document doc, when given, is written in place of the bare records."""
     if fmt == "json":
+        import json  # only JSON output loads it
+
         lines = [json.dumps(records if doc is None else doc, indent=2)]
     elif fmt == "csv":
         lines = [",".join(records[0])] + [",".join(map(str, rec.values())) for rec in records]
@@ -123,6 +127,8 @@ def cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def cmd_formal_k(args: argparse.Namespace, out) -> int:
+    import json
+
     poly = regular.formal_k_interpolate(args.r)
     doc = {
         "r": poly.r,

@@ -14,26 +14,39 @@ h = n k / 2 (an integer whenever a count is positive) and m = 4h + k^2 - 1,
 
     count / envelope = [count k!^n / (n k)^h] * (e^{1/4})^m * sqrt(2),
 
-evaluated in integers at w = p + bitlen(m) + GUARD_BITS fractional bits
-(X stands for X / 2^w).  e^{1/4} and sqrt(2) are the only transcendental
-values, so no expansion validates itself.  Every step rounds down:
+evaluated in integers at w fractional bits (X stands for X / 2^w).  All
+cells of one k row share one width, w = p + bitlen(M) + GUARD_BITS with M
+the largest m of the row; a single cell is a row of one.  e^{1/4} and
+sqrt(2) are the only transcendental values, so no expansion validates
+itself.  Every step rounds down, and every value below is >= 2^w, so each
+truncation of a product to w bits loses a relative 2^-w:
 
 - E = e^{1/4} 2^w (its Taylor series) is < 2 units short, and
-  S = isqrt(2^{2w+1}) = sqrt(2) 2^w is < 1 unit short;
-- E_i = e^{2^i/4} 2^w come from squaring E, memoised per w, and X is S
-  times E_i for each bit i of m, each product truncated to w bits: all
-  values are >= 2^w, so each truncation loses a relative 2^-w, and X is
-  short of e^{m/4} sqrt(2) 2^w by a relative 4m 2^-w at most;
+  S = isqrt(2^{2w+1}) = sqrt(2) 2^w is < 1 unit short, a relative 2^-w;
+- E and S are memoised per w.  E_i = e^{2^i/4} 2^w come from squaring E
+  once per row, so E_i is short by a relative d_i 2^-w with d_0 < 2 and
+  d_{i+1} <= 2 d_i + 1, that is d_i < 3 2^i - 1;
+- the growths X = e^{m/4} sqrt(2) 2^w of a row form one chain in
+  increasing m.  The first is S times E_i for each bit i of its m, each
+  product truncated: a relative (1 + sum_i 3 2^i) 2^-w = (3m + 1) 2^-w
+  short at most.  Each later one is the previous X times the step factor
+  F = e^{s/4} 2^w of its step s = m - m', truncated once, where F is the
+  product of E_i over the bits of s with each product after the first
+  truncated, short by a relative (3s - 1) 2^-w.  A step so adds 3s, and
+  every X of the chain, however long, is short by a relative
+  (3m + 1) 2^-w <= 4m 2^-w, the bound of a single cell: the chain needs
+  no guard bits beyond GUARD_BITS;
 - R = floor(count k!^n X / (n k)^h), one floor division, and
   P = floor(partial 2^w) for the exact rational partial sum.
 
 So D = R - P is off by less than 4m ratio + 1 < 2^-(p+6) max(ratio, 1) 2^w
 units.  More than p - 32 cancelled bits of max(R, 2^w) (all of them when
 D = 0) raise PrecisionUnderflow, so a returned D is good to a relative
-2^-36, and :func:`residual_cell` retries at doubled precision.  A cell is
-the exact D n^r / 2^w, a Fraction with a power-of-two denominator; it
-prints with two decimals, rounding half to even, and doubling the working
-precision must not change a printed digit.
+2^-36, and :func:`residual_cell` retries at doubled precision, as
+:func:`residual_row` does for such a cell alone.  A cell is the exact
+D n^r / 2^w, a Fraction with a power-of-two denominator; it prints with two
+decimals, rounding half to even, and doubling the working precision must
+not change a printed digit.
 
 :func:`residual_cell` takes the count of its cell, and :func:`residual_row`
 a mapping n -> count for one k, giving the cells of one k (None where the
@@ -53,7 +66,7 @@ from .counts import structural
 from .regular import Envelope
 
 DEFAULT_PRECISION = 256
-GUARD_BITS = 8  # fractional bits beyond precision + bitlen(m); see the bound above
+GUARD_BITS = 8  # fractional bits beyond precision + bitlen(M); see the bound above
 
 TABLE_NS = tuple(range(10, 101, 10))
 
@@ -87,33 +100,96 @@ def published_r(which: str, k: int, r: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_constants(w: int, bits: int) -> tuple[tuple[int, ...], int]:
-    """e^{2^i/4} for i < bits, and sqrt(2), at w bits.  The Taylor terms
-    2^v / (4^i i!) of e^{1/4}, floored at v = w + t bits, are each < 2 units
-    short, at most v/2 + 1 of them, and the tail is < 8/3: < v + 5 <= 2^t."""
+def _fixed_constants(w: int) -> tuple[int, int]:
+    """e^{1/4} and sqrt(2) at w bits.  The Taylor terms 2^v / (4^i i!) of
+    e^{1/4}, floored at v = w + t bits, are each < 2 units short, at most
+    v/2 + 1 of them, and the tail is < 8/3: < v + 5 <= 2^t."""
     t = w.bit_length() + 1
     total, term, i = 0, 1 << (w + t), 0
     while term:
         total += term
         i += 1
         term //= 4 * i
-    squares = [total >> t]
+    return total >> t, math.isqrt(2 << 2 * w)
+
+
+def _fixed_squares(quarter: int, w: int, bits: int) -> list[int]:
+    """e^{2^i/4} for i < bits at w bits, squaring quarter = e^{1/4}."""
+    squares = [quarter]
     while len(squares) < bits:
         squares.append(squares[-1] ** 2 >> w)
-    return tuple(squares), math.isqrt(2 << 2 * w)
+    return squares
 
 
-def _fixed_growth(m: int, w: int) -> int:
-    """e^{m/4} sqrt(2) at w bits: sqrt(2) times e^{2^i/4} for each bit i of m."""
-    squares, growth = _fixed_constants(w, m.bit_length())
+def _times_growth(x: int, d: int, squares: Sequence[int], w: int) -> int:
+    """x times e^{d/4} at w bits: times e^{2^i/4} for each bit i of d, each
+    product truncated to w bits."""
     for i, square in enumerate(squares):
-        if m >> i & 1:
-            growth = growth * square >> w
-    return growth
+        if d >> i & 1:
+            x = x * square >> w
+    return x
 
 
 class PrecisionUnderflow(ArithmeticError):
     """Cancellation consumed more than precision-32 bits; retry higher."""
+
+
+def _check_cell(k: int, n: int, r: int, count: int, coeffs: Sequence[Fraction]) -> None:
+    """ValueError unless the cell has a residual."""
+    if n < 1:
+        raise ValueError(f"(k={k}, n={n}): the residual needs n >= 1")
+    if count <= 0:
+        raise ValueError(f"count for (k={k}, n={n}) must be positive, got {count}")
+    if (n * k) % 2:
+        raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
+    if len(coeffs) < r:
+        raise ValueError(f"need coefficients 0..{r - 1}, got {len(coeffs)}")
+
+
+def _row_residuals(
+    k: int,
+    r: int,
+    counts: Mapping[int, int],
+    coeffs: Sequence[Fraction],
+    precision: int,
+) -> dict[int, Fraction | PrecisionUnderflow]:
+    """The residual of each cell n -> count of one k, or the PrecisionUnderflow
+    it raises, at one width w for the row; every cell passes _check_cell.
+
+    The growths e^{m/4} sqrt(2) are one chain in increasing m: the first is
+    sqrt(2) times the squares over the bits of its m, each later one the
+    previous times the step factor e^{(m - m')/4}, one per distinct step.
+    """
+    env = Envelope(k)
+    shift = int(-4 * env.const_exponent)
+    hs = {n: int(env.exponent * n) for n in counts}
+    ms = {n: 4 * h + shift for n, h in hs.items()}  # e^{h + (k^2-1)/4} = (e^{1/4})^m
+    top = max(ms.values()).bit_length()
+    w = precision + top + GUARD_BITS
+    quarter, growth = _fixed_constants(w)  # the chain starts at sqrt(2)
+    squares = _fixed_squares(quarter, w, top)
+    kfact = math.factorial(k)
+    steps, cells = {}, {}
+    for i, n in enumerate(sorted(counts)):
+        if i == 0:
+            growth = _times_growth(growth, ms[n], squares, w)
+        else:
+            step = ms[n] - previous
+            if step not in steps:
+                steps[step] = _times_growth(1 << w, step, squares, w)
+            growth = growth * steps[step] >> w
+        previous = ms[n]
+        ratio = counts[n] * kfact**n * growth // (n * k) ** hs[n]
+        partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs[:r]))
+        diff = ratio - (partial.numerator << w) // partial.denominator
+        cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
+        if cancelled > precision - 32:
+            cells[n] = PrecisionUnderflow(
+                f"(k={k}, n={n}): {cancelled} bits cancelled at precision {precision}"
+            )
+        else:
+            cells[n] = Fraction(diff * n**r, 1 << w)
+    return cells
 
 
 def residual(
@@ -125,27 +201,23 @@ def residual(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """The scaled residual of one cell; PrecisionUnderflow past precision-32 cancelled bits."""
-    if n < 1:
-        raise ValueError(f"(k={k}, n={n}): the residual needs n >= 1")
-    if count <= 0:
-        raise ValueError(f"count for (k={k}, n={n}) must be positive, got {count}")
-    if (n * k) % 2:
-        raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
-    if len(coeffs) < r:
-        raise ValueError(f"need coefficients 0..{r - 1}, got {len(coeffs)}")
-    env = Envelope(k)
-    h = int(env.exponent * n)
-    m = int(4 * (h - env.const_exponent))  # e^{h + (k^2-1)/4} = (e^{1/4})^m
-    w = precision + m.bit_length() + GUARD_BITS
-    ratio = count * math.factorial(k) ** n * _fixed_growth(m, w) // (n * k) ** h
-    partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs[:r]))
-    diff = ratio - (partial.numerator << w) // partial.denominator
-    cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
-    if cancelled > precision - 32:
-        raise PrecisionUnderflow(
-            f"(k={k}, n={n}): {cancelled} bits cancelled at precision {precision}"
-        )
-    return Fraction(diff * n**r, 1 << w)
+    _check_cell(k, n, r, count, coeffs)
+    cell = _row_residuals(k, r, {n: count}, coeffs, precision)[n]
+    if isinstance(cell, PrecisionUnderflow):
+        raise cell
+    return cell
+
+
+def _retried(
+    k: int, n: int, r: int, count: int, coeffs: Sequence[Fraction], precision: int
+) -> Fraction:
+    """The cell alone at 2, 4 and 8 times precision, once it underflowed at precision."""
+    for doublings in (1, 2, 3):
+        try:
+            return residual(k, n, r, count, coeffs, precision << doublings)
+        except PrecisionUnderflow:
+            pass
+    raise PrecisionUnderflow(f"(k={k}, n={n}) still cancelling at precision {precision << 4}")
 
 
 def residual_cell(
@@ -157,13 +229,10 @@ def residual_cell(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """Residual for one cell, retrying with doubled precision on underflow."""
-    prec = precision
-    for _ in range(4):
-        try:
-            return residual(k, n, r, count, coeffs, prec)
-        except PrecisionUnderflow:
-            prec *= 2
-    raise PrecisionUnderflow(f"(k={k}, n={n}) still cancelling at precision {prec}")
+    try:
+        return residual(k, n, r, count, coeffs, precision)
+    except PrecisionUnderflow:
+        return _retried(k, n, r, count, coeffs, precision)
 
 
 def residual_row(
@@ -178,8 +247,21 @@ def residual_row(
     whose n the mapping lacks is None, with one line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
-    is None as well.
+    is None as well.  ns may come in any order and repeat n.  The cells
+    before the first n that :func:`residual` rejects are evaluated as one
+    chain, and a cell that underflows is evaluated again alone at doubled
+    precision, as in :func:`residual_cell`; stderr lines and errors come in
+    the order of ns.
     """
+    chain: dict[int, int] = {}
+    for n in ns:
+        try:
+            if structural(k, n) != 0 and n in counts:
+                _check_cell(k, n, r, counts[n], coeffs)
+                chain[n] = counts[n]
+        except ValueError:  # raised again, in its place, by the walk below
+            break
+    evaluated = _row_residuals(k, r, chain, coeffs, precision) if chain else {}
     cells: list[Fraction | None] = []
     for n in ns:
         if structural(k, n) == 0:
@@ -189,8 +271,12 @@ def residual_row(
                 f"no residual for k={k}, n={n}: no count available for k={k}, n={n}\n"
             )
             cells.append(None)
-        else:
+        elif n not in evaluated:  # the first cell residual() rejects: it raises here
             cells.append(residual_cell(k, n, r, counts[n], coeffs, precision))
+        elif isinstance(evaluated[n], PrecisionUnderflow):
+            cells.append(_retried(k, n, r, counts[n], coeffs, precision))
+        else:
+            cells.append(evaluated[n])
     return cells
 
 

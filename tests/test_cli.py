@@ -268,16 +268,18 @@ def test_validate_default_precision_is_256(capsys):
         )
 
 
-# validate loads the residual harness, and no other subcommand does; no
-# subcommand loads mpmath (the harness computes in integers) or the standard
-# library modules listed after it.
+# validate loads the residual harness, and no other subcommand does; only
+# formal-k and JSON output load json; no subcommand loads mpmath (the harness
+# computes in integers) or the standard library modules listed after it.
 HARNESS = "regasym.validation"
 IMPORT_BUDGET_SCRIPT = f"""
 import sys
 from regasym import cli
 code = cli.main(sys.argv[1:])
-loaded = [m for m in {(HARNESS, "mpmath", "dataclasses", "inspect", "logging")!r} if m in sys.modules]
+loaded = [m for m in {(HARNESS, "json", "mpmath", "dataclasses", "inspect", "logging")!r} if m in sys.modules]
 expected = [{HARNESS!r}] if sys.argv[1] == "validate" else []
+if sys.argv[1] == "formal-k" or sys.argv[-2:] == ["--format", "json"]:
+    expected.append("json")
 sys.exit(code if loaded == expected else f"loaded {{loaded}}, expected {{expected}}")
 """
 
@@ -287,6 +289,7 @@ sys.exit(code if loaded == expected else f"loaded {{loaded}}, expected {{expecte
     [
         "count --k 3 --n 6",
         "expand sg --k 3 --order 2",
+        "expand sg --k 3 --order 2 --format json",
         "expand csg --k 3 --order 2",
         "formal-k --r 1",
         "stirling --r 3",
@@ -427,6 +430,23 @@ EDGE_INVOCATIONS = [
     (["validate", "--which", "csg", "--k", "2", "--n", "10", "--r", "0"], 2, ""),
     (["validate", "--which", "sg", "--k", "3", "--n", "102"], 0, "n,102\n3,3.46\n"),
     (["validate", "--which", "csg", "--k", "3", "--n", "102"], 0, "n,102\n3,NA\n"),
+    # a row's n may come unsorted and repeated; cells print in the order given
+    (
+        ["validate", "--which", "sg", "--k", "3", "--n", "20,10,10,11,12"],
+        0,
+        "n,20,10,10,11,12\n3,4.05,5.04,5.04,NA,4.66\n",
+    ),
+    (["validate", "--which", "sg", "--k", "3,3", "--n", "10"], 0, "n,10\n3,5.04\n3,5.04\n"),
+    (
+        ["validate", "--which", "sg", "--k", "4", "--n", "100,10", "--precision", "4096"],
+        0,
+        "n,100,10\n4,14.01,17.93\n",
+    ),
+    (
+        ["validate", "--which", "csg", "--k", "4", "--n", "12,10,100"],
+        0,
+        "n,12,10,100\n4,16.94,17.93,14.01\n",
+    ),
 ]
 DOCUMENTED_EXIT_CODES = {
     cli.EXIT_OK,

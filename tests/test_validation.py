@@ -122,18 +122,23 @@ def test_residual_rejects_odd_degree_sum():
 DENSE_NS = tuple(range(10, 101, 2))  # every n even: no cell lacks a graph
 
 
-def dense_grid_cells(sg_reference, csg_reference):
-    """(k, n, r, count, coeffs) for every cell of the dense sg and csg grids."""
+def dense_grid_rows(sg_reference, csg_reference):
+    """(k, r, counts, coeffs) for every row of the dense sg and csg grids,
+    counts a mapping n -> count."""
     for k in (2, 3, 4, 5):
         r = published_r("sg", k, 3)
-        coeffs = sg_expansion(k, r - 1).coefficients
-        for n in DENSE_NS:
-            count = count_two_regular(n) if k == 2 else sg_reference[k][n]
-            yield k, n, r, count, coeffs
+        counts = {n: count_two_regular(n) if k == 2 else sg_reference[k][n] for n in DENSE_NS}
+        yield k, r, counts, sg_expansion(k, r - 1).coefficients
     for k in (3, 4):
-        coeffs = tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
+        counts = {n: csg_reference[k][n] for n in DENSE_NS}
+        yield k, 3, counts, tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
+
+
+def dense_grid_cells(sg_reference, csg_reference):
+    """(k, n, r, count, coeffs) for every cell of the dense sg and csg grids."""
+    for k, r, counts, coeffs in dense_grid_rows(sg_reference, csg_reference):
         for n in DENSE_NS:
-            yield k, n, 3, csg_reference[k][n], coeffs
+            yield k, n, r, counts[n], coeffs
 
 
 @pytest.mark.parametrize("precision", [256, 4096])
@@ -149,7 +154,34 @@ def test_exact_ratio_matches_log_space_route(sg_reference, csg_reference, precis
     assert checked == 6 * len(DENSE_NS)
 
 
+@pytest.mark.parametrize("precision", [256, 4096])
+def test_row_chain_matches_log_space_route(sg_reference, csg_reference, precision):
+    # every cell of a row shares one width and one chain of growth factors
+    tol = mpmath.mpf(2) ** -(precision - 64)
+    checked = 0
+    for k, r, counts, coeffs in dense_grid_rows(sg_reference, csg_reference):
+        cells = residual_row(k, DENSE_NS, r, counts, coeffs, precision)
+        for n, cell in zip(DENSE_NS, cells):
+            with mpmath.workprec(precision):
+                chained = to_mpf(cell)
+            log_space = log_space_residual(k, n, r, counts[n], coeffs, precision)
+            assert abs(chained - log_space) <= tol * abs(log_space), (k, n)
+            checked += 1
+    assert checked == 6 * len(DENSE_NS)
+
+
+def test_row_in_any_order_prints_its_cells(sg_reference):
+    ns = (20, 10, 10, 11, 12)  # unsorted, a repeat, and n*k odd at 11
+    coeffs = sg_expansion(3, 2).coefficients
+    counts = dict(enumerate(sg_reference[3]))
+    row = residual_row(3, ns, 3, counts, coeffs)
+    cells = [None if n % 2 else residual_cell(3, n, 3, counts[n], coeffs) for n in ns]
+    printed = [format_cell(c) for c in row]
+    assert printed == [format_cell(c) for c in cells] == ["4.05", "5.04", "5.04", "NA", "4.66"]
+
+
 def test_precision_underflow_detected_and_retried(sg_reference):
+    from regasym import validation
     from regasym.validation import PrecisionUnderflow
 
     # a coefficient matching the exact ratio to ~318 bits forces more
@@ -165,6 +197,13 @@ def test_precision_underflow_detected_and_retried(sg_reference):
     high = residual(3, 10, 1, count, [near], precision=1024)
     with mpmath.workprec(256):
         assert mpmath.nstr(to_mpf(cell), 20) == mpmath.nstr(to_mpf(high), 20)
+    # in a row, the cell is retried alone and the rest of the chain stands
+    ns = (12, 10, 14)
+    counts = {n: sg_reference[3][n] for n in ns}
+    chain = validation._row_residuals(3, 1, counts, [near], 128)
+    assert isinstance(chain[10], PrecisionUnderflow)
+    row = residual_row(3, ns, 1, counts, [near], precision=128)
+    assert row == [chain[12], cell, chain[14]]
 
 
 def test_precision_doubling_changes_no_printed_digit(sg_reference):
@@ -313,10 +352,9 @@ def test_envelope_constants_are_evaluated_once_per_width(sg_reference):
     coeffs = sg_expansion(4, 2).coefficients
     cells = residual_row(4, DENSE_NS, 3, dict(enumerate(sg_reference[4])), coeffs, precision=4096)
     assert len(cells) == 46 and None not in cells
-    # the working width is 4096 + bitlen(m) + GUARD_BITS, m = 4h + k^2 - 1 = 8n + 15:
-    # e^{1/4}, its squares and sqrt(2) are evaluated once per width of the row
-    widths = {(8 * n + 15).bit_length() for n in DENSE_NS}
-    assert validation._fixed_constants.cache_info().misses == len(widths) == 4
+    # the row has one working width, 4096 + bitlen(M) + GUARD_BITS with M the
+    # largest m = 4h + k^2 - 1 = 8n + 15: e^{1/4} and sqrt(2) are evaluated once
+    assert validation._fixed_constants.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("precision", [256, 4096])
@@ -329,13 +367,15 @@ def test_fixed_point_constants_match_mpmath(precision, n):
 
     m = 4 * (5 * n // 2) + 5**2 - 1
     w = precision + m.bit_length() + validation.GUARD_BITS
-    squares, sqrt2 = validation._fixed_constants(w, m.bit_length())
+    quarter, sqrt2 = validation._fixed_constants(w)
+    squares = validation._fixed_squares(quarter, w, m.bit_length())
     with mpmath.workprec(w + 64):
         scale = mpmath.mpf(2) ** w
         assert 0 <= mpmath.exp(mpmath.mpf(1) / 4) * scale - squares[0] < 2
         assert 0 <= mpmath.sqrt(2) * scale - sqrt2 < 1
         growth = mpmath.exp(mpmath.mpf(m) / 4) * mpmath.sqrt(2) * scale
-        assert 0 <= growth - validation._fixed_growth(m, w) < 4 * m * growth / scale
+        fixed = validation._times_growth(sqrt2, m, squares, w)
+        assert 0 <= growth - fixed < 4 * m * growth / scale
 
 
 def test_residual_rejects_empty_vertex_set():
