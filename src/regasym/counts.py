@@ -31,9 +31,8 @@ Every layer reads plain counts: :func:`load_bfile` and
 :func:`reference_counts` return the values for n = 0, 1, 2, ..., and
 :func:`egf_reciprocal_coeffs` takes such a list.  Two routes that give
 different counts for one (k, n) raise :class:`CountConflict`.  The
-only state here is one sweep per process for each k of
-:func:`moment_counts`, and one of the k = 2 recurrence of
-:func:`count_two_regular`; a call for a larger n extends a sweep.
+count_* functions are pure; the only state here is the per-k sweep of
+:func:`moment_counts`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial
 from .series import Series, double_factorial
@@ -212,19 +211,7 @@ def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     return fill((k,) * n)
 
 
-# One sweep per recurrence and k per process: ("moment", k) and ("two-regular", 2).
-_SWEEPS: dict[tuple[str, int], tuple[list[int], Iterator[int]]] = {}
-
-
-def _swept(key: tuple[str, int], start: Callable[[], Iterator[int]], nmax: int) -> list[int]:
-    """The counts so far of the sweep under key, started by start() on first
-    use and extended through n = nmax; the list is shared, not a copy."""
-    if key not in _SWEEPS:
-        _SWEEPS[key] = ([], start())
-    done, steps = _SWEEPS[key]
-    while len(done) <= nmax:
-        done.append(next(steps))
-    return done
+_SWEEPS: dict[int, tuple[list[int], Iterator[int]]] = {}
 
 
 def moment_counts(k: int, nmax: int) -> list[int]:
@@ -236,7 +223,12 @@ def moment_counts(k: int, nmax: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("the moment recurrence requires k >= 1")
-    return _swept(("moment", k), lambda: _moment_sweep(k), nmax)[: nmax + 1]
+    if k not in _SWEEPS:
+        _SWEEPS[k] = ([], _moment_sweep(k))
+    done, steps = _SWEEPS[k]
+    while len(done) <= nmax:
+        done.append(next(steps))
+    return done[: nmax + 1]
 
 
 def _moment_sweep(k: int) -> Iterator[int]:
@@ -279,25 +271,14 @@ def count_two_regular(n: int) -> int:
 
     The EGF E = exp(-x/2 - x^2/4) / sqrt(1 - x) satisfies the ODE
     (1 - x) E' = (x^2/2) E, which on a(n) = n! [x^n] E is the integer
-    recurrence a(m+1) = m a(m) + m(m-1)/2 a(m-2), a(0..2) = 1, 0, 0.  It
-    runs as one sweep per process: every call reads it, and a larger n
-    extends it.
+    recurrence a(m+1) = m a(m) + m(m-1)/2 a(m-2), a(0..2) = 1, 0, 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _swept(("two-regular", 2), _two_regular_sweep, n)[n]
-
-
-def _two_regular_sweep() -> Iterator[int]:
-    """Yield the counts of 2-regular labeled graphs for n = 0, 1, 2, ... by
-    the recurrence of :func:`count_two_regular`."""
-    back2, back1, last = 1, 0, 0  # a(m-2), a(m-1), a(m) at m = 2
-    yield from (back2, back1, last)
-    m = 2
-    while True:
-        back2, back1, last = back1, last, m * last + m * (m - 1) // 2 * back2
-        yield last
-        m += 1
+    a = [1, 0, 0]
+    for m in range(2, n):
+        a.append(m * a[m] + m * (m - 1) // 2 * a[m - 2])
+    return a[n]
 
 
 def load_bfile(path: str | Path) -> list[int]:
@@ -350,8 +331,7 @@ def resolve(k: int, n: int, shipped: Sequence[int] = ()) -> tuple[int, str]:
     """The count of k-regular graphs on n vertices and the route that gave it.
 
     Tries the structural rules, the shipped counts for k (indexed by n),
-    the closed forms for k = 1 and k = 2 (:func:`count_two_regular`, one
-    sweep that serves every n), and then the moment recurrence
+    the closed forms for k = 1 and k = 2, and then the moment recurrence
     (:func:`moment_counts`, whose one sweep per k serves every n).
     """
     s = structural(k, n)

@@ -23,9 +23,9 @@ truncation of a product to w bits loses a relative 2^-w:
 
 - E = e^{1/4} 2^w (its Taylor series) is < 2 units short, and
   S = isqrt(2^{2w+1}) = sqrt(2) 2^w is < 1 unit short, a relative 2^-w;
-- E and S are memoised per w.  E_i = e^{2^i/4} 2^w come from squaring E
-  once per row, so E_i is short by a relative d_i 2^-w with d_0 < 2 and
-  d_{i+1} <= 2 d_i + 1, that is d_i < 3 2^i - 1;
+- E and S are memoised per w, and E_i = e^{2^i/4} 2^w, from squaring E,
+  per w and number of squares.  E_i is short by a relative d_i 2^-w with
+  d_0 < 2 and d_{i+1} <= 2 d_i + 1, that is d_i < 3 2^i - 1;
 - the growths X = e^{m/4} sqrt(2) 2^w of a row form one chain in
   increasing m.  The first is S times E_i for each bit i of its m, each
   product truncated: a relative (1 + sum_i 3 2^i) 2^-w = (3m + 1) 2^-w
@@ -113,12 +113,13 @@ def _fixed_constants(w: int) -> tuple[int, int]:
     return total >> t, math.isqrt(2 << 2 * w)
 
 
-def _fixed_squares(quarter: int, w: int, bits: int) -> list[int]:
-    """e^{2^i/4} for i < bits at w bits, squaring quarter = e^{1/4}."""
-    squares = [quarter]
+@functools.lru_cache(maxsize=64)
+def _fixed_squares(w: int, bits: int) -> tuple[int, ...]:
+    """e^{2^i/4} for i < bits at w bits, squaring e^{1/4}."""
+    squares = [_fixed_constants(w)[0]]
     while len(squares) < bits:
         squares.append(squares[-1] ** 2 >> w)
-    return squares
+    return tuple(squares)
 
 
 def _times_growth(x: int, d: int, squares: Sequence[int], w: int) -> int:
@@ -166,8 +167,8 @@ def _row_residuals(
     ms = {n: 4 * h + shift for n, h in hs.items()}  # e^{h + (k^2-1)/4} = (e^{1/4})^m
     top = max(ms.values()).bit_length()
     w = precision + top + GUARD_BITS
-    quarter, growth = _fixed_constants(w)  # the chain starts at sqrt(2)
-    squares = _fixed_squares(quarter, w, top)
+    growth = _fixed_constants(w)[1]  # the chain starts at sqrt(2)
+    squares = _fixed_squares(w, top)
     kfact = math.factorial(k)
     steps, cells = {}, {}
     for i, n in enumerate(sorted(counts)):

@@ -177,32 +177,6 @@ def test_two_regular_examples():
         count_two_regular(-1)
 
 
-def two_regular_by_recurrence(n):
-    """Oracle: count_two_regular's recurrence run afresh up to n."""
-    a = [1, 0, 0]
-    for m in range(2, n):
-        a.append(m * a[m] + m * (m - 1) // 2 * a[m - 2])
-    return a[n]
-
-
-def test_two_regular_row_extends_one_sweep(monkeypatch):
-    # a validate row n = 10..1000 step 2 resolves every k = 2 count from one
-    # sweep of the recurrence, not a fresh recurrence per n
-    ns = range(10, 1001, 2)
-    expected = [two_regular_by_recurrence(n) for n in ns]
-    starts = []
-    sweep = counts._two_regular_sweep
-
-    def spy():
-        starts.append(None)
-        return sweep()
-
-    monkeypatch.setattr(counts, "_SWEEPS", {})
-    monkeypatch.setattr(counts, "_two_regular_sweep", spy)
-    assert [resolve(2, n) for n in ns] == [(c, PROV_FORMULA) for c in expected]
-    assert len(starts) == 1
-
-
 def test_two_regular_matches_cycle_set_egf():
     # oracle: n! [x^n] exp(sum_{m>=3} x^m / (2m)), one Series.exp to order 120
     order = 120

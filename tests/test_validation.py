@@ -170,16 +170,6 @@ def test_row_chain_matches_log_space_route(sg_reference, csg_reference, precisio
     assert checked == 6 * len(DENSE_NS)
 
 
-def test_row_in_any_order_prints_its_cells(sg_reference):
-    ns = (20, 10, 10, 11, 12)  # unsorted, a repeat, and n*k odd at 11
-    coeffs = sg_expansion(3, 2).coefficients
-    counts = dict(enumerate(sg_reference[3]))
-    row = residual_row(3, ns, 3, counts, coeffs)
-    cells = [None if n % 2 else residual_cell(3, n, 3, counts[n], coeffs) for n in ns]
-    printed = [format_cell(c) for c in row]
-    assert printed == [format_cell(c) for c in cells] == ["4.05", "5.04", "5.04", "NA", "4.66"]
-
-
 def test_precision_underflow_detected_and_retried(sg_reference):
     from regasym import validation
     from regasym.validation import PrecisionUnderflow
@@ -367,8 +357,8 @@ def test_fixed_point_constants_match_mpmath(precision, n):
 
     m = 4 * (5 * n // 2) + 5**2 - 1
     w = precision + m.bit_length() + validation.GUARD_BITS
-    quarter, sqrt2 = validation._fixed_constants(w)
-    squares = validation._fixed_squares(quarter, w, m.bit_length())
+    sqrt2 = validation._fixed_constants(w)[1]
+    squares = validation._fixed_squares(w, m.bit_length())
     with mpmath.workprec(w + 64):
         scale = mpmath.mpf(2) ** w
         assert 0 <= mpmath.exp(mpmath.mpf(1) / 4) * scale - squares[0] < 2
