@@ -73,7 +73,7 @@ def crosscheck(k: int, sg: list[int]) -> int:
             h = count_hadamard(k, n)
             require(sg[n] == h, f"k={k}, n={n}: table {sg[n]} vs moment formula {h}")
     # a k-regular graph on n vertices is the complement of an (n-1-k)-regular
-    # one, counted by a closed form (degree <= 2) or another k's recurrence
+    # one, counted by resolve at that degree through a recurrence of its own
     pairs = 0
     for n in range(k + 1, min(2 * k, len(sg) - 1) + 1):
         other, _ = resolve(n - 1 - k, n)

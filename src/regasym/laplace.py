@@ -1,12 +1,11 @@
 """Coefficient engine for Laplace-type asymptotic expansions.
 
 Given a centered phase phi (phi(0) = phi'(0) = 0, phi''(0) != 0) and an
-amplitude A, the expansion coefficients are produced by two independent
-formulas that must agree:
-
-* the moment route: solve T(x) = x psi(T(x)) for the change of variable,
-  then reduce A(T(x)) T'(x) against the Gaussian weight 1/phi''(0);
-* the direct route: (2l-1)!!/phi''(0)^l [t^{2l}] A(t) psi(t)^{2l+1}.
+amplitude A, :func:`expand_hadamard` produces the expansion coefficients
+by the moment route: solve T(x) = x psi(T(x)) for the change of variable,
+then reduce A(T(x)) T'(x) against the Gaussian weight 1/phi''(0).  The
+tests hold the independent direct route,
+(2l-1)!!/phi''(0)^l [t^{2l}] A(t) psi(t)^{2l+1}, as its oracle.
 
 Here psi(t) = ((phi(t) - phi(0)) / (phi''(0) t^2 / 2))^{-1/2}.  Normalizing
 by phi''(0) keeps every coefficient rational whenever phi and A are
@@ -58,21 +57,6 @@ def expand_hadamard(phi: Series, amp: Series, r: int) -> Series:
     tree = newton_solve_tree(psi)
     g = amp.truncate(2 * r).compose(tree) * tree.derivative()
     return Series([_moment(g[2 * l], l, phi) for l in range(r + 1)], r)
-
-
-def expand_direct(phi: Series, amp: Series, r: int) -> Series:
-    """Expansion coefficients through z^r via the closed coefficient formula.
-
-    A test oracle for :func:`expand_hadamard`: it weights [x^{2l}] A psi^{2l+1}
-    instead of composing with the tree series.
-    """
-    psi = _psi_for_order(phi, amp, r)
-    amp = amp.truncate(2 * r)
-    out = []
-    for l in range(r + 1):
-        prod = amp * psi.pow_rational(2 * l + 1)
-        out.append(_moment(prod[2 * l], l, phi))
-    return Series(out, r)
 
 
 def _moment(coeff: Fraction, l: int, phi: Series) -> Fraction:

@@ -41,17 +41,16 @@ truncation of a product to w bits loses a relative 2^-w:
 
 So D = R - P is off by less than 4m ratio + 1 < 2^-(p+6) max(ratio, 1) 2^w
 units.  More than p - 32 cancelled bits of max(R, 2^w) (all of them when
-D = 0) raise PrecisionUnderflow, so a returned D is good to a relative
-2^-36, and :func:`residual_cell` retries at doubled precision, as
-:func:`residual_row` does for such a cell alone.  A cell is the exact
-D n^r / 2^w, a Fraction with a power-of-two denominator; it prints with two
-decimals, rounding half to even, and doubling the working precision must
-not change a printed digit.
+D = 0) make the cell a PrecisionUnderflow, so a returned D is good to a
+relative 2^-36, and :func:`residual_row` evaluates such a cell again alone
+at doubled precision.  A cell is the exact D n^r / 2^w, a Fraction with a
+power-of-two denominator; it prints with two decimals, rounding half to
+even, and doubling the working precision must not change a printed digit.
 
-:func:`residual_cell` takes the count of its cell, and :func:`residual_row`
-a mapping n -> count for one k, giving the cells of one k (None where the
-mapping has no count or no graph exists); :func:`render_csv` and
-:func:`compare_to_golden` read a grid, a list of such (k, cells) rows.
+:func:`residual_row`, the one entry point, takes a mapping n -> count for
+one k and gives the cells of that k (None where the mapping has no count
+or no graph exists); :func:`render_csv` and :func:`compare_to_golden` read
+a grid, a list of such (k, cells) rows.
 """
 
 from __future__ import annotations
@@ -193,49 +192,6 @@ def _row_residuals(
     return cells
 
 
-def residual(
-    k: int,
-    n: int,
-    r: int,
-    count: int,
-    coeffs: Sequence[Fraction],
-    precision: int = DEFAULT_PRECISION,
-) -> Fraction:
-    """The scaled residual of one cell; PrecisionUnderflow past precision-32 cancelled bits."""
-    _check_cell(k, n, r, count, coeffs)
-    cell = _row_residuals(k, r, {n: count}, coeffs, precision)[n]
-    if isinstance(cell, PrecisionUnderflow):
-        raise cell
-    return cell
-
-
-def _retried(
-    k: int, n: int, r: int, count: int, coeffs: Sequence[Fraction], precision: int
-) -> Fraction:
-    """The cell alone at 2, 4 and 8 times precision, once it underflowed at precision."""
-    for doublings in (1, 2, 3):
-        try:
-            return residual(k, n, r, count, coeffs, precision << doublings)
-        except PrecisionUnderflow:
-            pass
-    raise PrecisionUnderflow(f"(k={k}, n={n}) still cancelling at precision {precision << 4}")
-
-
-def residual_cell(
-    k: int,
-    n: int,
-    r: int,
-    count: int,
-    coeffs: Sequence[Fraction],
-    precision: int = DEFAULT_PRECISION,
-) -> Fraction:
-    """Residual for one cell, retrying with doubled precision on underflow."""
-    try:
-        return residual(k, n, r, count, coeffs, precision)
-    except PrecisionUnderflow:
-        return _retried(k, n, r, count, coeffs, precision)
-
-
 def residual_row(
     k: int,
     ns: Sequence[int],
@@ -248,37 +204,33 @@ def residual_row(
     whose n the mapping lacks is None, with one line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
-    is None as well.  ns may come in any order and repeat n.  The cells
-    before the first n that :func:`residual` rejects are evaluated as one
-    chain, and a cell that underflows is evaluated again alone at doubled
-    precision, as in :func:`residual_cell`; stderr lines and errors come in
-    the order of ns.
+    is None as well.  ns may come in any order and repeat n; stderr lines
+    and ValueErrors come in the order of ns.  The cells are evaluated as one
+    chain, and a cell that underflows is evaluated again alone at 2, 4 and
+    8 times the precision.
     """
     chain: dict[int, int] = {}
     for n in ns:
-        try:
-            if structural(k, n) != 0 and n in counts:
-                _check_cell(k, n, r, counts[n], coeffs)
-                chain[n] = counts[n]
-        except ValueError:  # raised again, in its place, by the walk below
-            break
-    evaluated = _row_residuals(k, r, chain, coeffs, precision) if chain else {}
-    cells: list[Fraction | None] = []
-    for n in ns:
         if structural(k, n) == 0:
-            cells.append(None)
-        elif n not in counts:
+            continue
+        if n not in counts:
             sys.stderr.write(
                 f"no residual for k={k}, n={n}: no count available for k={k}, n={n}\n"
             )
-            cells.append(None)
-        elif n not in evaluated:  # the first cell residual() rejects: it raises here
-            cells.append(residual_cell(k, n, r, counts[n], coeffs, precision))
-        elif isinstance(evaluated[n], PrecisionUnderflow):
-            cells.append(_retried(k, n, r, counts[n], coeffs, precision))
-        else:
-            cells.append(evaluated[n])
-    return cells
+            continue
+        _check_cell(k, n, r, counts[n], coeffs)
+        chain[n] = counts[n]
+    cells = _row_residuals(k, r, chain, coeffs, precision) if chain else {}
+    for n in chain:
+        for doublings in (1, 2, 3):
+            if not isinstance(cells[n], PrecisionUnderflow):
+                break
+            cells[n] = _row_residuals(k, r, {n: chain[n]}, coeffs, precision << doublings)[n]
+        if isinstance(cells[n], PrecisionUnderflow):
+            raise PrecisionUnderflow(
+                f"(k={k}, n={n}) still cancelling at precision {precision << 4}"
+            )
+    return [cells.get(n) for n in ns]
 
 
 def round_half_even_2dp(x: Fraction) -> int:

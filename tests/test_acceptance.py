@@ -19,7 +19,6 @@ from regasym.counts import (
     reference_counts,
 )
 from regasym.laplace import (
-    expand_direct,
     expand_hadamard,
     factorial_phase,
     stirling_series,
@@ -38,6 +37,8 @@ from regasym.validation import (
     render_csv,
     residual_row,
 )
+
+from laplace_oracle import expand_direct
 
 
 def _report(number: int, description: str, started: float, budget: float):

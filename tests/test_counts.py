@@ -303,6 +303,23 @@ def test_resolve_routes(monkeypatch):
     with pytest.raises(ValueError):
         resolve(-1, 1)
 
+    # k = 1 goes through the moment recurrence; k = 2 keeps its own, faster
+    # recurrence (a cold moment sweep to n = 100 costs a validate row ~40 ms)
+    swept = []
+
+    def spy(k, nmax):
+        swept.append(k)
+        return moment_counts(k, nmax)
+
+    monkeypatch.setattr(counts, "moment_counts", spy)
+    for n in range(2, 301, 2):
+        assert resolve(1, n) == (double_factorial(n - 1), PROV_FORMULA), n
+    assert set(swept) == {1}
+    swept.clear()
+    for n in range(4, 301, 2):
+        assert resolve(2, n) == (count_two_regular(n), PROV_FORMULA), n
+    assert swept == []
+
     def boom(k, nmax):
         raise AssertionError("the moment recurrence must not run")
 

@@ -12,12 +12,13 @@ from regasym.validation import (
     GOLDEN_CSG,
     GOLDEN_SG,
     TABLE_NS,
+    PrecisionUnderflow,
+    _check_cell,
+    _row_residuals,
     compare_to_golden,
     format_cell,
     published_r,
     render_csv,
-    residual,
-    residual_cell,
     residual_row,
     round_half_even_2dp,
 )
@@ -87,36 +88,54 @@ def test_residual_spot_values(sg_reference, two_regular_counts):
         (4, 100, sg_expansion(4, 2).coefficients, "14.01"),
     ]
     for k, n, coeffs, expected in cases:
-        cell = residual_cell(k, n, 3, sg_reference[k][n], coeffs)
+        cell = residual_row(k, (n,), 3, {n: sg_reference[k][n]}, coeffs)[0]
         assert format_cell(cell) == expected, (k, n)
     # the published k=2 row carries one extra subtracted term
     assert published_r("sg", 2, 3) == 4
-    cell = residual_cell(
-        2, 50, published_r("sg", 2, 3), two_regular_counts[50], sg_expansion(2, 3).coefficients
-    )
+    cell = residual_row(
+        2, (50,), published_r("sg", 2, 3), {50: two_regular_counts[50]}, sg_expansion(2, 3).coefficients
+    )[0]
     assert format_cell(cell) == "1.79"
 
 
 def test_residual_csg_spot_values(csg_reference, sg_reference):
     coeffs3 = tuple(csg_tilde(3, 2, sg_reference[3]).coefficients)
     coeffs4 = tuple(csg_tilde(4, 2, sg_reference[4]).coefficients)
-    assert format_cell(residual_cell(3, 10, 3, csg_reference[3][10], coeffs3)) == "4.40"
-    assert format_cell(residual_cell(4, 50, 3, csg_reference[4][50], coeffs4)) == "14.31"
+    assert format_cell(residual_row(3, (10,), 3, {10: csg_reference[3][10]}, coeffs3)[0]) == "4.40"
+    assert format_cell(residual_row(4, (50,), 3, {50: csg_reference[4][50]}, coeffs4)[0]) == "14.31"
     for n in range(60, 101, 10):
-        assert format_cell(residual_cell(3, n, 3, csg_reference[3][n], coeffs3)) == "2.31"
+        assert format_cell(residual_row(3, (n,), 3, {n: csg_reference[3][n]}, coeffs3)[0]) == "2.31"
 
 
 def test_residual_requires_coeffs_and_counts(sg_reference):
-    with pytest.raises(ValueError):
-        residual(3, 10, 3, 11180820, sg_expansion(3, 1).coefficients)
+    with pytest.raises(ValueError, match=r"need coefficients 0\.\.2, got 2"):
+        residual_row(3, (10,), 3, {10: 11180820}, sg_expansion(3, 1).coefficients)
 
 
 def test_residual_rejects_odd_degree_sum():
-    # n*k odd would leave a half-integer power of n k in the envelope
+    # n*k odd would leave a half-integer power of n k in the envelope: the
+    # chain refuses such a cell, and the row never hands it one
     with pytest.raises(ValueError, match=r"k=3, n=11"):
-        residual(3, 11, 3, 1, sg_expansion(3, 2).coefficients)
+        _check_cell(3, 11, 3, 1, sg_expansion(3, 2).coefficients)
     with pytest.raises(ValueError, match=r"k=5, n=9"):
-        residual(5, 9, 0, 1, [])
+        _check_cell(5, 9, 0, 1, [])
+    assert residual_row(3, (11,), 3, {11: 1}, sg_expansion(3, 2).coefficients) == [None]
+    assert residual_row(5, (9,), 0, {9: 1}, []) == [None]
+
+
+def test_residual_row_walk_order(sg_reference, capsys):
+    # stderr lines and errors come in the order of ns: the missing count at
+    # n = 12 is reported before the cell n = 0 raises
+    coeffs = sg_expansion(3, 2).coefficients
+    counts = {10: sg_reference[3][10], 0: 1}
+    with pytest.raises(ValueError, match=r"k=3, n=0\)"):
+        residual_row(3, (12, 10, 0), 3, counts, coeffs)
+    assert capsys.readouterr().err == (
+        "no residual for k=3, n=12: no count available for k=3, n=12\n"
+    )
+    # a repeated n gives its cell each time
+    cells = residual_row(3, (10, 12, 10), 3, counts, coeffs)
+    assert cells[0] is not None and cells == [cells[0], None, cells[0]]
 
 
 DENSE_NS = tuple(range(10, 101, 2))  # every n even: no cell lacks a graph
@@ -147,7 +166,7 @@ def test_exact_ratio_matches_log_space_route(sg_reference, csg_reference, precis
     checked = 0
     for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
         with mpmath.workprec(precision):
-            exact_ratio = to_mpf(residual(k, n, r, count, coeffs, precision))
+            exact_ratio = to_mpf(_row_residuals(k, r, {n: count}, coeffs, precision)[n])
         log_space = log_space_residual(k, n, r, count, coeffs, precision)
         assert abs(exact_ratio - log_space) <= tol * abs(log_space), (k, n)
         checked += 1
@@ -171,43 +190,45 @@ def test_row_chain_matches_log_space_route(sg_reference, csg_reference, precisio
 
 
 def test_precision_underflow_detected_and_retried(sg_reference):
-    from regasym import validation
-    from regasym.validation import PrecisionUnderflow
-
     # a coefficient matching the exact ratio to ~318 bits forces more
     # cancellation than low-precision runs can absorb
     count = sg_reference[3][10]
-    ratio = residual(3, 10, 0, count, [], precision=320)
+    ratio = residual_row(3, (10,), 0, {10: count}, [], precision=320)[0]
     assert 1 <= ratio < 2
     near = Fraction(round(ratio * 2**319), 2**319)  # rounded to 320 bits
-    with pytest.raises(PrecisionUnderflow):
-        residual(3, 10, 1, count, [near], precision=128)
-    # residual_cell retries with doubled precision until the diff resolves
-    cell = residual_cell(3, 10, 1, count, [near], precision=128)
-    high = residual(3, 10, 1, count, [near], precision=1024)
+    assert isinstance(_row_residuals(3, 1, {10: count}, [near], 128)[10], PrecisionUnderflow)
+    # residual_row retries with doubled precision until the diff resolves
+    cell = residual_row(3, (10,), 1, {10: count}, [near], precision=128)[0]
+    high = _row_residuals(3, 1, {10: count}, [near], 1024)[10]
+    assert isinstance(high, Fraction)
     with mpmath.workprec(256):
         assert mpmath.nstr(to_mpf(cell), 20) == mpmath.nstr(to_mpf(high), 20)
     # in a row, the cell is retried alone and the rest of the chain stands
     ns = (12, 10, 14)
     counts = {n: sg_reference[3][n] for n in ns}
-    chain = validation._row_residuals(3, 1, counts, [near], 128)
+    chain = _row_residuals(3, 1, counts, [near], 128)
     assert isinstance(chain[10], PrecisionUnderflow)
     row = residual_row(3, ns, 1, counts, [near], precision=128)
     assert row == [chain[12], cell, chain[14]]
+    # matched to 1200 bits, the cell still cancels at 8 times precision 128
+    ratio = residual_row(3, (10,), 0, {10: count}, [], precision=1280)[0]
+    nearer = Fraction(round(ratio * 2**1200), 2**1200)
+    with pytest.raises(PrecisionUnderflow, match=r"^\(k=3, n=10\) still cancelling at precision 2048$"):
+        residual_row(3, (10,), 1, {10: count}, [nearer], precision=128)
 
 
 def test_precision_doubling_changes_no_printed_digit(sg_reference):
     coeffs = sg_expansion(3, 2).coefficients
     for n in TABLE_NS:
-        low = residual_cell(3, n, 3, sg_reference[3][n], coeffs, precision=256)
-        high = residual_cell(3, n, 3, sg_reference[3][n], coeffs, precision=512)
+        low = residual_row(3, (n,), 3, {n: sg_reference[3][n]}, coeffs, precision=256)[0]
+        high = residual_row(3, (n,), 3, {n: sg_reference[3][n]}, coeffs, precision=512)[0]
         assert format_cell(low) == format_cell(high), n
 
 
 def test_boundedness_smoke(sg_reference):
     # |cell(n=100)| <= max over the printed range + 1
     coeffs = sg_expansion(5, 2).coefficients
-    cells = [residual_cell(5, n, 3, sg_reference[5][n], coeffs) for n in TABLE_NS]
+    cells = residual_row(5, TABLE_NS, 3, dict(enumerate(sg_reference[5])), coeffs)
     values = [abs(c) for c in cells]
     assert values[-1] <= max(values) + 1
 
@@ -238,7 +259,7 @@ RESIDUALS_30 = {
 def test_residual_cell_full_precision(sg_reference, two_regular_counts):
     for (k, n), expected in RESIDUALS_30.items():
         count = two_regular_counts[n] if k == 2 else sg_reference[k][n]
-        cell = residual_cell(k, n, 3, count, sg_expansion(k, 2).coefficients)
+        cell = residual_row(k, (n,), 3, {n: count}, sg_expansion(k, 2).coefficients)[0]
         with mpmath.workprec(256):
             assert mpmath.nstr(to_mpf(cell), 30) == expected, (k, n)
 
@@ -320,7 +341,7 @@ def test_split_envelope_factor_matches_single_exp(sg_reference, csg_reference, p
     tol = mpmath.mpf(2) ** -(precision - 16)
     checked = 0
     for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
-        cell = residual(k, n, r, count, coeffs, precision)
+        cell = _row_residuals(k, r, {n: count}, coeffs, precision)[n]
         with mpmath.workprec(precision):
             cell = to_mpf(cell)
             ratio = single_exp_ratio(k, n, count, precision)
@@ -371,8 +392,8 @@ def test_fixed_point_constants_match_mpmath(precision, n):
 def test_residual_rejects_empty_vertex_set():
     # n = 0 has the structural count 1 (the empty graph), but no residual
     with pytest.raises(ValueError, match=r"k=3, n=0"):
-        residual(3, 0, 3, 1, sg_expansion(3, 2).coefficients)
+        residual_row(3, (0,), 3, {0: 1}, sg_expansion(3, 2).coefficients)
     # a connected table stores 0 there; the cell is still named, not its count
     with pytest.raises(ValueError, match=r"k=3, n=0\): the residual needs n >= 1"):
-        residual(3, 0, 0, 0, [])
+        residual_row(3, (0,), 0, {0: 0}, [])
 
