@@ -10,7 +10,6 @@ from .series import (
     BadConstantTerm,
     BadParity,
     InsufficientOrder,
-    NonUnitDivisor,
     Series,
     SeriesError,
     ValuationViolation,

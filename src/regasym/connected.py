@@ -103,7 +103,7 @@ def csg_tilde(k: int, r: int, counts: list[int]) -> Series:
     if len(counts) < 2 * r + 1:
         raise ValueError(f"need the plain counts for 0..{2 * r} vertices, got {len(counts)}")
     stirling = stirling_series(r)
-    atilde = sg_expansion(k, r).div(stirling)
+    atilde = sg_expansion(k, r) * stirling.pow_rational(-1)
     recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
     alpha = _alpha(k)
 

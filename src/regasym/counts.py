@@ -30,9 +30,10 @@ for a count it computed.  A negative k or n is a ValueError in
 Every layer reads plain counts: :func:`load_bfile` and
 :func:`reference_counts` return the values for n = 0, 1, 2, ..., and
 :func:`egf_reciprocal_coeffs` takes such a list.  Two routes that give
-different counts for one (k, n) raise :class:`CountConflict`.  The
-count_* functions are pure; the only state here is the per-k sweep of
-:func:`moment_counts`.
+different counts for one (k, n) raise :class:`CountConflict`; so does a
+shipped 'sg' table entry that contradicts the structural rules, when
+:func:`reference_counts` reads it.  The count_* functions are pure; the
+only state here is the per-k sweep of :func:`moment_counts`.
 """
 
 from __future__ import annotations
@@ -311,11 +312,18 @@ def load_bfile(path: str | Path) -> list[int]:
 
 def reference_counts(which: str, k: int, data_dir: str | Path = DATA_DIR) -> list[int]:
     """Shipped reference counts ('sg' or 'csg') of one k under data_dir,
-    indexed by n; empty when data_dir has no file for this k."""
+    indexed by n; empty when data_dir has no file for this k.  An 'sg'
+    entry that contradicts the structural rules raises CountConflict."""
     if which not in ("sg", "csg"):
         raise ValueError("which must be 'sg' or 'csg'")
     path = Path(data_dir) / f"{which}_k{k}.txt"
-    return load_bfile(path) if path.exists() else []
+    shipped = load_bfile(path) if path.exists() else []
+    if which == "sg":
+        for n, value in enumerate(shipped):
+            s = structural(k, n)
+            if s is not None and s != value:
+                raise CountConflict(k, n, s, value, PROV_STRUCTURAL, PROV_INGESTED)
+    return shipped
 
 
 def resolve(k: int, n: int, shipped: Sequence[int] = ()) -> tuple[int, str]:
@@ -345,4 +353,4 @@ def egf_reciprocal_coeffs(counts: list[int]) -> list[Fraction]:
     """
     jmax = len(counts) - 1
     egf = Series([Fraction(c, math.factorial(m)) for m, c in enumerate(counts)], jmax)
-    return list(Series.one(jmax).div(egf).coefficients)
+    return list(egf.pow_rational(-1).coefficients)

@@ -32,7 +32,9 @@ takes the moment weight -1/2.  The division by s^2 is guarded by a
 valuation assertion; a failure means a transcription bug, never a
 rounding issue.  T, u and v do not depend on k: u and v are read off
 running powers W^0, W^1, ... and I^0, I^1, ..., one product per new
-power, in tables sized once per core series and shared by every k.
+power, in tables sized once per core series and shared by every k.  The
+inversion route that checks each u reads psi^p off a third such table,
+built from psi alone.
 """
 
 from __future__ import annotations
@@ -176,11 +178,13 @@ class _RunningPowers:
         return self.powers[q]
 
 
-# W = (1 + T(s))^{-1} and I(z) = sum_{j>=2} t_j z^{j-1}, shared by every k
+# W = (1 + T(s))^{-1} and I(z) = sum_{j>=2} t_j z^{j-1}, shared by every k,
+# and psi for the inversion route, built from psi and never from T
 _W = _RunningPowers(lambda order: (1 + tree_series(order)).pow_rational(-1))
 _I = _RunningPowers(
     lambda order: Series([MPoly.zero()] + [MPoly.variable(j) for j in range(2, order + 2)], order)
 )
+_PSI = _RunningPowers(expansion_psi)
 
 
 @lru_cache(maxsize=None)
@@ -199,12 +203,13 @@ def u_pq(p: int, q: int) -> Fraction:
 
 def u_pq_lagrange(p: int, q: int) -> Fraction:
     """The inversion route to u_pq: (1/p) [s^{p-1}] H'(s) psi(s)^p for
-    H = (1+s)^{-q}, independent of the tree series."""
+    H = (1+s)^{-q}, with psi^p read off the running powers of psi,
+    independent of the tree series."""
     if p == 0:
         return Fraction(1)
     # H'(s) = -q (1+s)^{-(q+1)}, whose s^i coefficient is -q (-1)^i C(q+i, i)
     h_prime = Series([-q * (-1) ** i * math.comb(q + i, i) for i in range(p)], p - 1)
-    return lagrange_invert_coeff(h_prime, expansion_psi(max(p - 1, 0)), p)
+    return lagrange_invert_coeff(h_prime, _PSI.size(p - 1).power(p), p)
 
 
 @lru_cache(maxsize=None)
@@ -279,8 +284,10 @@ def c2_series(k: int, r: int) -> Series:
         raise ValueError("the expansion order must be nonnegative")
     n_lo = 2 * r
     n_hi = n_lo + 2
-    _I.size(n_hi)  # both tables sized here: the B0 rows read below n_hi, no rebuild
+    # every table sized here, so the B0 rows (u_pq below p = n_hi) rebuild none
+    _I.size(n_hi)
     inv2, inv4 = (_at_sigma_tau(_W.size(n_hi).power(q).truncate(n_lo)) for q in (2, 4))
+    _PSI.size(n_hi - 1)  # u_pq(p, q) reads psi^p to order p - 1
     log_tprime = _at_sigma_tau(tree_series(n_lo + 1).derivative().log())
 
     b0 = Series([MPoly.zero()] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)

@@ -4,9 +4,9 @@ Every :class:`Series` carries an explicit truncation order: coefficients
 beyond the order are *unknown*, not zero.  Binary operations return the
 minimum of the operand orders so precision is never overstated, and
 dividing by a pure power of the variable lowers the order by that power.
-Laurent objects are never created: any division that would produce
-negative powers first asserts the required valuation and fails loudly
-if the cancellation the caller relied on did not happen.
+Laurent objects are never created: a shift down first asserts the
+required valuation and fails loudly if the cancellation the caller
+relied on did not happen.
 
 The coefficient ring is taken from the coefficients: ``Fraction`` (ints
 are converted) for scalar series, or :class:`multipoly.MPoly` for the
@@ -20,9 +20,10 @@ normalised once; the two operands of a product share one ring.  Over
 ``MPoly``, :meth:`Series.exp` can build each coefficient only in given
 parity classes (exponents mod 2), which the ring's dot product restricts
 itself to; the fixed-k pipeline builds its core series so.  Every
-series is inverted as ``pow_rational(-1)`` of a constant term 1:
-division by a series (:meth:`Series.div`) scales the divisor to that
-form, which needs a field and so is scalar-only.  The tree equation
+series the pipeline inverts has constant term 1 (the Stirling factor,
+the counts' exponential generating function), and it is inverted as
+``pow_rational(-1)``, which needs no division in the coefficient ring;
+there is no general series division.  The tree equation
 T = x psi(T) is solved in one pass, one coefficient at a time from the
 running powers of T (:func:`newton_solve_tree`).
 
@@ -33,7 +34,6 @@ types defined here can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Union
 
@@ -42,10 +42,6 @@ Scalar = Union[int, Fraction]
 
 class SeriesError(ArithmeticError):
     """Base class for exact-series arithmetic failures."""
-
-
-class NonUnitDivisor(SeriesError):
-    """Division required an invertible constant term (or a valuation match)."""
 
 
 class BadConstantTerm(SeriesError):
@@ -175,9 +171,6 @@ class Series:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash(self._coeffs)
-
     def __repr__(self):
         inner = ", ".join(
             rational_str(c) if isinstance(c, Fraction) else repr(c) for c in self._coeffs
@@ -250,31 +243,9 @@ class Series:
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
             return self * (1 / Fraction(other))
-        if isinstance(other, Series):
-            return self.div(other)
         return NotImplemented
 
-    # -- division and shifts ----------------------------------------------
-
-    def div(self, b: "Series") -> "Series":
-        """Exact quotient a/b through the appropriate order, over Fraction.
-
-        Requires b(0) != 0, or else valuation(a) >= valuation(b) with the
-        leading powers cancelling (the Laurent-free case).  The divisor,
-        scaled to constant term 1, is inverted by ``pow_rational(-1)``.
-        """
-        v = b.valuation()
-        if v > b.order:
-            raise NonUnitDivisor("division by a series with no known nonzero coefficient")
-        if v > 0:
-            if self.valuation() < v:
-                raise NonUnitDivisor(
-                    f"dividend valuation {self.valuation()} < divisor valuation {v}"
-                )
-            return self.shift_down(v).div(b.shift_down(v))
-        n = min(self.order, b.order)
-        inv0 = 1 / b[0]
-        return self.truncate(n) * (b.truncate(n) * inv0).pow_rational(-1) * inv0
+    # -- shifts ------------------------------------------------------------
 
     def shift_down(self, m: int) -> "Series":
         """Divide by x**m; the valuation must be at least m."""
@@ -390,28 +361,20 @@ def newton_solve_tree(psi: Series) -> Series:
     return Series(t, psi.order + 1)
 
 
-def lagrange_invert_coeff(h_prime: Series, psi: Series, p: int) -> Fraction:
+def lagrange_invert_coeff(h_prime: Series, psi_power: Series, p: int) -> Fraction:
     """[s^p] H(T(s)) for T = x psi(T), via (1/p) [s^(p-1)] H'(s) psi(s)^p.
 
-    ``h_prime`` is H' as a series in the plain variable.
+    ``h_prime`` is H' and ``psi_power`` is psi^p, both as series in the
+    plain variable.
     """
     if p < 1:
         raise ValueError("lagrange_invert_coeff needs p >= 1")
-    if psi.order < p - 1:
+    if psi_power.order < p - 1:
         raise InsufficientOrder(
-            f"psi known to order {psi.order}, need at least {p - 1} for p = {p}"
+            f"psi^p known to order {psi_power.order}, need at least {p - 1} for p = {p}"
         )
     if h_prime.order < p - 1:
         raise InsufficientOrder(
             f"H' known to order {h_prime.order}, need at least {p - 1} for p = {p}"
         )
-    power = _lagrange_power(psi.truncate(p - 1), p)
-    return fraction_dot((Fraction(1, p), h_prime[i], power[p - 1 - i]) for i in range(p))
-
-
-@lru_cache(maxsize=None)
-def _lagrange_power(base: Series, p: int) -> Series:
-    """base^p, computed once per (base, p): every H inverted against one psi
-    at one p reads the same power."""
-    return (base / base[0]).pow_rational(p) * base[0] ** p
-
+    return fraction_dot((Fraction(1, p), h_prime[i], psi_power[p - 1 - i]) for i in range(p))

@@ -1,7 +1,7 @@
 """High-precision residual harness for the exact expansions, in integers.
 
-For each exact count c(k, n) and computed coefficients f_0..f_{r-1}, the
-residual
+For each exact count c(k, n) and computed coefficients f_0..f_{r-1}
+(r is the number of coefficients given), the residual
 
     ( c(k,n) / prefactor(k,n)  -  sum_{j<r} f_j n^{-j} ) * n^r
 
@@ -134,7 +134,7 @@ class PrecisionUnderflow(ArithmeticError):
     """Cancellation consumed more than precision-32 bits; retry higher."""
 
 
-def _check_cell(k: int, n: int, r: int, count: int, coeffs: Sequence[Fraction]) -> None:
+def _check_cell(k: int, n: int, count: int) -> None:
     """ValueError unless the cell has a residual."""
     if n < 1:
         raise ValueError(f"(k={k}, n={n}): the residual needs n >= 1")
@@ -142,19 +142,17 @@ def _check_cell(k: int, n: int, r: int, count: int, coeffs: Sequence[Fraction]) 
         raise ValueError(f"count for (k={k}, n={n}) must be positive, got {count}")
     if (n * k) % 2:
         raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
-    if len(coeffs) < r:
-        raise ValueError(f"need coefficients 0..{r - 1}, got {len(coeffs)}")
 
 
 def _row_residuals(
     k: int,
-    r: int,
     counts: Mapping[int, int],
     coeffs: Sequence[Fraction],
     precision: int,
 ) -> dict[int, Fraction | PrecisionUnderflow]:
-    """The residual of each cell n -> count of one k, or the PrecisionUnderflow
-    it raises, at one width w for the row; every cell passes _check_cell.
+    """The residual of each cell n -> count of one k at order r = len(coeffs),
+    or the PrecisionUnderflow it raises, at one width w for the row; every
+    cell passes _check_cell.
 
     The growths e^{m/4} sqrt(2) are one chain in increasing m: the first is
     sqrt(2) times the squares over the bits of its m, each later one the
@@ -168,7 +166,7 @@ def _row_residuals(
     w = precision + top + GUARD_BITS
     growth = _fixed_constants(w)[1]  # the chain starts at sqrt(2)
     squares = _fixed_squares(w, top)
-    kfact = math.factorial(k)
+    kfact, r = math.factorial(k), len(coeffs)
     steps, cells = {}, {}
     for i, n in enumerate(sorted(counts)):
         if i == 0:
@@ -180,7 +178,7 @@ def _row_residuals(
             growth = growth * steps[step] >> w
         previous = ms[n]
         ratio = counts[n] * kfact**n * growth // (n * k) ** hs[n]
-        partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs[:r]))
+        partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs))
         diff = ratio - (partial.numerator << w) // partial.denominator
         cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
         if cancelled > precision - 32:
@@ -195,13 +193,13 @@ def _row_residuals(
 def residual_row(
     k: int,
     ns: Sequence[int],
-    r: int,
     counts: Mapping[int, int],
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
 ) -> list[Fraction | None]:
-    """The cells of one k over ns, with counts a mapping n -> count; a cell
-    whose n the mapping lacks is None, with one line on stderr.
+    """The cells of one k over ns at the residual order r = len(coeffs), with
+    counts a mapping n -> count; a cell whose n the mapping lacks is None,
+    with one line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
     is None as well.  ns may come in any order and repeat n; stderr lines
@@ -218,14 +216,14 @@ def residual_row(
                 f"no residual for k={k}, n={n}: no count available for k={k}, n={n}\n"
             )
             continue
-        _check_cell(k, n, r, counts[n], coeffs)
+        _check_cell(k, n, counts[n])
         chain[n] = counts[n]
-    cells = _row_residuals(k, r, chain, coeffs, precision) if chain else {}
+    cells = _row_residuals(k, chain, coeffs, precision) if chain else {}
     for n in chain:
         for doublings in (1, 2, 3):
             if not isinstance(cells[n], PrecisionUnderflow):
                 break
-            cells[n] = _row_residuals(k, r, {n: chain[n]}, coeffs, precision << doublings)[n]
+            cells[n] = _row_residuals(k, {n: chain[n]}, coeffs, precision << doublings)[n]
         if isinstance(cells[n], PrecisionUnderflow):
             raise PrecisionUnderflow(
                 f"(k={k}, n={n}) still cancelling at precision {precision << 4}"

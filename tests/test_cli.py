@@ -611,6 +611,11 @@ BROKEN_ROUTES = {
         "regular._W.base = lambda order: bump(orig(order), 3)\n",
         "tree route",
     ),
+    "psi_table": (
+        "orig = regular._PSI.base\n"
+        "regular._PSI.base = lambda order: bump(orig(order), 3)\n",
+        "inversion route",
+    ),
 }
 
 

@@ -1,10 +1,9 @@
-import argparse
 import math
 from fractions import Fraction
 
 import pytest
 
-from regasym import cli, counts
+from regasym import counts
 from regasym.counts import (
     CountConflict,
     LimitExceeded,
@@ -204,12 +203,15 @@ def test_table_put_conflicts(tmp_path):
     # a shipped table that contradicts the structural rules is refused on load
     (tmp_path / "sg_k3.txt").write_text("0 1\n1 0\n2 5\n")
     with pytest.raises(CountConflict) as err:
-        cli._shipped(argparse.Namespace(data_dir=tmp_path), 3)
+        reference_counts("sg", 3, tmp_path)
     assert (err.value.n, err.value.old, err.value.new) == (2, 0, 5)
     assert (err.value.old_source, err.value.new_source) == (PROV_STRUCTURAL, PROV_INGESTED)
     assert isinstance(err.value, ValueError)
     (tmp_path / "sg_k3.txt").write_text("0 1\n1 0\n2 0\n3 0\n4 1\n")
-    assert cli._shipped(argparse.Namespace(data_dir=tmp_path), 3) == [1, 0, 0, 0, 1]
+    assert reference_counts("sg", 3, tmp_path) == [1, 0, 0, 0, 1]
+    # a connected table is not read against the plain rules
+    (tmp_path / "csg_k3.txt").write_text("0 1\n1 0\n2 5\n")
+    assert reference_counts("csg", 3, tmp_path) == [1, 0, 5]
 
 
 # -- b-files -----------------------------------------------------------------------

@@ -102,10 +102,10 @@ def test_tree_series_matches_lagrange_inversion():
 
 @pytest.fixture
 def fresh_pipeline(monkeypatch):
-    """Empty memo caches, an empty tree memo and empty W and I tables for one
-    test, with every tree solve and table build counted; the module's own
+    """Empty memo caches, an empty tree memo and empty W, I and psi tables for
+    one test, with every tree solve and table build counted; the module's own
     caches and tables are back in place afterwards."""
-    builds = {"tree": 0, "W": 0, "I": 0}
+    builds = {"tree": 0, "W": 0, "I": 0, "PSI": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -118,7 +118,7 @@ def fresh_pipeline(monkeypatch):
         monkeypatch.setattr(regular, name, lru_cache(maxsize=None)(getattr(regular, name).__wrapped__))
     monkeypatch.setattr(regular, "tree_series", regular._longest(regular.tree_series.__wrapped__))
     monkeypatch.setattr(regular, "newton_solve_tree", counted("tree", regular.newton_solve_tree))
-    for name in ("W", "I"):
+    for name in ("W", "I", "PSI"):
         base = getattr(regular, f"_{name}").base
         monkeypatch.setattr(regular, f"_{name}", regular._RunningPowers(counted(name, base)))
     return builds
@@ -130,15 +130,15 @@ def test_tables_grow_with_the_order_and_serve_lower_orders(fresh_pipeline):
     for k, r, pin in ((3, 2, 8), (4, 8, 8), (5, 4, 6), (3, 8, 8), (4, 2, 8)):
         expected = rationals(SG_GOLDEN[k, pin])[: r + 1]
         assert regular.sg_expansion(k, r).coefficients == expected, (k, r)
-    assert fresh_pipeline == {"tree": 2, "W": 2, "I": 2}
+    assert fresh_pipeline == {"tree": 2, "W": 2, "I": 2, "PSI": 2}
 
 
 def test_second_k_shares_the_tree_and_tables(fresh_pipeline):
     regular.c2_series(3, 4)
-    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1}
+    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1, "PSI": 1}
     misses = regular.u_pq.cache_info().misses, regular.v_pq.cache_info().misses
     regular.c2_series(4, 4)
-    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1}
+    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1, "PSI": 1}
     # k = 4 read u and v values that k = 3 did not need
     assert regular.u_pq.cache_info().misses > misses[0]
     assert regular.v_pq.cache_info().misses > misses[1]

@@ -9,7 +9,6 @@ from regasym.series import (
     BadConstantTerm,
     BadParity,
     InsufficientOrder,
-    NonUnitDivisor,
     Series,
     ValuationViolation,
     double_factorial,
@@ -70,33 +69,20 @@ def test_valuation():
     assert Series.zero(3).valuation() == 4
 
 
-# -- division ----------------------------------------------------------------
+# -- division by a unit series: times its pow_rational(-1) -------------------
 
 
 def test_div_geometric():
-    assert Series.one(4).div(Series([1, -1], 4)) == Series([1, 1, 1, 1, 1], 4)
-
-
-def test_div_valuation_shift():
-    a = Series([0, 0, 1, 1], 3)
-    b = Series([0, 0, 1], 3)
-    assert a.div(b) == Series([1, 1], 1)
+    assert Series([1, -1], 4).pow_rational(-1) == Series([1, 1, 1, 1, 1], 4)
 
 
 def test_div_long_division_oracle():
     # oracle: sympy series expansion of 2 z^3 / (1 + z)
     z = sympy.symbols("z")
     expected = sympy_series_coeffs(2 * z**3 / (1 + z), z, 4)
-    got = Series([0, 0, 0, 2], 4).div(Series([1, 1], 4))
+    got = Series([0, 0, 0, 2], 4) * Series([1, 1], 4).pow_rational(-1)
     assert list(got.coefficients) == expected
     assert got[3] == 2 and got[4] == -2
-
-
-def test_div_nonunit_raises():
-    with pytest.raises(NonUnitDivisor):
-        Series([1, 1], 3).div(Series([0, 1], 3))
-    with pytest.raises(NonUnitDivisor):
-        Series([1], 3).div(Series.zero(3))
 
 
 def test_shift_down_guards_valuation():
@@ -141,6 +127,8 @@ def test_exp_log_pow_need_right_constant():
         Series([0, 1], 2).log()
     with pytest.raises(BadConstantTerm):
         Series([2, 1], 2).pow_rational(Fraction(1, 2))
+    with pytest.raises(BadConstantTerm):
+        Series([0, 1], 3).pow_rational(-1)  # only a unit series is inverted
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +156,7 @@ def test_pow_addition_law(a, p, q):
 @settings(max_examples=40, deadline=None)
 @given(series_strategy(order=6, unit_constant=True))
 def test_pow_minus_one_is_division(a):
-    assert a.pow_rational(-1) == Series.one(6).div(a)
+    assert a.pow_rational(-1) * a == Series.one(6)
 
 
 # -- composition ---------------------------------------------------------------
@@ -224,7 +212,7 @@ def test_tree_path_like():
 
 def test_tree_catalan_like():
     # psi = 1/(1-t) gives the series counting plane trees: 1, 1, 2, 5, 14
-    psi = Series.one(5).div(Series([1, -1], 5))
+    psi = Series([1, -1], 5).pow_rational(-1)
     t = newton_solve_tree(psi)
     assert t == fixed_point_tree(Series(psi.coefficients, 6), 6)
     assert list(t.coefficients) == [0, 1, 1, 2, 5, 14, 42]
@@ -247,7 +235,7 @@ def test_tree_equation_random_psi(psi_tail):
 
 
 def test_lagrange_identity_trivial():
-    assert lagrange_invert_coeff(Series.one(0), Series([1], 0), 1) == 1
+    assert lagrange_invert_coeff(Series.one(0), Series([1], 0).pow_rational(1), 1) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,13 +249,15 @@ def test_lagrange_matches_tree_composition(h_coeffs, psi_tail):
     tree = newton_solve_tree(psi)
     for p in range(1, 9):
         direct = h.compose(tree.truncate(8))[p]
-        via_inversion = lagrange_invert_coeff(h.derivative(), psi, p)
+        via_inversion = lagrange_invert_coeff(h.derivative(), psi.pow_rational(p), p)
         assert direct == via_inversion
 
 
 def test_lagrange_insufficient_order():
     with pytest.raises(InsufficientOrder):
-        lagrange_invert_coeff(Series.one(8), Series([1, 1], 2), 5)
+        lagrange_invert_coeff(Series.one(8), Series([1, 1], 2).pow_rational(5), 5)
+    with pytest.raises(InsufficientOrder):
+        lagrange_invert_coeff(Series.one(2), Series([1, 1], 8).pow_rational(5), 5)
 
 
 # -- scalars -----------------------------------------------------------------------
@@ -293,16 +283,56 @@ def test_rational_serialization():
     assert Fraction(rational_str(Fraction(7))) == 7
 
 
+# the integer-valued functions of math; every other math name is a float
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def float_uses(source: str) -> list[str]:
+    """The floating-point uses in Python source: float literals, float()
+    calls, float-valued math names and mpmath or decimal imports."""
+    import ast
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where}: literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                found.append(f"{where}: float()")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr not in EXACT_MATH:
+                found.append(f"{where}: math.{node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:  # a relative "from . import x" has no module
+                modules = [node.module or ""]
+            found += [
+                f"{where}: imports {m}" for m in modules if m.split(".")[0] in ("mpmath", "decimal")
+            ]
+            if modules == ["math"] and isinstance(node, ast.ImportFrom):
+                found += [f"{where}: math.{a.name}" for a in node.names if a.name not in EXACT_MATH]
+    return found
+
+
 def test_no_floating_point_in_exact_modules():
-    # the exact layers never touch floats; only the numerical harness may
+    # no module of the package touches floats, the residual harness and the
+    # CLI included: every value is an int, a Fraction or an MPoly
     from pathlib import Path
 
-    from regasym import connected, counts, laplace, multipoly, regular, series
+    import regasym
 
-    for mod in (series, multipoly, laplace, counts, regular, connected):
-        source = Path(mod.__file__).read_text()
-        assert "float(" not in source, mod.__name__
-        assert "import math" not in source or "math.sqrt" not in source, mod.__name__
+    bad = (
+        "x = 0.5\ny = float(3)\nz = math.sqrt(2) + math.pi\n"
+        "from math import exp, isqrt\nimport mpmath\nfrom decimal import Decimal\n"
+    )
+    assert len(float_uses(bad)) == 7
+    assert float_uses("import math\nx = math.isqrt(8) + math.comb(4, 2)\n") == []
+    paths = sorted(Path(regasym.__file__).parent.glob("*.py"))
+    assert {"cli.py", "validation.py", "series.py"} <= {p.name for p in paths}
+    for path in paths:
+        assert float_uses(path.read_text()) == [], path.name
 
 
 

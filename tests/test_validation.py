@@ -88,39 +88,44 @@ def test_residual_spot_values(sg_reference, two_regular_counts):
         (4, 100, sg_expansion(4, 2).coefficients, "14.01"),
     ]
     for k, n, coeffs, expected in cases:
-        cell = residual_row(k, (n,), 3, {n: sg_reference[k][n]}, coeffs)[0]
+        cell = residual_row(k, (n,), {n: sg_reference[k][n]}, coeffs)[0]
         assert format_cell(cell) == expected, (k, n)
     # the published k=2 row carries one extra subtracted term
     assert published_r("sg", 2, 3) == 4
-    cell = residual_row(
-        2, (50,), published_r("sg", 2, 3), {50: two_regular_counts[50]}, sg_expansion(2, 3).coefficients
-    )[0]
+    coeffs = sg_expansion(2, published_r("sg", 2, 3) - 1).coefficients
+    cell = residual_row(2, (50,), {50: two_regular_counts[50]}, coeffs)[0]
     assert format_cell(cell) == "1.79"
 
 
 def test_residual_csg_spot_values(csg_reference, sg_reference):
     coeffs3 = tuple(csg_tilde(3, 2, sg_reference[3]).coefficients)
     coeffs4 = tuple(csg_tilde(4, 2, sg_reference[4]).coefficients)
-    assert format_cell(residual_row(3, (10,), 3, {10: csg_reference[3][10]}, coeffs3)[0]) == "4.40"
-    assert format_cell(residual_row(4, (50,), 3, {50: csg_reference[4][50]}, coeffs4)[0]) == "14.31"
+    assert format_cell(residual_row(3, (10,), {10: csg_reference[3][10]}, coeffs3)[0]) == "4.40"
+    assert format_cell(residual_row(4, (50,), {50: csg_reference[4][50]}, coeffs4)[0]) == "14.31"
     for n in range(60, 101, 10):
-        assert format_cell(residual_row(3, (n,), 3, {n: csg_reference[3][n]}, coeffs3)[0]) == "2.31"
+        assert format_cell(residual_row(3, (n,), {n: csg_reference[3][n]}, coeffs3)[0]) == "2.31"
 
 
 def test_residual_requires_coeffs_and_counts(sg_reference):
-    with pytest.raises(ValueError, match=r"need coefficients 0\.\.2, got 2"):
-        residual_row(3, (10,), 3, {10: 11180820}, sg_expansion(3, 1).coefficients)
+    # the residual order is the number of coefficients: two of them subtract
+    # f_0 + f_1/n and scale by n^2, on the same count / envelope as r = 0
+    count, coeffs = sg_reference[3][10], sg_expansion(3, 1).coefficients
+    ratio = residual_row(3, (10,), {10: count}, [])[0]
+    cell = residual_row(3, (10,), {10: count}, coeffs)[0]
+    assert abs(cell - (ratio - coeffs[0] - coeffs[1] / 10) * 100) < Fraction(1, 2**200)
+    with pytest.raises(ValueError, match=r"must be positive, got 0"):
+        residual_row(3, (10,), {10: 0}, coeffs)
 
 
 def test_residual_rejects_odd_degree_sum():
     # n*k odd would leave a half-integer power of n k in the envelope: the
     # chain refuses such a cell, and the row never hands it one
     with pytest.raises(ValueError, match=r"k=3, n=11"):
-        _check_cell(3, 11, 3, 1, sg_expansion(3, 2).coefficients)
+        _check_cell(3, 11, 1)
     with pytest.raises(ValueError, match=r"k=5, n=9"):
-        _check_cell(5, 9, 0, 1, [])
-    assert residual_row(3, (11,), 3, {11: 1}, sg_expansion(3, 2).coefficients) == [None]
-    assert residual_row(5, (9,), 0, {9: 1}, []) == [None]
+        _check_cell(5, 9, 1)
+    assert residual_row(3, (11,), {11: 1}, sg_expansion(3, 2).coefficients) == [None]
+    assert residual_row(5, (9,), {9: 1}, []) == [None]
 
 
 def test_residual_row_walk_order(sg_reference, capsys):
@@ -129,12 +134,12 @@ def test_residual_row_walk_order(sg_reference, capsys):
     coeffs = sg_expansion(3, 2).coefficients
     counts = {10: sg_reference[3][10], 0: 1}
     with pytest.raises(ValueError, match=r"k=3, n=0\)"):
-        residual_row(3, (12, 10, 0), 3, counts, coeffs)
+        residual_row(3, (12, 10, 0), counts, coeffs)
     assert capsys.readouterr().err == (
         "no residual for k=3, n=12: no count available for k=3, n=12\n"
     )
     # a repeated n gives its cell each time
-    cells = residual_row(3, (10, 12, 10), 3, counts, coeffs)
+    cells = residual_row(3, (10, 12, 10), counts, coeffs)
     assert cells[0] is not None and cells == [cells[0], None, cells[0]]
 
 
@@ -166,7 +171,7 @@ def test_exact_ratio_matches_log_space_route(sg_reference, csg_reference, precis
     checked = 0
     for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
         with mpmath.workprec(precision):
-            exact_ratio = to_mpf(_row_residuals(k, r, {n: count}, coeffs, precision)[n])
+            exact_ratio = to_mpf(_row_residuals(k, {n: count}, coeffs, precision)[n])
         log_space = log_space_residual(k, n, r, count, coeffs, precision)
         assert abs(exact_ratio - log_space) <= tol * abs(log_space), (k, n)
         checked += 1
@@ -179,7 +184,7 @@ def test_row_chain_matches_log_space_route(sg_reference, csg_reference, precisio
     tol = mpmath.mpf(2) ** -(precision - 64)
     checked = 0
     for k, r, counts, coeffs in dense_grid_rows(sg_reference, csg_reference):
-        cells = residual_row(k, DENSE_NS, r, counts, coeffs, precision)
+        cells = residual_row(k, DENSE_NS, counts, coeffs, precision)
         for n, cell in zip(DENSE_NS, cells):
             with mpmath.workprec(precision):
                 chained = to_mpf(cell)
@@ -193,49 +198,49 @@ def test_precision_underflow_detected_and_retried(sg_reference):
     # a coefficient matching the exact ratio to ~318 bits forces more
     # cancellation than low-precision runs can absorb
     count = sg_reference[3][10]
-    ratio = residual_row(3, (10,), 0, {10: count}, [], precision=320)[0]
+    ratio = residual_row(3, (10,), {10: count}, [], precision=320)[0]
     assert 1 <= ratio < 2
     near = Fraction(round(ratio * 2**319), 2**319)  # rounded to 320 bits
-    assert isinstance(_row_residuals(3, 1, {10: count}, [near], 128)[10], PrecisionUnderflow)
+    assert isinstance(_row_residuals(3, {10: count}, [near], 128)[10], PrecisionUnderflow)
     # residual_row retries with doubled precision until the diff resolves
-    cell = residual_row(3, (10,), 1, {10: count}, [near], precision=128)[0]
-    high = _row_residuals(3, 1, {10: count}, [near], 1024)[10]
+    cell = residual_row(3, (10,), {10: count}, [near], precision=128)[0]
+    high = _row_residuals(3, {10: count}, [near], 1024)[10]
     assert isinstance(high, Fraction)
     with mpmath.workprec(256):
         assert mpmath.nstr(to_mpf(cell), 20) == mpmath.nstr(to_mpf(high), 20)
     # in a row, the cell is retried alone and the rest of the chain stands
     ns = (12, 10, 14)
     counts = {n: sg_reference[3][n] for n in ns}
-    chain = _row_residuals(3, 1, counts, [near], 128)
+    chain = _row_residuals(3, counts, [near], 128)
     assert isinstance(chain[10], PrecisionUnderflow)
-    row = residual_row(3, ns, 1, counts, [near], precision=128)
+    row = residual_row(3, ns, counts, [near], precision=128)
     assert row == [chain[12], cell, chain[14]]
     # matched to 1200 bits, the cell still cancels at 8 times precision 128
-    ratio = residual_row(3, (10,), 0, {10: count}, [], precision=1280)[0]
+    ratio = residual_row(3, (10,), {10: count}, [], precision=1280)[0]
     nearer = Fraction(round(ratio * 2**1200), 2**1200)
     with pytest.raises(PrecisionUnderflow, match=r"^\(k=3, n=10\) still cancelling at precision 2048$"):
-        residual_row(3, (10,), 1, {10: count}, [nearer], precision=128)
+        residual_row(3, (10,), {10: count}, [nearer], precision=128)
 
 
 def test_precision_doubling_changes_no_printed_digit(sg_reference):
     coeffs = sg_expansion(3, 2).coefficients
     for n in TABLE_NS:
-        low = residual_row(3, (n,), 3, {n: sg_reference[3][n]}, coeffs, precision=256)[0]
-        high = residual_row(3, (n,), 3, {n: sg_reference[3][n]}, coeffs, precision=512)[0]
+        low = residual_row(3, (n,), {n: sg_reference[3][n]}, coeffs, precision=256)[0]
+        high = residual_row(3, (n,), {n: sg_reference[3][n]}, coeffs, precision=512)[0]
         assert format_cell(low) == format_cell(high), n
 
 
 def test_boundedness_smoke(sg_reference):
     # |cell(n=100)| <= max over the printed range + 1
     coeffs = sg_expansion(5, 2).coefficients
-    cells = residual_row(5, TABLE_NS, 3, dict(enumerate(sg_reference[5])), coeffs)
+    cells = residual_row(5, TABLE_NS, dict(enumerate(sg_reference[5])), coeffs)
     values = [abs(c) for c in cells]
     assert values[-1] <= max(values) + 1
 
 
 def test_render_csv_shape(sg_reference):
     coeffs = sg_expansion(3, 2).coefficients
-    rows = [(3, residual_row(3, (10, 20), 3, dict(enumerate(sg_reference[3])), coeffs))]
+    rows = [(3, residual_row(3, (10, 20), dict(enumerate(sg_reference[3])), coeffs))]
     text = render_csv((10, 20), rows)
     lines = text.strip().splitlines()
     assert lines[0] == "n,10,20"
@@ -259,7 +264,7 @@ RESIDUALS_30 = {
 def test_residual_cell_full_precision(sg_reference, two_regular_counts):
     for (k, n), expected in RESIDUALS_30.items():
         count = two_regular_counts[n] if k == 2 else sg_reference[k][n]
-        cell = residual_row(k, (n,), 3, {n: count}, sg_expansion(k, 2).coefficients)[0]
+        cell = residual_row(k, (n,), {n: count}, sg_expansion(k, 2).coefficients)[0]
         with mpmath.workprec(256):
             assert mpmath.nstr(to_mpf(cell), 30) == expected, (k, n)
 
@@ -285,7 +290,7 @@ def test_envelope_log_matches_shift_constant():
 
 
 def test_missing_cells_render_na():
-    rows = [(3, residual_row(3, (10,), 3, {}, sg_expansion(3, 2).coefficients))]
+    rows = [(3, residual_row(3, (10,), {}, sg_expansion(3, 2).coefficients))]
     assert render_csv((10,), rows).splitlines()[1] == "3,NA"
 
 
@@ -295,7 +300,7 @@ def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_counts)
         r_eff = published_r("sg", k, 3)
         counts = two_regular_counts if k == 2 else sg_reference[k]
         coeffs = sg_expansion(k, r_eff - 1).coefficients
-        rows.append((k, residual_row(k, TABLE_NS, r_eff, dict(enumerate(counts)), coeffs)))
+        rows.append((k, residual_row(k, TABLE_NS, dict(enumerate(counts)), coeffs)))
     mismatches = compare_to_golden("sg", TABLE_NS, rows)
     # the single published cell that no exact count reproduces
     assert [(m[0], m[1]) for m in mismatches] == [(5, 10)]
@@ -305,7 +310,7 @@ def test_compare_to_golden_csg_clean(csg_reference, sg_reference):
     rows = []
     for k in (3, 4):
         coeffs = tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
-        rows.append((k, residual_row(k, TABLE_NS, 3, dict(enumerate(csg_reference[k])), coeffs)))
+        rows.append((k, residual_row(k, TABLE_NS, dict(enumerate(csg_reference[k])), coeffs)))
     assert compare_to_golden("csg", TABLE_NS, rows) == []
 
 
@@ -341,7 +346,7 @@ def test_split_envelope_factor_matches_single_exp(sg_reference, csg_reference, p
     tol = mpmath.mpf(2) ** -(precision - 16)
     checked = 0
     for k, n, r, count, coeffs in dense_grid_cells(sg_reference, csg_reference):
-        cell = _row_residuals(k, r, {n: count}, coeffs, precision)[n]
+        cell = _row_residuals(k, {n: count}, coeffs, precision)[n]
         with mpmath.workprec(precision):
             cell = to_mpf(cell)
             ratio = single_exp_ratio(k, n, count, precision)
@@ -361,7 +366,7 @@ def test_envelope_constants_are_evaluated_once_per_width(sg_reference):
 
     validation._fixed_constants.cache_clear()
     coeffs = sg_expansion(4, 2).coefficients
-    cells = residual_row(4, DENSE_NS, 3, dict(enumerate(sg_reference[4])), coeffs, precision=4096)
+    cells = residual_row(4, DENSE_NS, dict(enumerate(sg_reference[4])), coeffs, precision=4096)
     assert len(cells) == 46 and None not in cells
     # the row has one working width, 4096 + bitlen(M) + GUARD_BITS with M the
     # largest m = 4h + k^2 - 1 = 8n + 15: e^{1/4} and sqrt(2) are evaluated once
@@ -392,8 +397,8 @@ def test_fixed_point_constants_match_mpmath(precision, n):
 def test_residual_rejects_empty_vertex_set():
     # n = 0 has the structural count 1 (the empty graph), but no residual
     with pytest.raises(ValueError, match=r"k=3, n=0"):
-        residual_row(3, (0,), 3, {0: 1}, sg_expansion(3, 2).coefficients)
+        residual_row(3, (0,), {0: 1}, sg_expansion(3, 2).coefficients)
     # a connected table stores 0 there; the cell is still named, not its count
     with pytest.raises(ValueError, match=r"k=3, n=0\): the residual needs n >= 1"):
-        residual_row(3, (0,), 0, {0: 0}, [])
+        residual_row(3, (0,), {0: 0}, [])
 
