@@ -106,11 +106,12 @@ def cmd_expand(args: argparse.Namespace, out) -> int:
         _write(out, args.fmt, _records(regular.sg_expansion(k, r), k=k))
         return EXIT_OK
     shipped = counts.reference_counts("sg", k, args.data_dir)
-    plain = [counts.resolve(k, m, shipped)[0] for m in range(2 * r + 1)]
-    csg = connected.csg_tilde(k, r, plain)
+    plain_counts = [counts.resolve(k, m, shipped)[0] for m in range(2 * r + 1)]
+    plain = regular.sg_expansion(k, r)  # one run serves the transfer and the gap check
+    csg = connected.csg_tilde(k, plain, plain_counts)
     records = _records(csg, k=k)
     gap_order = (k + 1) * (k - 2) // 2
-    gap = connected.valuation_gap(k, csg) if r >= gap_order else None
+    gap = connected.valuation_gap(k, plain, csg) if r >= gap_order else None
     _write(out, args.fmt, records, {"k": k, "terms": records, "gap_valuation": gap})
     return EXIT_OK
 
@@ -182,8 +183,9 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
         else:
             cell_counts = dict(enumerate(counts.reference_counts("csg", k, args.data_dir)))
             if k_r:
-                plain = [counts.resolve(k, m, shipped)[0] for m in range(2 * k_r - 1)]
-                coeffs = connected.csg_tilde(k, k_r - 1, plain).coefficients
+                plain_counts = [counts.resolve(k, m, shipped)[0] for m in range(2 * k_r - 1)]
+                plain = regular.sg_expansion(k, k_r - 1)
+                coeffs = connected.csg_tilde(k, plain, plain_counts).coefficients
         rows.append((k, validation.residual_row(k, ns, cell_counts, coeffs, precision)))
     out.write(validation.render_csv(ns, rows))
 

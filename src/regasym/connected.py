@@ -2,9 +2,12 @@
 
 Connected counts share the growth envelope of all k-regular counts
 (:class:`regular.Envelope`); their expansion series is obtained from the
-plain one by a transfer that works directly on divergent series.  Writing
-S for the factorial correction series, A = F / S (F the plain expansion
-series) and alpha = k/2 - 1, the shifted series
+plain one by a transfer that works directly on divergent series.  The
+plain expansion series F (``regular.sg_expansion``) and the plain counts
+are inputs of the transfer, passed in as values, so one run of the plain
+pipeline serves both the transfer and the gap check.  Writing S for the
+factorial correction series, A = F / S and alpha = k/2 - 1, the shifted
+series
 
     A_j(z) = (k!/k^{k/2})^j z^{alpha j} (1-jz)^{-1/2-alpha j}
              exp(alpha (log(1-jz)+jz) / z)  A(z/(1-jz))
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from .counts import egf_reciprocal_coeffs
 from .laplace import stirling_series
-from .regular import Envelope, sg_expansion
+from .regular import Envelope
 from .series import Series, SeriesError, ValuationViolation
 
 
@@ -88,8 +91,9 @@ def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
     return (core * pref).shift_up(aj)
 
 
-def csg_tilde(k: int, r: int, counts: list[int]) -> Series:
-    """Expansion series of connected k-regular counts, coefficients 0..r.
+def csg_tilde(k: int, plain: Series, counts: list[int]) -> Series:
+    """Expansion series of connected k-regular counts, coefficients 0..r,
+    from the plain expansion series F of order r (``regular.sg_expansion``).
 
     counts are the plain counts indexed by n; those for 0..2r vertices are
     the reciprocal EGF weights, and a shorter list is a ValueError.
@@ -98,12 +102,11 @@ def csg_tilde(k: int, r: int, counts: list[int]) -> Series:
     """
     if k < 3:
         raise ValueError("connected expansion requires k >= 3")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    r = plain.order
     if len(counts) < 2 * r + 1:
         raise ValueError(f"need the plain counts for 0..{2 * r} vertices, got {len(counts)}")
     stirling = stirling_series(r)
-    atilde = sg_expansion(k, r) * stirling.pow_rational(-1)
+    atilde = plain * stirling.pow_rational(-1)
     recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
     alpha = _alpha(k)
 
@@ -122,21 +125,20 @@ def csg_tilde(k: int, r: int, counts: list[int]) -> Series:
     return (stirling * total).truncate(r)
 
 
-def valuation_gap(k: int, connected: Series) -> int:
+def valuation_gap(k: int, plain: Series, connected: Series) -> int:
     """Order of the first disagreement between the connected series and the
-    plain one of the same order.
+    plain one, read through the lower of their two orders r.
 
     The order must be (k+1)(k-2)/2 and the coefficient there
     -2 shift_constant(k+1) / (k+1)!; anything else raises GapMismatch with
     both series attached, as a correctness alarm.
     """
-    r = connected.order
+    diff = connected - plain
+    r = diff.order
     order = (k + 1) * (k - 2) // 2
     if r < order:
         raise ValueError(f"r = {r} cannot expose the gap (k+1)(k-2)/2 = {order}")
     expected = (order, -2 * Envelope(k).shift_constant(k + 1) / math.factorial(k + 1))
-    plain = sg_expansion(k, r)
-    diff = connected - plain
     got_order = diff.valuation()
     got = (got_order, diff[got_order] if got_order <= r else Fraction(0))
     if got != expected:

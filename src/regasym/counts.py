@@ -3,9 +3,11 @@
 The routes that produce (and cross-check) the integers:
 
 * ``moment_counts``: the moment recurrence, the production route for
-  every k but 2.  In the bracket P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2)
-  every x_j with 2j > k appears at most linearly, so P = Q + sum_j x_j L_j
-  with Q and L_j in x_1..x_{k//2}.  Integrating those x_j out by Wick
+  every k but 2.  The bracket P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2)
+  (:func:`inner_bracket`) comes from the series kernel, ``Series.exp`` over
+  MPoly times ``Series.pow_rational``.  In P every x_j with 2j > k appears
+  at most linearly, so P = Q + sum_j x_j L_j with Q and L_j in
+  x_1..x_{k//2}.  Integrating those x_j out by Wick
   pairing leaves moments U_n with U_{n+1} = Q U_n + n V U_{n-1},
   V = sum_j alpha_j L_j^2, each step one ``MPoly.dot``; the Gaussian
   moment rule on x_1..x_{k//2} turns U_n into the count, which must be a
@@ -118,32 +120,20 @@ def structural(k: int, n: int) -> int | None:
 def inner_bracket(k: int) -> MPoly:
     """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact rational coefficients.
 
-    Variables 1..k; each monomial has weighted degree sum(j * e_j) of the
-    same parity as k and at most k.
+    Built by the series kernel: the exponential of the series over MPoly
+    with [y^j] = x_j, times the scalar series (1 + y^2)^{-1/2}, read at y^k
+    as one dot product.  Variables 1..k; each monomial has weighted degree
+    sum(j * e_j) of the same parity as k and at most k.
     """
-    sqrt_coeffs = [
-        Fraction((-1) ** m * math.comb(2 * m, m), 4**m) for m in range(k // 2 + 1)
-    ]
-    terms: dict = {}
+    exp_part = Series([MPoly.zero()] + [MPoly.variable(j) for j in range(1, k + 1)], k).exp()
+    root = Series([1, 0, 1], k).pow_rational(Fraction(-1, 2))
+    one = MPoly.const(1)
+    return MPoly.dot((root[k - i], exp_part[i], one) for i in range(k + 1))
 
-    def walk(j: int, budget: int, mono: dict[int, int], coeff: Fraction):
-        if j > k:
-            if budget % 2 == 0:
-                # each leaf has its own exponent vector, so no key repeats
-                terms[monomial(mono)] = coeff * sqrt_coeffs[budget // 2]
-            return
-        e = 0
-        fact = 1
-        while e * j <= budget:
-            if e:
-                fact *= e
-                mono[j] = e
-            walk(j + 1, budget - e * j, mono, coeff / fact)
-            e += 1
-        mono.pop(j, None)
 
-    walk(1, k, {}, Fraction(1))
-    return MPoly(terms)
+def _alphas(k: int) -> dict[int, Fraction]:
+    """The moment weights alpha_j = (-1)^{j+1} / j of x_1..x_k."""
+    return {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
 
 
 def count_hadamard(k: int, n: int) -> int:
@@ -167,8 +157,7 @@ def count_hadamard(k: int, n: int) -> int:
         e >>= 1
         if e:
             base = base * base
-    alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
-    value = gaussian_hadamard(power, alphas)
+    value = gaussian_hadamard(power, _alphas(k))
     if value.denominator != 1 or value < 0:
         raise NonIntegerResult(f"value {value} for (k={k}, n={n})")
     return int(value)
@@ -237,7 +226,7 @@ def _moment_sweep(k: int) -> Iterator[int]:
     U_{n+1} = Q U_n + n V U_{n-1} with V = sum_j alpha_j L_j^2, and the
     count at n the Gaussian moment of U_n over x_1..x_{k//2}."""
     half = k // 2
-    alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
+    alphas = _alphas(k)
     bracket = inner_bracket(k)
     q: dict = {}
     linear: dict[int, dict] = {}

@@ -229,7 +229,6 @@ def v_pq(p: int, q: int) -> MPoly:
     )
 
 
-@lru_cache(maxsize=None)
 def b0_row(j: int, k: int) -> MPoly:
     """Row j of the B0 series: the coefficient of sigma^j, a polynomial in
     tau (variable 1) and t_2..t_j.
@@ -259,7 +258,6 @@ def b0_row(j: int, k: int) -> MPoly:
     return MPoly.dot(terms)
 
 
-@lru_cache(maxsize=None)
 def c2_series(k: int, r: int) -> Series:
     """The core series in sigma to order 2r, every coefficient rational.
 

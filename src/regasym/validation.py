@@ -23,8 +23,8 @@ truncation of a product to w bits loses a relative 2^-w:
 
 - E = e^{1/4} 2^w (its Taylor series) is < 2 units short, and
   S = isqrt(2^{2w+1}) = sqrt(2) 2^w is < 1 unit short, a relative 2^-w;
-- E and S are memoised per w, and E_i = e^{2^i/4} 2^w, from squaring E,
-  per w and number of squares.  E_i is short by a relative d_i 2^-w with
+- E, S and E_i = e^{2^i/4} 2^w, from squaring E, are computed once per
+  row, with no memo.  E_i is short by a relative d_i 2^-w with
   d_0 < 2 and d_{i+1} <= 2 d_i + 1, that is d_i < 3 2^i - 1;
 - the growths X = e^{m/4} sqrt(2) 2^w of a row form one chain in
   increasing m.  The first is S times E_i for each bit i of its m, each
@@ -55,7 +55,6 @@ a grid, a list of such (k, cells) rows.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from fractions import Fraction
@@ -98,27 +97,21 @@ def published_r(which: str, k: int, r: int) -> int:
     return r + PUBLISHED_EXTRA_TERMS.get((which, k), 0) if r == GOLDEN_R else r
 
 
-@functools.lru_cache(maxsize=64)
-def _fixed_constants(w: int) -> tuple[int, int]:
-    """e^{1/4} and sqrt(2) at w bits.  The Taylor terms 2^v / (4^i i!) of
-    e^{1/4}, floored at v = w + t bits, are each < 2 units short, at most
-    v/2 + 1 of them, and the tail is < 8/3: < v + 5 <= 2^t."""
+def _fixed_constants(w: int, bits: int) -> tuple[int, list[int]]:
+    """sqrt(2), and e^{2^i/4} for i < max(bits, 1), at w bits, the latter by
+    squaring e^{1/4}.  The Taylor terms 2^v / (4^i i!) of e^{1/4}, floored
+    at v = w + t bits, are each < 2 units short, at most v/2 + 1 of them,
+    and the tail is < 8/3: < v + 5 <= 2^t."""
     t = w.bit_length() + 1
     total, term, i = 0, 1 << (w + t), 0
     while term:
         total += term
         i += 1
         term //= 4 * i
-    return total >> t, math.isqrt(2 << 2 * w)
-
-
-@functools.lru_cache(maxsize=64)
-def _fixed_squares(w: int, bits: int) -> tuple[int, ...]:
-    """e^{2^i/4} for i < bits at w bits, squaring e^{1/4}."""
-    squares = [_fixed_constants(w)[0]]
+    squares = [total >> t]
     while len(squares) < bits:
         squares.append(squares[-1] ** 2 >> w)
-    return tuple(squares)
+    return math.isqrt(2 << 2 * w), squares
 
 
 def _times_growth(x: int, d: int, squares: Sequence[int], w: int) -> int:
@@ -135,13 +128,12 @@ class PrecisionUnderflow(ArithmeticError):
 
 
 def _check_cell(k: int, n: int, count: int) -> None:
-    """ValueError unless the cell has a residual."""
+    """ValueError unless the cell has a residual; :func:`residual_row` has
+    already skipped every cell with no k-regular graph (n*k odd included)."""
     if n < 1:
         raise ValueError(f"(k={k}, n={n}): the residual needs n >= 1")
     if count <= 0:
         raise ValueError(f"count for (k={k}, n={n}) must be positive, got {count}")
-    if (n * k) % 2:
-        raise ValueError(f"(k={k}, n={n}): n*k is odd, so no k-regular graph exists")
 
 
 def _row_residuals(
@@ -164,8 +156,7 @@ def _row_residuals(
     ms = {n: 4 * h + shift for n, h in hs.items()}  # e^{h + (k^2-1)/4} = (e^{1/4})^m
     top = max(ms.values()).bit_length()
     w = precision + top + GUARD_BITS
-    growth = _fixed_constants(w)[1]  # the chain starts at sqrt(2)
-    squares = _fixed_squares(w, top)
+    growth, squares = _fixed_constants(w, top)  # the chain starts at sqrt(2)
     kfact, r = math.factorial(k), len(coeffs)
     steps, cells = {}, {}
     for i, n in enumerate(sorted(counts)):

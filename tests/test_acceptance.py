@@ -118,21 +118,24 @@ def test_criterion_6_connected_golden(small_counts):
         5: (Fraction(2), Fraction(-589, 30), Fraction(190249, 3600)),
     }
     for k, expected in golden.items():
-        assert tuple(csg_tilde(k, 2, small_counts[k]).coefficients) == expected, k
+        assert tuple(csg_tilde(k, sg_expansion(k, 2), small_counts[k]).coefficients) == expected, k
     # the k=3 z^2 coefficient satisfies the indicator correction with the
     # count of the complete graph from the exact oracle
     count4 = count_hadamard(3, 4)
     correction = Fraction(-12 * math.factorial(3) ** 4 * count4, 3**4) / Fraction(144 * 9)
-    assert csg_tilde(3, 2, small_counts[3])[2] == sg_expansion(3, 2)[2] + correction
+    plain = sg_expansion(3, 2)
+    assert csg_tilde(3, plain, small_counts[3])[2] == plain[2] + correction
     _report(6, "connected coefficients through z^2 for k=3,4,5 plus the k=3 correction", started, 60.0)
 
 
 def test_criterion_7_valuation_gap(small_counts):
     started = time.time()
-    assert valuation_gap(3, csg_tilde(3, 2, small_counts[3])) == 2
-    diff = csg_tilde(3, 2, small_counts[3]) - sg_expansion(3, 2)
+    plain3, plain4 = sg_expansion(3, 2), sg_expansion(4, 5)
+    assert valuation_gap(3, plain3, csg_tilde(3, plain3, small_counts[3])) == 2
+    diff = csg_tilde(3, plain3, small_counts[3]) - plain3
     assert diff[2] == Fraction(-4, 27)
-    assert valuation_gap(4, csg_tilde(4, 5, small_counts[4])) == 5  # agreement through z^4
+    # agreement through z^4
+    assert valuation_gap(4, plain4, csg_tilde(4, plain4, small_counts[4])) == 5
     _report(7, "expansion gap exactly 2 for k=3 (difference -4/27) and 5 for k=4", started, 60.0)
 
 
@@ -149,7 +152,8 @@ def _published_grid_rows(which: str, precision: int):
             rows.append((k, residual_row(k, TABLE_NS, counts, coeffs, precision)))
     else:
         for k in (3, 4):
-            coeffs = tuple(csg_tilde(k, 2, reference_counts("sg", k)).coefficients)
+            plain = sg_expansion(k, 2)
+            coeffs = tuple(csg_tilde(k, plain, reference_counts("sg", k)).coefficients)
             counts = dict(enumerate(reference_counts("csg", k)))
             rows.append((k, residual_row(k, TABLE_NS, counts, coeffs, precision)))
     return rows

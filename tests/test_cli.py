@@ -348,22 +348,38 @@ def test_gap_value_alone_trips_internal_alarm(tmp_path, capsys):
     assert "-8/27 z^2, expected -4/27 z^2" in err
 
 
-def test_expand_csg_transfers_once(capsys, monkeypatch):
-    # the gap check reads the connected series already computed for output
+def spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
     calls = []
-    csg_tilde = cli.connected.csg_tilde
+    fn = getattr(module, name)
 
     def counted(*args):
-        calls.append(args[:2])
-        return csg_tilde(*args)
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(cli.connected, "csg_tilde", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_expand_csg_transfers_once(capsys, monkeypatch):
+    # the gap check reads the connected series already computed for output,
+    # and the transfer and the gap check share one run of the plain pipeline
+    transfers = spy(monkeypatch, cli.connected, "csg_tilde")
+    plains = spy(monkeypatch, cli.regular, "sg_expansion")
     code, out, _ = run(
         ["expand", "csg", "--k", "4", "--order", "12", "--format", "json"], capsys
     )
     assert code == 0
     assert json.loads(out)["gap_valuation"] == 5
-    assert calls == [(4, 12)]
+    assert [(k, plain.order) for k, plain, _ in transfers] == [(4, 12)]
+    assert plains == [(4, 12)]
+
+
+def test_validate_csg_runs_the_plain_pipeline_once_per_k(capsys, monkeypatch):
+    plains = spy(monkeypatch, cli.regular, "sg_expansion")
+    code, _, _ = run(["validate", "--which", "csg", "--k", "3,4", "--n", "10:100:10"], capsys)
+    assert code == 0
+    assert plains == [(3, 2), (4, 2)]
 
 
 def test_low_valuation_shift_trips_internal_alarm(capsys, monkeypatch):

@@ -77,7 +77,7 @@ def test_transfer_truncates_high_shifts():
 
 def test_csg_golden(small_counts):
     for k, expected in CSG_GOLDEN.items():
-        got = csg_tilde(k, 2, small_counts[k])
+        got = csg_tilde(k, sg_expansion(k, 2), small_counts[k])
         assert got.coefficients == expected, k
 
 
@@ -86,20 +86,21 @@ def test_csg_dynamic_cutoff_agrees(small_counts):
     # an even jk must give the same series
     r = 2
     for k in (3, 4, 5):
-        stirling = stirling_series(r)
-        atilde = sg_expansion(k, r) * stirling.pow_rational(-1)
+        stirling, plain = stirling_series(r), sg_expansion(k, r)
+        atilde = plain * stirling.pow_rational(-1)
         recip = egf_reciprocal_coeffs(small_counts[k][: 2 * r + 1])
         total = Series.zero(r)
         for j in range(2 * r + 1):
             if (j * k) % 2 == 0:
                 total = total + shifted_expansion(atilde, j, k) * recip[j]
-        assert csg_tilde(k, r, small_counts[k]) == (stirling * total).truncate(r), k
+        assert csg_tilde(k, plain, small_counts[k]) == (stirling * total).truncate(r), k
 
 
 def test_transfer_identity_weight():
     # with no graph on n >= 1 vertices the reciprocal EGF is 1, so only the
     # j = 0 shift survives and the transfer returns the plain series
-    assert csg_tilde(3, 3, [1, 0, 0, 0, 0, 0, 0]) == sg_expansion(3, 3)
+    plain = sg_expansion(3, 3)
+    assert csg_tilde(3, plain, [1, 0, 0, 0, 0, 0, 0]) == plain
 
 
 def test_csg_k3_z2_indicator_identity(small_counts):
@@ -107,41 +108,44 @@ def test_csg_k3_z2_indicator_identity(small_counts):
     # relative to the plain one, with count(4) from the exact count oracle
     k = 3
     count4 = small_counts[3][4]
-    plain = sg_expansion(3, 2)[2]
+    plain = sg_expansion(3, 2)
     correction = Fraction(-12 * 6**4 * count4, 3 ** (2 * k - 2) * 144 * k**2)
-    assert csg_tilde(3, 2, small_counts[3])[2] == plain + correction
+    assert csg_tilde(3, plain, small_counts[3])[2] == plain[2] + correction
     assert correction == Fraction(-4, 27)
 
 
 def test_csg_requires_k_at_least_three(small_counts):
     with pytest.raises(ValueError):
-        csg_tilde(2, 1, small_counts[3])
+        csg_tilde(2, sg_expansion(2, 1), small_counts[3])
 
 
 def test_csg_missing_counts_propagate(small_counts):
     # the transfer reads a(0..2r): a shorter list is an error, not zeros
+    plain = sg_expansion(3, 2)
     with pytest.raises(ValueError, match=r"0\.\.4 vertices, got 4"):
-        csg_tilde(3, 2, small_counts[3][:4])
+        csg_tilde(3, plain, small_counts[3][:4])
     with pytest.raises(ValueError):
-        csg_tilde(3, 2, [])
+        csg_tilde(3, plain, [])
 
 
 def test_valuation_gap_values(small_counts):
-    assert valuation_gap(3, csg_tilde(3, 2, small_counts[3])) == 2
-    assert valuation_gap(4, csg_tilde(4, 5, small_counts[4])) == 5
+    plain3, plain4 = sg_expansion(3, 2), sg_expansion(4, 5)
+    assert valuation_gap(3, plain3, csg_tilde(3, plain3, small_counts[3])) == 2
+    assert valuation_gap(4, plain4, csg_tilde(4, plain4, small_counts[4])) == 5
 
 
 def test_valuation_gap_k5(sg_reference):
     # half-integer alpha = 3/2: only even shifts contribute, and the gap is
     # (6)(3)/2 = 9 from the shipped counts
-    assert valuation_gap(5, csg_tilde(5, 9, sg_reference[5])) == 9
+    plain = sg_expansion(5, 9)
+    assert valuation_gap(5, plain, csg_tilde(5, plain, sg_reference[5])) == 9
 
 
 def test_agreement_window_k5(sg_reference):
     # the k=5 gap is (6)(3)/2 = 9, so the two series coincide through
     # every order we can reach below it
     plain = sg_expansion(5, 6)
-    conn = csg_tilde(5, 6, sg_reference[5])
+    conn = csg_tilde(5, plain, sg_reference[5])
     assert conn == plain
 
 
@@ -153,15 +157,23 @@ def test_valuation_gap_difference_value(small_counts, sg_reference):
         (4, 5, small_counts[4], Fraction(-81, 640)),
         (5, 9, sg_reference[5], Fraction(-2654208, 9765625)),
     ):
-        diff = csg_tilde(k, r, counts) - sg_expansion(k, r)
+        plain = sg_expansion(k, r)
+        diff = csg_tilde(k, plain, counts) - plain
         assert diff.valuation() == r, k
         assert diff[r] == value, k
         assert value == -2 * Envelope(k).shift_constant(k + 1) / math.factorial(k + 1), k
 
 
 def test_valuation_gap_needs_enough_order(small_counts):
+    plain3, plain5 = sg_expansion(4, 3), sg_expansion(4, 5)
     with pytest.raises(ValueError):
-        valuation_gap(4, csg_tilde(4, 3, small_counts[4]))
+        valuation_gap(4, plain3, csg_tilde(4, plain3, small_counts[4]))
+    # the gap is read through the lower of the two orders
+    connected5 = csg_tilde(4, plain5, small_counts[4])
+    with pytest.raises(ValueError, match=r"r = 3 cannot expose"):
+        valuation_gap(4, plain3, connected5)
+    with pytest.raises(ValueError, match=r"r = 3 cannot expose"):
+        valuation_gap(4, plain5, connected5.truncate(3))
 
 
 def test_gap_mismatch_alarm(small_counts):
@@ -169,8 +181,9 @@ def test_gap_mismatch_alarm(small_counts):
     # so the two series coincide through order 2 and the alarm must fire
     bad = list(small_counts[3])
     bad[4] = 0
+    plain = sg_expansion(3, 2)
     with pytest.raises(GapMismatch):
-        valuation_gap(3, csg_tilde(3, 2, bad))
+        valuation_gap(3, plain, csg_tilde(3, plain, bad))
 
 
 def test_gap_value_mismatch_alarm(small_counts):
@@ -178,10 +191,11 @@ def test_gap_value_mismatch_alarm(small_counts):
     # order stays 2, only its value is wrong, and the alarm must still fire
     bad = list(small_counts[3])
     bad[4] = 2
-    connected = csg_tilde(3, 2, bad)
-    assert (connected - sg_expansion(3, 2)).valuation() == 2
+    plain = sg_expansion(3, 2)
+    connected = csg_tilde(3, plain, bad)
+    assert (connected - plain).valuation() == 2
     with pytest.raises(GapMismatch) as err:
-        valuation_gap(3, connected)
+        valuation_gap(3, plain, connected)
     assert err.value.got == (2, Fraction(-8, 27))
     assert err.value.expected == (2, Fraction(-4, 27))
 

@@ -148,6 +148,45 @@ def test_inner_bracket_real_structure():
     assert p.den == 2 and all(type(c) is int for c in p.terms.values())
 
 
+def sympy_bracket(k: int) -> dict[tuple[int, ...], Fraction]:
+    """[y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2) from sympy's series kernel
+    (``ring_series`` over QQ), keyed by the exponents of x_1..x_k."""
+    from sympy import QQ, Rational
+    from sympy.polys.ring_series import rs_exp, rs_mul, rs_pow
+    from sympy.polys.rings import ring
+
+    _, y, *xs = ring(["y"] + [f"x{j}" for j in range(1, k + 1)], QQ)
+    exp_part = rs_exp(sum(x * y**j for j, x in enumerate(xs, 1)), y, k + 1)
+    series = rs_mul(exp_part, rs_pow(1 + y**2, Rational(-1, 2), y, k + 1), y, k + 1)
+    return {
+        m[1:]: Fraction(int(c.numerator), int(c.denominator))
+        for m, c in series.terms()
+        if m[0] == k
+    }
+
+
+def test_inner_bracket_matches_sympy():
+    # an oracle outside the package for every bracket the count routes use;
+    # the oracle itself agrees with sympy's symbolic series for small k
+    import sympy
+
+    from regasym.multipoly import mono_exponents
+
+    for k in range(1, 9):
+        p = inner_bracket(k)
+        got = {}
+        for m, c in p.terms.items():
+            exps = mono_exponents(m)
+            got[tuple(exps.get(j, 0) for j in range(1, k + 1))] = Fraction(c, p.den)
+        assert got == sympy_bracket(k), k
+    for k in range(1, 5):
+        y, *xs = sympy.symbols(f"y x1:{k + 1}")
+        expr = sympy.exp(sum(x * y**j for j, x in enumerate(xs, 1))) / sympy.sqrt(1 + y**2)
+        coeff = sympy.series(expr, y, 0, k + 1).removeO().coeff(y, k)
+        poly = sympy.Poly(sympy.expand(coeff), *xs)
+        assert {m: Fraction(str(c)) for m, c in poly.terms()} == sympy_bracket(k), k
+
+
 def test_hadamard_matches_brute_small_grid():
     for k in (2, 3):
         for n in range(0, 9):

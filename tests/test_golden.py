@@ -75,7 +75,7 @@ def test_sg_expansion_golden(k, r):
 
 
 def test_csg_tilde_golden(sg_reference):
-    assert csg_tilde(4, 6, sg_reference[4]).coefficients == rationals(CSG_4_6)
+    assert csg_tilde(4, sg_expansion(4, 6), sg_reference[4]).coefficients == rationals(CSG_4_6)
 
 
 def test_formal_k_r3_golden():

@@ -102,9 +102,9 @@ def test_tree_series_matches_lagrange_inversion():
 
 @pytest.fixture
 def fresh_pipeline(monkeypatch):
-    """Empty memo caches, an empty tree memo and empty W, I and psi tables for
-    one test, with every tree solve and table build counted; the module's own
-    caches and tables are back in place afterwards."""
+    """Empty u_pq and v_pq caches, an empty tree memo and empty W, I and psi
+    tables for one test, with every tree solve and table build counted; the
+    module's own caches and tables are back in place afterwards."""
     builds = {"tree": 0, "W": 0, "I": 0, "PSI": 0}
 
     def counted(name, fn):
@@ -114,7 +114,7 @@ def fresh_pipeline(monkeypatch):
 
         return wrapper
 
-    for name in ("u_pq", "v_pq", "b0_row", "c2_series"):
+    for name in ("u_pq", "v_pq"):
         monkeypatch.setattr(regular, name, lru_cache(maxsize=None)(getattr(regular, name).__wrapped__))
     monkeypatch.setattr(regular, "tree_series", regular._longest(regular.tree_series.__wrapped__))
     monkeypatch.setattr(regular, "newton_solve_tree", counted("tree", regular.newton_solve_tree))
@@ -256,7 +256,7 @@ def demands(monkeypatch):
 @pytest.mark.parametrize("k", range(2, 8))
 def test_pruned_core_series_is_the_full_one_in_the_needed_classes(k, demands):
     for r in range(7):
-        c2 = c2_series.__wrapped__(k, r)
+        c2 = c2_series(k, r)
         exponent, need = demands[-1]
         full = exponent.exp() * 2
         assert c2.order == full.order == 2 * r

@@ -336,6 +336,78 @@ def test_no_floating_point_in_exact_modules():
 
 
 
+# The memos that measured traffic reuses, keyed by (module, name), with the
+# hits / misses (or rebuilds) that earn each its place.
+MEMO_ALLOW = {
+    ("regular", "u_pq"): "3,686 hits / 64 misses on formal-k --r 3",
+    ("regular", "v_pq"): "3,707 hits / 43 misses on formal-k --r 3",
+    ("regular", "expansion_psi"): "1 hit / 1 miss per pipeline: the psi table reads the tree's psi",
+    ("regular", "tree_series"): "15 hits / 1 miss on formal-k --r 3: one solve for all 16 k",
+    ("regular", "_W"): "70 power hits / 9 products, 78 size hits / 1 build on formal-k --r 3",
+    ("regular", "_I"): "22 power hits / 3 products, 39 size hits / 1 build on formal-k --r 3",
+    ("regular", "_PSI"): "43 power hits / 6 products, 63 size hits / 1 build on formal-k --r 3",
+    ("counts", "_SWEEPS"): "5 hits / 1 miss on expand csg --k 6 --order 6: one sweep for every n",
+}
+
+MEMO_NAMES = {"cache", "lru_cache", "_longest", "_RunningPowers"}
+
+
+def memo_uses(source: str) -> list[tuple[str, int]]:
+    """The memos in Python source as (owner, line): every use of a name in
+    MEMO_NAMES (a decorator, a call or a table) and every module-level name
+    bound to an empty dict, list or set, which only a memo fills at run
+    time.  The owner is the decorated definition, the enclosing definition
+    or the assigned module-level name."""
+    import ast
+
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name  # its decorators included
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and owner is None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            owner = ", ".join(ast.unparse(t) for t in targets)
+            value = node.value
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, (ast.List, ast.Set)) and not value.elts
+            )
+            call = isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            if empty or (call and value.func.id in ("dict", "list", "set") and not value.args):
+                found.append((owner, node.lineno))
+        if isinstance(node, ast.Name) and node.id in MEMO_NAMES:
+            found.append((owner, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in MEMO_NAMES:
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_memos_only_where_traffic_reuses_them():
+    # a memo that the traffic never hits is state for nothing: every memo in
+    # the package is on the allow-list, and every entry of the list is used
+    from pathlib import Path
+
+    import regasym
+
+    bad = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@cache\ndef a(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef b(): pass\n"
+        "c = lru_cache(maxsize=None)(len)\n_D = {}\n_E: list = []\nF = set()\n"
+        "G = _RunningPowers(len)\n@_longest\ndef h(order): pass\n"
+        "TABLE = {1: (2, 3)}\ndef i():\n    memo = {}\n    return memo\n"
+    )
+    assert [owner for owner, _ in memo_uses(bad)] == ["a", "b", "c", "_D", "_E", "F", "G", "h"]
+    found = set()
+    for path in sorted(Path(regasym.__file__).parent.glob("*.py")):
+        found |= {(path.stem, owner) for owner, _ in memo_uses(path.read_text())}
+    assert found == set(MEMO_ALLOW)
+
+
 def test_no_bare_assert_in_package():
     # python -O strips assert statements, so a correctness check written as
     # one would silently vanish; checks raise named errors instead

@@ -13,7 +13,6 @@ from regasym.validation import (
     GOLDEN_SG,
     TABLE_NS,
     PrecisionUnderflow,
-    _check_cell,
     _row_residuals,
     compare_to_golden,
     format_cell,
@@ -98,8 +97,8 @@ def test_residual_spot_values(sg_reference, two_regular_counts):
 
 
 def test_residual_csg_spot_values(csg_reference, sg_reference):
-    coeffs3 = tuple(csg_tilde(3, 2, sg_reference[3]).coefficients)
-    coeffs4 = tuple(csg_tilde(4, 2, sg_reference[4]).coefficients)
+    coeffs3 = tuple(csg_tilde(3, sg_expansion(3, 2), sg_reference[3]).coefficients)
+    coeffs4 = tuple(csg_tilde(4, sg_expansion(4, 2), sg_reference[4]).coefficients)
     assert format_cell(residual_row(3, (10,), {10: csg_reference[3][10]}, coeffs3)[0]) == "4.40"
     assert format_cell(residual_row(4, (50,), {50: csg_reference[4][50]}, coeffs4)[0]) == "14.31"
     for n in range(60, 101, 10):
@@ -119,11 +118,7 @@ def test_residual_requires_coeffs_and_counts(sg_reference):
 
 def test_residual_rejects_odd_degree_sum():
     # n*k odd would leave a half-integer power of n k in the envelope: the
-    # chain refuses such a cell, and the row never hands it one
-    with pytest.raises(ValueError, match=r"k=3, n=11"):
-        _check_cell(3, 11, 1)
-    with pytest.raises(ValueError, match=r"k=5, n=9"):
-        _check_cell(5, 9, 1)
+    # row skips such a cell before it reaches the chain
     assert residual_row(3, (11,), {11: 1}, sg_expansion(3, 2).coefficients) == [None]
     assert residual_row(5, (9,), {9: 1}, []) == [None]
 
@@ -155,7 +150,7 @@ def dense_grid_rows(sg_reference, csg_reference):
         yield k, r, counts, sg_expansion(k, r - 1).coefficients
     for k in (3, 4):
         counts = {n: csg_reference[k][n] for n in DENSE_NS}
-        yield k, 3, counts, tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
+        yield k, 3, counts, tuple(csg_tilde(k, sg_expansion(k, 2), sg_reference[k]).coefficients)
 
 
 def dense_grid_cells(sg_reference, csg_reference):
@@ -309,7 +304,7 @@ def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_counts)
 def test_compare_to_golden_csg_clean(csg_reference, sg_reference):
     rows = []
     for k in (3, 4):
-        coeffs = tuple(csg_tilde(k, 2, sg_reference[k]).coefficients)
+        coeffs = tuple(csg_tilde(k, sg_expansion(k, 2), sg_reference[k]).coefficients)
         rows.append((k, residual_row(k, TABLE_NS, dict(enumerate(csg_reference[k])), coeffs)))
     assert compare_to_golden("csg", TABLE_NS, rows) == []
 
@@ -361,16 +356,25 @@ def test_split_envelope_factor_matches_single_exp(sg_reference, csg_reference, p
     assert checked == 6 * len(DENSE_NS)
 
 
-def test_envelope_constants_are_evaluated_once_per_width(sg_reference):
+def test_envelope_constants_are_evaluated_once_per_width(sg_reference, monkeypatch):
     from regasym import validation
 
-    validation._fixed_constants.cache_clear()
+    calls = []
+    constants = validation._fixed_constants
+
+    def spy(w, bits):
+        calls.append((w, bits))
+        return constants(w, bits)
+
+    monkeypatch.setattr(validation, "_fixed_constants", spy)
     coeffs = sg_expansion(4, 2).coefficients
     cells = residual_row(4, DENSE_NS, dict(enumerate(sg_reference[4])), coeffs, precision=4096)
     assert len(cells) == 46 and None not in cells
     # the row has one working width, 4096 + bitlen(M) + GUARD_BITS with M the
-    # largest m = 4h + k^2 - 1 = 8n + 15: e^{1/4} and sqrt(2) are evaluated once
-    assert validation._fixed_constants.cache_info().misses == 1
+    # largest m = 4h + k^2 - 1 = 8n + 15: e^{1/4}, its squares and sqrt(2)
+    # are evaluated once, for the whole row
+    m = 8 * 100 + 15
+    assert calls == [(4096 + m.bit_length() + validation.GUARD_BITS, m.bit_length())]
 
 
 @pytest.mark.parametrize("precision", [256, 4096])
@@ -383,8 +387,8 @@ def test_fixed_point_constants_match_mpmath(precision, n):
 
     m = 4 * (5 * n // 2) + 5**2 - 1
     w = precision + m.bit_length() + validation.GUARD_BITS
-    sqrt2 = validation._fixed_constants(w)[1]
-    squares = validation._fixed_squares(w, m.bit_length())
+    sqrt2, squares = validation._fixed_constants(w, m.bit_length())
+    assert len(squares) == m.bit_length()
     with mpmath.workprec(w + 64):
         scale = mpmath.mpf(2) ** w
         assert 0 <= mpmath.exp(mpmath.mpf(1) / 4) * scale - squares[0] < 2
