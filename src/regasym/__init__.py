@@ -18,12 +18,6 @@ from .series import (
     rational_str,
 )
 from .multipoly import ExponentOverflow, MPoly, MissingWeight, Monomial, gaussian_hadamard, monomial
-from .laplace import (
-    DegeneratePhase,
-    expand_hadamard,
-    psi_from_phase,
-    stirling_series,
-)
 from .counts import (
     CountConflict,
     LimitExceeded,
@@ -31,7 +25,6 @@ from .counts import (
     OffsetMismatch,
     ParseError,
     count_brute,
-    count_hadamard,
     count_two_regular,
     egf_reciprocal_coeffs,
     load_bfile,
@@ -40,16 +33,18 @@ from .counts import (
     structural,
 )
 from .regular import (
+    DegeneratePhase,
     DegreeOverflow,
     Envelope,
     FormalKPolynomial,
     IrrationalPrefactor,
     RouteMismatch,
     formal_k_interpolate,
+    psi_from_phase,
     sg_expansion,
     u_pq,
     v_pq,
 )
-from .connected import GapMismatch, csg_tilde, shifted_expansion, valuation_gap
+from .connected import GapMismatch, csg_tilde, shifted_expansion, stirling_series, valuation_gap
 
 __version__ = "0.1.0"

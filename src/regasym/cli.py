@@ -12,9 +12,11 @@ stirling  coefficients of the factorial correction series
 Only ``validate`` loads the residual harness :mod:`regasym.validation`:
 it is imported inside :func:`cmd_validate`, so every other subcommand
 loads the exact layers alone.  Likewise only ``formal-k`` and
-``--format json`` import :mod:`json`.  The layer modules stay imported at
-the top: ``perfbench/tracer.py`` wraps the layers that ``import
-regasym.cli`` has loaded.
+``--format json`` import :mod:`json`.  The layer modules ``connected``
+(the transfer and the Stirling series), ``counts`` and ``regular`` stay
+imported at the top, with ``series`` and ``multipoly`` beneath them:
+``perfbench/tracer.py`` wraps the layers that ``import regasym.cli`` has
+loaded.
 
 Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
 alarm, never a user error), 4 interpolation degree overflow, 5 count
@@ -42,7 +44,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import connected, counts, laplace, regular
+from . import connected, counts, regular
 from .series import Series, SeriesError, ValuationViolation, rational_str
 
 EXIT_OK = 0
@@ -202,7 +204,7 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_stirling(args: argparse.Namespace, out) -> int:
-    _write(out, args.fmt, _records(laplace.stirling_series(args.r)))
+    _write(out, args.fmt, _records(connected.stirling_series(args.r)))
     return EXIT_OK
 
 

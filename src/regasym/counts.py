@@ -12,13 +12,16 @@ The routes that produce (and cross-check) the integers:
   V = sum_j alpha_j L_j^2, each step one ``MPoly.dot``; the Gaussian
   moment rule on x_1..x_{k//2} turns U_n into the count, which must be a
   nonnegative integer.  One sweep per k per process serves every n.
-* ``count_hadamard``: the moment formula by direct sparse powering of P,
-  kept as an independent oracle for tests and the table generator.
 * ``count_two_regular``: the integer recurrence for cycle sets (k = 2),
   the production route for k = 2.
 * ``count_brute``: backtracking over adjacency choices, memoised on the
   multiset of remaining degrees.
 * shipped reference tables in plain b-file format ("n value" lines).
+
+The moment formula by direct sparse powering of P, ``count_hadamard``, is
+an independent oracle outside the package: it lives in
+``scripts/make_reference_counts.py``, which cross-checks the tables with
+it, and the tests import it from there.
 
 :func:`resolve` is the one place that decides where a count comes from:
 the structural rules of :func:`structural` (the empty graph gives 1, there
@@ -131,38 +134,6 @@ def inner_bracket(k: int) -> MPoly:
     return MPoly.dot((root[k - i], exp_part[i], one) for i in range(k + 1))
 
 
-def _alphas(k: int) -> dict[int, Fraction]:
-    """The moment weights alpha_j = (-1)^{j+1} / j of x_1..x_k."""
-    return {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
-
-
-def count_hadamard(k: int, n: int) -> int:
-    """Exact number of k-regular labeled graphs on n vertices by the moment formula.
-
-    The bracket is raised to the n-th power directly, which is independent
-    of the recurrence in :func:`moment_counts` but far slower (45 s for
-    k = 6, n = 12), so this is an oracle for tests and the table generator,
-    not a production route.
-    """
-    if k < 2:
-        raise ValueError("the moment formula requires k >= 2")
-    if (n * k) % 2:
-        raise ValueError("n*k must be even (no regular graph exists otherwise)")
-    power = MPoly.const(1)
-    base = inner_bracket(k)
-    e = n
-    while e:
-        if e & 1:
-            power = power * base
-        e >>= 1
-        if e:
-            base = base * base
-    value = gaussian_hadamard(power, _alphas(k))
-    if value.denominator != 1 or value < 0:
-        raise NonIntegerResult(f"value {value} for (k={k}, n={n})")
-    return int(value)
-
-
 def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     """Exact count by backtracking over adjacency choices, memoised.
 
@@ -226,7 +197,8 @@ def _moment_sweep(k: int) -> Iterator[int]:
     U_{n+1} = Q U_n + n V U_{n-1} with V = sum_j alpha_j L_j^2, and the
     count at n the Gaussian moment of U_n over x_1..x_{k//2}."""
     half = k // 2
-    alphas = _alphas(k)
+    # the moment weights alpha_j = (-1)^{j+1} / j of x_1..x_k
+    alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
     bracket = inner_bracket(k)
     q: dict = {}
     linear: dict[int, dict] = {}

@@ -11,7 +11,9 @@ by k^r) by exact interpolation over sampled k.
 
 Pipeline for fixed k (all arithmetic exact):
 
-  psi      solved from the centered phase t^2/2 + t - log(1+t),
+  psi      (phi / (phi''(0) t^2/2))^{-1/2} for the centered phase
+           phi = t^2/2 + t - log(1+t), which :func:`psi_from_phase`
+           checks (centered, non-degenerate, long enough),
   T        the tree series T(x) = x psi(T(x)), solved in one pass,
   u_{p,q}  [s^p] W^q with W = (1 + T(s))^{-1},
   v_{p,q}  [z^p] I(z)^q / sqrt(1-z^2) with I(z) = sum_{j>=2} t_j z^{j-1},
@@ -44,15 +46,19 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import NamedTuple
 
-from .laplace import factorial_phase, psi_from_phase
 from .multipoly import MPoly, gaussian_hadamard, parity_class
 from .series import (
+    InsufficientOrder,
     Series,
     SeriesError,
     ValuationViolation,
     lagrange_invert_coeff,
     newton_solve_tree,
 )
+
+
+class DegeneratePhase(SeriesError):
+    """The phase has no quadratic term at the origin."""
 
 
 class DegreeOverflow(Exception):
@@ -108,6 +114,29 @@ class FormalKPolynomial(NamedTuple):
         for c in reversed(self.numerator_coeffs):
             acc = acc * k + c
         return acc / Fraction(k) ** self.r
+
+
+def psi_from_phase(phi: Series) -> Series:
+    """psi = (phi / (phi''(0) t^2 / 2))^{-1/2} with phi''(0) = 2 [t^2] phi;
+    order = phi.order - 2.
+
+    Raises unless the phase is centered (phi(0) = phi'(0) = 0), known to
+    order 2 and non-degenerate (phi''(0) != 0).
+    """
+    if phi.order < 2:
+        raise InsufficientOrder("the phase must be known at least to order 2")
+    if phi[0] != 0 or phi[1] != 0:
+        raise ValueError("the phase must be centered: phi(0) = phi'(0) = 0")
+    if phi[2] == 0:
+        raise DegeneratePhase("phi''(0) = 0: no quadratic term at the origin")
+    return (phi.shift_down(2) / phi[2]).pow_rational(Fraction(-1, 2))
+
+
+def factorial_phase(order: int) -> Series:
+    """t - log(1+t) as a centered phase to the given order (phi''(0) = 1)."""
+    coeffs = [Fraction(0), Fraction(0)]
+    coeffs += [Fraction((-1) ** m, m) for m in range(2, order + 1)]
+    return Series(coeffs, order)
 
 
 def expansion_phase(order: int) -> Series:

@@ -1,9 +1,16 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from regasym.counts import count_hadamard, reference_counts
+from regasym.counts import reference_counts
+
+# the table generator holds the moment-formula oracle count_hadamard
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+from make_reference_counts import count_hadamard  # noqa: E402
 
 
 def small_fractions(max_num=6, max_den=4):

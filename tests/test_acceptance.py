@@ -11,19 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from regasym.connected import csg_tilde, shifted_expansion, valuation_gap
-from regasym.counts import (
-    count_brute,
-    count_hadamard,
-    count_two_regular,
-    reference_counts,
-)
-from regasym.laplace import (
-    expand_hadamard,
-    factorial_phase,
-    stirling_series,
-)
+from regasym.connected import csg_tilde, shifted_expansion, stirling_series, valuation_gap
+from regasym.counts import count_brute, count_two_regular, reference_counts
 from regasym.regular import (
+    factorial_phase,
     formal_k_interpolate,
     sg_expansion,
     u_pq,
@@ -38,7 +29,8 @@ from regasym.validation import (
     residual_row,
 )
 
-from laplace_oracle import expand_direct
+from laplace_oracle import expand_direct, expand_hadamard
+from make_reference_counts import count_hadamard
 
 
 def _report(number: int, description: str, started: float, budget: float):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from regasym import cli
+from regasym.regular import FormalKPolynomial, sg_expansion
 
 
 def run(argv, capsys):
@@ -37,6 +39,28 @@ def test_stirling_plain(capsys):
 def test_stirling_small_orders(capsys):
     assert run(["stirling", "--r", "0"], capsys)[1] == "1\n"
     assert run(["stirling", "--r", "1"], capsys)[1] == "1, 1/12\n"
+
+
+# sha256 of stdout as the Laplace route of the factorial phase wrote it; the
+# closed form in Bernoulli numbers must reproduce it byte for byte
+STIRLING_DIGESTS = {
+    "stirling --r 30 --format json": "6e5ba14a03679e8956bb319243beb582"
+    "3020d0b966c1e7c1ff9df235ac16340b",
+    "stirling --r 8": "be366be6ad99f21098f8ea1f5d505ebc7a00795ed5e7d93214da482609ce9191",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STIRLING_DIGESTS))
+def test_stirling_output_pinned(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STIRLING_DIGESTS[argv]
+
+
+def test_stirling_negative_order_is_usage_error(capsys):
+    assert run(["stirling", "--r", "-1"], capsys) == (
+        cli.EXIT_USAGE, "", "error: order must be nonnegative\n"
+    )
 
 
 def test_expand_sg_plain(capsys):
@@ -88,6 +112,18 @@ def test_formal_k_r0(capsys):
     code, out, _ = run(["formal-k", "--r", "0"], capsys)
     assert code == 0
     assert json.loads(out)["poly"] == ["2"]
+
+
+def test_formal_k_polynomial_holds_below_its_sampling_range(capsys):
+    # the fit samples k >= 2r + 2, yet for r <= 4 the printed polynomial is
+    # exact at every k from 2 on; formal-k still states only the sampled range
+    for r in range(1, 5):
+        code, out, _ = run(["formal-k", "--r", str(r)], capsys)
+        doc = json.loads(out)
+        assert code == cli.EXIT_OK and doc.get("valid_k_min") == (2 * r + 2 if r >= 3 else None)
+        poly = FormalKPolynomial(r, tuple(Fraction(c) for c in doc["poly"]))
+        for k in range(2, 2 * r + 2):
+            assert poly.evaluate(k) == sg_expansion(k, r)[r], (r, k)
 
 
 def test_count_examples(tmp_path, capsys):
@@ -275,6 +311,7 @@ HARNESS = "regasym.validation"
 IMPORT_BUDGET_SCRIPT = f"""
 import sys
 from regasym import cli
+from regasym.regular import FormalKPolynomial, sg_expansion
 code = cli.main(sys.argv[1:])
 loaded = [m for m in {(HARNESS, "json", "mpmath", "dataclasses", "inspect", "logging")!r} if m in sys.modules]
 expected = [{HARNESS!r}] if sys.argv[1] == "validate" else []

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from regasym.connected import GapMismatch, csg_tilde, shifted_expansion, valuation_gap
+from regasym.connected import (
+    GapMismatch,
+    csg_tilde,
+    shifted_expansion,
+    stirling_series,
+    valuation_gap,
+)
 from regasym.counts import count_brute, egf_reciprocal_coeffs
-from regasym.laplace import stirling_series
 from regasym.regular import Envelope, IrrationalPrefactor, sg_expansion
 from regasym.series import Series
 

@@ -13,7 +13,6 @@ from regasym.counts import (
     PROV_INGESTED,
     PROV_STRUCTURAL,
     count_brute,
-    count_hadamard,
     count_two_regular,
     egf_reciprocal_coeffs,
     inner_bracket,
@@ -24,6 +23,8 @@ from regasym.counts import (
     structural,
 )
 from regasym.series import Series, double_factorial
+
+from make_reference_counts import count_hadamard
 
 
 # -- brute force ------------------------------------------------------------

@@ -2,20 +2,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regasym.laplace import (
-    DegeneratePhase,
-    expand_hadamard,
-    factorial_phase,
-    psi_from_phase,
-    stirling_series,
-)
+from regasym.connected import bernoulli_numbers, stirling_series
+from regasym.regular import DegeneratePhase, factorial_phase, psi_from_phase
 from regasym.series import InsufficientOrder, Series
 
 from conftest import small_fractions
-from laplace_oracle import expand_direct
+from laplace_oracle import expand_direct, expand_hadamard, stirling_laplace
 
 QUAD = Series([0, 0, Fraction(1, 2)], 16)  # t^2/2
 
@@ -120,6 +116,22 @@ def test_stirling_series_golden():
     assert stirling_series(2) == Series([1, Fraction(1, 12), Fraction(1, 288)], 2)
     assert stirling_series(3)[3] == Fraction(-139, 51840)
     assert stirling_series(1) == Series([1, Fraction(1, 12)], 1)
+
+
+def test_stirling_closed_form_equals_laplace_route():
+    # exp(sum B_2m z^(2m-1) / (2m(2m-1))) against the moment route of the
+    # factorial phase t - log(1+t), each run at its own order
+    for r in range(31):
+        assert stirling_series(r) == stirling_laplace(r), r
+
+
+def test_even_bernoulli_numbers_match_sympy():
+    # only the even ones enter the series; sympy's B_1 sign convention varies
+    b = bernoulli_numbers(40)
+    assert len(b) == 41
+    for m in range(0, 41, 2):
+        expected = sympy.bernoulli(m)
+        assert b[m] == Fraction(int(expected.p), int(expected.q)), m
 
 
 def test_stirling_numerically_close_to_factorial():

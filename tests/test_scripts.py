@@ -1,9 +1,8 @@
 import importlib.util
-from pathlib import Path
 
 from regasym.counts import DATA_DIR
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from conftest import SCRIPTS
 
 
 def load_script(name: str):

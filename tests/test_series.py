@@ -408,6 +408,42 @@ def test_memos_only_where_traffic_reuses_them():
     assert found == set(MEMO_ALLOW)
 
 
+# Exact routes that live outside the package as test oracles, each in one home.
+ORACLES = ("count_hadamard", "expand_hadamard", "expand_direct")
+
+
+def test_oracles_have_one_home_outside_the_package():
+    # a fork is an old copy kept beside a moved one: each oracle is defined
+    # exactly once in the repository, never under src/, and the package
+    # imports nothing from tests/ or scripts/
+    import ast
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    homes = {name: [] for name in ORACLES}
+    for path in sorted(repo.rglob("*.py")):
+        rel = path.relative_to(repo)
+        if any(part.startswith(".") for part in rel.parts):  # .git, tool caches
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in homes:
+                homes[node.name].append(rel)
+    for name, where in homes.items():
+        assert len(where) == 1 and where[0].parts[0] != "src", (name, where)
+
+    outside = {"tests", "scripts", "conftest"}
+    outside |= {p.stem for folder in ("tests", "scripts") for p in (repo / folder).glob("*.py")}
+    for path in sorted((repo / "src" / "regasym").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert not {m.split(".")[0] for m in modules} & outside, (path.name, modules)
+
+
 def test_no_bare_assert_in_package():
     # python -O strips assert statements, so a correctness check written as
     # one would silently vanish; checks raise named errors instead
