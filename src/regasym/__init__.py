@@ -43,7 +43,6 @@ from .regular import (
     psi_from_phase,
     sg_expansion,
     u_pq,
-    v_pq,
 )
 from .connected import GapMismatch, csg_tilde, shifted_expansion, stirling_series, valuation_gap
 

@@ -16,8 +16,8 @@ Pipeline for fixed k (all arithmetic exact):
            checks (centered, non-degenerate, long enough),
   T        the tree series T(x) = x psi(T(x)), solved in one pass,
   u_{p,q}  [s^p] W^q with W = (1 + T(s))^{-1},
-  v_{p,q}  [z^p] I(z)^q / sqrt(1-z^2) with I(z) = sum_{j>=2} t_j z^{j-1},
-  B0 rows  combine falling factorials of k with u and v values,
+  V        exp(sum_{i>=2} t_i t^i) / sqrt(1-t^2), a series over the t_i,
+  B0 rows  combine falling factorials of k with u values and slices of V,
   C2       2 exp(E + log T'(s t_1)), with the exponent E assembled from B0
            by an exact division by s^2; the exp builds each slice only in
            the parity classes that can reach an all-even term of an even
@@ -32,11 +32,11 @@ so every stored coefficient is a plain Fraction.  The core series is built
 in sigma, with tau as variable 1; [s^{2r}] is [sigma^{2r}] / k^r, and tau
 takes the moment weight -1/2.  The division by s^2 is guarded by a
 valuation assertion; a failure means a transcription bug, never a
-rounding issue.  T, u and v do not depend on k: u and v are read off
-running powers W^0, W^1, ... and I^0, I^1, ..., one product per new
-power, in tables sized once per core series and shared by every k.  The
-inversion route that checks each u reads psi^p off a third such table,
-built from psi alone.
+rounding issue.  T, u and V do not depend on k: T and V are solved once
+at the longest order asked for, and u is read off the running powers
+W^0, W^1, ..., one product per new power, in a table sized once per core
+series and shared by every k.  The inversion route that checks each u
+reads psi^p off a second such table, built from psi alone.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class _RunningPowers:
     def size(self, order: int) -> "_RunningPowers":
         if not self.powers or self.powers[1].order < order:
             base = self.base(order)
-            self.powers = [Series([base[0] * 0 + 1], order), base]
+            self.powers = [Series.one(order), base]
         return self
 
     def power(self, q: int) -> Series:
@@ -207,12 +207,9 @@ class _RunningPowers:
         return self.powers[q]
 
 
-# W = (1 + T(s))^{-1} and I(z) = sum_{j>=2} t_j z^{j-1}, shared by every k,
-# and psi for the inversion route, built from psi and never from T
+# W = (1 + T(s))^{-1}, shared by every k, and psi for the inversion route,
+# built from psi and never from T
 _W = _RunningPowers(lambda order: (1 + tree_series(order)).pow_rational(-1))
-_I = _RunningPowers(
-    lambda order: Series([MPoly.zero()] + [MPoly.variable(j) for j in range(2, order + 2)], order)
-)
 _PSI = _RunningPowers(expansion_psi)
 
 
@@ -241,49 +238,50 @@ def u_pq_lagrange(p: int, q: int) -> Fraction:
     return lagrange_invert_coeff(h_prime, _PSI.size(p - 1).power(p), p)
 
 
-@lru_cache(maxsize=None)
-def v_pq(p: int, q: int) -> MPoly:
-    """[z^p] I(z)^q / sqrt(1 - z^2), read off the running powers of I against
-    [z^{2m}] 1/sqrt(1 - z^2) = C(2m, m) / 4^m.
-
-    Only t_2..t_{p+1} can contribute, and I^q vanishes below z^q.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("v_pq needs nonnegative indices")
-    if q > p:
-        return MPoly.zero()
-    power, one = _I.size(p).power(q), MPoly.const(1)
-    return MPoly.dot(
-        (Fraction(math.comb(2 * m, m), 4**m), power[p - 2 * m], one) for m in range(p // 2 + 1)
-    )
+@_longest
+def v_series(order: int) -> Series:
+    """V(t) = exp(sum_{i=2}^{order} t_i t^i) / sqrt(1 - t^2) over MPoly, shared
+    by every k: one exp, then one dot product per slice against the scalar
+    root.  [t^m] V uses only t_2..t_m."""
+    exponent = Series([MPoly.zero()] * 2 + [MPoly.variable(i) for i in range(2, order + 1)], order)
+    exp_part = exponent.exp()
+    root = Series([1, 0, -1], order).pow_rational(Fraction(-1, 2))
+    one = MPoly.const(1)
+    slices = [
+        MPoly.dot((root[m - i], exp_part[i], one) for i in range(m + 1)) for m in range(order + 1)
+    ]
+    return Series(slices, order)
 
 
 def b0_row(j: int, k: int) -> MPoly:
     """Row j of the B0 series: the coefficient of sigma^j, a polynomial in
-    tau (variable 1) and t_2..t_j.
+    tau (variable 1) and t_2..t_j,
 
-    A term of depth a+b+l carries tau^{j-depth}, since
-    s^j t_1^{j-depth} / sqrt(k)^depth = sigma^j tau^{j-depth}.
-    The falling factorial prod_{m<a+b+l}(k-m) vanishes automatically as
-    soon as a+b+l exceeds k, which is what keeps small k consistent
-    without indicator bookkeeping.
+        B0_j = sum_{d=1}^{j} k^(d) tau^{j-d}
+               sum_{a=0}^{d/2} ((k-1)/2)^a / a!  u_{j-d, d+2a}  [t^{d-2a}] V
+
+    with the falling factorial k^(d) = k (k-1) ... (k-d+1) and V from
+    :func:`v_series`.  A term of depth d carries tau^{j-d}, since
+    s^j t_1^{j-d} / sqrt(k)^d = sigma^j tau^{j-d}.  The recipe sums over
+    (l, a, b) of depth d = a+b+l with [z^{l-a}] I(z)^b / b! / sqrt(1-z^2)
+    for I(z) = sum_{i>=2} t_i z^{i-1}; at fixed d and a the sum over
+    b + (l-a) = d-2a is [t^{d-2a}] exp(t I(t)) / sqrt(1-t^2), a slice of V,
+    and l = 0 leaves only zero terms.  k^(d) vanishes once d exceeds k, so
+    the sum stops at d = min(j, k).
     """
     if j < 1:
         raise ValueError("b0_row needs j >= 1")
-    monos = [MPoly.variable(1, j - d) for d in range(j + 1)]
+    v = v_series(j)
     terms = []
-    for ell in range(1, j + 1):
-        for a in range(0, ell + 1):
-            for b in range(0, j - ell - a + 1):
-                depth = a + b + ell
-                falling = math.perm(k, depth)  # 0 once depth > k
-                u = u_pq(j - depth, 3 * a + b + ell) if falling else 0
-                if u:
-                    scalar = Fraction(
-                        falling * (k - 1) ** a * u.numerator,
-                        2**a * math.factorial(a) * math.factorial(b) * u.denominator,
-                    )
-                    terms.append((scalar, monos[depth], v_pq(ell - a, b)))
+    for d in range(1, min(j, k) + 1):
+        falling, tau = math.perm(k, d), MPoly.variable(1, j - d)
+        for a in range(d // 2 + 1):
+            u = u_pq(j - d, d + 2 * a)
+            if u:
+                scalar = Fraction(
+                    falling * (k - 1) ** a * u.numerator, 2**a * math.factorial(a) * u.denominator
+                )
+                terms.append((scalar, tau, v[d - 2 * a]))
     return MPoly.dot(terms)
 
 
@@ -311,8 +309,8 @@ def c2_series(k: int, r: int) -> Series:
         raise ValueError("the expansion order must be nonnegative")
     n_lo = 2 * r
     n_hi = n_lo + 2
-    # every table sized here, so the B0 rows (u_pq below p = n_hi) rebuild none
-    _I.size(n_hi)
+    # V and every table sized here, so the B0 rows (u_pq below p = n_hi) rebuild none
+    v_series(n_hi)
     inv2, inv4 = (_at_sigma_tau(_W.size(n_hi).power(q).truncate(n_lo)) for q in (2, 4))
     _PSI.size(n_hi - 1)  # u_pq(p, q) reads psi^p to order p - 1
     log_tprime = _at_sigma_tau(tree_series(n_lo + 1).derivative().log())

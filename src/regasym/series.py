@@ -163,9 +163,6 @@ class Series:
                 return i
         return self.order + 1
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented

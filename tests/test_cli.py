@@ -57,6 +57,21 @@ def test_stirling_output_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == STIRLING_DIGESTS[argv]
 
 
+# sha256 of stdout as the triple-sum B0 rows wrote it; formal-k --r 5 samples
+# k up to 34, far past the golden tables' k <= 7
+FORMAL_K_DIGESTS = {
+    "formal-k --r 4": "ce66df5b41eafd49955db420926907ec8d2dccfb1b8834dec3d36ed69e6f884d",
+    "formal-k --r 5": "7d83b234f486197ee1260e44569155ecdd30291b458575d068a676d764b86a6a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FORMAL_K_DIGESTS))
+def test_formal_k_output_pinned(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAL_K_DIGESTS[argv]
+
+
 def test_stirling_negative_order_is_usage_error(capsys):
     assert run(["stirling", "--r", "-1"], capsys) == (
         cli.EXIT_USAGE, "", "error: order must be nonnegative\n"
@@ -420,12 +435,14 @@ def test_validate_csg_runs_the_plain_pipeline_once_per_k(capsys, monkeypatch):
 
 
 def test_low_valuation_shift_trips_internal_alarm(capsys, monkeypatch):
-    # a shift below valuation alpha*j is a transcription bug: the per-shift
-    # check in the transfer loop must fire and map to the internal exit
+    # a shift below valuation alpha*j is a transcription bug (the real shift
+    # has valuation alpha*j by construction): it moves the low coefficients
+    # of the connected series, so the gap check must fire and map to the
+    # internal exit
     monkeypatch.setattr(cli.connected, "shifted_expansion", lambda atilde, j, k: atilde)
     code, _, err = run(["expand", "csg", "--k", "3", "--order", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
-    assert "below alpha*j" in err
+    assert err.startswith("internal assertion failed: connected minus plain for k=3 starts")
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -74,7 +74,7 @@ def test_transfer_truncates_high_shifts():
     # a shift whose valuation alpha*j exceeds the order is zero
     atilde = sg_expansion(4, 2) * stirling_series(2).pow_rational(-1)
     assert shifted_expansion(atilde, 3, 4) == Series.zero(2)
-    assert not shifted_expansion(atilde, 2, 4).is_zero()
+    assert any(shifted_expansion(atilde, 2, 4).coefficients)
 
 
 # -- the connected expansion ---------------------------------------------------

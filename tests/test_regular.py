@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ from regasym.regular import (
     tree_series,
     u_pq,
     u_pq_lagrange,
-    v_pq,
+    v_series,
 )
 from regasym.series import Series
 from conftest import small_fractions
@@ -64,27 +65,84 @@ def test_u_pq_matches_independent_inversion_route():
             assert u_pq(p, q) == u_pq_lagrange(p, q), (p, q)
 
 
-def test_v_pq_values():
-    assert not v_pq(1, 0)
-    assert v_pq(2, 0) == MPoly.const(Fraction(1, 2))
-    assert v_pq(1, 1) == MPoly.variable(2)
-    assert v_pq(0, 0) == MPoly.const(1)
+# I(z) = sum_{j>=2} t_j z^{j-1} and its running powers I^0, I^1, ..., the
+# table of the triple-sum route to B0 below
+REFERENCE_ORDER = 16
+I_SERIES = Series(
+    [MPoly.zero()] + [MPoly.variable(j) for j in range(2, REFERENCE_ORDER + 2)], REFERENCE_ORDER
+)
 
 
-def test_v_pq_matches_plain_product_reference():
-    # the route before the running-power table: [z^p] of I^q (1 - z^2)^{-1/2},
-    # with I^q by plain products and the square root by pow_rational rather
-    # than the closed coefficients C(2m, m) / 4^m
+@lru_cache(maxsize=None)
+def i_power(q: int) -> Series:
+    return I_SERIES * i_power(q - 1) if q else Series([MPoly.const(1)], REFERENCE_ORDER)
+
+
+@lru_cache(maxsize=None)
+def reference_v_pq(p: int, q: int) -> MPoly:
+    """[z^p] I(z)^q / sqrt(1 - z^2), read off the running powers of I against
+    [z^{2m}] 1/sqrt(1 - z^2) = C(2m, m) / 4^m."""
+    if q > p:
+        return MPoly.zero()
+    one = MPoly.const(1)
+    return MPoly.dot(
+        (Fraction(math.comb(2 * m, m), 4**m), i_power(q)[p - 2 * m], one)
+        for m in range(p // 2 + 1)
+    )
+
+
+def reference_b0_row(j: int, k: int) -> MPoly:
+    """Row j of B0 by the recipe's triple sum over (l, a, b) of depth
+    a+b+l: k^(depth) (k-1)^a / (2^a a! b!) u_{j-depth, 3a+b+l}
+    v_{l-a, b} tau^{j-depth}, with the falling factorial k^(depth)."""
+    terms = []
+    for ell in range(1, j + 1):
+        for a in range(0, ell + 1):
+            for b in range(0, j - ell - a + 1):
+                depth = a + b + ell
+                falling = math.perm(k, depth)  # 0 once depth > k
+                u = u_pq(j - depth, 3 * a + b + ell) if falling else 0
+                if u:
+                    scalar = u * Fraction(
+                        falling * (k - 1) ** a, 2**a * math.factorial(a) * math.factorial(b)
+                    )
+                    terms.append((scalar, MPoly.variable(1, j - depth), reference_v_pq(ell - a, b)))
+    return MPoly.dot(terms)
+
+
+def test_b0_row_matches_the_triple_sum():
+    # every row j > k stops the double sum at depth d = k
+    for k in range(2, 13):
+        for j in range(1, REFERENCE_ORDER + 1):
+            assert b0_row(j, k) == reference_b0_row(j, k), (j, k)
+
+
+def test_v_series_matches_plain_product_reference():
+    # [t^m] V = sum_b [z^{m-b}] I^b / b! (1 - z^2)^{-1/2}, with I^b by plain
+    # products and the square root by pow_rational rather than the closed
+    # coefficients C(2m, m) / 4^m; the triple sum's v_{p,b} is [z^p] of the
+    # same product
     order = 12
-    inner = Series([MPoly.zero()] + [MPoly.variable(j) for j in range(2, order + 2)], order)
     invsqrt = Series([1, 0, -1], order).pow_rational(Fraction(-1, 2))
     invsqrt = Series([MPoly.const(c) for c in invsqrt.coefficients], order)
+    inner = I_SERIES.truncate(order)
+    expected = [MPoly.zero()] * (order + 1)
     power = Series([MPoly.const(1)], order)
-    for q in range(order + 1):
+    for b in range(order + 1):
         product = power * invsqrt
         for p in range(order + 1):
-            assert v_pq(p, q) == product[p], (p, q)
+            assert reference_v_pq(p, b) == product[p], (p, b)
+        for m in range(b, order + 1):
+            expected[m] = expected[m] + product[m - b] * Fraction(1, math.factorial(b))
         power = power * inner
+    assert v_series(order).coefficients == tuple(expected)
+
+
+def test_v_series_uses_only_low_t_variables():
+    v = v_series(12)
+    for m in range(13):
+        vars_used = variables(v[m])
+        assert all(2 <= x <= m for x in vars_used), (m, vars_used)
 
 
 def test_tree_series_matches_lagrange_inversion():
@@ -97,15 +155,16 @@ def test_tree_series_matches_lagrange_inversion():
     for p in range(1, order + 1):
         power = power * psi
         assert tree[p] == power[p - 1] / p, p
-    assert (tree - psi.compose(tree.truncate(order - 1)).shift_up(1)).is_zero()
+    assert not any((tree - psi.compose(tree.truncate(order - 1)).shift_up(1)).coefficients)
 
 
 @pytest.fixture
 def fresh_pipeline(monkeypatch):
-    """Empty u_pq and v_pq caches, an empty tree memo and empty W, I and psi
-    tables for one test, with every tree solve and table build counted; the
-    module's own caches and tables are back in place afterwards."""
-    builds = {"tree": 0, "W": 0, "I": 0, "PSI": 0}
+    """An empty u_pq cache, empty tree and V memos and empty W and psi
+    tables for one test, with every tree solve, V build and table build
+    counted; the module's own caches and tables are back in place
+    afterwards."""
+    builds = {"tree": 0, "W": 0, "V": 0, "PSI": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -114,11 +173,12 @@ def fresh_pipeline(monkeypatch):
 
         return wrapper
 
-    for name in ("u_pq", "v_pq"):
-        monkeypatch.setattr(regular, name, lru_cache(maxsize=None)(getattr(regular, name).__wrapped__))
+    monkeypatch.setattr(regular, "u_pq", lru_cache(maxsize=None)(regular.u_pq.__wrapped__))
     monkeypatch.setattr(regular, "tree_series", regular._longest(regular.tree_series.__wrapped__))
     monkeypatch.setattr(regular, "newton_solve_tree", counted("tree", regular.newton_solve_tree))
-    for name in ("W", "I", "PSI"):
+    v_series = regular._longest(counted("V", regular.v_series.__wrapped__))
+    monkeypatch.setattr(regular, "v_series", v_series)
+    for name in ("W", "PSI"):
         base = getattr(regular, f"_{name}").base
         monkeypatch.setattr(regular, f"_{name}", regular._RunningPowers(counted(name, base)))
     return builds
@@ -130,25 +190,17 @@ def test_tables_grow_with_the_order_and_serve_lower_orders(fresh_pipeline):
     for k, r, pin in ((3, 2, 8), (4, 8, 8), (5, 4, 6), (3, 8, 8), (4, 2, 8)):
         expected = rationals(SG_GOLDEN[k, pin])[: r + 1]
         assert regular.sg_expansion(k, r).coefficients == expected, (k, r)
-    assert fresh_pipeline == {"tree": 2, "W": 2, "I": 2, "PSI": 2}
+    assert fresh_pipeline == {"tree": 2, "W": 2, "V": 2, "PSI": 2}
 
 
 def test_second_k_shares_the_tree_and_tables(fresh_pipeline):
     regular.c2_series(3, 4)
-    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1, "PSI": 1}
-    misses = regular.u_pq.cache_info().misses, regular.v_pq.cache_info().misses
+    assert fresh_pipeline == {"tree": 1, "W": 1, "V": 1, "PSI": 1}
+    misses = regular.u_pq.cache_info().misses
     regular.c2_series(4, 4)
-    assert fresh_pipeline == {"tree": 1, "W": 1, "I": 1, "PSI": 1}
-    # k = 4 read u and v values that k = 3 did not need
-    assert regular.u_pq.cache_info().misses > misses[0]
-    assert regular.v_pq.cache_info().misses > misses[1]
-
-
-def test_v_pq_uses_only_low_t_variables():
-    for p in range(0, 6):
-        for q in range(0, 4):
-            vars_used = variables(v_pq(p, q))
-            assert all(2 <= v <= p + 1 for v in vars_used), (p, q, vars_used)
+    assert fresh_pipeline == {"tree": 1, "W": 1, "V": 1, "PSI": 1}
+    # k = 4 read u values that k = 3 did not need
+    assert regular.u_pq.cache_info().misses > misses
 
 
 def test_b0_row_one_vanishes():
@@ -157,8 +209,8 @@ def test_b0_row_one_vanishes():
 
 
 def test_b0_row_two_hand_enumeration():
-    # every term of row 2 has depth 2, so tau^0:
-    # (l=1,a=0,b=1): k(k-1) t2; (l=1,a=1,b=0): k(k-1)^2/2; (l=2,a=0,b=0): k(k-1)/2
+    # V_1 = 0 leaves only depth d = 2 in row 2, so tau^0 and u_{0,q} = 1:
+    # (d=2,a=0): k(k-1) V_2 = k(k-1) t2 + k(k-1)/2; (d=2,a=1): k(k-1) (k-1)/2 V_0
     for k in (3, 4, 7):
         expected = (
             MPoly.variable(2, 1, k * (k - 1))
@@ -169,7 +221,7 @@ def test_b0_row_two_hand_enumeration():
 
 
 def test_falling_factorial_kills_deep_terms():
-    # for k=3 every term with a+b+l > 3 vanishes, so row 4 only has depth <= 3,
+    # for k=3 every term of depth d > 3 vanishes, so row 4 only has d <= 3,
     # that is tau-degree 4 - depth >= 1
     row = b0_row(4, 3)
     assert row

@@ -222,7 +222,7 @@ def test_tree_satisfies_equation_exactly():
     psi = Series([1, Fraction(1, 3), Fraction(-1, 12), Fraction(1, 5), 2, -1], 5)
     t = newton_solve_tree(psi)
     residue = t - Series(psi.coefficients, 5).compose(t.truncate(5)).shift_up(1)
-    assert residue.is_zero()
+    assert not any(residue.coefficients)
 
 
 @settings(max_examples=30, deadline=None)
@@ -231,7 +231,7 @@ def test_tree_equation_random_psi(psi_tail):
     psi = Series([1] + list(psi_tail.coefficients[1:]), 7)
     t = newton_solve_tree(psi)
     residue = t - Series(psi.coefficients, 7).compose(t.truncate(7)).shift_up(1)
-    assert residue.is_zero()
+    assert not any(residue.coefficients)
 
 
 def test_lagrange_identity_trivial():
@@ -340,11 +340,10 @@ def test_no_floating_point_in_exact_modules():
 # hits / misses (or rebuilds) that earn each its place.
 MEMO_ALLOW = {
     ("regular", "u_pq"): "3,686 hits / 64 misses on formal-k --r 3",
-    ("regular", "v_pq"): "3,707 hits / 43 misses on formal-k --r 3",
     ("regular", "expansion_psi"): "1 hit / 1 miss per pipeline: the psi table reads the tree's psi",
     ("regular", "tree_series"): "15 hits / 1 miss on formal-k --r 3: one solve for all 16 k",
     ("regular", "_W"): "70 power hits / 9 products, 78 size hits / 1 build on formal-k --r 3",
-    ("regular", "_I"): "22 power hits / 3 products, 39 size hits / 1 build on formal-k --r 3",
+    ("regular", "v_series"): "134 hits / 1 build on formal-k --r 3: one exp for all 15 k",
     ("regular", "_PSI"): "43 power hits / 6 products, 63 size hits / 1 build on formal-k --r 3",
     ("counts", "_SWEEPS"): "5 hits / 1 miss on expand csg --k 6 --order 6: one sweep for every n",
 }
