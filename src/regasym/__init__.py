@@ -33,14 +33,12 @@ from .counts import (
     structural,
 )
 from .regular import (
-    DegeneratePhase,
     DegreeOverflow,
     Envelope,
     FormalKPolynomial,
     IrrationalPrefactor,
     RouteMismatch,
     formal_k_interpolate,
-    psi_from_phase,
     sg_expansion,
     u_pq,
 )

@@ -17,6 +17,11 @@ function of the counts:
 
     C(z) = S(z) * sum_{j>=0} A_j(z) [x^j] 1/EGF(x).
 
+The one composition here has a fixed inner series, so A(z/(1-jz)) is
+read off the binomial expansion of (z/(1-jz))^i:
+[z^n] = sum_{i=1}^{n} a_i C(n-1, i-1) j^{n-i}, and [z^0] = a_0; the tests
+hold a general composition as its oracle.
+
 A shift with jk odd contributes nothing and its constant k!^j k^{-kj/2}
 would be irrational, so it is skipped before any arithmetic, as is a zero
 weight.  A_j is shifted up by alpha j, so it has valuation alpha j by
@@ -41,7 +46,7 @@ from fractions import Fraction
 
 from .counts import egf_reciprocal_coeffs
 from .regular import Envelope
-from .series import Series, SeriesError
+from .series import Series, SeriesError, fraction_dot
 
 
 class GapMismatch(SeriesError):
@@ -90,9 +95,10 @@ def _alpha(k: int) -> Fraction:
 def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
     """The j-th shifted series A_j, exact to the order of the input.
 
-    Composes atilde with z/(1-jz), multiplies the binomial and exponential
-    correction factors and the shift constant, and shifts up by alpha*j.
-    Raises IrrationalPrefactor when jk is odd.
+    Reads atilde(z/(1-jz)) off the binomial expansion of (z/(1-jz))^i,
+    multiplies the binomial and exponential correction factors and the
+    shift constant, and shifts up by alpha*j.  Raises IrrationalPrefactor
+    when jk is odd.
     """
     r = atilde.order
     if j == 0:
@@ -112,8 +118,15 @@ def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
 
     binom_factor = one_minus.truncate(m).pow_rational(Fraction(-1, 2) - alpha * j)
 
-    inner = Series([Fraction(0)] + [Fraction(j) ** i for i in range(m)], m)
-    composed = atilde.truncate(m).compose(inner)
+    # A(z/(1-jz)): [z^n] = sum_{i=1}^{n} a_i C(n-1, i-1) j^{n-i}, [z^0] = a_0
+    a = atilde.coefficients
+    composed = Series(
+        [a[0]] + [
+            fraction_dot((math.comb(n - 1, i - 1) * j ** (n - i), a[i], 1) for i in range(1, n + 1))
+            for n in range(1, m + 1)
+        ],
+        m,
+    )
 
     core = binom_factor * exp_factor * composed
     return (core * pref).shift_up(aj)

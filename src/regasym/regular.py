@@ -11,9 +11,10 @@ by k^r) by exact interpolation over sampled k.
 
 Pipeline for fixed k (all arithmetic exact):
 
-  psi      (phi / (phi''(0) t^2/2))^{-1/2} for the centered phase
-           phi = t^2/2 + t - log(1+t), which :func:`psi_from_phase`
-           checks (centered, non-degenerate, long enough),
+  psi      R^{-1/2} for R = phi / t^2 = 1 + sum_{j>=1} (-1)^j t^j/(j+2),
+           the phase phi = t^2/2 + t - log(1+t) over phi''(0) t^2/2
+           (:func:`phase_ratio`), checked by psi^2 R = 1 with phi rebuilt
+           through a series logarithm,
   T        the tree series T(x) = x psi(T(x)), solved in one pass,
   u_{p,q}  [s^p] W^q with W = (1 + T(s))^{-1},
   V        exp(sum_{i>=2} t_i t^i) / sqrt(1-t^2), a series over the t_i,
@@ -47,18 +48,7 @@ from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .multipoly import MPoly, gaussian_hadamard, parity_class
-from .series import (
-    InsufficientOrder,
-    Series,
-    SeriesError,
-    ValuationViolation,
-    lagrange_invert_coeff,
-    newton_solve_tree,
-)
-
-
-class DegeneratePhase(SeriesError):
-    """The phase has no quadratic term at the origin."""
+from .series import Series, SeriesError, ValuationViolation, fraction_dot, newton_solve_tree
 
 
 class DegreeOverflow(Exception):
@@ -116,34 +106,6 @@ class FormalKPolynomial(NamedTuple):
         return acc / Fraction(k) ** self.r
 
 
-def psi_from_phase(phi: Series) -> Series:
-    """psi = (phi / (phi''(0) t^2 / 2))^{-1/2} with phi''(0) = 2 [t^2] phi;
-    order = phi.order - 2.
-
-    Raises unless the phase is centered (phi(0) = phi'(0) = 0), known to
-    order 2 and non-degenerate (phi''(0) != 0).
-    """
-    if phi.order < 2:
-        raise InsufficientOrder("the phase must be known at least to order 2")
-    if phi[0] != 0 or phi[1] != 0:
-        raise ValueError("the phase must be centered: phi(0) = phi'(0) = 0")
-    if phi[2] == 0:
-        raise DegeneratePhase("phi''(0) = 0: no quadratic term at the origin")
-    return (phi.shift_down(2) / phi[2]).pow_rational(Fraction(-1, 2))
-
-
-def factorial_phase(order: int) -> Series:
-    """t - log(1+t) as a centered phase to the given order (phi''(0) = 1)."""
-    coeffs = [Fraction(0), Fraction(0)]
-    coeffs += [Fraction((-1) ** m, m) for m in range(2, order + 1)]
-    return Series(coeffs, order)
-
-
-def expansion_phase(order: int) -> Series:
-    """t^2/2 + t - log(1+t), the centered phase of the expansion (phi''(0) = 2)."""
-    return factorial_phase(order) + Series.monomial(Fraction(1, 2), 2, order)
-
-
 def _longest(solve):
     """Memoise an exact series solver: the longest solution so far is kept and
     every order up to it is read as a truncation, which is exact because the
@@ -160,19 +122,22 @@ def _longest(solve):
     return solution
 
 
+def phase_ratio(order: int) -> Series:
+    """R = phi / t^2 = 1 + sum_{j>=1} (-1)^j t^j / (j+2) through t^order, for
+    the phase phi = t^2/2 + t - log(1+t) (phi''(0) = 2, so R is phi over
+    its quadratic part phi''(0) t^2 / 2)."""
+    return Series([1] + [Fraction((-1) ** j, j + 2) for j in range(1, order + 1)], order)
+
+
 @_longest
 def expansion_psi(order: int) -> Series:
-    """The expansion's psi series, cross-checked against its closed display form
-    (once per longest order)."""
-    psi = psi_from_phase(expansion_phase(order + 2))
-    # closed form: (1 + (log(1/(1+t)) + t - t^2/2)/t^2)^(-1/2)
-    log1p = Series(
-        [Fraction(0)] + [Fraction((-1) ** (m + 1), m) for m in range(1, order + 3)],
-        order + 2,
-    )
-    inner = -log1p + Series.x(order + 2) - Series.monomial(Fraction(1, 2), 2, order + 2)
-    display = (Series.one(order) + inner.shift_down(2)).pow_rational(Fraction(-1, 2))
-    if psi != display:
+    """The expansion's psi = R^{-1/2} (:func:`phase_ratio`), checked once per
+    longest order by psi psi R = 1, with R rebuilt from phi through
+    ``Series.log``: a second transcription, and products in place of the power."""
+    psi = phase_ratio(order).pow_rational(Fraction(-1, 2))
+    t = Series.x(order + 2)
+    phi = t * t * Fraction(1, 2) + t - (1 + t).log()
+    if psi * psi * phi.shift_down(2) != Series.one(order):
         raise RouteMismatch(f"psi disagrees with its closed form at order {order}")
     return psi
 
@@ -228,14 +193,15 @@ def u_pq(p: int, q: int) -> Fraction:
 
 
 def u_pq_lagrange(p: int, q: int) -> Fraction:
-    """The inversion route to u_pq: (1/p) [s^{p-1}] H'(s) psi(s)^p for
-    H = (1+s)^{-q}, with psi^p read off the running powers of psi,
-    independent of the tree series."""
+    """The inversion route to u_pq: (1/p) sum_i [s^i] H' [s^{p-1-i}] psi^p for
+    H = (1+s)^{-q}, so [s^i] H' = -q (-1)^i C(q+i, i), with psi^p read off
+    the running powers of psi, independent of the tree series."""
     if p == 0:
         return Fraction(1)
-    # H'(s) = -q (1+s)^{-(q+1)}, whose s^i coefficient is -q (-1)^i C(q+i, i)
-    h_prime = Series([-q * (-1) ** i * math.comb(q + i, i) for i in range(p)], p - 1)
-    return lagrange_invert_coeff(h_prime, _PSI.size(p - 1).power(p), p)
+    power = _PSI.size(p - 1).power(p)
+    return fraction_dot(
+        (Fraction(-q * (-1) ** i, p), math.comb(q + i, i), power[p - 1 - i]) for i in range(p)
+    )
 
 
 @_longest

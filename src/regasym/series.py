@@ -23,7 +23,9 @@ itself to; the fixed-k pipeline builds its core series so.  Every
 series the pipeline inverts has constant term 1 (the Stirling factor,
 the counts' exponential generating function), and it is inverted as
 ``pow_rational(-1)``, which needs no division in the coefficient ring;
-there is no general series division.  The tree equation
+there is no general series division, and no general composition: the
+one inner series the package composes with, z/(1-jz) in the connected
+transfer, is read by its binomial expansion.  The tree equation
 T = x psi(T) is solved in one pass, one coefficient at a time from the
 running powers of T (:func:`newton_solve_tree`).
 
@@ -45,7 +47,8 @@ class SeriesError(ArithmeticError):
 
 
 class BadConstantTerm(SeriesError):
-    """exp/log/pow/compose received a series with the wrong constant term."""
+    """exp, log, pow_rational or the tree solver received a series with the
+    wrong constant term."""
 
 
 class InsufficientOrder(SeriesError):
@@ -235,13 +238,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
     # -- shifts ------------------------------------------------------------
 
     def shift_down(self, m: int) -> "Series":
@@ -318,19 +314,6 @@ class Series:
             f.append(self._dot((w, a[i], f[m - i]) for i, w in enumerate(weights, 1)))
         return Series(f, self.order)
 
-    def compose(self, inner: "Series") -> "Series":
-        """outer(inner) through the minimum of the two orders; inner(0) must be 0."""
-        if inner._coeffs[0]:
-            raise BadConstantTerm(
-                f"composition requires inner constant term 0, got {inner._coeffs[0]}"
-            )
-        n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        res = Series([self._coeffs[n]], n)
-        for i in range(n - 1, -1, -1):
-            res = res * inner_t + Series([self._coeffs[i]], n)
-        return res
-
 
 def newton_solve_tree(psi: Series) -> Series:
     """Solve T(x) = x * psi(T(x)) in one pass, one coefficient at a time.
@@ -357,21 +340,3 @@ def newton_solve_tree(psi: Series) -> Series:
         t.append(dot((1, a[i], powers[i][m]) for i in range(1, m + 1)))
     return Series(t, psi.order + 1)
 
-
-def lagrange_invert_coeff(h_prime: Series, psi_power: Series, p: int) -> Fraction:
-    """[s^p] H(T(s)) for T = x psi(T), via (1/p) [s^(p-1)] H'(s) psi(s)^p.
-
-    ``h_prime`` is H' and ``psi_power`` is psi^p, both as series in the
-    plain variable.
-    """
-    if p < 1:
-        raise ValueError("lagrange_invert_coeff needs p >= 1")
-    if psi_power.order < p - 1:
-        raise InsufficientOrder(
-            f"psi^p known to order {psi_power.order}, need at least {p - 1} for p = {p}"
-        )
-    if h_prime.order < p - 1:
-        raise InsufficientOrder(
-            f"H' known to order {h_prime.order}, need at least {p - 1} for p = {p}"
-        )
-    return fraction_dot((Fraction(1, p), h_prime[i], psi_power[p - 1 - i]) for i in range(p))

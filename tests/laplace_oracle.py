@@ -9,19 +9,77 @@ amplitude A, both routes give the expansion coefficients through z^r:
 * :func:`expand_direct`, the closed coefficient formula
   (2l-1)!!/phi''(0)^l [t^{2l}] A(t) psi(t)^{2l+1}.
 
-Here psi(t) = ((phi(t) - phi(0)) / (phi''(0) t^2 / 2))^{-1/2}, read off the
-phase by ``regasym.regular.psi_from_phase``, which checks that the phase is
+Here psi(t) = ((phi(t) - phi(0)) / (phi''(0) t^2 / 2))^{-1/2}, read off an
+arbitrary phase by :func:`psi_from_phase`, which checks that the phase is
 centered and non-degenerate.  Normalizing by phi''(0) keeps every
 coefficient rational whenever phi and A are rational.  The factorial
-phase t - log(1+t) with A = 1 gives the factorial correction series
-(:func:`stirling_laplace`), a second exact route to the package's closed
-form ``regasym.connected.stirling_series``.
+phase t - log(1+t) (:func:`factorial_phase`) with A = 1 gives the factorial
+correction series (:func:`stirling_laplace`), a second exact route to the
+package's closed form ``regasym.connected.stirling_series``; the
+expansion's phase t^2/2 + t - log(1+t) (:func:`expansion_phase`) is the
+one whose psi the package builds from its closed form
+(``regasym.regular.expansion_psi``).
+
+The general composition :func:`compose` lives here too: the package only
+composes with fixed inner series, each read by a closed form, and the
+tests check those closed forms and the tree equation against it.
 """
 
 from fractions import Fraction
 
-from regasym.regular import factorial_phase, psi_from_phase
-from regasym.series import InsufficientOrder, Series, double_factorial, newton_solve_tree
+from regasym.series import (
+    BadConstantTerm,
+    InsufficientOrder,
+    Series,
+    SeriesError,
+    double_factorial,
+    newton_solve_tree,
+)
+
+
+class DegeneratePhase(SeriesError):
+    """The phase has no quadratic term at the origin."""
+
+
+def compose(outer: Series, inner: Series) -> Series:
+    """outer(inner) through the minimum of the two orders, by Horner's rule;
+    inner(0) must be 0."""
+    if inner[0]:
+        raise BadConstantTerm(f"composition requires inner constant term 0, got {inner[0]}")
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    res = Series([outer[n]], n)
+    for i in range(n - 1, -1, -1):
+        res = res * inner + Series([outer[i]], n)
+    return res
+
+
+def psi_from_phase(phi: Series) -> Series:
+    """psi = (phi / (phi''(0) t^2 / 2))^{-1/2} with phi''(0) = 2 [t^2] phi;
+    order = phi.order - 2.
+
+    Raises unless the phase is centered (phi(0) = phi'(0) = 0), known to
+    order 2 and non-degenerate (phi''(0) != 0).
+    """
+    if phi.order < 2:
+        raise InsufficientOrder("the phase must be known at least to order 2")
+    if phi[0] != 0 or phi[1] != 0:
+        raise ValueError("the phase must be centered: phi(0) = phi'(0) = 0")
+    if phi[2] == 0:
+        raise DegeneratePhase("phi''(0) = 0: no quadratic term at the origin")
+    return (phi.shift_down(2) * (1 / phi[2])).pow_rational(Fraction(-1, 2))
+
+
+def factorial_phase(order: int) -> Series:
+    """t - log(1+t) as a centered phase to the given order (phi''(0) = 1)."""
+    coeffs = [Fraction(0), Fraction(0)]
+    coeffs += [Fraction((-1) ** m, m) for m in range(2, order + 1)]
+    return Series(coeffs, order)
+
+
+def expansion_phase(order: int) -> Series:
+    """t^2/2 + t - log(1+t), the centered phase of the expansion (phi''(0) = 2)."""
+    return factorial_phase(order) + Series.monomial(Fraction(1, 2), 2, order)
 
 
 def _moment(coeff: Fraction, l: int, phi: Series) -> Fraction:
@@ -50,7 +108,7 @@ def expand_hadamard(phi: Series, amp: Series, r: int) -> Series:
     G(x) = A(T(x)) T'(x) and weights each even coefficient [x^{2l}] G."""
     psi = _psi_for_order(phi, amp, r)
     tree = newton_solve_tree(psi)
-    g = amp.truncate(2 * r).compose(tree) * tree.derivative()
+    g = compose(amp.truncate(2 * r), tree) * tree.derivative()
     return Series([_moment(g[2 * l], l, phi) for l in range(r + 1)], r)
 
 

@@ -667,8 +667,18 @@ def test_parse_int_list():
 # still fire and exit 3.
 BROKEN_ROUTES = {
     "psi": (
-        "orig = regular.psi_from_phase\n"
-        "regular.psi_from_phase = lambda pa: bump(orig(pa), 1)\n",
+        "orig = regular.phase_ratio\n"
+        "regular.phase_ratio = lambda order: bump(orig(order), 1)\n",
+        "closed form",
+    ),
+    # the psi check's second route multiplies instead of taking the power,
+    # so a fault in the power itself cannot cancel out
+    "pow_rational": (
+        "orig = Series.pow_rational\n"
+        "def pow_rational(self, e):\n"
+        "    out = orig(self, e)\n"
+        "    return bump(out, 3) if e == Fraction(-1, 2) and out.order >= 3 else out\n"
+        "Series.pow_rational = pow_rational\n",
         "closed form",
     ),
     "u_pq": (

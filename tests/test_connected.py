@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from regasym.connected import (
 from regasym.counts import count_brute, egf_reciprocal_coeffs
 from regasym.regular import Envelope, IrrationalPrefactor, sg_expansion
 from regasym.series import Series
+
+from laplace_oracle import compose
 
 CSG_GOLDEN = {
     3: (Fraction(2), Fraction(-71, 18), Fraction(-335, 1296)),
@@ -75,6 +78,21 @@ def test_transfer_truncates_high_shifts():
     atilde = sg_expansion(4, 2) * stirling_series(2).pow_rational(-1)
     assert shifted_expansion(atilde, 3, 4) == Series.zero(2)
     assert any(shifted_expansion(atilde, 2, 4).coefficients)
+
+
+def test_shift_binomials_equal_the_composition():
+    # k = 2 has alpha = 0 and shift constant 1, so A_j = (1-jz)^(-1/2) A(z/(1-jz)):
+    # the binomial reading of A(z/(1-jz)) equals Horner composition with the
+    # inner series z/(1-jz) = sum_{i>=1} j^(i-1) z^i
+    rng = random.Random(20261020)
+    for order in range(13):
+        for j in range(1, 9):
+            atilde = Series(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)], order
+            )
+            inner = Series([0] + [j ** (i - 1) for i in range(1, order + 1)], order)
+            root = Series([1, -j], order).pow_rational(Fraction(1, 2))
+            assert shifted_expansion(atilde, j, 2) * root == compose(atilde, inner), (order, j)
 
 
 # -- the connected expansion ---------------------------------------------------

@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regasym.connected import bernoulli_numbers, stirling_series
-from regasym.regular import DegeneratePhase, factorial_phase, psi_from_phase
+from regasym.regular import expansion_psi
 from regasym.series import InsufficientOrder, Series
 
 from conftest import small_fractions
-from laplace_oracle import expand_direct, expand_hadamard, stirling_laplace
+from laplace_oracle import (
+    DegeneratePhase,
+    expand_direct,
+    expand_hadamard,
+    expansion_phase,
+    factorial_phase,
+    psi_from_phase,
+    stirling_laplace,
+)
 
 QUAD = Series([0, 0, Fraction(1, 2)], 16)  # t^2/2
-
-
-def quadratic_plus_log_phase(order):
-    return factorial_phase(order) + Series.monomial(Fraction(1, 2), 2, order)
 
 
 def test_phase_validation():
@@ -51,9 +55,12 @@ def test_psi_factorial_phase():
 
 
 def test_psi_of_the_main_phase():
+    # the package's closed form R^(-1/2) equals psi read off the phase itself
     order = 6
-    psi = psi_from_phase(quadratic_plus_log_phase(order + 2))
+    psi = psi_from_phase(expansion_phase(order + 2))
     assert psi[0] == 1 and psi[1] == Fraction(1, 6)
+    for n in (0, 1, 6, 17):
+        assert expansion_psi(n) == psi_from_phase(expansion_phase(n + 2)), n
 
 
 def test_expand_trivial_gaussian():
@@ -87,7 +94,7 @@ def test_expand_insufficient_order():
 
 def test_constant_coefficient_is_amplitude_at_zero():
     amp = Series([Fraction(5, 7), 1, 2, 3] + [0] * 5, 8)
-    assert expand_direct(quadratic_plus_log_phase(10), amp, 2).coefficients[0] == Fraction(5, 7)
+    assert expand_direct(expansion_phase(10), amp, 2).coefficients[0] == Fraction(5, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,7 +102,7 @@ def test_constant_coefficient_is_amplitude_at_zero():
 def test_two_formulas_agree_on_random_amplitudes(amp_coeffs, use_main_phase):
     order = 12
     amp = Series(amp_coeffs, order)
-    phase = quadratic_plus_log_phase if use_main_phase else factorial_phase
+    phase = expansion_phase if use_main_phase else factorial_phase
     phi = phase(order + 2)
     assert expand_hadamard(phi, amp, 6).coefficients == expand_direct(phi, amp, 6).coefficients
 

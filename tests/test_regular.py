@@ -25,6 +25,7 @@ from regasym.regular import (
 )
 from regasym.series import Series
 from conftest import small_fractions
+from laplace_oracle import compose
 from test_golden import SG_GOLDEN, rationals
 
 GOLDEN = {
@@ -155,7 +156,7 @@ def test_tree_series_matches_lagrange_inversion():
     for p in range(1, order + 1):
         power = power * psi
         assert tree[p] == power[p - 1] / p, p
-    assert not any((tree - psi.compose(tree.truncate(order - 1)).shift_up(1)).coefficients)
+    assert not any((tree - compose(psi, tree.truncate(order - 1)).shift_up(1)).coefficients)
 
 
 @pytest.fixture
