@@ -119,8 +119,6 @@ def cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def cmd_formal_k(args: argparse.Namespace, out) -> int:
-    import json
-
     poly = regular.formal_k_interpolate(args.r)
     doc = {
         "r": poly.r,
@@ -131,7 +129,7 @@ def cmd_formal_k(args: argparse.Namespace, out) -> int:
         # beyond r = 2 the single-polynomial form is only established for
         # k >= 2r+2, where every structural indicator is active
         doc["valid_k_min"] = 2 * poly.r + 2
-    out.write(json.dumps(doc, indent=2) + "\n")
+    _write(out, "json", [], doc)
     return EXIT_OK
 
 

@@ -5,10 +5,11 @@ The routes that produce (and cross-check) the integers:
 * ``moment_counts``: the moment recurrence, the production route for
   every k but 2.  The bracket P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2)
   (:func:`inner_bracket`) comes from the series kernel, ``Series.exp`` over
-  MPoly times ``Series.pow_rational``.  In P every x_j with 2j > k appears
-  at most linearly, so P = Q + sum_j x_j L_j with Q and L_j in
-  x_1..x_{k//2}.  Integrating those x_j out by Wick
-  pairing leaves moments U_n with U_{n+1} = Q U_n + n V U_{n-1},
+  MPoly times ``Series.pow_rational`` (:func:`multipoly.exp_over_root`).
+  In P every x_j with 2j > k appears at most linearly, so
+  P = Q + sum_j x_j L_j with Q and L_j in x_1..x_{k//2}.  Integrating
+  those x_j out by Wick pairing leaves moments U_n with
+  U_{n+1} = Q U_n + n V U_{n-1},
   V = sum_j alpha_j L_j^2, each step one ``MPoly.dot``; the Gaussian
   moment rule on x_1..x_{k//2} turns U_n into the count, which must be a
   nonnegative integer.  One sweep per k per process serves every n.
@@ -49,7 +50,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .multipoly import MPoly, gaussian_hadamard, mono_exponents, monomial
+from .multipoly import MPoly, exp_over_root, gaussian_hadamard, mono_exponents, monomial
 from .series import Series
 
 PROV_STRUCTURAL = "structural"
@@ -123,15 +124,11 @@ def structural(k: int, n: int) -> int | None:
 def inner_bracket(k: int) -> MPoly:
     """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact rational coefficients.
 
-    Built by the series kernel: the exponential of the series over MPoly
-    with [y^j] = x_j, times the scalar series (1 + y^2)^{-1/2}, read at y^k
-    as one dot product.  Variables 1..k; each monomial has weighted degree
-    sum(j * e_j) of the same parity as k and at most k.
+    The slice y^k of :func:`multipoly.exp_over_root` from x_1, the same
+    builder as the pipeline's V.  Variables 1..k; each monomial has
+    weighted degree sum(j * e_j) of the same parity as k and at most k.
     """
-    exp_part = Series([MPoly.zero()] + [MPoly.variable(j) for j in range(1, k + 1)], k).exp()
-    root = Series([1, 0, 1], k).pow_rational(Fraction(-1, 2))
-    one = MPoly.const(1)
-    return MPoly.dot((root[k - i], exp_part[i], one) for i in range(k + 1))
+    return exp_over_root(1, k, 1)[k]
 
 
 def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:

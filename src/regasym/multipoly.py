@@ -30,7 +30,7 @@ from functools import reduce
 from operator import or_
 from typing import Mapping
 
-from .series import double_factorial
+from .series import Series, double_factorial
 
 Monomial = int
 
@@ -243,6 +243,22 @@ class MPoly:
                 if part:
                     rows.append((m1, c1 * scale, part))
         return _sum_rows(rows, den)
+
+
+def exp_over_root(first: int, order: int, sign: int) -> Series:
+    """exp(sum_{j=first}^{order} x_j y^j) (1 + sign y^2)^{-1/2} through y^order,
+    a series over MPoly with variable j for x_j: one exp, then one dot
+    product per slice against the scalar root.  [y^m] uses only x_first..x_m."""
+    exponent = Series(
+        [MPoly.zero()] * first + [MPoly.variable(j) for j in range(first, order + 1)], order
+    )
+    exp_part = exponent.exp()
+    root = Series([1, 0, sign], order).pow_rational(Fraction(-1, 2))
+    one = MPoly.const(1)
+    slices = [
+        MPoly.dot((root[m - i], exp_part[i], one) for i in range(m + 1)) for m in range(order + 1)
+    ]
+    return Series(slices, order)
 
 
 def parity_class(m: Monomial) -> int:

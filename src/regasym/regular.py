@@ -33,21 +33,21 @@ so every stored coefficient is a plain Fraction.  The core series is built
 in sigma, with tau as variable 1; [s^{2r}] is [sigma^{2r}] / k^r, and tau
 takes the moment weight -1/2.  The division by s^2 is guarded by a
 valuation assertion; a failure means a transcription bug, never a
-rounding issue.  T, u and V do not depend on k: T and V are solved once
-at the longest order asked for, and u is read off the running powers
-W^0, W^1, ..., one product per new power, in a table sized once per core
-series and shared by every k.  The inversion route that checks each u
-reads psi^p off a second such table, built from psi alone.
+rounding issue.  psi, T, u and V do not depend on k: one table holds
+them at the longest order asked for so far, and every k and every lower
+order reads it.  u is read off the running powers W^0, W^1, ..., one
+product per new power, and each u value is checked, the first time it
+is read, against the inversion route, which reads psi^p off the running
+powers of psi alone.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, wraps
 from typing import NamedTuple
 
-from .multipoly import MPoly, gaussian_hadamard, parity_class
+from .multipoly import MPoly, exp_over_root, gaussian_hadamard, parity_class
 from .series import Series, SeriesError, ValuationViolation, fraction_dot, newton_solve_tree
 
 
@@ -106,22 +106,6 @@ class FormalKPolynomial(NamedTuple):
         return acc / Fraction(k) ** self.r
 
 
-def _longest(solve):
-    """Memoise an exact series solver: the longest solution so far is kept and
-    every order up to it is read as a truncation, which is exact because the
-    solution is exact through its order."""
-    longest: Series | None = None
-
-    @wraps(solve)
-    def solution(order: int) -> Series:
-        nonlocal longest
-        if longest is None or longest.order < order:
-            longest = solve(order)
-        return longest.truncate(order)
-
-    return solution
-
-
 def phase_ratio(order: int) -> Series:
     """R = phi / t^2 = 1 + sum_{j>=1} (-1)^j t^j / (j+2) through t^order, for
     the phase phi = t^2/2 + t - log(1+t) (phi''(0) = 2, so R is phi over
@@ -129,11 +113,10 @@ def phase_ratio(order: int) -> Series:
     return Series([1] + [Fraction((-1) ** j, j + 2) for j in range(1, order + 1)], order)
 
 
-@_longest
 def expansion_psi(order: int) -> Series:
-    """The expansion's psi = R^{-1/2} (:func:`phase_ratio`), checked once per
-    longest order by psi psi R = 1, with R rebuilt from phi through
-    ``Series.log``: a second transcription, and products in place of the power."""
+    """The expansion's psi = R^{-1/2} (:func:`phase_ratio`), checked by
+    psi psi R = 1, with R rebuilt from phi through ``Series.log``: a second
+    transcription, and products in place of the power."""
     psi = phase_ratio(order).pow_rational(Fraction(-1, 2))
     t = Series.x(order + 2)
     phi = t * t * Fraction(1, 2) + t - (1 + t).log()
@@ -142,53 +125,62 @@ def expansion_psi(order: int) -> Series:
     return psi
 
 
-@_longest
-def tree_series(order: int) -> Series:
-    """T(x) = x psi(T(x)) for the expansion's psi, exact through the order;
-    one solve serves every lower order."""
-    if order < 1:
-        raise ValueError("the tree series needs order >= 1")
-    return newton_solve_tree(expansion_psi(order - 1))
+def v_series(order: int) -> Series:
+    """V(t) = exp(sum_{i=2}^{order} t_i t^i) / sqrt(1 - t^2) over MPoly
+    (:func:`multipoly.exp_over_root`); [t^m] V uses only t_2..t_m."""
+    return exp_over_root(2, order, -1)
 
 
-class _RunningPowers:
-    """The running powers base^0, base^1, ... of one series: each new power
-    is one product with the base.  Like ``_longest``, the table is built at
-    the longest order asked for so far, and every lower order reads it."""
+class _Tables:
+    """The k-free series at one order n, shared by every k: psi through
+    n - 1, checked once by :func:`expansion_psi`; the tree series
+    T(x) = x psi(T(x)) through n; V through n; the running powers of
+    W = (1 + T)^{-1} and of psi; and the u values read so far, each checked."""
 
-    def __init__(self, base):
-        self.base = base  # order -> the base series through that order
-        self.powers: list[Series] = []
-
-    def size(self, order: int) -> "_RunningPowers":
-        if not self.powers or self.powers[1].order < order:
-            base = self.base(order)
-            self.powers = [Series.one(order), base]
-        return self
-
-    def power(self, q: int) -> Series:
-        while len(self.powers) <= q:
-            self.powers.append(self.powers[-1] * self.powers[1])
-        return self.powers[q]
+    def __init__(self, order: int):
+        psi = expansion_psi(order - 1)
+        self.order = order
+        self.tree = newton_solve_tree(psi)
+        self.v = v_series(order)
+        self.w_powers = [Series.one(order), (1 + self.tree).pow_rational(-1)]
+        self.psi_powers = [Series.one(order - 1), psi]
+        self.u: dict[tuple[int, int], Fraction] = {}
 
 
-# W = (1 + T(s))^{-1}, shared by every k, and psi for the inversion route,
-# built from psi and never from T
-_W = _RunningPowers(lambda order: (1 + tree_series(order)).pow_rational(-1))
-_PSI = _RunningPowers(expansion_psi)
+def _power(powers: list[Series], q: int) -> Series:
+    """powers[q] of the running powers base^0, base^1, ...: each new power
+    is one product with the base powers[1]."""
+    while len(powers) <= q:
+        powers.append(powers[-1] * powers[1])
+    return powers[q]
 
 
-@lru_cache(maxsize=None)
+_TABLES: list[_Tables] = []  # the one table, at the longest order asked for so far
+
+
+def _table_at(order: int) -> _Tables:
+    """The table through at least the order: rebuilt when the order exceeds
+    the one kept, read as it is by every lower order."""
+    if not _TABLES or _TABLES[0].order < order:
+        _TABLES[:] = [_Tables(order)]
+    return _TABLES[0]
+
+
 def u_pq(p: int, q: int) -> Fraction:
-    """[s^p] W^q = [s^p] (1 + T(s))^{-q}, with the inversion-formula value checked equal."""
+    """[s^p] W^q = [s^p] (1 + T(s))^{-q}, with the inversion-formula value
+    checked equal the first time the table reads it."""
     if p < 0 or q < 0:
         raise ValueError("u_pq needs nonnegative indices")
     if p == 0:
         return Fraction(1)
-    value = _W.size(p).power(q)[p]
-    alt = u_pq_lagrange(p, q)
-    if value != alt:
-        raise RouteMismatch(f"u_pq({p},{q}): tree route {value} vs inversion route {alt}")
+    table = _table_at(p)
+    value = table.u.get((p, q))
+    if value is None:
+        value = _power(table.w_powers, q)[p]
+        alt = u_pq_lagrange(p, q)
+        if value != alt:
+            raise RouteMismatch(f"u_pq({p},{q}): tree route {value} vs inversion route {alt}")
+        table.u[p, q] = value
     return value
 
 
@@ -198,25 +190,10 @@ def u_pq_lagrange(p: int, q: int) -> Fraction:
     the running powers of psi, independent of the tree series."""
     if p == 0:
         return Fraction(1)
-    power = _PSI.size(p - 1).power(p)
+    power = _power(_table_at(p).psi_powers, p)
     return fraction_dot(
         (Fraction(-q * (-1) ** i, p), math.comb(q + i, i), power[p - 1 - i]) for i in range(p)
     )
-
-
-@_longest
-def v_series(order: int) -> Series:
-    """V(t) = exp(sum_{i=2}^{order} t_i t^i) / sqrt(1 - t^2) over MPoly, shared
-    by every k: one exp, then one dot product per slice against the scalar
-    root.  [t^m] V uses only t_2..t_m."""
-    exponent = Series([MPoly.zero()] * 2 + [MPoly.variable(i) for i in range(2, order + 1)], order)
-    exp_part = exponent.exp()
-    root = Series([1, 0, -1], order).pow_rational(Fraction(-1, 2))
-    one = MPoly.const(1)
-    slices = [
-        MPoly.dot((root[m - i], exp_part[i], one) for i in range(m + 1)) for m in range(order + 1)
-    ]
-    return Series(slices, order)
 
 
 def b0_row(j: int, k: int) -> MPoly:
@@ -237,7 +214,7 @@ def b0_row(j: int, k: int) -> MPoly:
     """
     if j < 1:
         raise ValueError("b0_row needs j >= 1")
-    v = v_series(j)
+    v = _table_at(j).v
     terms = []
     for d in range(1, min(j, k) + 1):
         falling, tau = math.perm(k, d), MPoly.variable(1, j - d)
@@ -275,11 +252,9 @@ def c2_series(k: int, r: int) -> Series:
         raise ValueError("the expansion order must be nonnegative")
     n_lo = 2 * r
     n_hi = n_lo + 2
-    # V and every table sized here, so the B0 rows (u_pq below p = n_hi) rebuild none
-    v_series(n_hi)
-    inv2, inv4 = (_at_sigma_tau(_W.size(n_hi).power(q).truncate(n_lo)) for q in (2, 4))
-    _PSI.size(n_hi - 1)  # u_pq(p, q) reads psi^p to order p - 1
-    log_tprime = _at_sigma_tau(tree_series(n_lo + 1).derivative().log())
+    table = _table_at(n_hi)
+    inv2, inv4 = (_at_sigma_tau(_power(table.w_powers, q).truncate(n_lo)) for q in (2, 4))
+    log_tprime = _at_sigma_tau(table.tree.truncate(n_lo + 1).derivative().log())
 
     b0 = Series([MPoly.zero()] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)
     log_term = (1 + b0).log()

@@ -686,14 +686,21 @@ BROKEN_ROUTES = {
         "regular.newton_solve_tree = lambda psi: bump(orig(psi), 2)\n",
         "tree route",
     ),
+    # the shared table's W and psi, corrupted after the table is built
     "w_table": (
-        "orig = regular._W.base\n"
-        "regular._W.base = lambda order: bump(orig(order), 3)\n",
+        "orig = regular._Tables.__init__\n"
+        "def init(self, order):\n"
+        "    orig(self, order)\n"
+        "    self.w_powers[1] = bump(self.w_powers[1], 3)\n"
+        "regular._Tables.__init__ = init\n",
         "tree route",
     ),
     "psi_table": (
-        "orig = regular._PSI.base\n"
-        "regular._PSI.base = lambda order: bump(orig(order), 3)\n",
+        "orig = regular._Tables.__init__\n"
+        "def init(self, order):\n"
+        "    orig(self, order)\n"
+        "    self.psi_powers[1] = bump(self.psi_powers[1], 3)\n"
+        "regular._Tables.__init__ = init\n",
         "inversion route",
     ),
 }

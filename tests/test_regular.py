@@ -18,12 +18,11 @@ from regasym.regular import (
     formal_k_interpolate,
     sg_expansion,
     expansion_psi,
-    tree_series,
     u_pq,
     u_pq_lagrange,
     v_series,
 )
-from regasym.series import Series
+from regasym.series import Series, newton_solve_tree
 from conftest import small_fractions
 from laplace_oracle import compose
 from test_golden import SG_GOLDEN, rationals
@@ -48,8 +47,8 @@ def test_expansion_psi_leading_terms():
     psi = expansion_psi(4)
     assert psi[0] == 1
     assert psi[1] == Fraction(1, 6)
-    # tree starts x + x^2/6
-    t = tree_series(3)
+    # the shared table's tree starts x + x^2/6
+    t = regular._table_at(3).tree
     assert t[1] == 1 and t[2] == Fraction(1, 6)
 
 
@@ -148,9 +147,11 @@ def test_v_series_uses_only_low_t_variables():
 
 def test_tree_series_matches_lagrange_inversion():
     # [x^p] T = (1/p) [s^(p-1)] psi^p, with psi^p by plain products, and
-    # T - x psi(T) vanishes through order 24
+    # T - x psi(T) vanishes through order 24; the shared table holds this T
     order = 24
-    tree, psi = tree_series(order), expansion_psi(order - 1)
+    psi = expansion_psi(order - 1)
+    tree = newton_solve_tree(psi)
+    assert regular._table_at(order).tree.truncate(order) == tree
     power = Series.one(order - 1)
     assert tree[0] == 0
     for p in range(1, order + 1):
@@ -161,11 +162,10 @@ def test_tree_series_matches_lagrange_inversion():
 
 @pytest.fixture
 def fresh_pipeline(monkeypatch):
-    """An empty u_pq cache, empty tree and V memos and empty W and psi
-    tables for one test, with every tree solve, V build and table build
-    counted; the module's own caches and tables are back in place
+    """No shared table for one test, with every table build, psi build, tree
+    solve and V build counted; the module's own table is back in place
     afterwards."""
-    builds = {"tree": 0, "W": 0, "V": 0, "PSI": 0}
+    builds = {"tables": 0, "psi": 0, "tree": 0, "V": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -174,34 +174,61 @@ def fresh_pipeline(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(regular, "u_pq", lru_cache(maxsize=None)(regular.u_pq.__wrapped__))
-    monkeypatch.setattr(regular, "tree_series", regular._longest(regular.tree_series.__wrapped__))
+    class CountedTables(regular._Tables):
+        def __init__(self, order):
+            builds["tables"] += 1
+            super().__init__(order)
+
+    monkeypatch.setattr(regular, "_TABLES", [])
+    monkeypatch.setattr(regular, "_Tables", CountedTables)
+    monkeypatch.setattr(regular, "expansion_psi", counted("psi", regular.expansion_psi))
     monkeypatch.setattr(regular, "newton_solve_tree", counted("tree", regular.newton_solve_tree))
-    v_series = regular._longest(counted("V", regular.v_series.__wrapped__))
-    monkeypatch.setattr(regular, "v_series", v_series)
-    for name in ("W", "PSI"):
-        base = getattr(regular, f"_{name}").base
-        monkeypatch.setattr(regular, f"_{name}", regular._RunningPowers(counted(name, base)))
+    monkeypatch.setattr(regular, "v_series", counted("V", regular.v_series))
     return builds
 
 
 def test_tables_grow_with_the_order_and_serve_lower_orders(fresh_pipeline):
-    # orders 2, 8, 4 at k = 3, 4, 5: the order-8 run rebuilds the tables that
-    # the order-2 run built, and every later run reads them
+    # orders 2, 8, 4 at k = 3, 4, 5: the order-8 run rebuilds the table that
+    # the order-2 run built, and every later run reads it
     for k, r, pin in ((3, 2, 8), (4, 8, 8), (5, 4, 6), (3, 8, 8), (4, 2, 8)):
         expected = rationals(SG_GOLDEN[k, pin])[: r + 1]
         assert regular.sg_expansion(k, r).coefficients == expected, (k, r)
-    assert fresh_pipeline == {"tree": 2, "W": 2, "V": 2, "PSI": 2}
+    assert fresh_pipeline == {"tables": 2, "psi": 2, "tree": 2, "V": 2}
 
 
 def test_second_k_shares_the_tree_and_tables(fresh_pipeline):
     regular.c2_series(3, 4)
-    assert fresh_pipeline == {"tree": 1, "W": 1, "V": 1, "PSI": 1}
-    misses = regular.u_pq.cache_info().misses
+    assert fresh_pipeline == {"tables": 1, "psi": 1, "tree": 1, "V": 1}
+    read = len(regular._TABLES[0].u)
     regular.c2_series(4, 4)
-    assert fresh_pipeline == {"tree": 1, "W": 1, "V": 1, "PSI": 1}
+    assert fresh_pipeline == {"tables": 1, "psi": 1, "tree": 1, "V": 1}
     # k = 4 read u values that k = 3 did not need
-    assert regular.u_pq.cache_info().misses > misses
+    assert len(regular._TABLES[0].u) > read
+
+
+def test_psi_closed_form_runs_once_per_table_build(fresh_pipeline, monkeypatch):
+    calls = []
+    phase_ratio = regular.phase_ratio
+
+    def counted(order):
+        calls.append(order)
+        return phase_ratio(order)
+
+    monkeypatch.setattr(regular, "phase_ratio", counted)
+    for k in range(3, 7):
+        regular.c2_series(k, 4)
+    assert calls == [9] and fresh_pipeline["tables"] == 1
+
+
+def test_u_values_survive_a_table_rebuild(fresh_pipeline):
+    # p = 6 first builds the order-6 table, which every lower p reads; the
+    # rebuilt table recomputes and rechecks every u value it is asked for
+    indices = [(p, q) for p in range(6, -1, -1) for q in range(9)]
+    before = {pq: u_pq(*pq) for pq in indices}
+    assert fresh_pipeline["tables"] == 1 and regular._TABLES[0].order == 6
+    regular.c2_series(3, 8)
+    assert fresh_pipeline["tables"] == 2 and regular._TABLES[0].order == 18
+    assert {pq: u_pq(*pq) for pq in indices} == before
 
 
 def test_b0_row_one_vanishes():

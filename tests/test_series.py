@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regasym.regular import tree_series, u_pq_lagrange
+from regasym.regular import expansion_psi, u_pq_lagrange
 from regasym.series import (
     BadConstantTerm,
     BadParity,
@@ -244,7 +244,7 @@ def test_lagrange_matches_tree_composition():
     # Lagrange's theorem for H = (1+s)^(-q): the inversion route equals
     # [s^p] H(T(s)), with H(T) composed by Horner on the solved tree series
     order = 10
-    tree = tree_series(order)
+    tree = newton_solve_tree(expansion_psi(order - 1))
     for q in range(9):
         h_of_t = compose(Series([1, 1], order).pow_rational(-q), tree)
         for p in range(1, order + 1):
@@ -330,12 +330,7 @@ def test_no_floating_point_in_exact_modules():
 # The memos that measured traffic reuses, keyed by (module, name), with the
 # hits / misses (or rebuilds) that earn each its place.
 MEMO_ALLOW = {
-    ("regular", "u_pq"): "3,686 hits / 64 misses on formal-k --r 3",
-    ("regular", "expansion_psi"): "1 hit / 1 miss per pipeline: the psi table reads the tree's psi",
-    ("regular", "tree_series"): "15 hits / 1 miss on formal-k --r 3: one solve for all 16 k",
-    ("regular", "_W"): "70 power hits / 9 products, 78 size hits / 1 build on formal-k --r 3",
-    ("regular", "v_series"): "134 hits / 1 build on formal-k --r 3: one exp for all 15 k",
-    ("regular", "_PSI"): "43 power hits / 6 products, 63 size hits / 1 build on formal-k --r 3",
+    ("regular", "_TABLES"): "formal-k --r 3: 1 build for all 15 k; u 881 hits / 49 misses",
     ("counts", "_SWEEPS"): "5 hits / 1 miss on expand csg --k 6 --order 6: one sweep for every n",
 }
 
