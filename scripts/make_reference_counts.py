@@ -15,9 +15,10 @@ n <= 10, the moment formula :func:`count_hadamard` for n <= 8, and
 degree-complement identities) before anything is saved.  Rerunning the
 script is only needed to extend the tables.
 
-:func:`count_hadamard` raises the bracket P to the n-th power directly
-instead of running the recurrence.  It is the one copy of this oracle:
-the tests import it from here, and no production route calls it.
+:func:`count_hadamard` raises the bracket P (:func:`inner_bracket`) to the
+n-th power directly instead of running the recurrence.  It is the one
+copy of this oracle: the tests import it and the bracket from here, and
+no production route calls either.
 """
 
 from __future__ import annotations
@@ -32,14 +33,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from regasym.counts import (  # noqa: E402
-    NonIntegerResult,
-    count_brute,
-    inner_bracket,
-    moment_counts,
-    resolve,
-)
-from regasym.multipoly import MPoly, gaussian_hadamard  # noqa: E402
+from regasym.counts import NonIntegerResult, count_brute, moment_counts, resolve  # noqa: E402
+from regasym.multipoly import MPoly, exp_over_root, gaussian_hadamard  # noqa: E402
 from regasym.series import Series  # noqa: E402
 
 BRUTE_MAX_N = 10
@@ -50,6 +45,17 @@ CONNECTED_KS = (3, 4)  # the connected tables that ship
 def require(ok: bool, message: str):
     if not ok:
         raise SystemExit(f"cross-check failed: {message}")
+
+
+def inner_bracket(k: int) -> MPoly:
+    """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact rational coefficients.
+
+    The slice y^k of ``regasym.multipoly.exp_over_root`` from x_1, the
+    same builder as the moment recurrence and the pipeline's V.  Variables
+    1..k; each monomial has weighted degree sum(j * e_j) of the same parity
+    as k and at most k.
+    """
+    return exp_over_root(1, k, 1)[k]
 
 
 def count_hadamard(k: int, n: int) -> int:

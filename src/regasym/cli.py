@@ -101,16 +101,21 @@ def _check_k(which: str, k: int):
         raise ValueError("connected expansion requires k >= 3")
 
 
+def _connected(k: int, r: int, shipped) -> tuple[Series, Series]:
+    """The plain and connected expansion series of order r: one run of the
+    plain pipeline serves the transfer and the gap check."""
+    plain_counts = [counts.resolve(k, m, shipped)[0] for m in range(2 * r + 1)]
+    plain = regular.sg_expansion(k, r)
+    return plain, connected.csg_tilde(k, plain, plain_counts)
+
+
 def cmd_expand(args: argparse.Namespace, out) -> int:
     k, r = args.k, args.order
     _check_k(args.which, k)
     if args.which == "sg":
         _write(out, args.fmt, _records(regular.sg_expansion(k, r), k=k))
         return EXIT_OK
-    shipped = counts.reference_counts("sg", k, args.data_dir)
-    plain_counts = [counts.resolve(k, m, shipped)[0] for m in range(2 * r + 1)]
-    plain = regular.sg_expansion(k, r)  # one run serves the transfer and the gap check
-    csg = connected.csg_tilde(k, plain, plain_counts)
+    plain, csg = _connected(k, r, counts.reference_counts("sg", k, args.data_dir))
     records = _records(csg, k=k)
     gap_order = (k + 1) * (k - 2) // 2
     gap = connected.valuation_gap(k, plain, csg) if r >= gap_order else None
@@ -183,9 +188,7 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
         else:
             cell_counts = dict(enumerate(counts.reference_counts("csg", k, args.data_dir)))
             if k_r:
-                plain_counts = [counts.resolve(k, m, shipped)[0] for m in range(2 * k_r - 1)]
-                plain = regular.sg_expansion(k, k_r - 1)
-                coeffs = connected.csg_tilde(k, plain, plain_counts).coefficients
+                coeffs = _connected(k, k_r - 1, shipped)[1].coefficients
         rows.append((k, validation.residual_row(k, ns, cell_counts, coeffs, precision)))
     out.write(validation.render_csv(ns, rows))
 

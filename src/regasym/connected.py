@@ -22,12 +22,14 @@ read off the binomial expansion of (z/(1-jz))^i:
 [z^n] = sum_{i=1}^{n} a_i C(n-1, i-1) j^{n-i}, and [z^0] = a_0; the tests
 hold a general composition as its oracle.
 
+The factor (1-jz)^{-1/2-alpha j} exp(alpha (log(1-jz)+jz) / z) is one
+exponential of its closed-form logarithm (:func:`_correction_factor`); the
+tests hold its assembly from log, power and the division by z as oracle.
+
 A shift with jk odd contributes nothing and its constant k!^j k^{-kj/2}
 would be irrational, so it is skipped before any arithmetic, as is a zero
 weight.  A_j is shifted up by alpha j, so it has valuation alpha j by
-construction, and the sum stops once alpha j exceeds r.  (log(1-jz)+jz
-has valuation 2, so the division by z is a genuine series operation;
-this is checked.)
+construction, and the sum stops once alpha j exceeds r.
 
 The two expansions agree through order g - 1 and differ at exactly
 g = (k+1)(k-2)/2, where connected minus plain is
@@ -92,11 +94,18 @@ def _alpha(k: int) -> Fraction:
     return Envelope(k).exponent - 1
 
 
+def _correction_factor(alpha: Fraction, j: int, m: int) -> Series:
+    """(1-jz)^{-1/2-alpha j} exp(alpha (log(1-jz)+jz) / z) through z^m, as
+    exp(sum_{i>=1} c_i z^i) with c_i = j^i ((1/2 + alpha j) / i - alpha j / (i+1))."""
+    c = (j**i * ((Fraction(1, 2) + alpha * j) / i - alpha * j / (i + 1)) for i in range(1, m + 1))
+    return Series([0, *c], m).exp()
+
+
 def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
     """The j-th shifted series A_j, exact to the order of the input.
 
     Reads atilde(z/(1-jz)) off the binomial expansion of (z/(1-jz))^i,
-    multiplies the binomial and exponential correction factors and the
+    multiplies the correction factor (:func:`_correction_factor`) and the
     shift constant, and shifts up by alpha*j.  Raises IrrationalPrefactor
     when jk is odd.
     """
@@ -110,14 +119,6 @@ def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
         return Series.zero(r)
     m = r - aj
 
-    one_minus = Series([1, -j], m + 1)
-    log_part = one_minus.log() + Series.monomial(j, 1, m + 1)
-    # log(1-jz) + jz = -j^2 z^2/2 - ...: valuation 2, so /z is Laurent-free
-    arg = log_part.shift_down(1) * alpha
-    exp_factor = arg.exp()
-
-    binom_factor = one_minus.truncate(m).pow_rational(Fraction(-1, 2) - alpha * j)
-
     # A(z/(1-jz)): [z^n] = sum_{i=1}^{n} a_i C(n-1, i-1) j^{n-i}, [z^0] = a_0
     a = atilde.coefficients
     composed = Series(
@@ -128,8 +129,7 @@ def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
         m,
     )
 
-    core = binom_factor * exp_factor * composed
-    return (core * pref).shift_up(aj)
+    return (_correction_factor(alpha, j, m) * composed * pref).shift_up(aj)
 
 
 def csg_tilde(k: int, plain: Series, counts: list[int]) -> Series:

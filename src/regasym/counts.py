@@ -4,13 +4,13 @@ The routes that produce (and cross-check) the integers:
 
 * ``moment_counts``: the moment recurrence, the production route for
   every k but 2.  The bracket P = [y^k] exp(sum_j x_j y^j) / sqrt(1 + y^2)
-  (:func:`inner_bracket`) comes from the series kernel, ``Series.exp`` over
-  MPoly times ``Series.pow_rational`` (:func:`multipoly.exp_over_root`).
-  In P every x_j with 2j > k appears at most linearly, so
-  P = Q + sum_j x_j L_j with Q and L_j in x_1..x_{k//2}.  Integrating
-  those x_j out by Wick pairing leaves moments U_n with
-  U_{n+1} = Q U_n + n V U_{n-1},
-  V = sum_j alpha_j L_j^2, each step one ``MPoly.dot``; the Gaussian
+  is the slice g[k] of the series kernel's g = exp(sum_j x_j y^j) /
+  sqrt(1 + y^2) over MPoly (:func:`multipoly.exp_over_root`).  In P each
+  x_j with 2j > k appears at most linearly, with cofactor the slice
+  g[k-j], which holds no such x_j as k - j < k/2.  Integrating those x_j
+  out by Wick pairing leaves moments U_n with
+  U_{n+1} = Q U_n + n V U_{n-1}, Q = P - sum_j x_j g[k-j] and
+  V = sum_j alpha_j g[k-j]^2, each step one ``MPoly.dot``; the Gaussian
   moment rule on x_1..x_{k//2} turns U_n into the count, which must be a
   nonnegative integer.  One sweep per k per process serves every n.
 * ``count_two_regular``: the integer recurrence for cycle sets (k = 2),
@@ -20,9 +20,9 @@ The routes that produce (and cross-check) the integers:
 * shipped reference tables in plain b-file format ("n value" lines).
 
 The moment formula by direct sparse powering of P, ``count_hadamard``, is
-an independent oracle outside the package: it lives in
-``scripts/make_reference_counts.py``, which cross-checks the tables with
-it, and the tests import it from there.
+an independent oracle outside the package: it lives, with the bracket P
+alone (``inner_bracket``), in ``scripts/make_reference_counts.py``, which
+cross-checks the tables with it, and the tests import both from there.
 
 :func:`resolve` is the one place that decides where a count comes from:
 the structural rules of :func:`structural` (the empty graph gives 1, there
@@ -50,7 +50,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .multipoly import MPoly, exp_over_root, gaussian_hadamard, mono_exponents, monomial
+from .multipoly import MPoly, exp_over_root, gaussian_hadamard
 from .series import Series
 
 PROV_STRUCTURAL = "structural"
@@ -121,16 +121,6 @@ def structural(k: int, n: int) -> int | None:
     return None
 
 
-def inner_bracket(k: int) -> MPoly:
-    """[y^k] exp(sum_{j<=k} x_j y^j) / sqrt(1 + y^2), exact rational coefficients.
-
-    The slice y^k of :func:`multipoly.exp_over_root` from x_1, the same
-    builder as the pipeline's V.  Variables 1..k; each monomial has
-    weighted degree sum(j * e_j) of the same parity as k and at most k.
-    """
-    return exp_over_root(1, k, 1)[k]
-
-
 def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     """Exact count by backtracking over adjacency choices, memoised.
 
@@ -189,28 +179,21 @@ def moment_counts(k: int, nmax: int) -> list[int]:
     return done[: nmax + 1]
 
 
+def _bracket_split(k: int) -> tuple[MPoly, MPoly]:
+    """Q = P - sum_{2j>k} x_j g[k-j] and V = sum_{2j>k} alpha_j g[k-j]^2 of
+    the bracket P = g[k], g = exp_over_root(1, k, 1), alpha_j = (-1)^{j+1}/j."""
+    g = exp_over_root(1, k, 1)
+    high = range(k // 2 + 1, k + 1)
+    q = g[k] - MPoly.dot((1, MPoly.variable(j), g[k - j]) for j in high)
+    v = MPoly.dot((Fraction((-1) ** (j + 1), j), g[k - j], g[k - j]) for j in high)
+    return q, v
+
+
 def _moment_sweep(k: int) -> Iterator[int]:
-    """Yield the counts for n = 0, 1, 2, ...: P = Q + sum_{2j>k} x_j L_j,
-    U_{n+1} = Q U_n + n V U_{n-1} with V = sum_j alpha_j L_j^2, and the
-    count at n the Gaussian moment of U_n over x_1..x_{k//2}."""
-    half = k // 2
-    # the moment weights alpha_j = (-1)^{j+1} / j of x_1..x_k
-    alphas = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)}
-    bracket = inner_bracket(k)
-    q: dict = {}
-    linear: dict[int, dict] = {}
-    for m, c in bracket.terms.items():
-        coeff = Fraction(c, bracket.den)
-        # 2j > k, so at most one such x_j divides the monomial, to the first power
-        high = [v for v in mono_exponents(m) if v > half]
-        if high:
-            (j,) = high
-            linear.setdefault(j, {})[m - monomial({j: 1})] = coeff
-        else:
-            q[m] = coeff
-    q_poly = MPoly(q)
-    v_poly = MPoly.dot((alphas[j], MPoly(lj), MPoly(lj)) for j, lj in linear.items())
-    low = {j: alphas[j] for j in range(1, half + 1)}
+    """Yield the counts for n = 0, 1, 2, ...: U_{n+1} = Q U_n + n V U_{n-1}
+    (:func:`_bracket_split`), the count at n the Gaussian moment of U_n."""
+    q_poly, v_poly = _bracket_split(k)
+    low = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k // 2 + 1)}
     prev, curr = MPoly.zero(), MPoly.const(1)
     n = 0
     while True:

@@ -136,12 +136,6 @@ class Series:
     def x(order: int) -> "Series":
         return Series([0, 1], order)
 
-    @staticmethod
-    def monomial(coeff: Scalar, power: int, order: int) -> "Series":
-        if power > order:
-            return Series.zero(order)
-        return Series([0] * power + [coeff], order)
-
     # -- inspection ------------------------------------------------------
 
     @property

@@ -41,9 +41,10 @@ truncation of a product to w bits loses a relative 2^-w:
 
 So D = R - P is off by less than 4m ratio + 1 < 2^-(p+6) max(ratio, 1) 2^w
 units.  More than p - 32 cancelled bits of max(R, 2^w) (all of them when
-D = 0) make the cell a PrecisionUnderflow, so a returned D is good to a
-relative 2^-36, and :func:`residual_row` evaluates such a cell again alone
-at doubled precision.  A cell is the exact D n^r / 2^w, a Fraction with a
+D = 0) make the cell underflow, so a returned D is good to a relative
+2^-36; the row's walk evaluates such a cell again alone, in a walk of its
+own at doubled precision, and after three doublings raises
+PrecisionUnderflow.  A cell is the exact D n^r / 2^w, a Fraction with a
 power-of-two denominator; it prints with two decimals, rounding half to
 even, and doubling the working precision must not change a printed digit.
 
@@ -141,14 +142,17 @@ def _row_residuals(
     counts: Mapping[int, int],
     coeffs: Sequence[Fraction],
     precision: int,
-) -> dict[int, Fraction | PrecisionUnderflow]:
+    _depth: int = 0,
+) -> dict[int, Fraction]:
     """The residual of each cell n -> count of one k at order r = len(coeffs),
-    or the PrecisionUnderflow it raises, at one width w for the row; every
-    cell passes _check_cell.
+    at one width w for the row; every cell passes _check_cell.
 
     The growths e^{m/4} sqrt(2) are one chain in increasing m: the first is
     sqrt(2) times the squares over the bits of its m, each later one the
     previous times the step factor e^{(m - m')/4}, one per distinct step.
+    A cell that underflows is evaluated again alone at twice the precision,
+    up to 8 times the precision the row started at (_depth counts the
+    doublings), and raises PrecisionUnderflow beyond that.
     """
     env = Envelope(k)
     shift = int(-4 * env.const_exponent)
@@ -172,12 +176,12 @@ def _row_residuals(
         partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs))
         diff = ratio - (partial.numerator << w) // partial.denominator
         cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
-        if cancelled > precision - 32:
-            cells[n] = PrecisionUnderflow(
-                f"(k={k}, n={n}): {cancelled} bits cancelled at precision {precision}"
-            )
-        else:
+        if cancelled <= precision - 32:
             cells[n] = Fraction(diff * n**r, 1 << w)
+        elif _depth < 3:
+            cells[n] = _row_residuals(k, {n: counts[n]}, coeffs, precision << 1, _depth + 1)[n]
+        else:
+            raise PrecisionUnderflow(f"(k={k}, n={n}) still cancelling at precision {precision}")
     return cells
 
 
@@ -195,8 +199,8 @@ def residual_row(
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
     is None as well.  ns may come in any order and repeat n; stderr lines
     and ValueErrors come in the order of ns.  The cells are evaluated as one
-    chain, and a cell that underflows is evaluated again alone at 2, 4 and
-    8 times the precision.
+    chain, in which a cell that underflows is evaluated again alone at 2, 4
+    and 8 times the precision.
     """
     chain: dict[int, int] = {}
     for n in ns:
@@ -210,15 +214,6 @@ def residual_row(
         _check_cell(k, n, counts[n])
         chain[n] = counts[n]
     cells = _row_residuals(k, chain, coeffs, precision) if chain else {}
-    for n in chain:
-        for doublings in (1, 2, 3):
-            if not isinstance(cells[n], PrecisionUnderflow):
-                break
-            cells[n] = _row_residuals(k, {n: chain[n]}, coeffs, precision << doublings)[n]
-        if isinstance(cells[n], PrecisionUnderflow):
-            raise PrecisionUnderflow(
-                f"(k={k}, n={n}) still cancelling at precision {precision << 4}"
-            )
     return [cells.get(n) for n in ns]
 
 

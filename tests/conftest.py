@@ -6,11 +6,17 @@ import pytest
 from hypothesis import strategies as st
 
 from regasym.counts import reference_counts
+from regasym.series import Series
 
 # the table generator holds the moment-formula oracle count_hadamard
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 from make_reference_counts import count_hadamard  # noqa: E402
+
+
+def monomial_series(coeff, power: int, order: int) -> Series:
+    """coeff z^power as a series truncated at order (zero when power > order)."""
+    return Series([0] * power + [coeff], order)
 
 
 def small_fractions(max_num=6, max_den=4):

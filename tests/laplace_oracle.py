@@ -36,6 +36,8 @@ from regasym.series import (
     newton_solve_tree,
 )
 
+from conftest import monomial_series
+
 
 class DegeneratePhase(SeriesError):
     """The phase has no quadratic term at the origin."""
@@ -79,7 +81,7 @@ def factorial_phase(order: int) -> Series:
 
 def expansion_phase(order: int) -> Series:
     """t^2/2 + t - log(1+t), the centered phase of the expansion (phi''(0) = 2)."""
-    return factorial_phase(order) + Series.monomial(Fraction(1, 2), 2, order)
+    return factorial_phase(order) + monomial_series(Fraction(1, 2), 2, order)
 
 
 def _moment(coeff: Fraction, l: int, phi: Series) -> Fraction:

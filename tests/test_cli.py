@@ -72,6 +72,27 @@ def test_formal_k_output_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FORMAL_K_DIGESTS[argv]
 
 
+# sha256 of stdout as the transfer wrote it with its correction factor
+# assembled from log, power and the division by z, and the moment sweep
+# split by the exponents of the bracket's monomials; k = 6 has no shipped
+# table, so its counts come from the moment sweep
+CSG_DIGESTS = {
+    "expand csg --k 3 --order 10 --format json": "801bfa40c41cc8b22c28c872998fae51"
+    "e19d9d882ff143c167af594d31eb6601",
+    "expand csg --k 5 --order 5": "f463cdad198c459fbd7b7ee6f4e391fa"
+    "0df409f193b69a2945fe2b9d9e8993fe",
+    "expand csg --k 6 --order 6": "7e0fe1234f34b76b97f5524d9bf0c4c7"
+    "4a152c05899976ca3b7853426d8a96c2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CSG_DIGESTS))
+def test_expand_csg_output_pinned(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CSG_DIGESTS[argv]
+
+
 def test_stirling_negative_order_is_usage_error(capsys):
     assert run(["stirling", "--r", "-1"], capsys) == (
         cli.EXIT_USAGE, "", "error: order must be nonnegative\n"
@@ -190,11 +211,11 @@ def test_auto_brute_checks_every_computed_count(tmp_path, capsys, monkeypatch):
 
 
 def test_non_integral_moment_is_internal_alarm(tmp_path, capsys, monkeypatch):
-    # a bracket off by a factor cannot give integer moments: the recurrence's
+    # a bracket series off by a factor cannot give integer moments: the recurrence's
     # integrality check must fire and map to the internal-assertion exit
-    bracket = cli.counts.inner_bracket
+    series = cli.counts.exp_over_root
     monkeypatch.setattr(cli.counts, "_SWEEPS", {})
-    monkeypatch.setattr(cli.counts, "inner_bracket", lambda k: bracket(k) * Fraction(1, 3))
+    monkeypatch.setattr(cli.counts, "exp_over_root", lambda *args: series(*args) * Fraction(1, 3))
     code, out, err = run(["--data-dir", str(tmp_path), "count", "--k", "3", "--n", "4"], capsys)
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert "internal assertion failed" in err and "(k=3, n=4)" in err
@@ -716,7 +737,7 @@ def test_cross_check_alarm_survives_optimize(route):
         "from regasym.series import Series\n"
         "assert False, 'python -O must strip this'\n"
         "def bump(s, power):\n"
-        "    return s + Series.monomial(Fraction(1, 7), power, s.order)\n"
+        "    return s + Series([0] * power + [Fraction(1, 7)], s.order)\n"
         + patch
         + "sys.exit(cli.main(['expand', 'sg', '--k', '3', '--order', '2']))\n"
     )

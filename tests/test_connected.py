@@ -6,6 +6,7 @@ import pytest
 
 from regasym.connected import (
     GapMismatch,
+    _correction_factor,
     csg_tilde,
     shifted_expansion,
     stirling_series,
@@ -50,12 +51,26 @@ def test_shift_zero_is_identity():
     assert shifted_expansion(a, 0, 4) == a
 
 
-def test_log_shift_argument_is_mercator():
+def assembled_factor(alpha: Fraction, j: int, m: int) -> Series:
+    """(1-jz)^{-1/2-alpha j} exp(alpha (log(1-jz)+jz) / z) through z^m,
+    assembled from log, pow_rational, the division by z and exp."""
+    one_minus = Series([1, -j], m + 1)
+    log_part = one_minus.log() + Series([0, j], m + 1)
+    # log(1-jz) + jz = -j^2 z^2/2 - ...: valuation 2, so /z is Laurent-free
+    exp_factor = (log_part.shift_down(1) * alpha).exp()
+    return one_minus.truncate(m).pow_rational(Fraction(-1, 2) - alpha * j) * exp_factor
+
+
+def test_correction_factor_matches_log_assembly():
     # log(1-jz) + jz for j=1 starts at -z^2/2 - z^3/3
-    one_minus = Series([1, -1], 5)
-    arg = one_minus.log() + Series.monomial(1, 1, 5)
+    arg = Series([1, -1], 5).log() + Series([0, 1], 5)
     assert arg[0] == 0 and arg[1] == 0
     assert arg[2] == Fraction(-1, 2) and arg[3] == Fraction(-1, 3)
+    for k in range(2, 9):
+        alpha = Fraction(k, 2) - 1
+        for j in range(1, 9):
+            for m in range(13):
+                assert _correction_factor(alpha, j, m) == assembled_factor(alpha, j, m), (k, j, m)
 
 
 def test_shifted_expansion_valuation():

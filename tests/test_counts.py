@@ -15,16 +15,16 @@ from regasym.counts import (
     count_brute,
     count_two_regular,
     egf_reciprocal_coeffs,
-    inner_bracket,
     load_bfile,
     moment_counts,
     reference_counts,
     resolve,
     structural,
 )
+from regasym.multipoly import MPoly, mono_exponents, monomial
 from regasym.series import Series, double_factorial
 
-from make_reference_counts import count_hadamard
+from make_reference_counts import count_hadamard, inner_bracket
 
 
 # -- brute force ------------------------------------------------------------
@@ -136,8 +136,6 @@ def test_hadamard_empty_graph():
 
 def test_inner_bracket_real_structure():
     # the k=2 bracket is x2 + x1^2/2 - 1/2, all rational
-    from regasym.multipoly import mono_exponents
-
     p = inner_bracket(2)
     assert {
         tuple(mono_exponents(m).items()): Fraction(c, p.den) for m, c in p.terms.items()
@@ -147,6 +145,35 @@ def test_inner_bracket_real_structure():
         (): Fraction(-1, 2),
     }
     assert p.den == 2 and all(type(c) is int for c in p.terms.values())
+
+
+def exponent_split(k: int) -> tuple[MPoly, MPoly]:
+    """Q and V of the moment recurrence by unpacking the exponents of every
+    monomial of the bracket P: the one x_j with 2j > k that divides a
+    monomial, if any, splits it into L_j, so P = Q + sum_j x_j L_j and
+    V = sum_j alpha_j L_j^2."""
+    half = k // 2
+    bracket = inner_bracket(k)
+    q: dict = {}
+    linear: dict[int, dict] = {}
+    for m, c in bracket.terms.items():
+        coeff = Fraction(c, bracket.den)
+        # 2j > k, so at most one such x_j divides the monomial, to the first power
+        high = [v for v in mono_exponents(m) if v > half]
+        if high:
+            (j,) = high
+            assert mono_exponents(m)[j] == 1, (k, m)
+            linear.setdefault(j, {})[m - monomial({j: 1})] = coeff
+        else:
+            q[m] = coeff
+    v = MPoly.dot((Fraction((-1) ** (j + 1), j), MPoly(lj), MPoly(lj)) for j, lj in linear.items())
+    return MPoly(q), v
+
+
+def test_bracket_split_matches_exponent_inspection():
+    # the slices g[k-j] of one series are the cofactors the monomials' exponents give
+    for k in range(1, 13):
+        assert counts._bracket_split(k) == exponent_split(k), k
 
 
 def sympy_bracket(k: int) -> dict[tuple[int, ...], Fraction]:
@@ -170,8 +197,6 @@ def test_inner_bracket_matches_sympy():
     # an oracle outside the package for every bracket the count routes use;
     # the oracle itself agrees with sympy's symbolic series for small k
     import sympy
-
-    from regasym.multipoly import mono_exponents
 
     for k in range(1, 9):
         p = inner_bracket(k)

@@ -10,7 +10,7 @@ from regasym.connected import bernoulli_numbers, stirling_series
 from regasym.regular import expansion_psi
 from regasym.series import InsufficientOrder, Series
 
-from conftest import small_fractions
+from conftest import monomial_series, small_fractions
 from laplace_oracle import (
     DegeneratePhase,
     expand_direct,
@@ -81,7 +81,7 @@ def test_expand_factorial_phase_golden():
 
 def test_expand_quadratic_amplitude():
     # A = t^2, phi = t^2/2: [z^1] = 1!! * [t^2] t^2 = 1, others 0
-    amp = Series.monomial(1, 2, 8)
+    amp = monomial_series(1, 2, 8)
     exp = expand_direct(QUAD, amp, 3)
     assert exp.coefficients == (0, 1, 0, 0)
     assert expand_hadamard(QUAD, amp, 3).coefficients == exp.coefficients

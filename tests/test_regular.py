@@ -23,7 +23,7 @@ from regasym.regular import (
     v_series,
 )
 from regasym.series import Series, newton_solve_tree
-from conftest import small_fractions
+from conftest import monomial_series, small_fractions
 from laplace_oracle import compose
 from test_golden import SG_GOLDEN, rationals
 
@@ -423,7 +423,7 @@ def test_formal_k_degree_overflow_detection(monkeypatch, capsys):
     plain = regular.sg_expansion
 
     def steeper(k, r):
-        return plain(k, r) + Series.monomial(Fraction(k) ** (4 * r + 1), r, r)
+        return plain(k, r) + monomial_series(Fraction(k) ** (4 * r + 1), r, r)
 
     monkeypatch.setattr(regular, "sg_expansion", steeper)
     with pytest.raises(DegreeOverflow):

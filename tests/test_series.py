@@ -396,6 +396,9 @@ def test_memos_only_where_traffic_reuses_them():
 # Exact routes that live outside the package as test oracles, each in one home.
 ORACLES = (
     "count_hadamard",
+    "inner_bracket",
+    "exponent_split",
+    "assembled_factor",
     "expand_hadamard",
     "expand_direct",
     "psi_from_phase",

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath.libmp import from_rational, round_nearest
 
+from regasym import validation
 from regasym.connected import csg_tilde
 from regasym.counts import count_two_regular
 from regasym.regular import Envelope, sg_expansion
@@ -189,31 +190,42 @@ def test_row_chain_matches_log_space_route(sg_reference, csg_reference, precisio
     assert checked == 6 * len(DENSE_NS)
 
 
-def test_precision_underflow_detected_and_retried(sg_reference):
+def test_precision_underflow_detected_and_retried(sg_reference, monkeypatch):
     # a coefficient matching the exact ratio to ~318 bits forces more
     # cancellation than low-precision runs can absorb
     count = sg_reference[3][10]
     ratio = residual_row(3, (10,), {10: count}, [], precision=320)[0]
     assert 1 <= ratio < 2
     near = Fraction(round(ratio * 2**319), 2**319)  # rounded to 320 bits
-    assert isinstance(_row_residuals(3, {10: count}, [near], 128)[10], PrecisionUnderflow)
-    # residual_row retries with doubled precision until the diff resolves
+    # detected: a walk with no doubling left raises at its own precision
+    message = r"^\(k=3, n=10\) still cancelling at precision {}$"
+    with pytest.raises(PrecisionUnderflow, match=message.format(128)):
+        _row_residuals(3, {10: count}, [near], 128, _depth=3)
+    # the walk retries the cell with doubled precision until the diff resolves
     cell = residual_row(3, (10,), {10: count}, [near], precision=128)[0]
     high = _row_residuals(3, {10: count}, [near], 1024)[10]
     assert isinstance(high, Fraction)
     with mpmath.workprec(256):
         assert mpmath.nstr(to_mpf(cell), 20) == mpmath.nstr(to_mpf(high), 20)
     # in a row, the cell is retried alone and the rest of the chain stands
+    walks = []
+
+    def spy(k, counts, coeffs, precision, _depth=0):
+        cells = row_residuals(k, counts, coeffs, precision, _depth)
+        walks.append((tuple(counts), precision, cells))
+        return cells
+
+    row_residuals = validation._row_residuals
+    monkeypatch.setattr(validation, "_row_residuals", spy)
     ns = (12, 10, 14)
-    counts = {n: sg_reference[3][n] for n in ns}
-    chain = _row_residuals(3, counts, [near], 128)
-    assert isinstance(chain[10], PrecisionUnderflow)
-    row = residual_row(3, ns, counts, [near], precision=128)
-    assert row == [chain[12], cell, chain[14]]
+    row = residual_row(3, ns, {n: sg_reference[3][n] for n in ns}, [near], precision=128)
+    assert [walk[:2] for walk in walks] == [((10,), 512), ((10,), 256), (ns, 128)]
+    chain = walks[-1][2]
+    assert row == [chain[12], cell, chain[14]] and cell == walks[0][2][10]
     # matched to 1200 bits, the cell still cancels at 8 times precision 128
     ratio = residual_row(3, (10,), {10: count}, [], precision=1280)[0]
     nearer = Fraction(round(ratio * 2**1200), 2**1200)
-    with pytest.raises(PrecisionUnderflow, match=r"^\(k=3, n=10\) still cancelling at precision 2048$"):
+    with pytest.raises(PrecisionUnderflow, match=message.format(1024)):
         residual_row(3, (10,), {10: count}, [nearer], precision=128)
 
 
