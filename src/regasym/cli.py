@@ -131,8 +131,9 @@ def cmd_formal_k(args: argparse.Namespace, out) -> int:
         "denom_power": poly.r,
     }
     if poly.r >= 3:
-        # beyond r = 2 the single-polynomial form is only established for
-        # k >= 2r+2, where every structural indicator is active
+        # the log-space fit samples k from 2 on, but beyond r = 2 the
+        # single-polynomial form is only established for k >= 2r+2, where
+        # every structural indicator is active, and that is the bound stated
         doc["valid_k_min"] = 2 * poly.r + 2
     _write(out, "json", [], doc)
     return EXIT_OK

@@ -113,9 +113,13 @@ def _sum_rows(rows, den: int) -> "MPoly":
 
 
 class MPoly:
-    """Sparse multivariate polynomial: ``terms`` over the shared denominator ``den``."""
+    """Sparse multivariate polynomial: ``terms`` over the shared denominator ``den``.
 
-    __slots__ = ("terms", "den")
+    ``_groups``, set on first use by a restricted :meth:`dot`, holds the
+    terms grouped by parity class; it is derived from ``terms`` alone.
+    """
+
+    __slots__ = ("terms", "den", "_groups")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         fracs = [(m, Fraction(c)) for m, c in (terms or {}).items() if c]
@@ -212,9 +216,9 @@ class MPoly:
         of the triples' denominators, each scalar's numerator folded into
         its row scale; one guard-bit check and one gcd pass end the sum.
         With ``need``, a set of parity classes, b's terms are grouped by
-        class and each term of a, of class x, is multiplied only with the
-        groups y with x ^ y in ``need``: the sum's terms of those classes,
-        exactly, and no others.
+        class, once per b (:func:`_class_groups`), and each term of a, of
+        class x, is multiplied only with the groups y with x ^ y in
+        ``need``: the sum's terms of those classes, exactly, and no others.
         """
         live = []
         den = 1
@@ -230,9 +234,7 @@ class MPoly:
                 part = list(b.terms.items())
                 rows.extend((m1, c1 * scale, part) for m1, c1 in a.terms.items())
                 continue
-            by_class = defaultdict(list)
-            for t in b.terms.items():
-                by_class[t[0] & _LOW].append(t)
+            by_class = _class_groups(b)
             parts = {}  # class x -> b's terms of the classes y with x ^ y in need
             for m1, c1 in a.terms.items():
                 x = m1 & _LOW
@@ -243,6 +245,18 @@ class MPoly:
                 if part:
                     rows.append((m1, c1 * scale, part))
         return _sum_rows(rows, den)
+
+
+def _class_groups(p: MPoly) -> dict[int, list]:
+    """p's terms grouped by parity class, built on first use and kept on p."""
+    try:
+        return p._groups
+    except AttributeError:
+        groups = defaultdict(list)
+        for t in p.terms.items():
+            groups[t[0] & _LOW].append(t)
+        object.__setattr__(p, "_groups", dict(groups))
+        return p._groups
 
 
 def exp_over_root(first: int, order: int, sign: int) -> Series:

@@ -7,7 +7,7 @@ The count of k-regular graphs on n vertices grows like
 for an exact rational series F with F(0) = 2; :class:`Envelope` holds the
 envelope in front of F.  This module computes [z^r] F for fixed integer
 k >= 2, and recovers the coefficient as a single polynomial in k (divided
-by k^r) by exact interpolation over sampled k.
+by k^r) from exact interpolation of log(F/2) over sampled k.
 
 Pipeline for fixed k (all arithmetic exact):
 
@@ -35,10 +35,11 @@ takes the moment weight -1/2.  The division by s^2 is guarded by a
 valuation assertion; a failure means a transcription bug, never a
 rounding issue.  psi, T, u and V do not depend on k: one table holds
 them at the longest order asked for so far, and every k and every lower
-order reads it.  u is read off the running powers W^0, W^1, ..., one
-product per new power, and each u value is checked, the first time it
-is read, against the inversion route, which reads psi^p off the running
-powers of psi alone.
+order reads it.  A B0 row reads V only through t^k, so V is built only
+through the slices the rows read so far.  u is read off the running
+powers W^0, W^1, ..., one product per new power, and each u value is
+checked, the first time it is read, against the inversion route, which
+reads psi^p off the running powers of psi alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .multipoly import MPoly, exp_over_root, gaussian_hadamard, parity_class
+from .multipoly import (
+    MPoly,
+    exp_over_root,
+    gaussian_hadamard,
+    mono_exponents,
+    monomial,
+    parity_class,
+)
 from .series import Series, SeriesError, ValuationViolation, fraction_dot, newton_solve_tree
 
 
@@ -93,7 +101,8 @@ class Envelope(NamedTuple):
 
 
 class FormalKPolynomial(NamedTuple):
-    """[z^r] F multiplied by k^r, as one polynomial valid for k >= 2r+2;
+    """A polynomial in k over k^r: [z^r] F multiplied by k^r, or, in the
+    fit of :func:`formal_k_interpolate`, [z^r] log(F/2) multiplied by k^r;
     an immutable value."""
 
     r: int
@@ -134,14 +143,16 @@ def v_series(order: int) -> Series:
 class _Tables:
     """The k-free series at one order n, shared by every k: psi through
     n - 1, checked once by :func:`expansion_psi`; the tree series
-    T(x) = x psi(T(x)) through n; V through n; the running powers of
-    W = (1 + T)^{-1} and of psi; and the u values read so far, each checked."""
+    T(x) = x psi(T(x)) through n; V through the deepest slice the B0 rows
+    have read, grown by :func:`b0_row` (V_0 = 1 before the first row); the
+    running powers of W = (1 + T)^{-1} and of psi; and the u values read so
+    far, each checked."""
 
     def __init__(self, order: int):
         psi = expansion_psi(order - 1)
         self.order = order
         self.tree = newton_solve_tree(psi)
-        self.v = v_series(order)
+        self.v = Series([MPoly.const(1)], 0)
         self.w_powers = [Series.one(order), (1 + self.tree).pow_rational(-1)]
         self.psi_powers = [Series.one(order - 1), psi]
         self.u: dict[tuple[int, int], Fraction] = {}
@@ -210,11 +221,17 @@ def b0_row(j: int, k: int) -> MPoly:
     for I(z) = sum_{i>=2} t_i z^{i-1}; at fixed d and a the sum over
     b + (l-a) = d-2a is [t^{d-2a}] exp(t I(t)) / sqrt(1-t^2), a slice of V,
     and l = 0 leaves only zero terms.  k^(d) vanishes once d exceeds k, so
-    the sum stops at d = min(j, k).
+    the sum stops at d = min(j, k), and the row reads V through t^min(j, k).
+    The first row that needs a slice the table's V lacks grows V through
+    t^min(n, k), for the table order n, the deepest slice any row at this k
+    reads.
     """
     if j < 1:
         raise ValueError("b0_row needs j >= 1")
-    v = _table_at(j).v
+    table = _table_at(j)
+    if table.v.order < min(j, k):
+        table.v = v_series(min(table.order, k))
+    v = table.v
     terms = []
     for d in range(1, min(j, k) + 1):
         falling, tau = math.perm(k, d), MPoly.variable(1, j - d)
@@ -342,27 +359,39 @@ def _lagrange_interpolate(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
 
 
 def formal_k_interpolate(r: int) -> FormalKPolynomial:
-    """Recover [z^r] * k^r as one polynomial in k by exact interpolation.
+    """Recover [z^r] F * k^r as one polynomial in k, fitted in log space.
 
-    Sampling starts at k = 2r+2 where every structural indicator is active,
-    and uses 4r+1 points for the observed degree bound 4r.  Two held-out
-    points verify the fit; disagreement raises DegreeOverflow rather than
-    guessing a higher degree.
+    L_j(k) = [z^j] log(F/2) * k^j is a polynomial in k of degree at most
+    2j + 2 from k = 2 on (its top coefficients are those of Liebenau and
+    Wormald 2017).  Every L_j, j <= r, is fitted by exact interpolation to
+    the 2r + 3 pipeline runs at k = 2..2r+4; a fitted coefficient above
+    degree 2j + 2, or a miss at the held-out k = 2r+5 and 2r+6, raises
+    DegreeOverflow rather than guessing a higher degree.  Since
+    log(F/2) = sum_j L_j(k) (z/k)^j, [z^r] F * k^r is
+    2 [w^r] exp(sum_j L_j(k) w^j), one exp over polynomials in k
+    (variable 0).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    kmin, samples = 2 * r + 2, 4 * r + 1
-    ks = [kmin + i for i in range(samples)]
-    ys = [sg_expansion(k, r)[r] * Fraction(k) ** r for k in ks]
-    coeffs = _lagrange_interpolate(ks, ys)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    poly = FormalKPolynomial(r, tuple(coeffs))
-    for extra in (kmin + samples, kmin + samples + 1):
-        expected = sg_expansion(extra, r)[r]
-        if poly.evaluate(extra) != expected:
+    logs = {k: (sg_expansion(k, r) * Fraction(1, 2)).log() for k in range(2, 2 * r + 7)}
+    ks, held_out = list(range(2, 2 * r + 5)), (2 * r + 5, 2 * r + 6)
+    fits = [MPoly.zero()]
+    for j in range(1, r + 1):
+        coeffs = _lagrange_interpolate(ks, [logs[k][j] * Fraction(k) ** j for k in ks])
+        if any(coeffs[2 * j + 3 :]):
             raise DegreeOverflow(
-                f"degree-{4 * r} fit for r={r} fails at held-out k={extra}: "
-                f"poly gives {poly.evaluate(extra)}, pipeline gives {expected}"
+                f"log-space fit of [z^{j}] for r={r} has degree above {2 * j + 2}"
             )
-    return poly
+        fit = FormalKPolynomial(j, tuple(coeffs[: 2 * j + 3]))
+        for k in held_out:
+            if fit.evaluate(k) != logs[k][j]:
+                raise DegreeOverflow(
+                    f"degree-{2 * j + 2} log-space fit of [z^{j}] for r={r} fails at "
+                    f"held-out k={k}: fit gives {fit.evaluate(k)}, pipeline gives {logs[k][j]}"
+                )
+        fits.append(MPoly({monomial({0: d}): c for d, c in enumerate(fit.numerator_coeffs)}))
+    top = Series(fits, r).exp()[r] * 2
+    by_degree = {mono_exponents(m).get(0, 0): Fraction(c, top.den) for m, c in top.terms.items()}
+    return FormalKPolynomial(
+        r, tuple(by_degree.get(d, Fraction(0)) for d in range(max(by_degree) + 1))
+    )

@@ -16,7 +16,10 @@ truthiness as the zero test and the ring's dot product (the sum of s*a*b
 over (scalar, a, b) triples: :meth:`multipoly.MPoly.dot` or
 :func:`fraction_dot`), so both rings share one implementation.  Each
 coefficient of a product, exp, log or power is one dot product,
-normalised once; the two operands of a product share one ring.  Over
+normalised once; the two operands of a product share one ring.  A
+product of two scalar series reads each operand once as ``int``
+numerators over its lcm denominator, so each of its coefficients is one
+integer sum over the product of the two denominators.  Over
 ``MPoly``, :meth:`Series.exp` can build each coefficient only in given
 parity classes (exponents mod 2), which the ring's dot product restricts
 itself to; the fixed-k pipeline builds its core series so.  Every
@@ -36,7 +39,8 @@ types defined here can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -94,6 +98,12 @@ def fraction_dot(triples) -> Fraction:
             num = num * (d // g) + n * (den // g)
             den = den // g * d
     return Fraction(num, den)
+
+
+def _over_lcm(cs) -> tuple[list[int], int]:
+    """Fractions as int numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class Series:
@@ -226,7 +236,11 @@ class Series:
         if not isinstance(other, Series):
             return Series([c * other for c in self._coeffs], self.order)
         n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
+        a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
+        if isinstance(a[0], Fraction) and isinstance(b[0], Fraction):
+            (na, da), (nb, db) = _over_lcm(a), _over_lcm(b)
+            den = da * db
+            return Series([Fraction(sum(map(mul, na, nb[m::-1])), den) for m in range(n + 1)], n)
         dot = self._dot
         return Series([dot((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(n + 1)], n)
 

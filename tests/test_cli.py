@@ -58,7 +58,7 @@ def test_stirling_output_pinned(argv, capsys):
 
 
 # sha256 of stdout as the triple-sum B0 rows wrote it; formal-k --r 5 samples
-# k up to 34, far past the golden tables' k <= 7
+# k up to 16, far past the golden tables' k <= 7
 FORMAL_K_DIGESTS = {
     "formal-k --r 4": "ce66df5b41eafd49955db420926907ec8d2dccfb1b8834dec3d36ed69e6f884d",
     "formal-k --r 5": "7d83b234f486197ee1260e44569155ecdd30291b458575d068a676d764b86a6a",
@@ -151,8 +151,8 @@ def test_formal_k_r0(capsys):
 
 
 def test_formal_k_polynomial_holds_below_its_sampling_range(capsys):
-    # the fit samples k >= 2r + 2, yet for r <= 4 the printed polynomial is
-    # exact at every k from 2 on; formal-k still states only the sampled range
+    # the fit samples k from 2 on, and for r <= 4 the printed polynomial is
+    # exact at every k below 2r + 2; formal-k still states only k >= 2r + 2
     for r in range(1, 5):
         code, out, _ = run(["formal-k", "--r", str(r)], capsys)
         doc = json.loads(out)

@@ -15,6 +15,7 @@ from regasym.multipoly import (
     gaussian_hadamard,
     mono_exponents,
     monomial,
+    parity_class,
 )
 from regasym.series import (
     BadConstantTerm,
@@ -172,6 +173,33 @@ def test_fraction_dot_matches_plain_sum(triples):
     dot = fraction_dot(triples)
     assert type(dot) is Fraction and dot == sum(s * a * b for s, a, b in triples)
     assert fraction_dot([(2, Fraction(1, 3), 3)]) == 2  # ints count as Fractions
+
+
+def fresh(p: MPoly) -> MPoly:
+    """An equal MPoly that no dot has read yet."""
+    return MPoly({m: Fraction(c, p.den) for m, c in p.terms.items()})
+
+
+CLASSES = [parity_class(monomial({v: 1 for v in vs})) for vs in ((), (1,), (2,), (1, 2), (3,))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(small_fractions(), mpoly_strategy(), mpoly_strategy()), max_size=4),
+    st.sets(st.sampled_from(CLASSES)),
+    st.sets(st.sampled_from(CLASSES)),
+)
+def test_restricted_dots_on_one_operand_match_fresh_copies(triples, need1, need2):
+    # the second restricted dot reads the parity grouping the first one left
+    # on b: it must equal the same dot on copies no dot has seen, and the
+    # full dot's terms in the needed classes
+    full = MPoly.dot(triples)
+    for need in (need1, need2):
+        dot = MPoly.dot(triples, need)
+        assert dot == MPoly.dot([(s, fresh(a), fresh(b)) for s, a, b in triples], need)
+        assert dot == MPoly(
+            {m: Fraction(c, full.den) for m, c in full.terms.items() if parity_class(m) in need}
+        )
 
 
 # -- monomials ------------------------------------------------------------

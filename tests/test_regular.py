@@ -189,11 +189,14 @@ def fresh_pipeline(monkeypatch):
 
 def test_tables_grow_with_the_order_and_serve_lower_orders(fresh_pipeline):
     # orders 2, 8, 4 at k = 3, 4, 5: the order-8 run rebuilds the table that
-    # the order-2 run built, and every later run reads it
+    # the order-2 run built, and every later run reads it; V is built through
+    # t^3 in the first table, through t^4 in the second and grown to t^5 by
+    # k = 5, which later runs at k <= 5 read as it is
     for k, r, pin in ((3, 2, 8), (4, 8, 8), (5, 4, 6), (3, 8, 8), (4, 2, 8)):
         expected = rationals(SG_GOLDEN[k, pin])[: r + 1]
         assert regular.sg_expansion(k, r).coefficients == expected, (k, r)
-    assert fresh_pipeline == {"tables": 2, "psi": 2, "tree": 2, "V": 2}
+    assert fresh_pipeline == {"tables": 2, "psi": 2, "tree": 2, "V": 3}
+    assert regular._TABLES[0].v.order == 5
 
 
 def test_second_k_shares_the_tree_and_tables(fresh_pipeline):
@@ -201,9 +204,18 @@ def test_second_k_shares_the_tree_and_tables(fresh_pipeline):
     assert fresh_pipeline == {"tables": 1, "psi": 1, "tree": 1, "V": 1}
     read = len(regular._TABLES[0].u)
     regular.c2_series(4, 4)
-    assert fresh_pipeline == {"tables": 1, "psi": 1, "tree": 1, "V": 1}
+    # k = 4 reads V through t^4, one slice deeper than k = 3
+    assert fresh_pipeline == {"tables": 1, "psi": 1, "tree": 1, "V": 2}
     # k = 4 read u values that k = 3 did not need
     assert len(regular._TABLES[0].u) > read
+
+
+def test_v_is_built_through_the_slices_the_rows_read(fresh_pipeline):
+    # the B0 rows at k = 3 read V through t^3, though the table order is 18
+    regular.sg_expansion(3, 8)
+    table = regular._TABLES[0]
+    assert (table.order, table.v.order, fresh_pipeline["V"]) == (18, 3, 1)
+    assert table.v == v_series(3)
 
 
 def test_psi_closed_form_runs_once_per_table_build(fresh_pipeline, monkeypatch):
@@ -430,6 +442,43 @@ def test_formal_k_degree_overflow_detection(monkeypatch, capsys):
         formal_k_interpolate(1)
     assert cli.main(["formal-k", "--r", "1"]) == cli.EXIT_DEGREE
     assert capsys.readouterr().err.startswith("degree overflow: ")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_formal_k_runs_the_pipeline_from_k_2_and_fits_low_degrees(r, monkeypatch):
+    # 2r + 3 fitting runs at k = 2..2r+4 and two held-out runs, each once;
+    # the fitted L_j = [z^j] log(F/2) k^j has no term above k^(2j+2)
+    plain, interpolate = regular.sg_expansion, regular._lagrange_interpolate
+    ks, fits = [], []
+
+    def counted(k, order):
+        ks.append(k)
+        return plain(k, order)
+
+    def recorded(xs, ys):
+        fits.append(interpolate(xs, ys))
+        return fits[-1]
+
+    monkeypatch.setattr(regular, "sg_expansion", counted)
+    monkeypatch.setattr(regular, "_lagrange_interpolate", recorded)
+    formal_k_interpolate(r)
+    assert sorted(ks) == list(range(2, 2 * r + 7))
+    assert len(fits) == r
+    for j, coeffs in enumerate(fits, 1):
+        assert len(coeffs) == 2 * r + 3 and not any(coeffs[2 * j + 3 :]), (r, j)
+
+
+def test_formal_k_log_fit_above_its_degree_is_overflow(monkeypatch):
+    # k^4 z added to F puts k^5 / 2 into L_1, one degree above 2j + 2 = 4;
+    # the 7 samples of r = 2 fit it exactly, and the fit refuses it
+    plain = regular.sg_expansion
+
+    def steeper(k, r):
+        return plain(k, r) + monomial_series(Fraction(k) ** 4, 1, r)
+
+    monkeypatch.setattr(regular, "sg_expansion", steeper)
+    with pytest.raises(DegreeOverflow, match=r"\[z\^1\] for r=2 has degree above 4"):
+        formal_k_interpolate(2)
 
 
 def test_records_are_immutable_values():

@@ -12,6 +12,7 @@ from regasym.series import (
     Series,
     ValuationViolation,
     double_factorial,
+    fraction_dot,
     newton_solve_tree,
     rational_str,
 )
@@ -51,6 +52,37 @@ def test_product_difference_of_squares():
     a = Series([1, 1], 3)
     b = Series([1, -1], 3)
     assert a * b == Series([1, 0, -1, 0], 3)
+
+
+def scalar_series_strategy():
+    # zeros, small signed fractions and numerators and denominators far past
+    # a machine word, at any order from 0 to 8
+    coefficient = st.one_of(
+        st.just(Fraction(0)),
+        small_fractions(),
+        st.builds(
+            Fraction,
+            st.integers(min_value=-(10**30), max_value=10**30),
+            st.integers(min_value=1, max_value=10**40),
+        ),
+    )
+    return st.integers(min_value=0, max_value=8).flatmap(
+        lambda order: st.lists(coefficient, min_size=order + 1, max_size=order + 1).map(
+            lambda cs: Series(cs, order)
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_series_strategy(), scalar_series_strategy())
+def test_scalar_product_matches_termwise_dot(a, b):
+    # the product over the operands' lcm denominators equals the sum of
+    # a_i b_(m-i), term by term, through the lower of the two orders
+    n = min(a.order, b.order)
+    expected = [fraction_dot((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(n + 1)]
+    for product in (a * b, b * a):
+        assert product.order == n and list(product.coefficients) == expected
+        assert all(type(c) is Fraction for c in product.coefficients)
 
 
 def test_product_of_monomials():
