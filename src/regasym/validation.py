@@ -37,16 +37,21 @@ truncation of a product to w bits loses a relative 2^-w:
   (3m + 1) 2^-w <= 4m 2^-w, the bound of a single cell: the chain needs
   no guard bits beyond GUARD_BITS;
 - R = floor(count k!^n X / (n k)^h), one floor division, and
-  P = floor(partial 2^w) for the exact rational partial sum.
+  P = floor(partial 2^w) for the exact partial sum, also one floor
+  division: with the row's coefficients written as integers F_j over their
+  lcm L, partial = (sum_j F_j n^{r-j}) / (L n^r), its numerator summed by
+  Horner's rule (P = 0 at r = 0).
 
 So D = R - P is off by less than 4m ratio + 1 < 2^-(p+6) max(ratio, 1) 2^w
 units.  More than p - 32 cancelled bits of max(R, 2^w) (all of them when
 D = 0) make the cell underflow, so a returned D is good to a relative
 2^-36; the row's walk evaluates such a cell again alone, in a walk of its
 own at doubled precision, and after three doublings raises
-PrecisionUnderflow.  A cell is the exact D n^r / 2^w, a Fraction with a
-power-of-two denominator; it prints with two decimals, rounding half to
-even, and doubling the working precision must not change a printed digit.
+PrecisionUnderflow.  A cell is the exact D n^r / 2^w, carried unreduced as
+a :class:`Cell` (a retried cell keeps its own, wider w); it prints with two
+decimals, rounding half to even, and is compared with a published cell
+within 0.01, both in integers, and doubling the working precision must not
+change a printed digit.
 
 :func:`residual_row`, the one entry point, takes a mapping n -> count for
 one k and gives the cells of that k (None where the mapping has no count
@@ -59,7 +64,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .counts import structural
 from .regular import Envelope
@@ -124,6 +129,17 @@ def _times_growth(x: int, d: int, squares: Sequence[int], w: int) -> int:
     return x
 
 
+class Cell(NamedTuple):
+    """A residual cell, the exact numerator / 2^shift, carried unreduced."""
+
+    numerator: int
+    shift: int
+
+    @property
+    def denominator(self) -> int:
+        return 1 << self.shift
+
+
 class PrecisionUnderflow(ArithmeticError):
     """Cancellation consumed more than precision-32 bits; retry higher."""
 
@@ -143,7 +159,7 @@ def _row_residuals(
     coeffs: Sequence[Fraction],
     precision: int,
     _depth: int = 0,
-) -> dict[int, Fraction]:
+) -> dict[int, Cell]:
     """The residual of each cell n -> count of one k at order r = len(coeffs),
     at one width w for the row; every cell passes _check_cell.
 
@@ -162,6 +178,8 @@ def _row_residuals(
     w = precision + top + GUARD_BITS
     growth, squares = _fixed_constants(w, top)  # the chain starts at sqrt(2)
     kfact, r = math.factorial(k), len(coeffs)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (lcm // c.denominator) for c in coeffs]
     steps, cells = {}, {}
     for i, n in enumerate(sorted(counts)):
         if i == 0:
@@ -173,11 +191,13 @@ def _row_residuals(
             growth = growth * steps[step] >> w
         previous = ms[n]
         ratio = counts[n] * kfact**n * growth // (n * k) ** hs[n]
-        partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs))
-        diff = ratio - (partial.numerator << w) // partial.denominator
+        scale, partial = n**r, 0
+        for f in scaled:  # Horner's rule: partial = sum_j F_j n^{r-j}
+            partial = (partial + f) * n
+        diff = ratio - (partial << w) // (lcm * scale)
         cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
         if cancelled <= precision - 32:
-            cells[n] = Fraction(diff * n**r, 1 << w)
+            cells[n] = Cell(diff * scale, w)
         elif _depth < 3:
             cells[n] = _row_residuals(k, {n: counts[n]}, coeffs, precision << 1, _depth + 1)[n]
         else:
@@ -191,9 +211,10 @@ def residual_row(
     counts: Mapping[int, int],
     coeffs: Sequence[Fraction],
     precision: int = DEFAULT_PRECISION,
-) -> list[Fraction | None]:
+) -> list[Cell | None]:
     """The cells of one k over ns at the residual order r = len(coeffs), with
-    counts a mapping n -> count; a cell whose n the mapping lacks is None,
+    counts a mapping n -> count, each the exact D n^r / 2^w of the module
+    docstring as a :class:`Cell`; a cell whose n the mapping lacks is None,
     with one line on stderr.
 
     A cell with no k-regular graph on n vertices (n*k odd, or 1 <= n <= k)
@@ -217,12 +238,17 @@ def residual_row(
     return [cells.get(n) for n in ns]
 
 
-def round_half_even_2dp(x: Fraction) -> int:
+def round_half_even_2dp(x: Cell | Fraction) -> int:
     """x in hundredths, rounded to an integer with ties to even."""
-    return round(x * 100)
+    den = x.denominator
+    hundredths, rest = divmod(100 * x.numerator, den)
+    if 2 * rest > den or 2 * rest == den and hundredths & 1:
+        hundredths += 1
+    return hundredths
 
 
-def format_cell(cell: Fraction | None) -> str:
+def format_cell(cell: Cell | Fraction | None) -> str:
+    """The cell at two decimals, rounded half to even; NA for None."""
     if cell is None:
         return "NA"
     hundredths = round_half_even_2dp(cell)
@@ -244,8 +270,9 @@ def compare_to_golden(
     """Cells of the (k, cells) rows deviating from the reference grid of
     which ("sg" or "csg") by more than 0.01.
 
-    Returns (k, n, got, expected) tuples; an empty list means every cell
-    reproduces the printed value within the tolerance.
+    Returns (k, n, got, expected) tuples, expected as the grid prints it; an
+    empty list means every cell reproduces the printed value within the
+    tolerance.
     """
     golden = GOLDEN[which]
     mismatches = []
@@ -255,12 +282,13 @@ def compare_to_golden(
         for n, cell in zip(ns, cells):
             if n not in TABLE_NS:
                 continue
-            expected = Fraction(golden[k][TABLE_NS.index(n)])
+            expected = golden[k][TABLE_NS.index(n)]
             if cell is None:
-                mismatches.append((k, n, "NA", str(expected)))
+                mismatches.append((k, n, "NA", expected))
                 continue
-            if abs(cell - expected) > Fraction(1, 100):
-                mismatches.append(
-                    (k, n, format_cell(cell), golden[k][TABLE_NS.index(n)])
-                )
+            # |cell - expected| > 1/100, with expected in hundredths (every
+            # published cell has two decimals)
+            den = cell.denominator
+            if abs(100 * cell.numerator - int(expected.replace(".", "")) * den) > den:
+                mismatches.append((k, n, format_cell(cell), expected))
     return mismatches

@@ -93,6 +93,39 @@ def test_expand_csg_output_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CSG_DIGESTS[argv]
 
 
+# (exit code, sha256 of stdout, sha256 of stderr) as the residual harness
+# wrote them with Fraction cells; at 64 bits the dense grids retry cells at
+# doubled precision. The sg grids flag the published cell (k=5, n=10).
+SG_RED = (
+    cli.EXIT_GOLDEN_MISMATCH,
+    "358461cef190b44bac8ca27da1a68378b6b24264a06ada6e1820d5c469895c31",
+    "7dd66fc60629d552ff5f97c54485db36f7d41e25467d4ef271673a7cd1be158b",
+)
+CSG_CLEAN = (
+    cli.EXIT_OK,
+    "c921d6bdcb1de134d3bd6cba4cc50f66e7ac4fd928c8af32989dddc0eadb980c",
+    hashlib.sha256(b"").hexdigest(),
+)
+VALIDATE_DIGESTS = {
+    "validate --which sg --k 2,3,4,5 --n 10:100:2 --r 3 --precision 4096": SG_RED,
+    "validate --which csg --k 3,4 --n 10:100:2 --r 3 --precision 4096": CSG_CLEAN,
+    "validate --which sg --k 3,4,5 --n 10:100:10 --r 3": (
+        cli.EXIT_GOLDEN_MISMATCH,
+        "6f85261407c326fb043b30dc5e21ba118e345cc80eff90fb5727b468eaba6a59",
+        SG_RED[2],
+    ),
+    "validate --which sg --k 2,3,4,5 --n 10:100:2 --r 3 --precision 64": SG_RED,
+    "validate --which csg --k 3,4 --n 10:100:2 --r 3 --precision 64": CSG_CLEAN,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VALIDATE_DIGESTS))
+def test_validate_output_pinned(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, *digests) == VALIDATE_DIGESTS[argv]
+
+
 def test_stirling_negative_order_is_usage_error(capsys):
     assert run(["stirling", "--r", "-1"], capsys) == (
         cli.EXIT_USAGE, "", "error: order must be nonnegative\n"
@@ -327,6 +360,19 @@ def test_validate_missing_count_warning_text():
     assert proc.stderr == "".join(
         f"no residual for k=5, n={n}: no count available for k=5, n={n}\n" for n in (10, 12, 14)
     )
+
+
+def test_validate_missing_cell_reports_the_published_text(tmp_path, capsys):
+    # with no connected table, every csg cell is NA: each deviation names the
+    # published cell as the grid prints it, as a numeric mismatch does
+    (tmp_path / "sg_k3.txt").write_text((cli.counts.DATA_DIR / "sg_k3.txt").read_text())
+    argv = ["--data-dir", str(tmp_path), "validate", "--which", "csg", "--k", "3"]
+    code, out, err = run([*argv, "--n", "10:30:10", "--r", "3"], capsys)
+    assert (code, out) == (cli.EXIT_GOLDEN_MISMATCH, "n,10,20,30\n3,NA,NA,NA\n")
+    assert err.splitlines()[3:] == [
+        f"cell (k=3, n={n}) deviates: computed NA, published {text}"
+        for n, text in ((10, "4.40"), (20, "2.05"), (30, "2.15"))
+    ]
 
 
 def test_validate_default_precision_is_256(capsys):

@@ -481,6 +481,19 @@ def test_formal_k_log_fit_above_its_degree_is_overflow(monkeypatch):
         formal_k_interpolate(2)
 
 
+def test_log_fit_top_coefficients_are_liebenau_wormald():
+    # the top three coefficients c(j, d) of L_j = [z^j] log(F/2) k^j, fitted
+    # from k = 2..16, are the closed forms of Liebenau and Wormald 2017:
+    # -1/(2(j+1)(j+2)) at k^(2j+2), 0 at k^(2j+1), 1/6 at k^(2j), none above
+    ks = list(range(2, 17))
+    logs = {k: (sg_expansion(k, 6) * Fraction(1, 2)).log() for k in ks}
+    for j in range(1, 7):
+        c = regular._lagrange_interpolate(ks, [logs[k][j] * Fraction(k) ** j for k in ks])
+        assert c[2 * j + 2] == Fraction(-1, 2 * (j + 1) * (j + 2)), j
+        assert (c[2 * j + 1], c[2 * j]) == (0, Fraction(1, 6)), j
+        assert not any(c[2 * j + 3 :]), j
+
+
 def test_records_are_immutable_values():
     env = Envelope(4)
     poly = FormalKPolynomial(1, R1_POLY)

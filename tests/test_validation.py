@@ -13,6 +13,7 @@ from regasym.validation import (
     GOLDEN_CSG,
     GOLDEN_SG,
     TABLE_NS,
+    Cell,
     PrecisionUnderflow,
     _row_residuals,
     compare_to_golden,
@@ -25,8 +26,13 @@ from regasym.validation import (
 
 
 def to_mpf(q):
-    """The Fraction q as an mpf, rounded once at the working precision."""
+    """The Fraction or Cell q as an mpf, rounded once at the working precision."""
     return mpmath.mpf(q.numerator) / q.denominator
+
+
+def as_fraction(cell):
+    """The exact value of a Cell."""
+    return Fraction(cell.numerator, cell.denominator)
 
 
 def _log_prefactor(k, n):
@@ -65,6 +71,13 @@ def test_round_half_even():
     assert round_half_even_2dp(Fraction("1.0151")) == 102
     assert round_half_even_2dp(Fraction("-1.386")) == -139
     assert round_half_even_2dp(Fraction(-1, 8)) == -12
+    # the same ties as dyadic cells, at 3 bits and at a 4100-bit shift
+    for shift in (3, 4100):
+        assert round_half_even_2dp(Cell(1 << shift - 3, shift)) == 12
+        assert round_half_even_2dp(Cell(3 << shift - 3, shift)) == 38
+        assert round_half_even_2dp(Cell(-1 << shift - 3, shift)) == -12
+    # hundredths past 2^53: a tie at 10^17 + 1.125 goes to the even ...12
+    assert round_half_even_2dp(Cell((10**17 + 1 << 3) + 1, 3)) == 10**19 + 112
 
 
 def test_format_cell_prints_exact_two_decimals():
@@ -78,6 +91,13 @@ def test_format_cell_prints_exact_two_decimals():
     assert format_cell(Fraction(-1, 300)) == "0.00"
     assert format_cell(Fraction(1, 8)) == "0.12"
     assert format_cell(Fraction(3, 8)) == "0.38"
+    # dyadic cells: ties to even, a negative cell that rounds to zero, and
+    # hundredths past 2^53 (10^17 + 1 + 385/1024)
+    assert format_cell(Cell(1 << 4097, 4100)) == "0.12"
+    assert format_cell(Cell(3, 3)) == "0.38"
+    assert format_cell(Cell(-1, 3)) == "-0.12"
+    assert format_cell(Cell(-1, 9)) == "0.00"
+    assert format_cell(Cell((10**17 + 1 << 10) + 385, 10)) == "100000000000000001.38"
     assert format_cell(None) == "NA"
 
 
@@ -110,8 +130,8 @@ def test_residual_requires_coeffs_and_counts(sg_reference):
     # the residual order is the number of coefficients: two of them subtract
     # f_0 + f_1/n and scale by n^2, on the same count / envelope as r = 0
     count, coeffs = sg_reference[3][10], sg_expansion(3, 1).coefficients
-    ratio = residual_row(3, (10,), {10: count}, [])[0]
-    cell = residual_row(3, (10,), {10: count}, coeffs)[0]
+    ratio = as_fraction(residual_row(3, (10,), {10: count}, [])[0])
+    cell = as_fraction(residual_row(3, (10,), {10: count}, coeffs)[0])
     assert abs(cell - (ratio - coeffs[0] - coeffs[1] / 10) * 100) < Fraction(1, 2**200)
     with pytest.raises(ValueError, match=r"must be positive, got 0"):
         residual_row(3, (10,), {10: 0}, coeffs)
@@ -161,6 +181,40 @@ def dense_grid_cells(sg_reference, csg_reference):
             yield k, n, r, counts[n], coeffs
 
 
+def fraction_residuals(k, counts, coeffs, precision, _depth=0):
+    """Oracle: the residual cells of one k row built as reduced Fractions, with
+    the partial sum summed as Fractions, on the harness's own growth chain,
+    width and retries."""
+    env = Envelope(k)
+    shift = int(-4 * env.const_exponent)
+    hs = {n: int(env.exponent * n) for n in counts}
+    ms = {n: 4 * h + shift for n, h in hs.items()}
+    top = max(ms.values()).bit_length()
+    w = precision + top + validation.GUARD_BITS
+    growth, squares = validation._fixed_constants(w, top)
+    kfact, r = math.factorial(k), len(coeffs)
+    steps, cells = {}, {}
+    for i, n in enumerate(sorted(counts)):
+        if i == 0:
+            growth = validation._times_growth(growth, ms[n], squares, w)
+        else:
+            step = ms[n] - previous
+            if step not in steps:
+                steps[step] = validation._times_growth(1 << w, step, squares, w)
+            growth = growth * steps[step] >> w
+        previous = ms[n]
+        ratio = counts[n] * kfact**n * growth // (n * k) ** hs[n]
+        partial = sum(Fraction(c, n**j) for j, c in enumerate(coeffs))
+        diff = ratio - (partial.numerator << w) // partial.denominator
+        cancelled = max(ratio, 1 << w).bit_length() - abs(diff).bit_length()
+        if cancelled <= precision - 32:
+            cells[n] = Fraction(diff * n**r, 1 << w)
+        else:
+            assert _depth < 3, (k, n)
+            cells[n] = fraction_residuals(k, {n: counts[n]}, coeffs, precision << 1, _depth + 1)[n]
+    return cells
+
+
 @pytest.mark.parametrize("precision", [256, 4096])
 def test_exact_ratio_matches_log_space_route(sg_reference, csg_reference, precision):
     tol = mpmath.mpf(2) ** -(precision - 64)
@@ -190,11 +244,27 @@ def test_row_chain_matches_log_space_route(sg_reference, csg_reference, precisio
     assert checked == 6 * len(DENSE_NS)
 
 
+@pytest.mark.parametrize("precision", [64, 256, 4096])
+def test_cells_equal_the_fraction_route(sg_reference, csg_reference, precision):
+    # every dense cell is the oracle's reduced Fraction exactly; no dense cell
+    # underflows, but at 64 bits the k = 3 row at r = 6 retries its cells
+    # from n = 88 on alone, each at its own wider width
+    rows = list(dense_grid_rows(sg_reference, csg_reference))
+    rows.append((3, 6, {n: sg_reference[3][n] for n in DENSE_NS}, sg_expansion(3, 5).coefficients))
+    retried = 0
+    for k, r, counts, coeffs in rows:
+        cells = residual_row(k, DENSE_NS, counts, coeffs, precision)
+        expected = fraction_residuals(k, counts, coeffs, precision)
+        assert [as_fraction(cell) for cell in cells] == [expected[n] for n in DENSE_NS], k
+        retried += len({cell.shift for cell in cells}) - 1
+    assert (retried > 0) == (precision == 64)
+
+
 def test_precision_underflow_detected_and_retried(sg_reference, monkeypatch):
     # a coefficient matching the exact ratio to ~318 bits forces more
     # cancellation than low-precision runs can absorb
     count = sg_reference[3][10]
-    ratio = residual_row(3, (10,), {10: count}, [], precision=320)[0]
+    ratio = as_fraction(residual_row(3, (10,), {10: count}, [], precision=320)[0])
     assert 1 <= ratio < 2
     near = Fraction(round(ratio * 2**319), 2**319)  # rounded to 320 bits
     # detected: a walk with no doubling left raises at its own precision
@@ -204,7 +274,7 @@ def test_precision_underflow_detected_and_retried(sg_reference, monkeypatch):
     # the walk retries the cell with doubled precision until the diff resolves
     cell = residual_row(3, (10,), {10: count}, [near], precision=128)[0]
     high = _row_residuals(3, {10: count}, [near], 1024)[10]
-    assert isinstance(high, Fraction)
+    assert isinstance(high, Cell)
     with mpmath.workprec(256):
         assert mpmath.nstr(to_mpf(cell), 20) == mpmath.nstr(to_mpf(high), 20)
     # in a row, the cell is retried alone and the rest of the chain stands
@@ -223,7 +293,7 @@ def test_precision_underflow_detected_and_retried(sg_reference, monkeypatch):
     chain = walks[-1][2]
     assert row == [chain[12], cell, chain[14]] and cell == walks[0][2][10]
     # matched to 1200 bits, the cell still cancels at 8 times precision 128
-    ratio = residual_row(3, (10,), {10: count}, [], precision=1280)[0]
+    ratio = as_fraction(residual_row(3, (10,), {10: count}, [], precision=1280)[0])
     nearer = Fraction(round(ratio * 2**1200), 2**1200)
     with pytest.raises(PrecisionUnderflow, match=message.format(1024)):
         residual_row(3, (10,), {10: count}, [nearer], precision=128)
@@ -241,7 +311,7 @@ def test_boundedness_smoke(sg_reference):
     # |cell(n=100)| <= max over the printed range + 1
     coeffs = sg_expansion(5, 2).coefficients
     cells = residual_row(5, TABLE_NS, dict(enumerate(sg_reference[5])), coeffs)
-    values = [abs(c) for c in cells]
+    values = [abs(as_fraction(c)) for c in cells]
     assert values[-1] <= max(values) + 1
 
 
@@ -311,6 +381,17 @@ def test_compare_to_golden_flags_known_anomaly(sg_reference, two_regular_counts)
     mismatches = compare_to_golden("sg", TABLE_NS, rows)
     # the single published cell that no exact count reproduces
     assert [(m[0], m[1]) for m in mismatches] == [(5, 10)]
+    # the tolerance is closed: exactly 0.01 from the published 5.04 passes,
+    # 2^-w further does not, on either side; dyadic cells round 5.05 both ways
+    w = 4100
+    for edge, step in ((Fraction(505, 100), 1), (Fraction(503, 100), -1)):
+        assert compare_to_golden("sg", (10,), [(3, [edge])]) == []
+        beyond = edge + Fraction(step, 1 << w)
+        flagged = [(3, 10, format_cell(beyond), "5.04")]
+        assert compare_to_golden("sg", (10,), [(3, [beyond])]) == flagged
+    inside, outside = Cell(505 * 2**w // 100, w), Cell(-(-505 * 2**w // 100), w)
+    assert compare_to_golden("sg", (10,), [(3, [inside])]) == []
+    assert compare_to_golden("sg", (10,), [(3, [outside])]) == [(3, 10, "5.05", "5.04")]
 
 
 def test_compare_to_golden_csg_clean(csg_reference, sg_reference):
@@ -326,6 +407,9 @@ def test_published_grids_have_full_rows():
         assert len(row) == len(TABLE_NS)
     for row in GOLDEN_CSG.values():
         assert len(row) == len(TABLE_NS)
+    # compare_to_golden reads each published cell as hundredths
+    for row in (*GOLDEN_SG.values(), *GOLDEN_CSG.values()):
+        assert all(len(text.partition(".")[2]) == 2 for text in row)
 
 
 def single_exp_ratio(k, n, count, precision):
