@@ -1,44 +1,48 @@
 """Expansion coefficients for connected k-regular labeled graphs.
 
-Connected counts share the growth envelope of all k-regular counts
+Connected counts share the growth envelope a(n) of all k-regular counts
 (:class:`regular.Envelope`); their expansion series is obtained from the
-plain one by a transfer that works directly on divergent series.  The
-plain expansion series F (``regular.sg_expansion``) and the plain counts
-are inputs of the transfer, passed in as values, so one run of the plain
-pipeline serves both the transfer and the gap check.  Writing S for the
-factorial correction series, A = F / S and alpha = k/2 - 1, the shifted
-series
+plain one by Bender's (1975) transfer for divergent series.  The plain
+expansion series F (``regular.sg_expansion``) and the plain counts
+p(n) = a(n) F(1/n) are inputs of the transfer, passed in as values, so
+one run of the plain pipeline serves both the transfer and the gap check.
+Over the exponential generating function of the plain counts, Bender's
+theorem reads, with the falling factorial (n)_j = n!/(n-j)!,
 
-    A_j(z) = (k!/k^{k/2})^j z^{alpha j} (1-jz)^{-1/2-alpha j}
-             exp(alpha (log(1-jz)+jz) / z)  A(z/(1-jz))
+    c(n) ~ sum_{j>=0} [x^j] 1/EGF(x)  (n)_j p(n-j).
 
-are combined against the reciprocal of the exponential generating
-function of the counts:
+In z = 1/n, 1/(n-j) = z/(1-jz), (n)_j = z^{-j} prod_{l<j} (1 - l z) and
+a(n-j)/a(n) = shift_constant(j) z^{jk/2} Envelope(k).shift(j), so the
+j-th shift of C(z) = c(n)/a(n) is
 
-    C(z) = S(z) * sum_{j>=0} A_j(z) [x^j] 1/EGF(x).
+    C_j(z) = (k!/k^{k/2})^j z^{(k/2-1) j} Envelope(k).shift(j)
+             prod_{l<j} (1 - l z)  F(z/(1-jz)).
 
-The one composition here has a fixed inner series, so A(z/(1-jz)) is
-read off the binomial expansion of (z/(1-jz))^i:
-[z^n] = sum_{i=1}^{n} a_i C(n-1, i-1) j^{n-i}, and [z^0] = a_0; the tests
+The route through the factorial correction series S, A = F/S, multiplies
+A(z/(1-jz)) by (1-jz)^{-1/2-alpha j} exp(alpha (log(1-jz)+jz) / z) for
+alpha = k/2 - 1, and the sum by S.  That factor is Envelope(k).shift(j)
+times X_j = (1-jz)^{j-1/2} exp(-(log(1-jz)+jz) / z), and Stirling's
+formula for n! and (n-j)! gives S(z) X_j(z) / S(z/(1-jz)) =
+n!/((n-j)! n^j) = prod_{l<j} (1 - l z): both routes give the same
+series, and the tests keep the one through S as the transfer's oracle.
+
+F(z/(1-jz)) is read off the binomial expansion of (z/(1-jz))^i:
+[z^n] = sum_{i=1}^{n} f_i C(n-1, i-1) j^{n-i}, and [z^0] = f_0; the tests
 hold a general composition as its oracle.
-
-The factor (1-jz)^{-1/2-alpha j} exp(alpha (log(1-jz)+jz) / z) is one
-exponential of its closed-form logarithm (:func:`_correction_factor`); the
-tests hold its assembly from log, power and the division by z as oracle.
 
 A shift with jk odd contributes nothing and its constant k!^j k^{-kj/2}
 would be irrational, so it is skipped before any arithmetic, as is a zero
-weight.  A_j is shifted up by alpha j, so it has valuation alpha j by
-construction, and the sum stops once alpha j exceeds r.
+weight.  C_j has valuation (k-2) j / 2 by construction, so the sum stops
+once (k-2) j exceeds 2r.
 
 The two expansions agree through order g - 1 and differ at exactly
 g = (k+1)(k-2)/2, where connected minus plain is
 -2 (k!/k^{k/2})^{k+1} / (k+1)!; :func:`valuation_gap` verifies both.
 
-S is n! / (n^n e^{-n} sqrt(2 pi n)) in z = 1/n, computed by its closed
-form S = exp(sum_{m>=1} B_{2m} z^{2m-1} / (2m(2m-1))) from the exact
-Bernoulli numbers (:func:`stirling_series`); the tests hold the Laplace
-route of the same series as its oracle.
+S = n! / (n^n e^{-n} sqrt(2 pi n)) in z = 1/n now serves only the
+``stirling`` subcommand: :func:`stirling_series` computes its closed form
+exp(sum_{m>=1} B_{2m} z^{2m-1} / (2m(2m-1))) from the exact Bernoulli
+numbers, and the tests hold the Laplace route as its oracle.
 """
 
 from __future__ import annotations
@@ -89,47 +93,35 @@ def stirling_series(r: int) -> Series:
     return Series([0, *log_s], r).exp()
 
 
-def _alpha(k: int) -> Fraction:
-    """Growth exponent of the per-component counts: n^{alpha n} with alpha = k/2 - 1."""
-    return Envelope(k).exponent - 1
-
-
-def _correction_factor(alpha: Fraction, j: int, m: int) -> Series:
-    """(1-jz)^{-1/2-alpha j} exp(alpha (log(1-jz)+jz) / z) through z^m, as
-    exp(sum_{i>=1} c_i z^i) with c_i = j^i ((1/2 + alpha j) / i - alpha j / (i+1))."""
-    c = (j**i * ((Fraction(1, 2) + alpha * j) / i - alpha * j / (i + 1)) for i in range(1, m + 1))
-    return Series([0, *c], m).exp()
-
-
-def shifted_expansion(atilde: Series, j: int, k: int) -> Series:
-    """The j-th shifted series A_j, exact to the order of the input.
-
-    Reads atilde(z/(1-jz)) off the binomial expansion of (z/(1-jz))^i,
-    multiplies the correction factor (:func:`_correction_factor`) and the
-    shift constant, and shifts up by alpha*j.  Raises IrrationalPrefactor
-    when jk is odd.
-    """
-    r = atilde.order
+def shifted_expansion(plain: Series, j: int, k: int) -> Series:
+    """The j-th shifted series C_j, exact to the order of the input F:
+    F(z/(1-jz)) by its binomial expansion, times the envelope shift, the
+    polynomial prod_{l<j} (1 - l z) and the shift constant, shifted up by
+    (k-2) j / 2.  Raises IrrationalPrefactor when jk is odd."""
+    r = plain.order
     if j == 0:
-        return atilde
-    pref = Envelope(k).shift_constant(j)
-    alpha = _alpha(k)
-    aj = int(alpha * j)  # integral, because jk is even
+        return plain
+    env = Envelope(k)
+    pref = env.shift_constant(j)
+    aj = (k - 2) * j // 2  # integral, because jk is even
     if aj > r:
         return Series.zero(r)
     m = r - aj
 
-    # A(z/(1-jz)): [z^n] = sum_{i=1}^{n} a_i C(n-1, i-1) j^{n-i}, [z^0] = a_0
-    a = atilde.coefficients
+    # F(z/(1-jz)): [z^n] = sum_{i=1}^{n} f_i C(n-1, i-1) j^{n-i}, [z^0] = f_0
+    f = plain.coefficients
     composed = Series(
-        [a[0]] + [
-            fraction_dot((math.comb(n - 1, i - 1) * j ** (n - i), a[i], 1) for i in range(1, n + 1))
+        [f[0]] + [
+            fraction_dot((math.comb(n - 1, i - 1) * j ** (n - i), f[i], 1) for i in range(1, n + 1))
             for n in range(1, m + 1)
         ],
         m,
     )
+    falling = [1]  # prod_{l<j} (1 - l z), one factor at a time
+    for l in range(1, j):
+        falling = [a - l * b for a, b in zip(falling + [0], [0] + falling)]
 
-    return (_correction_factor(alpha, j, m) * composed * pref).shift_up(aj)
+    return (env.shift(j, m) * Series(falling, m) * composed * pref).shift_up(aj)
 
 
 def csg_tilde(k: int, plain: Series, counts: list[int]) -> Series:
@@ -138,27 +130,24 @@ def csg_tilde(k: int, plain: Series, counts: list[int]) -> Series:
 
     counts are the plain counts indexed by n; those for 0..2r vertices are
     the reciprocal EGF weights, and a shorter list is a ValueError.
-    Sums the shifts j = 0..2r, and stops once alpha*j exceeds r: shift j
-    has valuation alpha*j by construction (``shifted_expansion``).
+    Sums the shifts j = 0..2r, and stops once (k-2) j exceeds 2r: shift j
+    has valuation (k-2) j / 2 by construction (``shifted_expansion``).
     """
     if k < 3:
         raise ValueError("connected expansion requires k >= 3")
     r = plain.order
     if len(counts) < 2 * r + 1:
         raise ValueError(f"need the plain counts for 0..{2 * r} vertices, got {len(counts)}")
-    stirling = stirling_series(r)
-    atilde = plain * stirling.pow_rational(-1)
     recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
-    alpha = _alpha(k)
 
     total = Series.zero(r)
     for j in range(0, 2 * r + 1):
         if (j * k) % 2 or recip[j] == 0:
             continue  # no contribution; skipped before any irrational constant
-        if alpha * j > r:
+        if (k - 2) * j > 2 * r:
             break
-        total = total + shifted_expansion(atilde, j, k) * recip[j]
-    return (stirling * total).truncate(r)
+        total = total + shifted_expansion(plain, j, k) * recip[j]
+    return total
 
 
 def valuation_gap(k: int, plain: Series, connected: Series) -> int:

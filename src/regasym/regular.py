@@ -76,9 +76,10 @@ class Envelope(NamedTuple):
     """The growth envelope (n k/e)^{n k/2} / k!^n * e^{-(k^2-1)/4} / sqrt(2).
 
     Held exactly: the exponent k/2 of n k/e, the exponent -(k^2-1)/4 of the
-    constant factor e, and the rational per-shift constant of the connected
-    transfer.  The residual harness evaluates the same object numerically.
-    An immutable value, compared and hashed by k.
+    constant factor e, and the ratio Envelope(n-j) / Envelope(n) that each
+    shift of the connected transfer reads, as its rational leading constant
+    times a series in z = 1/n.  The residual harness evaluates the same
+    object numerically.  An immutable value, compared and hashed by k.
     """
 
     k: int
@@ -98,6 +99,14 @@ class Envelope(NamedTuple):
                 f"shift j={j} leaves {self.k}^({Fraction(-self.k * j, 2)}), not rational"
             )
         return Fraction(math.factorial(self.k) ** j, self.k ** (self.k * j // 2))
+
+    def shift(self, j: int, m: int) -> Series:
+        """Envelope(n-j) / Envelope(n) over its leading term
+        shift_constant(j) z^{jk/2}, through z^m in z = 1/n: the e^{jk/2}
+        of (1 - jz)^{(n-j) k/2} cancels e^{-jk/2}, leaving
+        exp(sum_{i>=1} (k/2) j^{i+1} z^i / (i (i+1)))."""
+        c = (Fraction(self.k * j ** (i + 1), 2 * i * (i + 1)) for i in range(1, m + 1))
+        return Series([0, *c], m).exp()
 
 
 class FormalKPolynomial(NamedTuple):

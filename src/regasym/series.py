@@ -23,8 +23,8 @@ integer sum over the product of the two denominators.  Over
 ``MPoly``, :meth:`Series.exp` can build each coefficient only in given
 parity classes (exponents mod 2), which the ring's dot product restricts
 itself to; the fixed-k pipeline builds its core series so.  Every
-series the pipeline inverts has constant term 1 (the Stirling factor,
-the counts' exponential generating function), and it is inverted as
+series the pipeline inverts has constant term 1 (1 + T in the tree
+tables, the counts' exponential generating function), and it is inverted as
 ``pow_rational(-1)``, which needs no division in the coefficient ring;
 there is no general series division, and no general composition: the
 one inner series the package composes with, z/(1-jz) in the connected

@@ -75,10 +75,16 @@ def test_formal_k_output_pinned(argv, capsys):
 # sha256 of stdout as the transfer wrote it with its correction factor
 # assembled from log, power and the division by z, and the moment sweep
 # split by the exponents of the bracket's monomials; k = 6 has no shipped
-# table, so its counts come from the moment sweep
+# table, so its counts come from the moment sweep.  The k = 3 order 12 and
+# k = 4 order 10 entries were recorded by the transfer through the
+# factorial correction series S
 CSG_DIGESTS = {
     "expand csg --k 3 --order 10 --format json": "801bfa40c41cc8b22c28c872998fae51"
     "e19d9d882ff143c167af594d31eb6601",
+    "expand csg --k 3 --order 12": "57a6d3b24eaf12a2a0e777d1ed9e729e"
+    "a775be4cb3254d55d4217cb18bf39e49",
+    "expand csg --k 4 --order 10": "f0f994bca85b4e66ba8c2db400a6ca8b"
+    "e62ca0cf88984965cf06b62696a35da0",
     "expand csg --k 5 --order 5": "f463cdad198c459fbd7b7ee6f4e391fa"
     "0df409f193b69a2945fe2b9d9e8993fe",
     "expand csg --k 6 --order 6": "7e0fe1234f34b76b97f5524d9bf0c4c7"
@@ -501,12 +507,22 @@ def test_validate_csg_runs_the_plain_pipeline_once_per_k(capsys, monkeypatch):
     assert plains == [(3, 2), (4, 2)]
 
 
+def test_connected_transfer_never_reads_the_stirling_series(capsys, monkeypatch):
+    # each shift reads the envelope and a falling factorial, not S: only the
+    # stirling subcommand computes the factorial correction series
+    calls = spy(monkeypatch, cli.connected, "stirling_series")
+    assert run(["expand", "csg", "--k", "4", "--order", "6"], capsys)[0] == cli.EXIT_OK
+    code, _, _ = run(["validate", "--which", "csg", "--k", "3,4", "--n", "10:100:10"], capsys)
+    assert code == cli.EXIT_OK
+    assert calls == []
+
+
 def test_low_valuation_shift_trips_internal_alarm(capsys, monkeypatch):
     # a shift below valuation alpha*j is a transcription bug (the real shift
     # has valuation alpha*j by construction): it moves the low coefficients
     # of the connected series, so the gap check must fire and map to the
     # internal exit
-    monkeypatch.setattr(cli.connected, "shifted_expansion", lambda atilde, j, k: atilde)
+    monkeypatch.setattr(cli.connected, "shifted_expansion", lambda plain, j, k: plain)
     code, _, err = run(["expand", "csg", "--k", "3", "--order", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert err.startswith("internal assertion failed: connected minus plain for k=3 starts")

@@ -6,13 +6,12 @@ import pytest
 
 from regasym.connected import (
     GapMismatch,
-    _correction_factor,
     csg_tilde,
     shifted_expansion,
     stirling_series,
     valuation_gap,
 )
-from regasym.counts import count_brute, egf_reciprocal_coeffs
+from regasym.counts import count_brute, egf_reciprocal_coeffs, reference_counts, resolve
 from regasym.regular import Envelope, IrrationalPrefactor, sg_expansion
 from regasym.series import Series
 
@@ -61,53 +60,87 @@ def assembled_factor(alpha: Fraction, j: int, m: int) -> Series:
     return one_minus.truncate(m).pow_rational(Fraction(-1, 2) - alpha * j) * exp_factor
 
 
-def test_correction_factor_matches_log_assembly():
+def stirling_transfer(k: int, plain: Series, counts: list[int]) -> Series:
+    """The transfer through the factorial correction series S: A = F S^{-1};
+    shift j is the shift constant times z^{alpha j}, alpha = k/2 - 1, times
+    :func:`assembled_factor` times A(z/(1-jz)) by general composition; the
+    shifts are weighted by [x^j] 1/EGF, summed over every j <= 2r with an
+    even jk and a valuation alpha j <= r, and the sum is multiplied by S."""
+    r = plain.order
+    stirling = stirling_series(r)
+    atilde = plain * stirling.pow_rational(-1)
+    recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
+    alpha = Fraction(k, 2) - 1
+    total = Series.zero(r)
+    for j in range(2 * r + 1):
+        if (j * k) % 2 or alpha * j > r:
+            continue
+        aj = int(alpha * j)
+        m = r - aj
+        inner = Series([0] + [j ** (i - 1) for i in range(1, m + 1)], m)  # z/(1-jz)
+        shift = assembled_factor(alpha, j, m) * compose(atilde.truncate(m), inner)
+        total = total + (shift * Envelope(k).shift_constant(j)).shift_up(aj) * recip[j]
+    return (stirling * total).truncate(r)
+
+
+# (k, r_max): csg_tilde is checked against the Stirling route at every r <= r_max
+STIRLING_ROUTE_RANGES = ((3, 12), (4, 12), (5, 10), (6, 8), (7, 6), (8, 5))
+
+
+def test_transfer_equals_the_stirling_route():
     # log(1-jz) + jz for j=1 starts at -z^2/2 - z^3/3
     arg = Series([1, -1], 5).log() + Series([0, 1], 5)
     assert arg[0] == 0 and arg[1] == 0
     assert arg[2] == Fraction(-1, 2) and arg[3] == Fraction(-1, 3)
-    for k in range(2, 9):
-        alpha = Fraction(k, 2) - 1
-        for j in range(1, 9):
-            for m in range(13):
-                assert _correction_factor(alpha, j, m) == assembled_factor(alpha, j, m), (k, j, m)
+    # the shifts (n)_j a(n-j)/a(n) F(z/(1-jz)) and the route through
+    # A = F/S agree as rationals, at every order: one plain run per k
+    for k, r_max in STIRLING_ROUTE_RANGES:
+        full = sg_expansion(k, r_max)
+        shipped = reference_counts("sg", k)
+        counts = [resolve(k, n, shipped)[0] for n in range(2 * r_max + 1)]
+        for r in range(r_max + 1):
+            plain = full.truncate(r)
+            assert csg_tilde(k, plain, counts) == stirling_transfer(k, plain, counts), (k, r)
 
 
 def test_shifted_expansion_valuation():
-    # the j-th shift starts at z^{alpha j} = z^{(k/2-1)j}, alpha*j >= ceil(j/2),
-    # with the shift constant times atilde(0) = 2 as its leading coefficient
+    # the j-th shift starts at z^{(k/2-1)j}, (k/2-1)j >= ceil(j/2), with
+    # the shift constant times F(0) = 2 as its leading coefficient
     for k in (3, 4, 5):
-        atilde = sg_expansion(k, 2) * stirling_series(2).pow_rational(-1)
-        atilde = Series(atilde.coefficients, 15)
+        plain = Series(sg_expansion(k, 2).coefficients, 15)
         for j in range(0, 11):
             if (j * k) % 2:
                 continue
-            term = shifted_expansion(atilde, j, k)
+            term = shifted_expansion(plain, j, k)
             aj = (k - 2) * j // 2
             assert term.valuation() == aj >= math.ceil(j / 2), (k, j)
             assert term[aj] == 2 * Envelope(k).shift_constant(j), (k, j)
 
 
 def test_transfer_truncates_high_shifts():
-    # a shift whose valuation alpha*j exceeds the order is zero
-    atilde = sg_expansion(4, 2) * stirling_series(2).pow_rational(-1)
-    assert shifted_expansion(atilde, 3, 4) == Series.zero(2)
-    assert any(shifted_expansion(atilde, 2, 4).coefficients)
+    # a shift whose valuation (k/2-1)j exceeds the order is zero
+    plain = sg_expansion(4, 2)
+    assert shifted_expansion(plain, 3, 4) == Series.zero(2)
+    assert any(shifted_expansion(plain, 2, 4).coefficients)
 
 
 def test_shift_binomials_equal_the_composition():
-    # k = 2 has alpha = 0 and shift constant 1, so A_j = (1-jz)^(-1/2) A(z/(1-jz)):
-    # the binomial reading of A(z/(1-jz)) equals Horner composition with the
-    # inner series z/(1-jz) = sum_{i>=1} j^(i-1) z^i
+    # k = 2 has valuation 0 and shift constant 1, so
+    # C_j = Envelope(2).shift(j) prod_{l<j} (1 - l z) F(z/(1-jz)): the binomial
+    # reading of F(z/(1-jz)) equals Horner composition with the inner series
+    # z/(1-jz) = sum_{i>=1} j^(i-1) z^i
     rng = random.Random(20261020)
     for order in range(13):
         for j in range(1, 9):
-            atilde = Series(
+            plain = Series(
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)], order
             )
             inner = Series([0] + [j ** (i - 1) for i in range(1, order + 1)], order)
-            root = Series([1, -j], order).pow_rational(Fraction(1, 2))
-            assert shifted_expansion(atilde, j, 2) * root == compose(atilde, inner), (order, j)
+            falling = Series.one(order)
+            for l in range(1, j):
+                falling = falling * Series([1, -l], order)
+            expected = Envelope(2).shift(j, order) * falling * compose(plain, inner)
+            assert shifted_expansion(plain, j, 2) == expected, (order, j)
 
 
 # -- the connected expansion ---------------------------------------------------
@@ -119,19 +152,20 @@ def test_csg_golden(small_counts):
         assert got.coefficients == expected, k
 
 
-def test_csg_dynamic_cutoff_agrees(small_counts):
-    # the loop stops once alpha*j > r; the full sum over every j <= 2r with
-    # an even jk must give the same series
-    r = 2
+def test_csg_dynamic_cutoff_agrees(sg_reference):
+    # the loop stops once (k-2)j > 2r; the full sum over every j <= 2r with
+    # an even jk must give the same series.  r = 8 reaches past the orders
+    # (z^4 at k = 3, z^7 at k = 4) where shifts fed F/S in place of F
+    # would first show
+    r = 8
     for k in (3, 4, 5):
-        stirling, plain = stirling_series(r), sg_expansion(k, r)
-        atilde = plain * stirling.pow_rational(-1)
-        recip = egf_reciprocal_coeffs(small_counts[k][: 2 * r + 1])
+        plain, counts = sg_expansion(k, r), sg_reference[k]
+        recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
         total = Series.zero(r)
         for j in range(2 * r + 1):
             if (j * k) % 2 == 0:
-                total = total + shifted_expansion(atilde, j, k) * recip[j]
-        assert csg_tilde(k, plain, small_counts[k]) == (stirling * total).truncate(r), k
+                total = total + shifted_expansion(plain, j, k) * recip[j]
+        assert csg_tilde(k, plain, counts) == total, k
 
 
 def test_transfer_identity_weight():

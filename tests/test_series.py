@@ -432,6 +432,7 @@ ORACLES = (
     "inner_bracket",
     "exponent_split",
     "assembled_factor",
+    "stirling_transfer",
     "expand_hadamard",
     "expand_direct",
     "psi_from_phase",

@@ -366,6 +366,26 @@ def test_envelope_log_matches_shift_constant():
                 assert abs(ratio - 1) < mpmath.mpf(2) ** -200, (k, j)
 
 
+def test_envelope_shift_matches_log_space_ratio():
+    # Envelope(n-j) / Envelope(n) = shift_constant(j) n^{-jk/2} shift(j)(1/n):
+    # the series cut after z^14 errs by about its z^15 term
+    n, top = 400, 15
+    with mpmath.workprec(512):
+        for k in range(2, 7):
+            env = Envelope(k)
+            for j in range(1, 5):
+                if (j * k) % 2:
+                    continue
+                shift = env.shift(j, top)
+                lead = to_mpf(env.shift_constant(j)) * mpmath.mpf(n) ** -(j * k // 2)
+                partial = mpmath.fsum(
+                    to_mpf(c) / mpmath.mpf(n) ** i for i, c in enumerate(shift.coefficients[:top])
+                )
+                exact = mpmath.exp(_log_prefactor(k, n - j) - _log_prefactor(k, n))
+                next_term = lead * to_mpf(shift[top]) / mpmath.mpf(n) ** top
+                assert abs(lead * partial - exact) < 2 * next_term, (k, j)
+
+
 def test_missing_cells_render_na():
     rows = [(3, residual_row(3, (10,), {}, sg_expansion(3, 2).coefficients))]
     assert render_csv((10,), rows).splitlines()[1] == "3,NA"
