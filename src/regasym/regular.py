@@ -20,9 +20,12 @@ Pipeline for fixed k (all arithmetic exact):
   V        exp(sum_{i>=2} t_i t^i) / sqrt(1-t^2), a series over the t_i,
   B0 rows  combine falling factorials of k with u values and slices of V,
   C2       2 exp(E + log T'(s t_1)), with the exponent E assembled from B0
-           by an exact division by s^2; the exp builds each slice only in
-           the parity classes that can reach an all-even term of an even
-           slice, so odd and top slices are partial,
+           by an exact division by s^2, in one pass as two parts: E_lo,
+           the terms in t_1 and t_2 alone, and E_hi, the rest.  Only the
+           all-even terms of the even slices, which the moment rule reads,
+           are built: exp(E_lo) and exp(E_hi), each in the parity classes
+           that one demand on the whole exponent finds can reach such a
+           term, and their product only in class 0 of the even slices,
   [z^r] F  the moment rule applied to [s^{2r}] C2 with negative weights
            -1/(2k) on t_1 and -1/j on t_j.
 
@@ -50,6 +53,7 @@ from typing import NamedTuple
 
 from .multipoly import (
     MPoly,
+    _reduced,
     exp_over_root,
     gaussian_hadamard,
     mono_exponents,
@@ -93,18 +97,19 @@ class Envelope(NamedTuple):
         return Fraction(1 - self.k * self.k, 4)
 
     def shift_constant(self, j: int) -> Fraction:
-        """k!^j / k^{kj/2}, rational exactly when j*k is even."""
+        """k!^j / k^{kj/2} for either sign of j, rational exactly when j*k
+        is even."""
         if (j * self.k) % 2:
             raise IrrationalPrefactor(
                 f"shift j={j} leaves {self.k}^({Fraction(-self.k * j, 2)}), not rational"
             )
-        return Fraction(math.factorial(self.k) ** j, self.k ** (self.k * j // 2))
+        return Fraction(math.factorial(self.k)) ** j / Fraction(self.k) ** (self.k * j // 2)
 
     def shift(self, j: int, m: int) -> Series:
         """Envelope(n-j) / Envelope(n) over its leading term
-        shift_constant(j) z^{jk/2}, through z^m in z = 1/n: the e^{jk/2}
-        of (1 - jz)^{(n-j) k/2} cancels e^{-jk/2}, leaving
-        exp(sum_{i>=1} (k/2) j^{i+1} z^i / (i (i+1)))."""
+        shift_constant(j) z^{jk/2}, for either sign of j, through z^m in
+        z = 1/n: the e^{jk/2} of (1 - jz)^{(n-j) k/2} cancels e^{-jk/2},
+        leaving exp(sum_{i>=1} (k/2) j^{i+1} z^i / (i (i+1)))."""
         c = (Fraction(self.k * j ** (i + 1), 2 * i * (i + 1)) for i in range(1, m + 1))
         return Series([0, *c], m).exp()
 
@@ -267,10 +272,14 @@ def c2_series(k: int, r: int) -> Series:
     it is the factor 2 and nothing else.
 
     The moment rule reads only the all-even terms of the even sigma
-    slices, so the exp builds each slice only in the parity classes that
-    can reach such a term (:func:`_demand`): every even slice is exact in
-    class 0, while the odd slices and the top slices are partial.  The
-    moment reading is that of the full series.
+    slices, and only they are built.  E is assembled as E_lo, its terms in
+    tau and t_2 alone, and E_hi, the rest (:func:`_exponent_parts`); the
+    exponential is the product exp(E_lo) exp(E_hi), each factor built in
+    the parity classes that can reach such a term by one demand on the
+    whole exponent (:func:`_demand`), and the product is taken only in
+    class 0 of the even slices (:func:`_core_exp`).  So every even slice
+    is exact in class 0 and holds no other class, and every odd slice is
+    zero.  The moment reading is that of the full series.
     """
     if k < 2:
         raise ValueError("the pipeline requires k >= 2")
@@ -279,8 +288,13 @@ def c2_series(k: int, r: int) -> Series:
     n_lo = 2 * r
     n_hi = n_lo + 2
     table = _table_at(n_hi)
-    inv2, inv4 = (_at_sigma_tau(_power(table.w_powers, q).truncate(n_lo)) for q in (2, 4))
-    log_tprime = _at_sigma_tau(table.tree.truncate(n_lo + 1).derivative().log())
+    inv2 = _at_sigma_tau(_power(table.w_powers, 2).truncate(n_lo))
+    # the exponent's terms in tau alone, a scalar series g with [sigma^m] g_m tau^m
+    tau_part = (
+        _power(table.w_powers, 4).truncate(n_lo) * Fraction((k - 1) ** 2, 4)
+        + (Fraction(k * (k - 1), 2) - Fraction((k - 1) ** 2, 4))
+        + table.tree.truncate(n_lo + 1).derivative().log()
+    )
 
     b0 = Series([MPoly.zero()] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)
     log_term = (1 + b0).log()
@@ -292,22 +306,76 @@ def c2_series(k: int, r: int) -> Series:
             f"exponent numerator has sigma-valuation {numerator.valuation()} < 2 (k={k})"
         )
 
-    exponent = (
-        numerator.shift_down(2) * Fraction(-1, k)
-        + inv4 * Fraction((k - 1) ** 2, 4)
-        + (Fraction(k * (k - 1), 2) - Fraction((k - 1) ** 2, 4))
-    )
-    if exponent[0]:
+    lo, hi = _exponent_parts(numerator, k, tau_part)
+    if lo[0] or hi[0]:
         raise ValuationViolation(
-            f"constant term of the exponent failed to cancel (k={k}): {exponent[0]!r}"
+            f"constant term of the exponent failed to cancel (k={k}): {lo[0] + hi[0]!r}"
         )
-    exponent = exponent + log_tprime
-    return exponent.exp(_demand(exponent)) * 2
+    return _core_exp(lo, hi)
 
 
-def _demand(exponent: Series) -> list[set[int]]:
-    """The parity classes of each sigma slice of exp(exponent) that can reach
-    a term the moment rule reads, an all-even term of an even slice.
+_T3 = monomial({3: 1})  # the least monomial with some t_j, j >= 3
+
+
+def _exponent_parts(numerator: Series, k: int, tau_part: Series) -> tuple[Series, Series]:
+    """E_lo and E_hi of the exponent E = -numerator / (k sigma^2) +
+    tau_part(sigma tau), assembled in one pass over the numerator's terms:
+    E_lo holds the terms in tau and t_2 alone, E_hi those with some t_j,
+    j >= 3.  A monomial has no variable from 3 on exactly when it is below
+    t_3, and tau_part adds to E_lo alone."""
+    lo, hi = [], []
+    for m, g in enumerate(tau_part.coefficients):
+        p = numerator[m + 2]
+        den = math.lcm(p.den * k, g.denominator)
+        scale = -(den // (p.den * k))
+        parts: tuple[dict, dict] = ({}, {})
+        for mono, c in p.terms.items():
+            parts[mono >= _T3][mono] = c * scale
+        if g:
+            tau = monomial({1: m})
+            c = parts[0].pop(tau, 0) + g.numerator * (den // g.denominator)
+            if c:
+                parts[0][tau] = c
+        lo.append(_reduced(parts[0], den))
+        hi.append(_reduced(parts[1], den))
+    return Series(lo, tau_part.order), Series(hi, tau_part.order)
+
+
+def _core_exp(lo: Series, hi: Series) -> Series:
+    """2 exp(lo + hi) in class 0 of its even sigma slices, the terms the
+    moment rule reads; the odd slices and every other class are left zero.
+
+    exp(lo + hi) = exp(lo) exp(hi).  Both factors are built in the classes
+    of one demand, :func:`_demand` of both parts: it is closed for each
+    factor, whose classes are among those it was taken from, so each is
+    exact in it.  A class-0 term of an even slice m pairs a term of
+    exp(lo)_i with a term of exp(hi)_{m-i} of the same class x.  The second
+    is a product of exponent terms of sigma-degree m - i, which carries
+    slice i to class 0 at slice m, so x lies in need[i]; the same holds
+    the other way round, so x lies in need[m - i], and both factors are
+    exact where they pair.  When hi is zero (E_hi at k = 2), exp(hi) is 1
+    to every order and the product is not taken: exp(lo) alone is read.
+    """
+    order = lo.order
+    need = _demand(lo, hi)
+    lo_exp = lo.exp(need)
+    hi_exp = hi.exp(need) if any(hi.coefficients) else Series([MPoly.const(1)], 0)
+    return Series(
+        [
+            MPoly.dot(((2, lo_exp[m - j], hi_exp[j]) for j in range(min(m, hi_exp.order) + 1)), {0})
+            if m % 2 == 0
+            else MPoly.zero()
+            for m in range(order + 1)
+        ],
+        order,
+    )
+
+
+def _demand(*parts: Series) -> list[set[int]]:
+    """The parity classes of each sigma slice of exp(E), E the sum of the
+    parts, that can reach a term the moment rule reads, an all-even term of
+    an even slice.  The classes of an exponent slice are taken as those of
+    the parts' slices, which are E's own when no term cancels between them.
 
     Slice m of the exponential sums products of slice i of the exponent
     with slice m - i of the exponential, and a product's class is the XOR
@@ -315,8 +383,9 @@ def _demand(exponent: Series) -> list[set[int]]:
     class 0 when m is even and x ^ y for every class x of exponent slice i
     and every class y in need[m + i].
     """
-    classes = [{parity_class(m) for m in c.terms} for c in exponent.coefficients]
-    top = exponent.order
+    slices = zip(*(p.coefficients for p in parts))
+    classes = [{parity_class(m) for c in cs for m in c.terms} for cs in slices]
+    top = parts[0].order
     need: list[set[int]] = [set() for _ in range(top + 1)]
     for m in range(top, -1, -1):
         if m % 2 == 0:

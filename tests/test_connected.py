@@ -39,8 +39,11 @@ def test_prefactor_rational_values():
     assert Envelope(3).shift_constant(4) == Fraction(16, 9)
     assert Envelope(4).shift_constant(1) == Fraction(3, 2)  # 24/4^2
     assert Envelope(5).shift_constant(0) == 1
-    with pytest.raises(IrrationalPrefactor):
-        Envelope(3).shift_constant(1)
+    assert Envelope(4).shift_constant(-2) == Fraction(4, 9)  # 4^4/24^2
+    assert Envelope(3).shift_constant(-2) == Fraction(3, 4)  # 3^3/6^2
+    for j in (1, -1):
+        with pytest.raises(IrrationalPrefactor):
+            Envelope(3).shift_constant(j)
     with pytest.raises(IrrationalPrefactor):
         shifted_expansion(Series.one(4), 3, 5)
 

@@ -291,16 +291,18 @@ def test_z0_is_two_for_all_k():
         assert sg_expansion(k, 0)[0] == 2, k
 
 
-def test_odd_s_slices_die_under_moment_rule():
-    # every odd-sigma slice of the core series is killed by the moment rule
-    # (tau has weight -1/2), so pruning those slices cannot change any
-    # extracted coefficient
+def test_odd_s_slices_die_under_moment_rule(demands):
+    # every odd-sigma slice of the unfactored core series 2 exp(E) is
+    # killed by the moment rule (tau has weight -1/2), so leaving those
+    # slices unbuilt cannot change any extracted coefficient
     for k in (3, 4):
-        c2 = c2_series(k, 2)
+        c2_series(k, 2)
+        full = demands[-1][0].exp() * 2
         weights = {1: Fraction(-1, 2)}
         weights.update({j: Fraction(-1, j) for j in range(2, 7)})
-        for m in range(1, c2.order + 1, 2):
-            assert gaussian_hadamard(c2[m], weights) == 0, (k, m)
+        for m in range(1, full.order + 1, 2):
+            assert full[m], (k, m)
+            assert gaussian_hadamard(full[m], weights) == 0, (k, m)
 
 
 def test_core_series_t_variables_bounded():
@@ -332,12 +334,14 @@ def plain_exp(a: Series) -> Series:
 
 @pytest.fixture
 def demands(monkeypatch):
-    """Every (exponent, need) pair that c2_series hands to exp during a test."""
+    """Every (exponent, need) pair that c2_series reads its core series
+    from during a test: the whole exponent, the sum of the parts it hands
+    to the demand, and their one demand."""
     seen = []
 
-    def recorded(exponent):
-        need = demand(exponent)
-        seen.append((exponent, need))
+    def recorded(*parts):
+        need = demand(*parts)
+        seen.append((sum(parts[1:], parts[0]), need))
         return need
 
     demand = regular._demand
@@ -347,6 +351,7 @@ def demands(monkeypatch):
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_pruned_core_series_is_the_full_one_in_the_needed_classes(k, demands):
+    # the oracle is the unpruned, unfactored 2 exp(E) of the whole exponent
     for r in range(7):
         c2 = c2_series(k, r)
         exponent, need = demands[-1]
@@ -354,16 +359,32 @@ def test_pruned_core_series_is_the_full_one_in_the_needed_classes(k, demands):
         assert c2.order == full.order == 2 * r
         for m in range(2 * r + 1):
             assert 0 in need[m] or m % 2, (k, r, m)
-            assert c2[m] == in_classes(full[m], need[m]), (k, r, m)
+            assert c2[m] == (MPoly.zero() if m % 2 else in_classes(full[m], {0})), (k, r, m)
 
 
 def test_pruned_core_series_term_counts():
-    # the full exp held 12,807 and 5,832 terms; the top slice feeds no later
-    # slice, so it keeps only the all-even terms that the moment rule reads
-    for k, r, terms in ((6, 8, 5329), (4, 8, 3682)):
+    # the factored exp is built only in class 0 of the even slices; the full
+    # exp held 12,807 and 5,832 terms
+    for k, r, terms in ((6, 8, 1065), (4, 8, 791)):
         c2 = c2_series(k, r)
         assert sum(len(c.terms) for c in c2.coefficients) == terms, (k, r)
         assert {parity_class(m) for m in c2[2 * r].terms} == {0}, (k, r)
+
+
+def test_core_exponent_splits_at_t3(monkeypatch):
+    # E_lo holds the terms in tau and t_2 alone, E_hi every term with some
+    # t_j, j >= 3, so no term is in both parts, and E_hi is zero at k = 2
+    seen = []
+    monkeypatch.setattr(regular, "_core_exp", lambda lo, hi: seen.append((lo, hi)))
+    for k in range(2, 8):
+        for r in range(5):
+            c2_series(k, r)
+            lo, hi = seen[-1]
+            assert lo.order == hi.order == 2 * r
+            for m in range(2 * r + 1):
+                assert variables(lo[m]) <= {1, 2}, (k, r, m)
+                assert all(max(mono_exponents(mono)) >= 3 for mono in hi[m].terms), (k, r, m)
+            assert any(hi.coefficients) == (k > 2 and r > 0), (k, r)
 
 
 def mpoly_series(order, variables=3):
@@ -390,6 +411,40 @@ def test_pruned_exp_keeps_every_even_moment(a):
     pruned = a.exp(regular._demand(a))
     for m in range(0, a.order + 1, 2):
         assert gaussian_hadamard(pruned[m], weights) == gaussian_hadamard(full[m], weights), m
+
+
+TAU, T2, T3 = MPoly.variable(1), MPoly.variable(2), MPoly.variable(3)
+
+
+def split_by(a: Series, mask: set[int]) -> tuple[Series, Series]:
+    """a's terms in the variables of mask alone, and the rest."""
+    lo, hi = [], []
+    for p in a.coefficients:
+        parts: tuple[dict, dict] = ({}, {})
+        for m, c in p.terms.items():
+            parts[not mono_exponents(m).keys() <= mask][m] = Fraction(c, p.den)
+        lo.append(MPoly(parts[0]))
+        hi.append(MPoly(parts[1]))
+    return Series(lo, a.order), Series(hi, a.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(mpoly_series), st.sets(st.integers(1, 3)))
+# sigma tau t3 + sigma tau + sigma t3: the read tau^2 t3^2 sigma^4 pairs
+# tau^2 sigma^2 of exp(E_lo) with t3^2 sigma^2 of exp(E_hi)
+@example(Series([MPoly.zero(), TAU * T3 + TAU + T3], 4), {1, 2})
+# sigma tau + sigma tau t2 t3^2 + sigma^2 t2: the read tau^2 t2^2 t3^2
+# sigma^4 pairs tau t2 sigma^3 of exp(E_lo) with tau t2 t3^2 sigma of
+# exp(E_hi); a demand from E_lo alone misses class tau t2 at sigma^3
+@example(Series([MPoly.zero(), TAU + TAU * T2 * T3 * T3, T2], 4), {1, 2})
+def test_factored_exp_is_the_full_one_in_class_0(a, mask):
+    # exp(lo) exp(hi), a split by a variable mask and both factors built in
+    # the demand of the whole series, read in class 0 of the even slices
+    full = plain_exp(a)
+    core = regular._core_exp(*split_by(a, mask))
+    assert core.order == a.order
+    for m in range(a.order + 1):
+        assert core[m] == (MPoly.zero() if m % 2 else in_classes(full[m] * 2, {0})), m
 
 
 def test_lagrange_interpolation_exact():
