@@ -12,9 +12,11 @@ monomials never carries into the next field, and a product exponent above
 :class:`MPoly` holds ``int`` numerators (``terms``, one per monomial) over
 one shared positive denominator ``den``, normalised once per operation so
 that gcd(den, all numerators) = 1; ``==`` is therefore value equality.
-MPoly is a coefficient ring for :class:`series.Series`, which sums every
-series coefficient as one :meth:`MPoly.dot`: one ``int`` accumulator over
-one lcm denominator, one guard-bit check and one gcd pass.  A monomial's
+Every sum is one :meth:`MPoly.dot`: one ``int`` accumulator over one lcm
+denominator, one guard-bit check and one gcd pass.  Each ring operation
+(``+``, ``-``, negation, products, scalar multiples) is one dot against
+the constant 1, and :class:`series.Series`, for which MPoly is a
+coefficient ring, sums every series coefficient as one.  A monomial's
 parity class (:func:`parity_class`, bit 0 of every field) is its exponent
 vector mod 2; ``MPoly.dot`` can restrict itself to a set of classes.
 :func:`gaussian_hadamard` applies the formal Gaussian-moment rule.  All
@@ -165,52 +167,33 @@ class MPoly:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _combine(self, other, sign: int) -> "MPoly":
-        """self + sign * other over the lcm of the two denominators."""
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
-        elif not isinstance(other, MPoly):
-            return NotImplemented
-        g = math.gcd(self.den, other.den)
-        scale_a, scale_b = other.den // g, self.den // g * sign
-        out = {m: c * scale_a for m, c in self.terms.items()}
-        get = out.get
-        for m, c in other.terms.items():
-            acc = get(m, 0) + c * scale_b
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]  # only a stored term can cancel
-        return _reduced(out, self.den * scale_a)
-
     def __add__(self, other):
-        return self._combine(other, 1)
+        t = _term(other)
+        return NotImplemented if t is None else MPoly.dot(((1, self, _ONE), t))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        t = _term(other, -1)
+        return NotImplemented if t is None else MPoly.dot(((1, self, _ONE), t))
 
     def __rsub__(self, other):
-        return (-self) + other
+        t = _term(other)
+        return NotImplemented if t is None else MPoly.dot(((-1, self, _ONE), t))
 
     def __neg__(self):
-        return self * -1
+        return MPoly.dot(((-1, self, _ONE),))
 
     def __mul__(self, other):
-        if isinstance(other, MPoly):
-            return MPoly.dot(((1, self, other),))
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            terms = {m: c * p for m, c in self.terms.items() if p}
-            return _reduced(terms, self.den * other.denominator)
-        return NotImplemented
+        t = _term(other)
+        return NotImplemented if t is None else MPoly.dot(((t[0], self, t[1]),))
 
     __rmul__ = __mul__
 
     @staticmethod
     def dot(triples, need: "set[int] | None" = None) -> "MPoly":
-        """sum(s * a * b) over (scalar, a, b) triples, normalised once.
+        """sum(s * a * b) over (scalar, a, b) triples, normalised once: the
+        one place a sum of MPolys is formed, every ring operation included.
 
         Every pair of terms is multiplied into one ``int`` dict over the lcm
         of the triples' denominators, each scalar's numerator folded into
@@ -247,6 +230,20 @@ class MPoly:
         return _sum_rows(rows, den)
 
 
+_ONE = MPoly.const(1)
+
+
+def _term(other, sign: int = 1) -> "tuple | None":
+    """sign * other as a (scalar, a, b) triple of :meth:`MPoly.dot`: (sign,
+    other, 1) for an MPoly, (sign * other, 1, 1) for an int or Fraction,
+    None for anything else."""
+    if isinstance(other, MPoly):
+        return sign, other, _ONE
+    if isinstance(other, (int, Fraction)):
+        return sign * other, _ONE, _ONE
+    return None
+
+
 def _class_groups(p: MPoly) -> dict[int, list]:
     """p's terms grouped by parity class, built on first use and kept on p."""
     try:
@@ -268,9 +265,8 @@ def exp_over_root(first: int, order: int, sign: int) -> Series:
     )
     exp_part = exponent.exp()
     root = Series([1, 0, sign], order).pow_rational(Fraction(-1, 2))
-    one = MPoly.const(1)
     slices = [
-        MPoly.dot((root[m - i], exp_part[i], one) for i in range(m + 1)) for m in range(order + 1)
+        MPoly.dot((root[m - i], exp_part[i], _ONE) for i in range(m + 1)) for m in range(order + 1)
     ]
     return Series(slices, order)
 

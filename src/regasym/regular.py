@@ -19,13 +19,15 @@ Pipeline for fixed k (all arithmetic exact):
   u_{p,q}  [s^p] W^q with W = (1 + T(s))^{-1},
   V        exp(sum_{i>=2} t_i t^i) / sqrt(1-t^2), a series over the t_i,
   B0 rows  combine falling factorials of k with u values and slices of V,
-  C2       2 exp(E + log T'(s t_1)), with the exponent E assembled from B0
-           by an exact division by s^2, in one pass as two parts: E_lo,
-           the terms in t_1 and t_2 alone, and E_hi, the rest.  Only the
-           all-even terms of the even slices, which the moment rule reads,
-           are built: exp(E_lo) and exp(E_hi), each in the parity classes
-           that one demand on the whole exponent finds can reach such a
-           term, and their product only in class 0 of the even slices,
+  C2       2 exp(E + log T'(s t_1)), with the exponent E assembled in one
+           pass over log(1 + B0): an exact division by s^2, with the
+           scalar-coefficient parts, the t_2 shift term among them, added
+           at their monomials, as two parts: E_lo, the terms in t_1 and
+           t_2 alone, and E_hi, the rest.  Only the all-even terms of the
+           even slices, which the moment rule reads, are built:
+           exp(E_lo) and exp(E_hi), each in the parity classes that one
+           demand on the whole exponent finds can reach such a term, and
+           their product only in class 0 of the even slices,
   [z^r] F  the moment rule applied to [s^{2r}] C2 with negative weights
            -1/(2k) on t_1 and -1/j on t_j.
 
@@ -262,14 +264,17 @@ def b0_row(j: int, k: int) -> MPoly:
 def c2_series(k: int, r: int) -> Series:
     """The core series in sigma to order 2r, every coefficient rational.
 
-    Assembled per the fixed-k recipe: log(1 + B0) minus the t_2 shift term,
-    an asserted exact division by s^2 = k sigma^2 and the two constant
-    corrections give the exponent E; the factor T'(s t_1) = T'(sigma tau)
-    enters it as the scalar series log T'(sigma tau), so the core series
-    is 2 exp(E + log T'(sigma tau)).  The sign sum over +-sqrt(k) maps
-    (sigma, tau) to (-sigma, -tau): on an even sigma slice it only flips
-    the sign of odd powers of tau, which the moment rule drops anyway, so
-    it is the factor 2 and nothing else.
+    Assembled per the fixed-k recipe in one pass over log(1 + B0): an
+    asserted exact division by s^2 = k sigma^2, then two scalar series in
+    sigma tau added at their monomials, give the exponent E.  The t_2
+    shift term k (k-1) t_2 sigma^2 W^2(sigma tau), which the recipe
+    subtracts from the log before the division, is t2_part = (k-1) W^2 at
+    t_2 tau^m; tau_part at tau^m holds the two constant corrections and
+    the factor T'(s t_1) = T'(sigma tau), entered as the scalar series
+    log T'(sigma tau), so the core series is 2 exp(E + log T'(sigma tau)).
+    The sign sum over +-sqrt(k) maps (sigma, tau) to (-sigma, -tau): on an
+    even sigma slice it only flips the sign of odd powers of tau, which
+    the moment rule drops anyway, so it is the factor 2 and nothing else.
 
     The moment rule reads only the all-even terms of the even sigma
     slices, and only they are built.  E is assembled as E_lo, its terms in
@@ -288,25 +293,22 @@ def c2_series(k: int, r: int) -> Series:
     n_lo = 2 * r
     n_hi = n_lo + 2
     table = _table_at(n_hi)
-    inv2 = _at_sigma_tau(_power(table.w_powers, 2).truncate(n_lo))
-    # the exponent's terms in tau alone, a scalar series g with [sigma^m] g_m tau^m
+    # the exponent's scalar parts: [sigma^m] g_m tau^m and h_m t_2 tau^m
     tau_part = (
         _power(table.w_powers, 4).truncate(n_lo) * Fraction((k - 1) ** 2, 4)
         + (Fraction(k * (k - 1), 2) - Fraction((k - 1) ** 2, 4))
         + table.tree.truncate(n_lo + 1).derivative().log()
     )
+    t2_part = _power(table.w_powers, 2).truncate(n_lo) * (k - 1)
 
-    b0 = Series([MPoly.zero()] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)
-    log_term = (1 + b0).log()
-    shift_term = (inv2 * MPoly.variable(2, 1, k * (k - 1))).shift_up(2)
-
-    numerator = log_term - shift_term
+    one_plus_b0 = Series([MPoly.const(1)] + [b0_row(j, k) for j in range(1, n_hi + 1)], n_hi)
+    numerator = one_plus_b0.log()
     if numerator[0] or numerator[1]:
         raise ValuationViolation(
             f"exponent numerator has sigma-valuation {numerator.valuation()} < 2 (k={k})"
         )
 
-    lo, hi = _exponent_parts(numerator, k, tau_part)
+    lo, hi = _exponent_parts(numerator, k, tau_part, t2_part)
     if lo[0] or hi[0]:
         raise ValuationViolation(
             f"constant term of the exponent failed to cancel (k={k}): {lo[0] + hi[0]!r}"
@@ -317,25 +319,27 @@ def c2_series(k: int, r: int) -> Series:
 _T3 = monomial({3: 1})  # the least monomial with some t_j, j >= 3
 
 
-def _exponent_parts(numerator: Series, k: int, tau_part: Series) -> tuple[Series, Series]:
+def _exponent_parts(
+    numerator: Series, k: int, tau_part: Series, t2_part: Series
+) -> tuple[Series, Series]:
     """E_lo and E_hi of the exponent E = -numerator / (k sigma^2) +
-    tau_part(sigma tau), assembled in one pass over the numerator's terms:
-    E_lo holds the terms in tau and t_2 alone, E_hi those with some t_j,
-    j >= 3.  A monomial has no variable from 3 on exactly when it is below
-    t_3, and tau_part adds to E_lo alone."""
+    tau_part(sigma tau) + t_2 t2_part(sigma tau), assembled in one pass over
+    the numerator's terms: E_lo holds the terms in tau and t_2 alone, E_hi
+    those with some t_j, j >= 3.  A monomial has no variable from 3 on
+    exactly when it is below t_3, and the scalar parts add to E_lo alone,
+    [sigma^m] of tau_part at tau^m and of t2_part at t_2 tau^m."""
     lo, hi = [], []
-    for m, g in enumerate(tau_part.coefficients):
+    for m, (g, h) in enumerate(zip(tau_part.coefficients, t2_part.coefficients)):
         p = numerator[m + 2]
-        den = math.lcm(p.den * k, g.denominator)
+        den = math.lcm(p.den * k, g.denominator, h.denominator)
         scale = -(den // (p.den * k))
         parts: tuple[dict, dict] = ({}, {})
         for mono, c in p.terms.items():
             parts[mono >= _T3][mono] = c * scale
-        if g:
-            tau = monomial({1: m})
-            c = parts[0].pop(tau, 0) + g.numerator * (den // g.denominator)
+        for mono, f in ((monomial({1: m}), g), (monomial({1: m, 2: 1}), h)):
+            c = parts[0].pop(mono, 0) + f.numerator * (den // f.denominator)
             if c:
-                parts[0][tau] = c
+                parts[0][mono] = c
         lo.append(_reduced(parts[0], den))
         hi.append(_reduced(parts[1], den))
     return Series(lo, tau_part.order), Series(hi, tau_part.order)
@@ -353,16 +357,16 @@ def _core_exp(lo: Series, hi: Series) -> Series:
     is a product of exponent terms of sigma-degree m - i, which carries
     slice i to class 0 at slice m, so x lies in need[i]; the same holds
     the other way round, so x lies in need[m - i], and both factors are
-    exact where they pair.  When hi is zero (E_hi at k = 2), exp(hi) is 1
-    to every order and the product is not taken: exp(lo) alone is read.
+    exact where they pair.  When hi is zero (E_hi at k = 2), exp(hi) is 1,
+    built at the cost of its empty dot products, and the product reads
+    exp(lo) alone.
     """
     order = lo.order
     need = _demand(lo, hi)
-    lo_exp = lo.exp(need)
-    hi_exp = hi.exp(need) if any(hi.coefficients) else Series([MPoly.const(1)], 0)
+    lo_exp, hi_exp = lo.exp(need), hi.exp(need)
     return Series(
         [
-            MPoly.dot(((2, lo_exp[m - j], hi_exp[j]) for j in range(min(m, hi_exp.order) + 1)), {0})
+            MPoly.dot(((2, lo_exp[m - j], hi_exp[j]) for j in range(m + 1)), {0})
             if m % 2 == 0
             else MPoly.zero()
             for m in range(order + 1)
@@ -393,11 +397,6 @@ def _demand(*parts: Series) -> list[set[int]]:
         for i in range(1, top - m + 1):
             need[m].update(x ^ y for x in classes[i] for y in need[m + i])
     return need
-
-
-def _at_sigma_tau(f: Series) -> Series:
-    """f(sigma tau) for a scalar series f, as a series in sigma: [sigma^i] is f_i tau^i."""
-    return Series([MPoly.variable(1, i, c) for i, c in enumerate(f.coefficients)], f.order)
 
 
 def _moment_weights(r: int) -> dict[int, Fraction]:

@@ -113,6 +113,13 @@ def test_kernel_matches_reference_model(a, b, c):
     assert_matches(pa * pb, ref_mul(a, b))
     assert_matches(pa * c, clean({m: x * c for m, x in a.items()}))
     assert_matches(pa * 3, {m: x * 3 for m, x in a.items()})
+    # a scalar on either side, against the constant polynomial c
+    const = clean({(): c})
+    assert_matches(c + pa, ref_add(const, a))
+    assert_matches(c - pa, ref_add(const, a, -1))
+    assert_matches(pa - c, ref_add(a, const, -1))
+    assert_matches(c * pa, clean({m: x * c for m, x in a.items()}))
+    assert build(const) == c and (pa == c) == (a == const)
     alphas = {v: Fraction((-1) ** v * (v + 1), v + 2) for v in range(4)}
     assert gaussian_hadamard(pa * pb, alphas) == ref_moment(ref_mul(a, b), alphas)
 

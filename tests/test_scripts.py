@@ -32,3 +32,18 @@ def test_reproduce_reference_tables_runs_every_subcommand(capsys):
     out, err = capsys.readouterr()
     assert "== residual grid, connected counts, r = 3 ==" in out
     assert "the only deviation is the published cell k=5, n=10" in err
+
+
+def test_reproduce_reference_tables_fails_on_a_second_deviating_cell(monkeypatch, capsys):
+    # the known published cell k=5, n=10 is tolerated only as the plain
+    # grid's one deviation
+    from regasym import validation
+
+    row = list(validation.GOLDEN_SG[3])
+    row[validation.TABLE_NS.index(10)] = "9.99"
+    monkeypatch.setitem(validation.GOLDEN_SG, 3, tuple(row))
+    script = load_script("reproduce_reference_tables")
+    assert script.main() != 0
+    err = capsys.readouterr().err
+    assert "cell (k=3, n=10) deviates" in err and "cell (k=5, n=10) deviates" in err
+    assert "the only deviation" not in err

@@ -526,3 +526,36 @@ def test_every_package_definition_has_a_caller():
         if node.name not in used and "oracle" not in (ast.get_docstring(node) or "")
     ]
     assert not unused, f"no caller in the package: {sorted(unused)}"
+
+
+def test_every_module_level_name_is_read():
+    # a module-level constant or alias that nothing in the package or the
+    # scripts reads is dead; dunder names are read by Python itself
+    import ast
+    from pathlib import Path
+
+    import regasym
+
+    repo = Path(__file__).resolve().parent.parent
+    paths = [*Path(regasym.__file__).parent.glob("*.py"), *(repo / "scripts").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            unread += [
+                f"{path.name}:{name}"
+                for name in names
+                if name not in read and not (name.startswith("__") and name.endswith("__"))
+            ]
+    assert not unread, f"assigned at module level and never read: {sorted(unread)}"
