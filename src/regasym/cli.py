@@ -9,6 +9,11 @@ validate  residual grid against ingested counts, checked against the
           published reference values when --r is 3 (the published order)
 stirling  coefficients of the factorial correction series
 
+The process entry is :func:`regasym.__main__.run` (``python -m regasym``
+and the ``regasym`` script), which calls :func:`main` and then freezes the
+heap so the interpreter's shutdown collections skip it; :func:`main`
+leaves the garbage collector alone for in-process callers.
+
 Only ``validate`` loads the residual harness :mod:`regasym.validation`:
 it is imported inside :func:`cmd_validate`, so every other subcommand
 loads the exact layers alone.  Likewise only ``formal-k`` and

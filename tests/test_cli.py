@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -436,6 +438,53 @@ def test_validate_checks_survive_optimised_python():
     assert plain.returncode == optimised.returncode == cli.EXIT_GOLDEN_MISMATCH
     assert plain.stdout == optimised.stdout
     assert optimised.stdout.startswith("n,10,20\n3,5.04,4.05\n5,2.13,")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("expand sg --k 3 --order 2", cli.EXIT_OK),
+        ("stirling --r 2 --bogus", cli.EXIT_USAGE),
+        ("validate --which sg --k 3,5 --n 10:20:10", cli.EXIT_GOLDEN_MISMATCH),
+    ],
+)
+def test_module_entry_matches_in_process_main(argv, code, capsys):
+    proc = run_fresh("-m", "regasym", *argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(argv.split(), capsys)
+    assert proc.returncode == code
+
+
+ENTRY_FREEZE_SCRIPT = """
+import gc, runpy, sys
+assert gc.get_freeze_count() == 0
+sys.argv = ["regasym", "stirling", "--r", "2"]
+try:
+    runpy.run_module("regasym", run_name="__main__")
+except SystemExit as exc:
+    sys.exit(exc.code if gc.get_freeze_count() > 0 else "the heap was not frozen")
+sys.exit("the entry did not exit")
+"""
+
+
+def test_module_entry_freezes_the_heap_before_exit():
+    proc = run_fresh("-c", ENTRY_FREEZE_SCRIPT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_OK, "1, 1/12, 1/288\n", "")
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(["expand", "sg", "--k", "3", "--order", "2"], capsys)[0] == cli.EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_script_entry_is_the_module_entry():
+    import regasym.__main__ as entry
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["regasym"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is entry.run
 
 
 def test_validate_empty_range(capsys):

@@ -47,3 +47,17 @@ def test_reproduce_reference_tables_fails_on_a_second_deviating_cell(monkeypatch
     err = capsys.readouterr().err
     assert "cell (k=3, n=10) deviates" in err and "cell (k=5, n=10) deviates" in err
     assert "the only deviation" not in err
+
+
+def test_reproduce_reference_tables_fails_on_a_failing_coefficient_run(monkeypatch, capsys):
+    # a failing formal-k run must end the script nonzero, with its own exit code
+    from regasym import cli, regular
+
+    def overflow(r):
+        raise regular.DegreeOverflow(f"r={r}")
+
+    monkeypatch.setattr(regular, "formal_k_interpolate", overflow)
+    script = load_script("reproduce_reference_tables")
+    assert script.main() == cli.EXIT_DEGREE
+    err = capsys.readouterr().err
+    assert "degree overflow: r=0" in err and "a coefficient run failed (exit 4)" in err
