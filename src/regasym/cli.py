@@ -35,21 +35,31 @@ counts, one list or mapping per k built by a comprehension over
 ``resolve``.
 Identical flags always produce byte-identical output.
 
-Each subcommand is bound to its ``cmd_*`` function with ``set_defaults``
-and reads the parsed arguments directly.  A value argparse cannot reject
-(a precision below 64 bits, a negative order or n) raises ValueError where
-it is read and exits 2.  Coefficient lists are written from one record per
-coefficient ({k, r, coefficient}, or {r, coefficient} for stirling) as
+The command line is read from one table: :data:`COMMANDS` maps each
+subcommand to a :class:`Command`, its ``cmd_*`` handler, one-line help and
+arguments, each an :class:`Opt` with a converter or choices, a default or
+REQUIRED, and a help string; :data:`TOP` holds the options that come
+before the subcommand (--data-dir, and --cache-dir, accepted, ignored and
+hidden).  :func:`parse_args` and the ``-h``/``--help`` text both read the
+table, so no parser library is imported.  Values follow as ``--opt value``
+or ``--opt=value``, whatever they start with; an option may be shortened to
+any unique prefix, and an exact name wins.  Every usage error is one
+``error: ...`` line on stderr and exit 2; help exits 0.  The handlers read
+the parsed arguments directly.  A value the table cannot reject (a
+precision below 64 bits, a negative order or n) raises ValueError where it
+is read and also exits 2.  Coefficient lists are written from one record
+per coefficient ({k, r, coefficient}, or {r, coefficient} for stirling) as
 plain values, CSV lines or JSON.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import connected, counts, regular
+from .multipoly import ExponentOverflow, MissingWeight
 from .series import Series, SeriesError, ValuationViolation, rational_str
 
 EXIT_OK = 0
@@ -114,7 +124,7 @@ def _connected(k: int, r: int, shipped) -> tuple[Series, Series]:
     return plain, connected.csg_tilde(k, plain, plain_counts)
 
 
-def cmd_expand(args: argparse.Namespace, out) -> int:
+def cmd_expand(args: SimpleNamespace, out) -> int:
     k, r = args.k, args.order
     _check_k(args.which, k)
     if args.which == "sg":
@@ -128,7 +138,7 @@ def cmd_expand(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def cmd_formal_k(args: argparse.Namespace, out) -> int:
+def cmd_formal_k(args: SimpleNamespace, out) -> int:
     poly = regular.formal_k_interpolate(args.r)
     doc = {
         "r": poly.r,
@@ -144,7 +154,7 @@ def cmd_formal_k(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def cmd_count(args: argparse.Namespace, out) -> int:
+def cmd_count(args: SimpleNamespace, out) -> int:
     k, n = args.k, args.n
     if args.method == "brute":
         value = counts.count_brute(k, n, args.brute_limit)
@@ -166,7 +176,7 @@ def cmd_count(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace, out) -> int:
+def cmd_validate(args: SimpleNamespace, out) -> int:
     from . import validation  # the one subcommand that runs the residual harness
 
     precision = validation.DEFAULT_PRECISION if args.precision is None else args.precision
@@ -210,92 +220,234 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def cmd_stirling(args: argparse.Namespace, out) -> int:
+def cmd_stirling(args: SimpleNamespace, out) -> int:
     _write(out, args.fmt, _records(connected.stirling_series(args.r)))
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="regasym",
-        description="Exact expansion coefficients and count validation for "
-        "regular and connected regular labeled graphs.",
-    )
+REQUIRED = object()  # the default of an argument that must be given
+
+
+class Opt:
+    """One argument in the table.  ``kind`` converts its value (int, str or
+    Path) or is the tuple of its choices; a ``default`` of REQUIRED makes it
+    required; a ``help`` of None hides it from --help; ``dest`` names the
+    attribute the handler reads, by default the name without its leading
+    dashes and with "-" as "_".  A name without leading dashes is positional."""
+
+    __slots__ = ("kind", "default", "help", "dest")
+
+    def __init__(self, kind, default=REQUIRED, help="", dest=None):
+        self.kind, self.default, self.help, self.dest = kind, default, help, dest
+
+
+class Command:
+    """A handler with its one-line help, its arguments and a longer description."""
+
+    __slots__ = ("run", "help", "options", "description")
+
+    def __init__(self, run, help, options, description=None):
+        self.run, self.help, self.options = run, help, options
+        self.description = description or help
+
+
+COMMANDS = {
+    "expand": Command(cmd_expand, "expansion coefficients for fixed k", {
+        "which": Opt(("sg", "csg"), help="plain or connected counts"),
+        "--k": Opt(int, help="degree k (sg: k>=2, csg: k>=3)"),
+        "--order": Opt(int, help="highest coefficient index r"),
+        "--format": Opt(("plain", "json", "csv"), "plain", "output format (default plain)", "fmt"),
+    }),
+    "formal-k": Command(cmd_formal_k, "coefficient as one polynomial in k", {
+        "--r": Opt(int, help="coefficient index"),
+    }),
+    "count": Command(cmd_count, "exact count for one (k, n)", {
+        "--k": Opt(int, help="degree k"),
+        "--n": Opt(int, help="number of vertices n"),
+        "--method": Opt(
+            ("formula", "brute", "auto"), "auto",
+            "auto cross-checks a computed count against brute force "
+            "when n <= --brute-limit (default auto)",
+        ),
+        "--brute-limit": Opt(
+            int, counts.DEFAULT_BRUTE_LIMIT,
+            f"largest n for the brute-force count (default {counts.DEFAULT_BRUTE_LIMIT})",
+        ),
+    }),
+    "validate": Command(cmd_validate, "residual grid against ingested counts", {
+        "--which": Opt(("sg", "csg"), "sg", "which grid (default sg)"),
+        "--k": Opt(str, help='comma list, e.g. "2,3,4,5"'),
+        "--n": Opt(str, help='comma list or range, e.g. "10:100:10"'),
+        "--r": Opt(int, 3, "residual order (default 3, as published)"),
+        # the default is validation.DEFAULT_PRECISION, read in cmd_validate so
+        # that parsing does not load the harness; a test keeps this help equal to it
+        "--precision": Opt(int, None, "working precision in bits (default 256)"),
+    }, "Residual grid against exact counts.  Counts past the shipped tables (k = 3, "
+        "4, 5 to n = 100 in the packaged data) come from the moment recurrence, one "
+        "sweep per k, which is slow for k >= 7: count --k 7 --n 30 alone takes "
+        "10-25 s and about 100 MB."),
+    "stirling": Command(cmd_stirling, "factorial correction series", {
+        "--r": Opt(int, help="highest coefficient index"),
+        "--format": Opt(("plain", "json"), "plain", "output format (default plain)", "fmt"),
+    }),
+}
+
+# the options before the command
+TOP = Command(None, "Exact expansion coefficients and count validation for "
+              "regular and connected regular labeled graphs.", {
     # accepted, ignored and hidden from --help: perfbench's counts and grids
     # workloads still pass --cache-dir, so it goes when they stop passing it
-    parser.add_argument("--cache-dir", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--data-dir",
-        type=Path,
-        default=counts.DATA_DIR,
-        help="directory with reference count tables (default: packaged data)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    "--cache-dir": Opt(str, None, None),
+    "--data-dir": Opt(
+        Path, counts.DATA_DIR,
+        "directory with reference count tables (default: packaged data)",
+    ),
+})
 
-    p = sub.add_parser("expand", help="expansion coefficients for fixed k")
-    p.set_defaults(run=cmd_expand)
-    p.add_argument("which", choices=("sg", "csg"), help="plain or connected counts")
-    p.add_argument("--k", type=int, required=True, help="degree k (sg: k>=2, csg: k>=3)")
-    p.add_argument("--order", type=int, required=True, help="highest coefficient index r")
-    p.add_argument(
-        "--format", choices=("plain", "json", "csv"), default="plain", dest="fmt",
-        help="output format (default plain)",
-    )
 
-    p = sub.add_parser("formal-k", help="coefficient as one polynomial in k")
-    p.set_defaults(run=cmd_formal_k)
-    p.add_argument("--r", type=int, required=True, help="coefficient index")
+def _dest(name: str, opt: Opt) -> str:
+    return opt.dest or name.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("count", help="exact count for one (k, n)")
-    p.set_defaults(run=cmd_count)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method", choices=("formula", "brute", "auto"), default="auto",
-        help="auto cross-checks a computed count against brute force "
-        "when n <= --brute-limit (default auto)",
-    )
-    p.add_argument(
-        "--brute-limit", type=int, default=counts.DEFAULT_BRUTE_LIMIT,
-        help=f"largest n for the brute-force count (default {counts.DEFAULT_BRUTE_LIMIT})",
-    )
 
-    p = sub.add_parser(
-        "validate",
-        help="residual grid against ingested counts",
-        description="Residual grid against exact counts.  Counts past the shipped "
-        "tables (k = 3, 4, 5 to n = 100 in the packaged data) come from the moment "
-        "recurrence, one sweep per k, which is slow for k >= 7: count --k 7 --n 30 "
-        "alone takes 10-25 s and about 100 MB.",
-    )
-    p.set_defaults(run=cmd_validate)
-    p.add_argument("--which", choices=("sg", "csg"), default="sg", help="which grid (default sg)")
-    p.add_argument("--k", type=str, required=True, help='comma list, e.g. "2,3,4,5"')
-    p.add_argument("--n", type=str, required=True, help='comma list or range, e.g. "10:100:10"')
-    p.add_argument("--r", type=int, default=3, help="residual order (default 3, as published)")
-    # the default is validation.DEFAULT_PRECISION, read in cmd_validate so that
-    # parsing does not load the harness; a test keeps this help text equal to it
-    p.add_argument(
-        "--precision", type=int, default=None,
-        help="working precision in bits (default 256)",
-    )
+def _match(name: str, options: dict[str, Opt]) -> str:
+    """The option name spells out, else the one it abbreviates uniquely;
+    -h, --help and its abbreviations give "--help"."""
+    if name == "-h":
+        return "--help"
+    names = ["--help", *(n for n in options if n.startswith("--"))]
+    if name in names:
+        return name
+    found = [n for n in names if n.startswith(name)] if len(name) > 2 and name[:2] == "--" else []
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise ValueError(f"ambiguous option: {name} could match {', '.join(found)}")
+    raise ValueError(f"unrecognized arguments: {name}")
 
-    p = sub.add_parser("stirling", help="factorial correction series")
-    p.set_defaults(run=cmd_stirling)
-    p.add_argument("--r", type=int, required=True, help="highest coefficient index")
-    p.add_argument(
-        "--format", choices=("plain", "json"), default="plain", dest="fmt",
-        help="output format (default plain)",
-    )
-    return parser
+
+def _convert(name: str, kind, value: str):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(
+                f"argument {name}: invalid choice: {value!r} (choose from {', '.join(kind)})"
+            )
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def _read(
+    prog: str, command: Command, argv: list[str], at: int, args: SimpleNamespace
+) -> int | None:
+    """Read the command's arguments from argv[at:] into args, up to a
+    positional one it has no place for, and return where reading stopped.
+    After -h or --help, set args.run to write the help and return None.
+
+    An option takes the next word as its value whatever it starts with,
+    so ``--n -1`` reaches the command's own check."""
+    options = command.options
+    positionals = [name for name in options if not name.startswith("-")]
+    given = {}
+    while at < len(argv):
+        arg = argv[at]
+        if not arg.startswith("-"):
+            if not positionals:
+                break
+            name, value = positionals.pop(0), arg
+        else:
+            name, eq, value = arg.partition("=")
+            name = _match(name, options)
+            if name == "--help":
+                args.run = lambda _, out: _write_help(out, prog, command)
+                return None
+            if not eq:
+                at += 1
+                if at == len(argv):
+                    raise ValueError(f"argument {name}: expected one argument")
+                value = argv[at]
+        given[name] = _convert(name, options[name].kind, value)
+        at += 1
+    missing = [n for n, opt in options.items() if opt.default is REQUIRED and n not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    for name, opt in options.items():
+        setattr(args, _dest(name, opt), given.get(name, opt.default))
+    return at
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The arguments in argv: the options in TOP, the command, then the
+    command's own arguments.  ``run`` is the command's handler, or writes the
+    help text after -h or --help.  A usage error raises ValueError."""
+    args = SimpleNamespace()
+    at = _read("regasym", TOP, argv, 0, args)
+    if at is None:
+        return args
+    if at == len(argv):
+        raise ValueError(f"a command is required (choose from {', '.join(COMMANDS)})")
+    name = argv[at]
+    if name not in COMMANDS:
+        raise ValueError(f"invalid command: {name!r} (choose from {', '.join(COMMANDS)})")
+    args.run = COMMANDS[name].run
+    at = _read(f"regasym {name}", COMMANDS[name], argv, at + 1, args)
+    if at is not None and at < len(argv):
+        raise ValueError(f"unrecognized arguments: {' '.join(argv[at:])}")
+    return args
+
+
+def _fill(head: str, words: list[str], indent: int, width: int = 79) -> str:
+    """head, then the words one space apart, wrapped before width; each
+    continuation line starts with indent spaces."""
+    lines = head.split("\n")
+    fresh = True  # the last line holds no word yet
+    for word in words:
+        if not fresh and len(lines[-1]) + 1 + len(word) > width:
+            lines.append(" " * indent)
+            fresh = True
+        lines[-1] += word if fresh else " " + word
+        fresh = False
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def _row(label: str, text: str) -> str:
+    head = f"  {label:<22}" if len(label) <= 20 else f"  {label}\n{' ' * 24}"
+    return _fill(head, text.split(), 24)
+
+
+def _write_help(out, prog: str, command: Command) -> int:
+    """Write the help text generated from the command's table entry."""
+    shown = {name: opt for name, opt in command.options.items() if opt.help is not None}
+    labels = {}
+    for name, opt in shown.items():
+        if isinstance(opt.kind, tuple):
+            metavar = "{" + ",".join(opt.kind) + "}"
+        else:
+            metavar = _dest(name, opt).upper()
+        labels[name] = f"{name} {metavar}" if name.startswith("-") else metavar
+    options = [n for n in shown if n.startswith("-")]
+    positionals = [n for n in shown if not n.startswith("-")]
+    usage = ["[-h]"]
+    usage += [labels[n] if shown[n].default is REQUIRED else f"[{labels[n]}]" for n in options]
+    usage += [labels[n] for n in positionals]
+    rows, heading = [(labels[n], shown[n].help) for n in positionals], "positional arguments"
+    if command is TOP:
+        usage.append("COMMAND ...")
+        rows, heading = [(name, c.help) for name, c in COMMANDS.items()], "commands"
+    text = [_fill(f"usage: {prog} ", usage, len(prog) + 8), "\n"]
+    text.append(_fill("", command.description.split(), 0))
+    if rows:
+        text += ["\n", f"{heading}:\n", *(_row(*row) for row in rows)]
+    text += ["\n", "options:\n", _row("-h, --help", "show this help message and exit")]
+    text += [_row(labels[n], shown[n].help) for n in options]
+    out.write("".join(text))
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.run(args, sys.stdout)
     except regular.DegreeOverflow as exc:
         sys.stderr.write(f"degree overflow: {exc}\n")
@@ -308,6 +460,8 @@ def main(argv: list[str] | None = None) -> int:
         regular.RouteMismatch,
         connected.GapMismatch,
         counts.NonIntegerResult,
+        MissingWeight,
+        ExponentOverflow,
     ) as exc:
         sys.stderr.write(f"internal assertion failed: {exc}\n")
         return EXIT_INTERNAL

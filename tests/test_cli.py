@@ -397,13 +397,19 @@ def test_validate_default_precision_is_256(capsys):
 # validate loads the residual harness, and no other subcommand does; only
 # formal-k and JSON output load json; no subcommand loads mpmath (the harness
 # computes in integers) or the standard library modules listed after it.
+# Nor does regasym load a parser library: of argparse and the gettext and
+# locale it pulls in, only what the interpreter's own start-up (site) loaded
+# before regasym.cli is imported may be there.
 HARNESS = "regasym.validation"
+PARSER_MODULES = ("argparse", "gettext", "locale")
 IMPORT_BUDGET_SCRIPT = f"""
 import sys
+before = set(sys.modules)
 from regasym import cli
 from regasym.regular import FormalKPolynomial, sg_expansion
 code = cli.main(sys.argv[1:])
 loaded = [m for m in {(HARNESS, "json", "mpmath", "dataclasses", "inspect", "logging")!r} if m in sys.modules]
+loaded += [m for m in {PARSER_MODULES!r} if m in sys.modules and m not in before]
 expected = [{HARNESS!r}] if sys.argv[1] == "validate" else []
 if sys.argv[1] == "formal-k" or sys.argv[-2:] == ["--format", "json"]:
     expected.append("json")
@@ -421,6 +427,9 @@ sys.exit(code if loaded == expected else f"loaded {{loaded}}, expected {{expecte
         "formal-k --r 1",
         "stirling --r 3",
         "validate --which sg --k 3 --n 10:20:10",
+        "--help",
+        "count --help",
+        "--data-dir=. count --k 3 --n 12 --meth formula",
     ],
 )
 def test_only_validate_loads_the_numerical_harness(argv):
@@ -581,6 +590,94 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run(["stirling", "--r", "2", "--bogus"], capsys)[0] == 2
     assert run(["expand", "sg", "--k", "3"], capsys)[0] == 2  # missing --order
     assert run(["nonsense"], capsys)[0] == 2
+
+
+# Argument syntax: each spelling on the right must act exactly as the one on
+# the left: --opt=value, unique prefixes of an option (--ord, --meth, --data),
+# and option values that start with "-".
+SYNTAX_EQUIVALENTS = [
+    ("count --k 3 --n 12 --method formula", "count --k=3 --n=12 --meth formula"),
+    ("expand sg --k 3 --order 2", "expand sg --k=3 --ord 2"),
+    ("expand csg --k 4 --order 5 --format json", "expand --format=json csg --or=5 --k 4"),
+    ("--data-dir {tmp} count --k 3 --n 6", "--data={tmp} count --k 3 --n 6"),
+    (
+        "validate --which csg --k 3 --n 10:20:10 --r 0",
+        "validate --wh=csg --k 3 --n=10:20:10 --r 0",
+    ),
+    ("stirling --r -1", "stirling --r=-1"),
+    ("count --k 3 --n -1", "count --n=-1 --k 3"),
+]
+
+
+@pytest.mark.parametrize("plain, spelled", SYNTAX_EQUIVALENTS)
+def test_argument_spellings_are_equivalent(plain, spelled, tmp_path, capsys):
+    expected = run(plain.format(tmp=tmp_path).split(), capsys)
+    assert run(spelled.format(tmp=tmp_path).split(), capsys) == expected
+    assert expected[0] == cli.EXIT_OK or expected[2].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["-h"], "usage: regasym [-h]"),
+        (["--help"], "usage: regasym [-h]"),
+        (["--data-dir", "x", "--help", "count"], "usage: regasym [-h]"),
+        *(
+            ([name, flag], f"usage: regasym {name} [-h]")
+            for name in cli.COMMANDS
+            for flag in ("-h", "--help")
+        ),
+        (["expand", "sg", "--k", "3", "--help"], "usage: regasym expand [-h]"),
+    ],
+)
+def test_help_at_either_level_exits_zero(argv, usage, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.startswith(usage) and "-h, --help" in out
+
+
+# One line on stderr and exit 2 for each kind of usage error
+USAGE_ERRORS = [
+    ([], "a command is required (choose from expand, formal-k, count, validate, stirling)"),
+    (["nonsense"], "invalid command: 'nonsense' (choose from expand, formal-k, count, "
+     "validate, stirling)"),
+    (["stirling", "--r", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["stirling", "--r", "2", "-x"], "unrecognized arguments: -x"),
+    (["stirling", "--r", "2", "3"], "unrecognized arguments: 3"),
+    (["count", "--k", "3", "--data-dir", "x"], "unrecognized arguments: --data-dir"),
+    (["expand", "sg", "--k", "3"], "the following arguments are required: --order"),
+    (["expand", "--k", "3", "--order", "2"], "the following arguments are required: which"),
+    (["expand", "pg", "--k", "3", "--order", "2"],
+     "argument which: invalid choice: 'pg' (choose from sg, csg)"),
+    (["count", "--k", "3", "--n"], "argument --n: expected one argument"),
+    (["count", "--k", "x", "--n", "3"], "argument --k: invalid int value: 'x'"),
+    (["count", "--k", "3", "--n", "4", "--method", "fast"],
+     "argument --method: invalid choice: 'fast' (choose from formula, brute, auto)"),
+    # the option takes "-1" as its value, and the count's own check rejects it
+    (["count", "--k", "3", "--n", "-1"],
+     "(k=3, n=-1): the degree and the vertex count must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=[" ".join(e[0]) for e in USAGE_ERRORS]
+)
+def test_usage_errors_are_one_line(argv, message, capsys):
+    assert run(argv, capsys) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_exact_option_name_wins_over_a_longer_one(capsys, monkeypatch):
+    # no two options of the shipped table share a prefix, so two are added
+    count = cli.COMMANDS["count"]
+    options = {**count.options, "--kmax": cli.Opt(int, 0), "--brute-mode": cli.Opt(str, "")}
+    monkeypatch.setitem(cli.COMMANDS, "count", cli.Command(count.run, count.help, options))
+    assert run(["count", "--k", "3", "--n", "6"], capsys) == (cli.EXIT_OK, "70 ingested\n", "")
+    assert run(["count", "--k", "3", "--n", "6", "--km", "1"], capsys)[0] == cli.EXIT_OK
+    assert run(["count", "--k", "3", "--n", "6", "--brute", "9"], capsys) == (
+        cli.EXIT_USAGE,
+        "",
+        "error: ambiguous option: --brute could match --brute-limit, --brute-mode\n",
+    )
 
 
 def test_bad_values_are_usage_errors(capsys):
@@ -772,9 +869,7 @@ def test_help_mentions_defaults(capsys):
         # the parser does not load the harness, so its default is restated here
         (["validate", "--help"], f"in bits (default {validation.DEFAULT_PRECISION})"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(argv)
-        assert exc.value.code == 0
+        assert cli.main(argv) == cli.EXIT_OK
         assert expected in " ".join(capsys.readouterr().out.split())
 
 
@@ -792,6 +887,42 @@ def test_parse_int_list():
     assert cli.parse_int_list("4:6") == (4, 5, 6)
     with pytest.raises(ValueError):
         cli.parse_int_list("1:10:0")
+
+
+# Internal alarms of the polynomial layer, injected in a fresh interpreter:
+# each exits 3 with one line and no traceback, under python -O too.
+LAYER_FAULTS = {
+    # the moment rule meets t_2 with no weight declared for it
+    "missing_weight": (
+        "orig = regular._moment_weights\n"
+        "regular._moment_weights = lambda r: {j: w for j, w in orig(r).items() if j != 2}\n",
+        "no moment weight declared for variable 2",
+    ),
+    # an exponent past MAX_EXP reaches a product
+    "exponent_overflow": (
+        "from regasym.multipoly import MAX_EXP, MPoly, monomial\n"
+        "big = MPoly({monomial({1: MAX_EXP}): 1})\n"
+        "orig = regular.gaussian_hadamard\n"
+        "regular.gaussian_hadamard = lambda p, weights: orig(p * big * big, weights)\n",
+        "an exponent exceeds",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
+@pytest.mark.parametrize("fault", sorted(LAYER_FAULTS))
+def test_layer_alarms_are_internal_assertions(fault, flags):
+    patch, message = LAYER_FAULTS[fault]
+    script = (
+        "import sys\n"
+        "from regasym import cli, regular\n"
+        + patch
+        + "sys.exit(cli.main(['expand', 'sg', '--k', '3', '--order', '2']))\n"
+    )
+    proc = run_fresh(*flags, "-c", script)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, ""), proc.stderr
+    assert proc.stderr.startswith("internal assertion failed: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 # Break one route of a cross-route check, then run the CLI in a fresh
