@@ -115,7 +115,7 @@ def crosscheck(k: int, sg: list[int]) -> int:
     # one, counted by resolve at that degree through a recurrence of its own
     pairs = 0
     for n in range(k + 1, min(2 * k, len(sg) - 1) + 1):
-        other, _ = resolve(n - 1 - k, n)
+        other, _ = resolve(n - 1 - k, [n])[n]
         require(sg[n] == other, f"k={k}, n={n}: table {sg[n]} vs complement {other}")
         pairs += 1
     print(f"  k={k}: cross-checks passed", flush=True)

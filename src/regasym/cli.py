@@ -28,11 +28,10 @@ alarm, never a user error), 4 interpolation degree overflow, 5 count
 mismatch (the formula against brute force, or a shipped count against the
 structural rules), 6 residual grid mismatch.
 
-Counts come from :func:`counts.resolve`, given the shipped table for k
-under --data-dir, read once per k by :func:`counts.reference_counts`,
-which checks it against the structural rules; the layers below get plain
-counts, one list or mapping per k built by a comprehension over
-``resolve``.
+Counts come from one :func:`counts.resolve` call per k for every n the
+command reads, a(0..:func:`connected.last_shift`) for the transfer, with the
+shipped table under --data-dir read by :func:`counts.reference_counts`, which
+checks it against the structural rules and refuses a path that is no directory.
 Identical flags always produce byte-identical output.
 
 The command line is read from one table: :data:`COMMANDS` maps each
@@ -119,9 +118,9 @@ def _check_k(which: str, k: int):
 def _connected(k: int, r: int, shipped) -> tuple[Series, Series]:
     """The plain and connected expansion series of order r: one run of the
     plain pipeline serves the transfer and the gap check."""
-    plain_counts = [counts.resolve(k, m, shipped)[0] for m in range(2 * r + 1)]
+    resolved = counts.resolve(k, range(connected.last_shift(k, r) + 1), shipped)
     plain = regular.sg_expansion(k, r)
-    return plain, connected.csg_tilde(k, plain, plain_counts)
+    return plain, connected.csg_tilde(k, plain, [count for count, _ in resolved.values()])
 
 
 def cmd_expand(args: SimpleNamespace, out) -> int:
@@ -132,8 +131,7 @@ def cmd_expand(args: SimpleNamespace, out) -> int:
         return EXIT_OK
     plain, csg = _connected(k, r, counts.reference_counts("sg", k, args.data_dir))
     records = _records(csg, k=k)
-    gap_order = (k + 1) * (k - 2) // 2
-    gap = connected.valuation_gap(k, plain, csg) if r >= gap_order else None
+    gap = connected.valuation_gap(k, plain, csg) if r >= connected.gap_order(k) else None
     _write(out, args.fmt, records, {"k": k, "terms": records, "gap_valuation": gap})
     return EXIT_OK
 
@@ -161,7 +159,7 @@ def cmd_count(args: SimpleNamespace, out) -> int:
         provenance = counts.PROV_BRUTE
     else:
         shipped = counts.reference_counts("sg", k, args.data_dir)
-        value, provenance = counts.resolve(k, n, shipped)
+        value, provenance = counts.resolve(k, [n], shipped)[n]
         # auto checks a computed count by brute force when n is small; the
         # shipped tables were checked so when they were generated
         if (
@@ -198,7 +196,7 @@ def cmd_validate(args: SimpleNamespace, out) -> int:
         coeffs = ()  # at k_r = 0 nothing is subtracted
         if which == "sg":
             # a table hit up to n = 100, else computed
-            cell_counts = {n: counts.resolve(k, n, shipped)[0] for n in ns}
+            cell_counts = {n: count for n, (count, _) in counts.resolve(k, ns, shipped).items()}
             if k_r:
                 coeffs = regular.sg_expansion(k, k_r - 1).coefficients
         else:

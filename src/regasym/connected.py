@@ -32,11 +32,11 @@ hold a general composition as its oracle.
 
 A shift with jk odd contributes nothing and its constant k!^j k^{-kj/2}
 would be irrational, so it is skipped before any arithmetic, as is a zero
-weight.  C_j has valuation (k-2) j / 2 by construction, so the sum stops
-once (k-2) j exceeds 2r.
+weight.  C_j has valuation (k-2) j / 2, so an order-r sum runs over j up to
+J = floor(2r/(k-2)) (:func:`last_shift`) and reads the counts a(0..J) alone.
 
 The two expansions agree through order g - 1 and differ at exactly
-g = (k+1)(k-2)/2, where connected minus plain is
+g = (k+1)(k-2)/2 (:func:`gap_order`), where connected minus plain is
 -2 (k!/k^{k/2})^{k+1} / (k+1)!; :func:`valuation_gap` verifies both.
 
 S = n! / (n^n e^{-n} sqrt(2 pi n)) in z = 1/n now serves only the
@@ -124,30 +124,38 @@ def shifted_expansion(plain: Series, j: int, k: int) -> Series:
     return (env.shift(j, m) * Series(falling, m) * composed * pref).shift_up(aj)
 
 
+def last_shift(k: int, r: int) -> int:
+    """floor(2r/(k-2)), the last shift j whose valuation (k-2) j / 2 is <= r."""
+    return 2 * r // (k - 2)
+
+
 def csg_tilde(k: int, plain: Series, counts: list[int]) -> Series:
     """Expansion series of connected k-regular counts, coefficients 0..r,
     from the plain expansion series F of order r (``regular.sg_expansion``).
 
-    counts are the plain counts indexed by n; those for 0..2r vertices are
-    the reciprocal EGF weights, and a shorter list is a ValueError.
-    Sums the shifts j = 0..2r, and stops once (k-2) j exceeds 2r: shift j
-    has valuation (k-2) j / 2 by construction (``shifted_expansion``).
+    counts are the plain counts indexed by n; those for 0..J vertices,
+    J = last_shift(k, r), are the reciprocal EGF weights of the shifts
+    j = 0..J, the only ones read, and a shorter list is a ValueError.
     """
     if k < 3:
         raise ValueError("connected expansion requires k >= 3")
     r = plain.order
-    if len(counts) < 2 * r + 1:
-        raise ValueError(f"need the plain counts for 0..{2 * r} vertices, got {len(counts)}")
-    recip = egf_reciprocal_coeffs(counts[: 2 * r + 1])
+    jmax = last_shift(k, r)
+    if len(counts) < jmax + 1:
+        raise ValueError(f"need the plain counts for 0..{jmax} vertices, got {len(counts)}")
+    recip = egf_reciprocal_coeffs(counts[: jmax + 1])
 
     total = Series.zero(r)
-    for j in range(0, 2 * r + 1):
+    for j in range(jmax + 1):
         if (j * k) % 2 or recip[j] == 0:
             continue  # no contribution; skipped before any irrational constant
-        if (k - 2) * j > 2 * r:
-            break
         total = total + shifted_expansion(plain, j, k) * recip[j]
     return total
+
+
+def gap_order(k: int) -> int:
+    """(k+1)(k-2)/2, the order where the connected and plain expansions differ first."""
+    return (k + 1) * (k - 2) // 2
 
 
 def valuation_gap(k: int, plain: Series, connected: Series) -> int:
@@ -160,7 +168,7 @@ def valuation_gap(k: int, plain: Series, connected: Series) -> int:
     """
     diff = connected - plain
     r = diff.order
-    order = (k + 1) * (k - 2) // 2
+    order = gap_order(k)
     if r < order:
         raise ValueError(f"r = {r} cannot expose the gap (k+1)(k-2)/2 = {order}")
     expected = (order, -2 * Envelope(k).shift_constant(k + 1) / math.factorial(k + 1))

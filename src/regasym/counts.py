@@ -12,7 +12,7 @@ The routes that produce (and cross-check) the integers:
   U_{n+1} = Q U_n + n V U_{n-1}, Q = P - sum_j x_j g[k-j] and
   V = sum_j alpha_j g[k-j]^2, each step one ``MPoly.dot``; the Gaussian
   moment rule on x_1..x_{k//2} turns U_n into the count, which must be a
-  nonnegative integer.  One sweep per k per process serves every n.
+  nonnegative integer.  One run to the largest n serves every smaller n.
 * ``count_two_regular``: the integer recurrence for cycle sets (k = 2),
   the production route for k = 2.
 * ``count_brute``: backtracking over adjacency choices, memoised on the
@@ -27,10 +27,10 @@ cross-checks the tables with it, and the tests import both from there.
 :func:`resolve` is the one place that decides where a count comes from:
 the structural rules of :func:`structural` (the empty graph gives 1, there
 is no k-regular graph on 1..k vertices, and none at all when n*k is odd),
-then the shipped counts it is given, then the moment recurrence (the
-k = 2 recurrence for k = 2).  It returns the route as a provenance word:
-``structural``, ``ingested`` for a shipped b-file entry, or ``formula``
-for a count it computed.  A negative k or n is a ValueError in
+then the shipped counts it is given, then one run of the moment recurrence
+(the k = 2 recurrence for k = 2) for all the n left.  Each count comes with
+its route: ``structural``, ``ingested`` for a shipped b-file entry, or
+``formula`` for a count it computed.  A negative k or n is a ValueError in
 :func:`structural`, so every route rejects it.
 
 Every layer reads plain counts: :func:`load_bfile` and
@@ -38,8 +38,8 @@ Every layer reads plain counts: :func:`load_bfile` and
 :func:`egf_reciprocal_coeffs` takes such a list.  Two routes that give
 different counts for one (k, n) raise :class:`CountConflict`; so does a
 shipped 'sg' table entry that contradicts the structural rules, when
-:func:`reference_counts` reads it.  The count_* functions are pure; the
-only state here is the per-k sweep of :func:`moment_counts`.
+:func:`reference_counts` reads it.  Nothing here holds state: no count is
+kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .multipoly import MPoly, exp_over_root, gaussian_hadamard
 from .series import Series
@@ -159,24 +159,25 @@ def count_brute(k: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     return fill((k,) * n)
 
 
-_SWEEPS: dict[int, tuple[list[int], Iterator[int]]] = {}
-
-
 def moment_counts(k: int, nmax: int) -> list[int]:
-    """Counts of k-regular labeled graphs on 0..nmax vertices by the moment recurrence.
-
-    One sweep per k per process: its counts so far are kept, every call
-    reads a truncation, and a longer call extends the same sweep, so
-    asking for n = 0, 1, 2, ... in turn costs one sweep in all.
-    """
+    """Counts of k-regular labeled graphs on 0..nmax vertices by the moment
+    recurrence U_{n+1} = Q U_n + n V U_{n-1} (:func:`_bracket_split`), the
+    count at n the Gaussian moment of U_n, which must be a nonnegative
+    integer (NonIntegerResult otherwise)."""
     if k < 1:
         raise ValueError("the moment recurrence requires k >= 1")
-    if k not in _SWEEPS:
-        _SWEEPS[k] = ([], _moment_sweep(k))
-    done, steps = _SWEEPS[k]
-    while len(done) <= nmax:
-        done.append(next(steps))
-    return done[: nmax + 1]
+    q_poly, v_poly = _bracket_split(k)
+    low = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k // 2 + 1)}
+    prev, curr = MPoly.zero(), MPoly.const(1)
+    out = []
+    for n in range(nmax + 1):
+        if n:
+            prev, curr = curr, MPoly.dot([(1, q_poly, curr), (n - 1, v_poly, prev)])
+        value = 0 if (n * k) % 2 else gaussian_hadamard(curr, low)
+        if value.denominator != 1 or value < 0:
+            raise NonIntegerResult(f"value {value} for (k={k}, n={n})")
+        out.append(int(value))
+    return out
 
 
 def _bracket_split(k: int) -> tuple[MPoly, MPoly]:
@@ -187,25 +188,6 @@ def _bracket_split(k: int) -> tuple[MPoly, MPoly]:
     q = g[k] - MPoly.dot((1, MPoly.variable(j), g[k - j]) for j in high)
     v = MPoly.dot((Fraction((-1) ** (j + 1), j), g[k - j], g[k - j]) for j in high)
     return q, v
-
-
-def _moment_sweep(k: int) -> Iterator[int]:
-    """Yield the counts for n = 0, 1, 2, ...: U_{n+1} = Q U_n + n V U_{n-1}
-    (:func:`_bracket_split`), the count at n the Gaussian moment of U_n."""
-    q_poly, v_poly = _bracket_split(k)
-    low = {j: Fraction((-1) ** (j + 1), j) for j in range(1, k // 2 + 1)}
-    prev, curr = MPoly.zero(), MPoly.const(1)
-    n = 0
-    while True:
-        if (n * k) % 2:
-            yield 0
-        else:
-            value = gaussian_hadamard(curr, low)
-            if value.denominator != 1 or value < 0:
-                raise NonIntegerResult(f"value {value} for (k={k}, n={n})")
-            yield int(value)
-        prev, curr = curr, MPoly.dot([(1, q_poly, curr), (n, v_poly, prev)])
-        n += 1
 
 
 def count_two_regular(n: int) -> int:
@@ -253,10 +235,13 @@ def load_bfile(path: str | Path) -> list[int]:
 
 def reference_counts(which: str, k: int, data_dir: str | Path = DATA_DIR) -> list[int]:
     """Shipped reference counts ('sg' or 'csg') of one k under data_dir,
-    indexed by n; empty when data_dir has no file for this k.  An 'sg'
-    entry that contradicts the structural rules raises CountConflict."""
+    indexed by n; empty when data_dir has no file for this k.  A data_dir
+    that is not a directory raises NotADirectoryError, and an 'sg' entry
+    that contradicts the structural rules raises CountConflict."""
     if which not in ("sg", "csg"):
         raise ValueError("which must be 'sg' or 'csg'")
+    if not Path(data_dir).is_dir():
+        raise NotADirectoryError(f"data directory {str(data_dir)!r} is not an existing directory")
     path = Path(data_dir) / f"{which}_k{k}.txt"
     shipped = load_bfile(path) if path.exists() else []
     if which == "sg":
@@ -267,22 +252,26 @@ def reference_counts(which: str, k: int, data_dir: str | Path = DATA_DIR) -> lis
     return shipped
 
 
-def resolve(k: int, n: int, shipped: Sequence[int] = ()) -> tuple[int, str]:
-    """The count of k-regular graphs on n vertices and the route that gave it.
-
-    Tries the structural rules, the shipped counts for k (indexed by n),
-    and then the moment recurrence (:func:`moment_counts`, whose one sweep
-    per k serves every n), or for k = 2 the integer recurrence of
-    :func:`count_two_regular`.
-    """
-    s = structural(k, n)
-    if s is not None:
-        return s, PROV_STRUCTURAL
-    if n < len(shipped):
-        return shipped[n], PROV_INGESTED
+def resolve(k: int, ns: Iterable[int], shipped: Sequence[int] = ()) -> dict[int, tuple[int, str]]:
+    """{n: (count, provenance)} for the k-regular graphs on each n in ns,
+    in the order of ns (a repeat keeps its first place): the structural
+    rules, then the shipped counts for k (indexed by n), then one run of
+    :func:`moment_counts` to the largest n left open, or for k = 2
+    :func:`count_two_regular`."""
+    settled = {n: structural(k, n) for n in ns}
+    rest = [n for n, s in settled.items() if s is None and n >= len(shipped)]
     # k = 2 has no shipped table; its recurrence serves a validate row to
     # n = 100 in ~1 ms, where a cold moment sweep takes ~40 ms
-    return count_two_regular(n) if k == 2 else moment_counts(k, n)[n], PROV_FORMULA
+    if k == 2:
+        computed = {n: count_two_regular(n) for n in rest}
+    else:
+        computed = moment_counts(k, max(rest)) if rest else []
+    return {
+        n: (s, PROV_STRUCTURAL) if s is not None
+        else (shipped[n], PROV_INGESTED) if n < len(shipped)
+        else (computed[n], PROV_FORMULA)
+        for n, s in settled.items()
+    }
 
 
 def egf_reciprocal_coeffs(counts: list[int]) -> list[Fraction]:

@@ -255,7 +255,6 @@ def test_non_integral_moment_is_internal_alarm(tmp_path, capsys, monkeypatch):
     # a bracket series off by a factor cannot give integer moments: the recurrence's
     # integrality check must fire and map to the internal-assertion exit
     series = cli.counts.exp_over_root
-    monkeypatch.setattr(cli.counts, "_SWEEPS", {})
     monkeypatch.setattr(cli.counts, "exp_over_root", lambda *args: series(*args) * Fraction(1, 3))
     code, out, err = run(["--data-dir", str(tmp_path), "count", "--k", "3", "--n", "4"], capsys)
     assert (code, out) == (cli.EXIT_INTERNAL, "")
@@ -556,6 +555,40 @@ def test_expand_csg_transfers_once(capsys, monkeypatch):
     assert json.loads(out)["gap_valuation"] == 5
     assert [(k, plain.order) for k, plain, _ in transfers] == [(4, 12)]
     assert plains == [(4, 12)]
+
+
+def test_expand_csg_pins_the_k6_gap(capsys):
+    # past the shipped tables: the gap order (k+1)(k-2)/2 = 14, where the
+    # transfer reads the counts a(0..7) alone
+    code, out, _ = run(
+        ["expand", "csg", "--k", "6", "--order", "14", "--format", "json"], capsys
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["gap_valuation"] == 14
+
+
+@pytest.mark.parametrize("k, r, swept", [(6, 10, []), (5, 12, [(5, 8)]), (3, 12, [(3, 24)])])
+def test_expand_csg_resolves_only_the_counts_the_transfer_reads(
+    k, r, swept, tmp_path, capsys, monkeypatch
+):
+    # with an empty data dir the transfer's counts a(0..2r/(k-2)) take one
+    # sweep to the largest n the structural rules leave open: none at k = 6,
+    # r = 10, where every n <= 5 is structural
+    calls = spy(monkeypatch, cli.counts, "moment_counts")
+    argv = ["--data-dir", str(tmp_path), "expand", "csg", "--k", str(k), "--order", str(r)]
+    assert run(argv, capsys)[0] == cli.EXIT_OK
+    assert calls == swept
+
+
+@pytest.mark.parametrize("name", ["sg_k3.txt", "absent"])
+def test_data_dir_must_be_an_existing_directory(name, tmp_path, capsys):
+    # a file or a missing path is not read as an empty data directory
+    (tmp_path / "sg_k3.txt").write_text("0 1\n")
+    path = str(tmp_path / name)
+    for argv in (["count", "--k", "3", "--n", "6"], ["expand", "csg", "--k", "3", "--order", "2"]):
+        code, out, err = run(["--data-dir", path, *argv], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: data directory {path!r} is not an existing directory\n"
 
 
 def test_validate_csg_runs_the_plain_pipeline_once_per_k(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from regasym.connected import (
     GapMismatch,
     csg_tilde,
+    last_shift,
     shifted_expansion,
     stirling_series,
     valuation_gap,
@@ -100,7 +101,7 @@ def test_transfer_equals_the_stirling_route():
     for k, r_max in STIRLING_ROUTE_RANGES:
         full = sg_expansion(k, r_max)
         shipped = reference_counts("sg", k)
-        counts = [resolve(k, n, shipped)[0] for n in range(2 * r_max + 1)]
+        counts = [count for count, _ in resolve(k, range(2 * r_max + 1), shipped).values()]
         for r in range(r_max + 1):
             plain = full.truncate(r)
             assert csg_tilde(k, plain, counts) == stirling_transfer(k, plain, counts), (k, r)
@@ -192,6 +193,18 @@ def test_csg_k3_z2_indicator_identity(small_counts):
 def test_csg_requires_k_at_least_three(small_counts):
     with pytest.raises(ValueError):
         csg_tilde(2, sg_expansion(2, 1), small_counts[3])
+
+
+@pytest.mark.parametrize("k, r", [(3, 12), (4, 12), (5, 12), (6, 10)])
+def test_transfer_reads_only_the_counts_its_shifts_reach(k, r):
+    # shift j enters at valuation (k-2) j / 2, so order r reads a(0..2r/(k-2))
+    plain = sg_expansion(k, r)
+    full = [count for count, _ in resolve(k, range(2 * r + 1), reference_counts("sg", k)).values()]
+    jmax = 2 * r // (k - 2)
+    assert last_shift(k, r) == jmax
+    assert csg_tilde(k, plain, full[: jmax + 1]) == csg_tilde(k, plain, full)
+    with pytest.raises(ValueError, match=rf"need the plain counts for 0\.\.{jmax} vertices"):
+        csg_tilde(k, plain, full[:jmax])
 
 
 def test_csg_missing_counts_propagate(small_counts):

@@ -95,14 +95,31 @@ def test_moment_counts_degree_complements():
             assert moment_counts(k, n)[n] == count_brute(k, n), (k, n)
 
 
-def test_moment_counts_one_sweep_read_as_truncations(monkeypatch):
+def test_one_resolve_call_sweeps_once_to_its_largest_open_n(monkeypatch):
     longest = moment_counts(4, 12)
-
-    def boom(k):
-        raise AssertionError("a second sweep must not start")
-
-    monkeypatch.setattr(counts, "_moment_sweep", boom)
     assert [moment_counts(4, n) for n in range(13)] == [longest[: n + 1] for n in range(13)]
+    swept = []
+
+    def spy(k, nmax):
+        swept.append((k, nmax))
+        return moment_counts(k, nmax)
+
+    monkeypatch.setattr(counts, "moment_counts", spy)
+    assert [count for count, _ in resolve(4, range(13)).values()] == longest
+    assert swept == [(4, 12)]
+    # the shipped prefix to n = 8 and the structural rules leave 10 and 12 open
+    shipped = longest[:9]
+    got = resolve(4, [12, 3, 8, 10, 5], shipped)
+    assert got == {
+        12: (longest[12], PROV_FORMULA),
+        3: (0, PROV_STRUCTURAL),
+        8: (longest[8], PROV_INGESTED),
+        10: (longest[10], PROV_FORMULA),
+        5: (longest[5], PROV_INGESTED),
+    }
+    assert swept == [(4, 12), (4, 12)]
+    resolve(4, range(9), shipped)  # nothing left open: no sweep
+    assert swept == [(4, 12), (4, 12)]
     with pytest.raises(ValueError):
         moment_counts(0, 3)
 
@@ -360,15 +377,18 @@ def test_ingested_values_equal_formula_values(small_counts):
 
 def test_resolve_routes(monkeypatch):
     shipped = reference_counts("sg", 4)
-    assert resolve(4, 3, shipped) == (0, PROV_STRUCTURAL)
-    assert resolve(4, 10, shipped) == (66462606, PROV_INGESTED)
-    assert resolve(3, 2, [1, 0, 5]) == (0, PROV_STRUCTURAL)  # the rules come first
-    assert resolve(1, 6) == (15, PROV_FORMULA)
-    assert resolve(2, 6) == (70, PROV_FORMULA)
-    assert resolve(3, 6) == (70, PROV_FORMULA)
-    assert resolve(3, 8, [1, 0, 0, 0, 1]) == (19355, PROV_FORMULA)  # past the table
+    assert resolve(4, [3], shipped) == {3: (0, PROV_STRUCTURAL)}
+    assert resolve(4, [10], shipped) == {10: (66462606, PROV_INGESTED)}
+    assert resolve(3, [2], [1, 0, 5]) == {2: (0, PROV_STRUCTURAL)}  # the rules come first
+    assert resolve(1, [6]) == {6: (15, PROV_FORMULA)}
+    assert resolve(2, [6]) == {6: (70, PROV_FORMULA)}
+    assert resolve(3, [6]) == {6: (70, PROV_FORMULA)}
+    assert resolve(3, [8], [1, 0, 0, 0, 1]) == {8: (19355, PROV_FORMULA)}  # past the table
+    assert resolve(3, []) == {}
     with pytest.raises(ValueError):
-        resolve(-1, 1)
+        resolve(-1, [1])
+    with pytest.raises(ValueError):
+        resolve(3, [4, -2])
 
     # k = 1 goes through the moment recurrence; k = 2 keeps its own, faster
     # recurrence (a cold moment sweep to n = 100 costs a validate row ~40 ms)
@@ -379,19 +399,34 @@ def test_resolve_routes(monkeypatch):
         return moment_counts(k, nmax)
 
     monkeypatch.setattr(counts, "moment_counts", spy)
+    got = resolve(1, range(2, 301, 2))
     for n in range(2, 301, 2):
-        assert resolve(1, n) == (double_factorial(n - 1), PROV_FORMULA), n
-    assert set(swept) == {1}
+        assert got[n] == (double_factorial(n - 1), PROV_FORMULA), n
+    assert swept == [1]
     swept.clear()
+    got = resolve(2, range(4, 301, 2))
     for n in range(4, 301, 2):
-        assert resolve(2, n) == (count_two_regular(n), PROV_FORMULA), n
+        assert got[n] == (count_two_regular(n), PROV_FORMULA), n
     assert swept == []
 
     def boom(k, nmax):
         raise AssertionError("the moment recurrence must not run")
 
     monkeypatch.setattr(counts, "moment_counts", boom)
-    assert resolve(3, 6, reference_counts("sg", 3)) == (70, PROV_INGESTED)
+    assert resolve(3, [6], reference_counts("sg", 3)) == {6: (70, PROV_INGESTED)}
+
+
+def test_resolve_keeps_the_order_of_ns():
+    # the layers below read the values in the order asked for: computed and
+    # settled counts interleave as in ns, and a repeat keeps its first place
+    got = resolve(5, [8, 0, 6, 7, 6], [])
+    assert list(got) == [8, 0, 6, 7]
+    assert got == {
+        8: (reference_counts("sg", 5)[8], PROV_FORMULA),
+        0: (1, PROV_STRUCTURAL),
+        6: (1, PROV_FORMULA),
+        7: (0, PROV_STRUCTURAL),
+    }
 
 
 # -- reciprocal EGF ---------------------------------------------------------------

@@ -365,7 +365,6 @@ def test_no_floating_point_in_exact_modules():
 MEMO_ALLOW = {
     ("regular", "_TABLES"): "formal-k --r 3: 1 build for all 11 k; u 520 hits / 49 checked "
     "misses, besides 181 calls at p = 0 that skip the table",
-    ("counts", "_SWEEPS"): "5 hits / 1 miss on expand csg --k 6 --order 6: one sweep for every n",
 }
 
 MEMO_NAMES = {"cache", "lru_cache", "_longest", "_RunningPowers"}
