@@ -23,10 +23,15 @@ imported at the top, with ``series`` and ``multipoly`` beneath them:
 ``perfbench/tracer.py`` wraps the layers that ``import regasym.cli`` has
 loaded.
 
-Exit codes: 0 ok, 2 usage error, 3 internal assertion (a correctness
-alarm, never a user error), 4 interpolation degree overflow, 5 count
-mismatch (the formula against brute force, or a shipped count against the
-structural rules), 6 residual grid mismatch.
+Exit codes, 2 to 5 decided in :func:`main` by base class with one line on
+stderr: 0 ok; 2 a bad request or data file, a ValueError or OSError (every
+usage error, LimitExceeded, ParseError, OffsetMismatch, PrecisionUnderflow);
+3 a correctness alarm, a series.SeriesError (BadConstantTerm,
+InsufficientOrder, BadParity, ValuationViolation, RouteMismatch,
+IrrationalPrefactor, GapMismatch, MissingWeight, ExponentOverflow,
+NonIntegerResult); 4 interpolation degree overflow (DegreeOverflow); 5 count
+mismatch (CountConflict: the formula against brute force, or a shipped count
+against the structural rules); 6 residual grid mismatch.
 
 Counts come from one :func:`counts.resolve` call per k for every n the
 command reads, a(0..:func:`connected.last_shift`) for the transfer, with the
@@ -42,13 +47,11 @@ before the subcommand (--data-dir, and --cache-dir, accepted, ignored and
 hidden).  :func:`parse_args` and the ``-h``/``--help`` text both read the
 table, so no parser library is imported.  Values follow as ``--opt value``
 or ``--opt=value``, whatever they start with; an option may be shortened to
-any unique prefix, and an exact name wins.  Every usage error is one
-``error: ...`` line on stderr and exit 2; help exits 0.  The handlers read
-the parsed arguments directly.  A value the table cannot reject (a
-precision below 64 bits, a negative order or n) raises ValueError where it
-is read and also exits 2.  Coefficient lists are written from one record
-per coefficient ({k, r, coefficient}, or {r, coefficient} for stirling) as
-plain values, CSV lines or JSON.
+any unique prefix, and an exact name wins; help exits 0.  A value the
+table cannot reject (a precision below 64 bits, a negative order or n)
+raises ValueError where the handler reads it.  Coefficient lists are
+written from one record per coefficient ({k, r, coefficient}, or {r,
+coefficient} for stirling) as plain values, CSV lines or JSON.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import connected, counts, regular
-from .multipoly import ExponentOverflow, MissingWeight
-from .series import Series, SeriesError, ValuationViolation, rational_str
+from .series import Series, SeriesError, rational_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -209,13 +211,9 @@ def cmd_validate(args: SimpleNamespace, out) -> int:
     if r != validation.GOLDEN_R:  # the published grids exist at r = 3 only
         return EXIT_OK
     mismatches = validation.compare_to_golden(which, ns, rows)
-    if mismatches:
-        for k, n, got, expected in mismatches:
-            sys.stderr.write(
-                f"cell (k={k}, n={n}) deviates: computed {got}, published {expected}\n"
-            )
-        return EXIT_GOLDEN_MISMATCH
-    return EXIT_OK
+    for k, n, got, expected in mismatches:
+        sys.stderr.write(f"cell (k={k}, n={n}) deviates: computed {got}, published {expected}\n")
+    return EXIT_GOLDEN_MISMATCH if mismatches else EXIT_OK
 
 
 def cmd_stirling(args: SimpleNamespace, out) -> int:
@@ -453,17 +451,10 @@ def main(argv: list[str] | None = None) -> int:
     except counts.CountConflict as exc:
         sys.stderr.write(f"count mismatch: {exc}\n")
         return EXIT_COUNT_MISMATCH
-    except (
-        ValuationViolation,
-        regular.RouteMismatch,
-        connected.GapMismatch,
-        counts.NonIntegerResult,
-        MissingWeight,
-        ExponentOverflow,
-    ) as exc:
+    except SeriesError as exc:
         sys.stderr.write(f"internal assertion failed: {exc}\n")
         return EXIT_INTERNAL
-    except (ValueError, SeriesError, counts.CountError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

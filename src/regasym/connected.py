@@ -63,8 +63,7 @@ class GapMismatch(SeriesError):
     def __init__(self, k: int, got: tuple, expected: tuple, plain: Series, connected: Series):
         super().__init__(
             f"connected minus plain for k={k} starts {got[1]} z^{got[0]}, "
-            f"expected {expected[1]} z^{expected[0]};\n"
-            f"  plain     = {plain!r}\n  connected = {connected!r}"
+            f"expected {expected[1]} z^{expected[0]}"
         )
         self.k, self.got, self.expected = k, got, expected
         self.plain, self.connected = plain, connected

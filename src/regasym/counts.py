@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .multipoly import MPoly, exp_over_root, gaussian_hadamard
-from .series import Series
+from .series import Series, SeriesError
 
 PROV_STRUCTURAL = "structural"
 PROV_FORMULA = "formula"
@@ -63,11 +63,11 @@ DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_BRUTE_LIMIT = 10
 
 
-class CountError(Exception):
+class CountError(ValueError):
     """Base class for exact-count failures."""
 
 
-class NonIntegerResult(CountError):
+class NonIntegerResult(CountError, SeriesError):
     """A moment route produced a non-integral or negative value: implementation bug."""
 
 
@@ -75,7 +75,7 @@ class LimitExceeded(CountError):
     """The brute-force count was asked to exceed its configured limit."""
 
 
-class CountConflict(CountError, ValueError):
+class CountConflict(CountError):
     """Two routes gave different counts for the same (k, n)."""
 
     def __init__(self, k: int, n: int, old: int, new: int, old_source: str, new_source: str):

@@ -32,7 +32,7 @@ from functools import reduce
 from operator import or_
 from typing import Mapping
 
-from .series import Series, double_factorial
+from .series import Series, SeriesError, double_factorial
 
 Monomial = int
 
@@ -47,7 +47,7 @@ _LOW = sum(1 << (FIELD_BITS * v) for v in range(MAX_VARS))  # bit 0 of every fie
 _GUARD = _LOW << (FIELD_BITS - 1)  # top bit of every field
 
 
-class MissingWeight(KeyError):
+class MissingWeight(KeyError, SeriesError):
     """The moment rule met a variable with no declared weight."""
 
     def __init__(self, var: int):
@@ -58,7 +58,7 @@ class MissingWeight(KeyError):
         return f"no moment weight declared for variable {self.var}"
 
 
-class ExponentOverflow(OverflowError):
+class ExponentOverflow(OverflowError, SeriesError):
     """An exponent would exceed MAX_EXP and carry into the next variable's field."""
 
 

@@ -47,7 +47,11 @@ Scalar = Union[int, Fraction]
 
 
 class SeriesError(ArithmeticError):
-    """Base class for exact-series arithmetic failures."""
+    """Base of every correctness alarm, raised only by a bug; exit 3.  They
+    are BadConstantTerm, InsufficientOrder, BadParity, ValuationViolation,
+    regular's RouteMismatch and IrrationalPrefactor, connected.GapMismatch,
+    multipoly's MissingWeight and ExponentOverflow, counts.NonIntegerResult.
+    A bad request or data file is a ValueError instead, and exits 2."""
 
 
 class BadConstantTerm(SeriesError):

@@ -140,8 +140,14 @@ class Cell(NamedTuple):
         return 1 << self.shift
 
 
-class PrecisionUnderflow(ArithmeticError):
-    """Cancellation consumed more than precision-32 bits; retry higher."""
+class PrecisionUnderflow(ArithmeticError, ValueError):
+    """Cancellation consumed more than precision-32 bits at 8 times the
+    precision: a bad request, and like LimitExceeded, ParseError and
+    OffsetMismatch a ValueError, so exit 2; an alarm is a SeriesError, exit 3."""
+
+    def __init__(self, k: int, n: int, precision: int):
+        super().__init__(f"(k={k}, n={n}) still cancelling at precision {precision}; "
+                         "raise --precision")
 
 
 def _check_cell(k: int, n: int, count: int) -> None:
@@ -201,7 +207,7 @@ def _row_residuals(
         elif _depth < 3:
             cells[n] = _row_residuals(k, {n: counts[n]}, coeffs, precision << 1, _depth + 1)[n]
         else:
-            raise PrecisionUnderflow(f"(k={k}, n={n}) still cancelling at precision {precision}")
+            raise PrecisionUnderflow(k, n, precision)
     return cells
 
 

@@ -23,13 +23,23 @@ def run(argv, capsys):
 
 def run_fresh(*python_args):
     """Run python with the given arguments in a fresh interpreter, with this
-    regasym first on the path."""
+    regasym first on the path.  No other PYTHON* variable is passed on, so
+    a child runs optimised only when given -O and may write its bytecode."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = {name: value for name, value in os.environ.items() if not name.startswith("PYTHON")}
+    env["PYTHONPATH"] = path
     return subprocess.run(
         [sys.executable, *python_args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_fresh_children_inherit_no_python_variables(monkeypatch):
+    # the plain half of a plain/-O pair must not run optimised
+    monkeypatch.setenv("PYTHONOPTIMIZE", "1")
+    script = "import sys; print(sys.flags.optimize)"
+    assert run_fresh("-c", script).stdout == "0\n"
+    assert run_fresh("-O", "-c", script).stdout == "1\n"
 
 
 def test_stirling_plain(capsys):
@@ -939,6 +949,18 @@ LAYER_FAULTS = {
         "regular.gaussian_hadamard = lambda p, weights: orig(p * big * big, weights)\n",
         "an exponent exceeds",
     ),
+    # R = 2 + ...: psi = R^{-1/2} meets a constant term other than 1
+    "bad_constant_term": (
+        "orig = regular.phase_ratio\n"
+        "regular.phase_ratio = lambda order: orig(order) * 2\n",
+        "pow requires constant term 1, got 2",
+    ),
+    # a tree series known to order 2 where c2_series reads order 4
+    "insufficient_order": (
+        "orig = regular.newton_solve_tree\n"
+        "regular.newton_solve_tree = lambda psi: orig(psi).truncate(2)\n",
+        "cannot extend a series of order 2 to order 4",
+    ),
 }
 
 
@@ -956,6 +978,95 @@ def test_layer_alarms_are_internal_assertions(fault, flags):
     assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, ""), proc.stderr
     assert proc.stderr.startswith("internal assertion failed: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_precision_underflow_is_a_usage_error(capsys, monkeypatch):
+    # a cell still cancelling at 8 times the precision asks for more bits
+    from regasym import validation
+
+    def underflow(k, counts, coeffs, precision, _depth=0):
+        raise validation.PrecisionUnderflow(k, min(counts), 8 * precision)
+
+    monkeypatch.setattr(validation, "_row_residuals", underflow)
+    code, out, err = run(["validate", "--which", "sg", "--k", "3", "--n", "10"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: (k=3, n=10) still cancelling at precision 2048; raise --precision\n"
+
+
+# Every exception class the layers define, raised from a command handler,
+# with the exit code cli.main must give it by base class alone and the
+# arguments it is built from (a message when none are given).  A class
+# without a row here fails.
+LAYERS = ("series", "multipoly", "counts", "regular", "connected", "validation")
+EXCEPTION_EXITS = {
+    **dict.fromkeys(
+        (
+            "SeriesError",
+            "BadConstantTerm",
+            "InsufficientOrder",
+            "BadParity",
+            "ValuationViolation",
+            "RouteMismatch",
+            "IrrationalPrefactor",
+            "GapMismatch",
+            "MissingWeight",
+            "ExponentOverflow",
+            "NonIntegerResult",
+        ),
+        cli.EXIT_INTERNAL,
+    ),
+    "DegreeOverflow": cli.EXIT_DEGREE,
+    "CountConflict": cli.EXIT_COUNT_MISMATCH,
+    **dict.fromkeys(
+        ("CountError", "LimitExceeded", "ParseError", "OffsetMismatch", "PrecisionUnderflow"),
+        cli.EXIT_USAGE,
+    ),
+}
+EXCEPTION_ARGS = {
+    "GapMismatch": (3, (2, Fraction(-8, 27)), (2, Fraction(-4, 27)), None, None),
+    "MissingWeight": (2,),
+    "CountConflict": (3, 4, 1, 2, "formula", "brute"),
+    "ParseError": (7, "1 2 3"),
+    "PrecisionUnderflow": (3, 10, 256),
+}
+EXIT_PREFIXES = {
+    cli.EXIT_USAGE: "error: ",
+    cli.EXIT_INTERNAL: "internal assertion failed: ",
+    cli.EXIT_DEGREE: "degree overflow: ",
+    cli.EXIT_COUNT_MISMATCH: "count mismatch: ",
+}
+
+
+def layer_exceptions():
+    found = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"regasym.{layer}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_exit_table_rows_are_the_layer_exceptions():
+    assert sorted(EXCEPTION_EXITS) == [cls.__name__ for cls in layer_exceptions()]
+
+
+@pytest.mark.parametrize("exc_type", layer_exceptions(), ids=lambda cls: cls.__name__)
+def test_each_exception_exits_by_its_base_class(exc_type, capsys, monkeypatch):
+    name = exc_type.__name__
+    exc = exc_type(*EXCEPTION_ARGS.get(name, (f"injected {name}",)))
+
+    def handler(args, out):
+        raise exc
+
+    monkeypatch.setattr(cli.COMMANDS["stirling"], "run", handler)
+    code, out, err = run(["stirling", "--r", "1"], capsys)
+    assert (code, out) == (EXCEPTION_EXITS[name], "")
+    assert err == f"{EXIT_PREFIXES[code]}{exc}\n" and err.count("\n") == 1, err
 
 
 # Break one route of a cross-route check, then run the CLI in a fresh

@@ -268,7 +268,7 @@ def test_precision_underflow_detected_and_retried(sg_reference, monkeypatch):
     assert 1 <= ratio < 2
     near = Fraction(round(ratio * 2**319), 2**319)  # rounded to 320 bits
     # detected: a walk with no doubling left raises at its own precision
-    message = r"^\(k=3, n=10\) still cancelling at precision {}$"
+    message = r"^\(k=3, n=10\) still cancelling at precision {}; raise --precision$"
     with pytest.raises(PrecisionUnderflow, match=message.format(128)):
         _row_residuals(3, {10: count}, [near], 128, _depth=3)
     # the walk retries the cell with doubled precision until the diff resolves
