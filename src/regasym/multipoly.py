@@ -100,14 +100,16 @@ def _reduced(terms: dict, den: int, p: "MPoly | None" = None) -> "MPoly":
 
 
 def _sum_rows(rows, den: int) -> "MPoly":
-    """sum(c1 * x^m1 * part) over (m1, c1, part) rows, over den: one guard-bit
-    check and one normalisation for the whole sum."""
+    """sum(scale * items * part) over (items, scale, part) rows of term lists,
+    over den: one guard-bit check and one normalisation for the whole sum."""
     out: dict[Monomial, int] = {}
     get = out.get
-    for m1, c1, part in rows:
-        for m2, c2 in part:
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
+    for items, scale, part in rows:
+        for m1, c1 in items:
+            c1 *= scale
+            for m2, c2 in part:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
     if out and reduce(or_, out) & _GUARD:
         bad = next(m for m in out if m & _GUARD)
         raise ExponentOverflow(f"an exponent exceeds {MAX_EXP} in {mono_exponents(bad)}")
@@ -117,8 +119,9 @@ def _sum_rows(rows, den: int) -> "MPoly":
 class MPoly:
     """Sparse multivariate polynomial: ``terms`` over the shared denominator ``den``.
 
-    ``_groups``, set on first use by a restricted :meth:`dot`, holds the
-    terms grouped by parity class; it is derived from ``terms`` alone.
+    ``_groups``, set on both operands of their first restricted
+    :meth:`dot`, holds the terms grouped by parity class; it is derived
+    from ``terms`` alone.
     """
 
     __slots__ = ("terms", "den", "_groups")
@@ -198,9 +201,9 @@ class MPoly:
         Every pair of terms is multiplied into one ``int`` dict over the lcm
         of the triples' denominators, each scalar's numerator folded into
         its row scale; one guard-bit check and one gcd pass end the sum.
-        With ``need``, a set of parity classes, b's terms are grouped by
-        class, once per b (:func:`_class_groups`), and each term of a, of
-        class x, is multiplied only with the groups y with x ^ y in
+        With ``need``, a set of parity classes, the terms of a and b are
+        grouped by class, once per operand (:func:`_class_groups`), and a's
+        group of class x is multiplied only with b's groups y with x ^ y in
         ``need``: the sum's terms of those classes, exactly, and no others.
         """
         live = []
@@ -214,19 +217,13 @@ class MPoly:
         for num, d, a, b in live:
             scale = num * (den // d)
             if need is None:
-                part = list(b.terms.items())
-                rows.extend((m1, c1 * scale, part) for m1, c1 in a.terms.items())
+                rows.append((a.terms.items(), scale, list(b.terms.items())))
                 continue
             by_class = _class_groups(b)
-            parts = {}  # class x -> b's terms of the classes y with x ^ y in need
-            for m1, c1 in a.terms.items():
-                x = m1 & _LOW
-                part = parts.get(x)
-                if part is None:
-                    part = [t for y, ts in by_class.items() if x ^ y in need for t in ts]
-                    parts[x] = part
+            for x, items in _class_groups(a).items():
+                part = [t for y, ts in by_class.items() if x ^ y in need for t in ts]
                 if part:
-                    rows.append((m1, c1 * scale, part))
+                    rows.append((items, scale, part))
         return _sum_rows(rows, den)
 
 

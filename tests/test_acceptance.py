@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from regasym.connected import csg_tilde, shifted_expansion, stirling_series, valuation_gap
 from regasym.counts import count_brute, count_two_regular, reference_counts
 from regasym.regular import (

@@ -42,6 +42,13 @@ def test_fresh_children_inherit_no_python_variables(monkeypatch):
     assert run_fresh("-O", "-c", script).stdout == "1\n"
 
 
+def test_package_root_loads_no_layer():
+    # every name is imported from its layer module, so the root binds none
+    script = "import sys, regasym; print(*sorted(m for m in sys.modules if 'regasym' in m))"
+    proc = run_fresh("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "regasym\n", "")
+
+
 def test_stirling_plain(capsys):
     code, out, _ = run(["stirling", "--r", "3"], capsys)
     assert code == 0

@@ -530,7 +530,9 @@ def test_every_package_definition_has_a_caller():
 
 def test_every_module_level_name_is_read():
     # a module-level constant or alias that nothing in the package or the
-    # scripts reads is dead; dunder names are read by Python itself
+    # scripts reads is dead; dunder names are read by Python itself.  A name
+    # that an import binds must be read in its own file: a re-export that
+    # callers reach through another path is dead too
     import ast
     from pathlib import Path
 
@@ -558,4 +560,13 @@ def test_every_module_level_name_is_read():
                 for name in names
                 if name not in read and not (name.startswith("__") and name.endswith("__"))
             ]
-    assert not unread, f"assigned at module level and never read: {sorted(unread)}"
+        loads = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{name}" for name in bound if name not in loads]
+    assert not unread, f"bound at module level or by an import and never read: {sorted(unread)}"
